@@ -3,8 +3,9 @@
 Subcommands: jack (build one polynomial), verify (run property suites),
 spectrum (quasi-momenta and energies), convert (basis conversion of a
 polynomial read from a file or stdin).  Output is byte deterministic for
-fixed inputs.  Exit codes: 0 success, 1 domain error, 2 bad flags, 3 a
-verification suite reported a failure.
+fixed inputs.  Exit codes: 0 success, 1 domain error or unreadable input,
+2 usage error (bad flags or flag values), 3 a verification suite reported a
+failure.
 """
 
 from __future__ import annotations
@@ -21,17 +22,29 @@ from .partitions import Partition, partitions_of
 from .polyring import LaurentPoly, VarContext
 
 
-def _parse_partition(text: str) -> Partition:
+def _parse_partition(text: str) -> tuple[int, ...]:
+    # syntax only: Partition() raises the domain errors
     text = text.strip()
-    if text in ("", "0"):
-        return Partition()
-    return Partition(int(x) for x in text.split(","))
+    return () if text in ("", "0") else tuple(int(x) for x in text.split(","))
 
 
-def _parse_beta(text: str):
-    if text == "sym":
-        return None
-    return Fraction(text)
+def _checked(parse, expected: str, valid=lambda value: True):
+    """argparse type: a flag value that does not parse or is out of range is
+    a usage error, reported before anything is built."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if valid(value):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
+
+
+PARTITION_ARG = _checked(_parse_partition, "comma separated integers")
 
 
 def _emit(args, payload: str):
@@ -49,7 +62,7 @@ def _coeff_str(c, beta_value) -> str:
 
 
 def cmd_jack(args) -> int:
-    lam = _parse_partition(args.lam)
+    lam = Partition(args.lam)
     ctx = VarContext(args.nvars)
     if len(lam) == ctx.nvars and not args.allow_shift:
         print(
@@ -59,25 +72,24 @@ def cmd_jack(args) -> int:
         )
         return 1
     result = rodrigues.jack(lam, ctx, args.normalization)
-    beta_value = _parse_beta(args.beta)
     if args.format == "json":
         obj = result.to_json()
-        obj["beta"] = "sym" if beta_value is None else str(beta_value)
-        if beta_value is not None:
-            obj["c"] = str(result.c.specialize(beta_value))
+        obj["beta"] = "sym" if args.beta is None else str(args.beta)
+        if args.beta is not None:
+            obj["c"] = str(result.c.specialize(args.beta))
             for entry in obj["monomial_expansion"]:
                 coeff = result.polynomial.coefficient(
                     Partition(entry["partition"]).pad(ctx.nvars)
                 )
-                entry["coeff"] = str(coeff.specialize(beta_value))
+                entry["coeff"] = str(coeff.specialize(args.beta))
         payload = json.dumps(obj, indent=2) + "\n"
     else:
         lines = [
             f"jack lambda={list(lam)} nvars={ctx.nvars} normalization={args.normalization}",
-            f"c = {_coeff_str(result.c, beta_value)}",
+            f"c = {_coeff_str(result.c, args.beta)}",
         ]
         rows = [
-            (f"m[{','.join(map(str, Partition(e)))}]", _coeff_str(c, beta_value))
+            (f"m[{','.join(map(str, Partition(e)))}]", _coeff_str(c, args.beta))
             for e, c in result.polynomial.sorted_terms()
             if all(a >= b for a, b in zip(e, e[1:]))
         ]
@@ -89,7 +101,7 @@ def cmd_jack(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = suites.run_suite(args.suite, args.max_degree, args.max_nvars, args.threads)
+    results = suites.run_suite(args.suite, args.max_degree, args.max_nvars)
     failed = 0
     lines = []
     for r in results:
@@ -113,9 +125,9 @@ def _length_scale(length) -> float | None:
 def cmd_spectrum(args) -> int:
     params = spectrum.ModelParams(
         nparticles=args.nparticles,
-        beta=Fraction(args.beta),
-        q=Fraction(args.q),
-        length=args.length if args.length == "2pi" else Fraction(args.length),
+        beta=args.beta,
+        q=args.q,
+        length=args.length,
     )
     if args.all_degree is not None:
         lams = [
@@ -124,7 +136,7 @@ def cmd_spectrum(args) -> int:
             for lam in partitions_of(n, params.nparticles)
         ]
     else:
-        lams = [_parse_partition(args.lam)]
+        lams = [Partition(args.lam)]
     records = [spectrum.spectrum_record(lam, params) for lam in lams]
     ground = spectrum.ground_energy(params)
     if args.format == "json":
@@ -165,12 +177,8 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_convert(args) -> int:
-    if args.input:
-        with open(args.input) as fh:
-            obj = json.load(fh)
-    else:
-        obj = json.load(sys.stdin)
+def _decode_polynomial(obj) -> LaurentPoly | None:
+    """Read a jack result, a LaurentPoly or a basis expansion payload."""
     if "monomial_expansion" in obj:
         ctx = VarContext(int(obj["nvars"]))
         poly = LaurentPoly.zero(ctx)
@@ -182,24 +190,38 @@ def cmd_convert(args) -> int:
                 else symbases.FieldElement([Fraction(coeff)])
             )
             poly = poly + symbases.monomial_sym(Partition(entry["partition"]), ctx).scale(coeff)
-    elif "terms" in obj:
-        poly = LaurentPoly.from_json(obj)
-        ctx = poly.ctx
-    elif "coords" in obj:
+        return poly
+    if "terms" in obj:
+        return LaurentPoly.from_json(obj)
+    if "coords" in obj:
         ctx = VarContext(int(obj["nvars"]))
-        poly = symbases.BasisExpansion.from_json(obj, ctx).reconstruct()
-    else:
+        return symbases.BasisExpansion.from_json(obj, ctx).reconstruct()
+    return None
+
+
+def cmd_convert(args) -> int:
+    try:
+        if args.input:
+            with open(args.input) as fh:
+                obj = json.load(fh)
+        else:
+            obj = json.load(sys.stdin)
+        poly = _decode_polynomial(obj)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        print(f"error: malformed polynomial payload ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return 1
+    if poly is None:
         print("error: unrecognized polynomial payload", file=sys.stderr)
         return 1
-    if args.nvars and args.nvars != ctx.nvars:
+    if args.nvars and args.nvars != poly.ctx.nvars:
         print(
-            f"error: input declares {ctx.nvars} variables, flags say {args.nvars}",
+            f"error: input declares {poly.ctx.nvars} variables, flags say {args.nvars}",
             file=sys.stderr,
         )
         return 1
     expansion = symbases.expand_in_basis(poly, args.to)
     obj = expansion.to_json()
-    obj["nvars"] = ctx.nvars
+    obj["nvars"] = poly.ctx.nvars
     _emit(args, json.dumps(obj, indent=2) + "\n")
     return 0
 
@@ -212,11 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_jack = sub.add_parser("jack", help="build one Jack polynomial")
-    p_jack.add_argument("--lambda", dest="lam", required=True, help="comma separated parts, 0 for empty")
+    p_jack.add_argument(
+        "--lambda", dest="lam", type=PARTITION_ARG, required=True, help="comma separated parts, 0 for empty"
+    )
     p_jack.add_argument("--nvars", type=int, required=True)
     p_jack.add_argument("--normalization", choices=rodrigues.NORMALIZATIONS, default="monic")
     p_jack.add_argument("--format", choices=("json", "text"), default="json")
-    p_jack.add_argument("--beta", default="sym", help='"sym", an integer, or p/q')
+    p_jack.add_argument(
+        "--beta",
+        type=_checked(lambda t: None if t == "sym" else Fraction(t), '"sym", an integer or p/q'),
+        default="sym",
+        help='"sym", an integer, or p/q',
+    )
     p_jack.add_argument("--allow-shift", action="store_true", help="accept l(lambda) = N via the boost")
     p_jack.add_argument("--output", default=None)
     p_jack.set_defaults(func=cmd_jack)
@@ -227,19 +256,29 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(suites.SUITES) + ["all"],
         default="all",
     )
-    p_verify.add_argument("--max-degree", type=int, default=4)
-    p_verify.add_argument("--max-nvars", type=int, default=3)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--max-degree", type=_checked(int, "an integer >= 0", lambda v: v >= 0), default=4)
+    p_verify.add_argument("--max-nvars", type=_checked(int, "an integer >= 2", lambda v: v >= 2), default=3)
     p_verify.add_argument("--output", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_spec = sub.add_parser("spectrum", help="quasi-momenta and energies")
-    p_spec.add_argument("--lambda", dest="lam", default="0")
+    p_spec.add_argument("--lambda", dest="lam", type=PARTITION_ARG, default="0")
     p_spec.add_argument("--all-degree", type=int, default=None, help="list every state up to this degree")
     p_spec.add_argument("--nparticles", type=int, required=True)
-    p_spec.add_argument("--beta", required=True)
-    p_spec.add_argument("--q", default="0")
-    p_spec.add_argument("--length", default="2pi", help='"2pi" or a rational circumference')
+    p_spec.add_argument(
+        "--beta", type=_checked(Fraction, "a positive integer or p/q", lambda v: v > 0), required=True
+    )
+    p_spec.add_argument("--q", type=_checked(Fraction, "an integer or p/q"), default="0")
+    p_spec.add_argument(
+        "--length",
+        type=_checked(
+            lambda t: t if t == "2pi" else Fraction(t),
+            '"2pi" or a positive rational',
+            lambda v: v == "2pi" or v > 0,
+        ),
+        default="2pi",
+        help='"2pi" or a rational circumference',
+    )
     p_spec.add_argument("--format", choices=("json", "text"), default="text")
     p_spec.add_argument("--output", default=None)
     p_spec.set_defaults(func=cmd_spectrum)
@@ -259,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AlgebraError as exc:
+    except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

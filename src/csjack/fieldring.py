@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import DivisionByZero, PoleAtValue
+from .errors import DivisionByZero, InconsistentSystem, PoleAtValue
 
 BetaPoly = tuple  # tuple[Fraction, ...], ascending powers, trimmed
 
@@ -47,10 +47,6 @@ def poly_add(a: BetaPoly, b: BetaPoly) -> BetaPoly:
 
 def poly_neg(a: BetaPoly) -> BetaPoly:
     return tuple(-c for c in a)
-
-
-def poly_sub(a: BetaPoly, b: BetaPoly) -> BetaPoly:
-    return poly_add(a, poly_neg(b))
 
 
 def poly_mul(a: BetaPoly, b: BetaPoly) -> BetaPoly:
@@ -368,10 +364,6 @@ def field(x) -> FieldElement:
     return out
 
 
-def specialize(a: FieldElement, beta_value) -> Fraction:
-    return a.specialize(beta_value)
-
-
 def pochhammer(x: FieldLike, n: int) -> FieldElement:
     """Rising factorial x (x+1) ... (x+n-1); empty product for n = 0."""
     if n < 0:
@@ -396,3 +388,60 @@ def is_integer_in_inverse_beta(a: FieldElement) -> bool:
     if len(a.num) > len(den):
         return False
     return poly_is_integral(a.num)
+
+
+def solve_linear(
+    rows: list[tuple[dict[int, FieldElement], FieldElement]], ncols: int
+) -> list[FieldElement]:
+    """Exact sparse Gaussian elimination.
+
+    Each row is ({column: coefficient}, right-hand side).  The rows may
+    outnumber the unknowns, but together they must determine every unknown
+    uniquely and consistently; otherwise InconsistentSystem is raised.
+    """
+    work = [(dict(r), b) for r, b in rows]
+    solved: list = [None] * ncols
+    for col in range(ncols):
+        pivot = None
+        for idx, (r, _) in enumerate(work):
+            if r.get(col):
+                pivot = idx
+                break
+        if pivot is None:
+            raise InconsistentSystem(f"unknown {col} is undetermined")
+        prow, pb = work.pop(pivot)
+        inv = prow[col].inverse()
+        prow = {k: v * inv for k, v in prow.items()}
+        pb = pb * inv
+        reduced = []
+        for r, b in work:
+            f = r.get(col)
+            if f:
+                nr = dict(r)
+                del nr[col]
+                for k, v in prow.items():
+                    if k == col:
+                        continue
+                    acc = nr.get(k, ZERO) - v * f
+                    if acc:
+                        nr[k] = acc
+                    else:
+                        nr.pop(k, None)
+                reduced.append((nr, b - pb * f))
+            else:
+                reduced.append((r, b))
+        work = reduced
+        del prow[col]
+        solved[col] = (prow, pb)  # back-substitute later
+    # rows left over must be trivial
+    for r, b in work:
+        if not r and b:
+            raise InconsistentSystem("stacked system is inconsistent")
+    out: list[FieldElement] = [ZERO] * ncols
+    for col in range(ncols - 1, -1, -1):
+        prow, pb = solved[col]
+        acc = pb
+        for k, v in prow.items():
+            acc = acc - v * out[k]
+        out[col] = acc
+    return out

@@ -48,6 +48,12 @@ def full_index_set(nvars: int) -> tuple[int, ...]:
     return tuple(range(1, nvars + 1))
 
 
+def galilei_boost(p: LaurentPoly, power: int = 1) -> LaurentPoly:
+    """Multiply by (z_1 ... z_N)^power: a uniform exponent shift."""
+    out = {tuple(x + power for x in e): c for e, c in p.terms.items()}
+    return LaurentPoly._raw(p.ctx, out)
+
+
 def apply_dunkl(i: int, p: LaurentPoly) -> LaurentPoly:
     """Dunkl operator: plain derivative plus coupling-weighted divided
     differences against every other variable."""
@@ -89,10 +95,7 @@ def apply_B_plus(i: int, J, p: LaurentPoly) -> LaurentPoly:
     if i > len(J):
         raise BadCardinality(f"cardinality {i} exceeds |J| = {len(J)}")
     if i == nvars:
-        out = p
-        for v in range(1, nvars + 1):
-            out = out.shift_var(v, 1)
-        return out
+        return galilei_boost(p)
     total = LaurentPoly.zero(p.ctx)
     for subset in itertools.combinations(J, i):
         q = apply_D_string(1, subset, p)

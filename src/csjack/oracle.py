@@ -13,6 +13,7 @@ Three routes, none of which touches the creation operators:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,12 +23,12 @@ from .errors import (
     InconsistentSystem,
     TooManyParts,
 )
-from .fieldring import ONE, ZERO, FieldElement
+from .fieldring import ONE, ZERO, FieldElement, solve_linear
 from .operators import apply_H, apply_hatD
-from .partitions import Partition, dominates, partitions_of, z_factor
+from .partitions import Partition, dominates, partitions_of
 from .polyring import LaurentPoly, VarContext
 from .rodrigues import eigenvalue_epsilon
-from .symbases import POWER_SUM, expand_in_basis, monomial_sym
+from .symbases import POWER_SUM, BasisExpansion, expand_in_basis, monomial_sym, scalar_product_p
 
 
 @dataclass
@@ -41,23 +42,15 @@ class TriangularSystem:
     matrix: dict[tuple[Partition, Partition], FieldElement]
 
 
-_system_cache: dict[tuple[int, int], TriangularSystem] = {}
-
-
+@functools.cache
 def triangular_system(degree: int, ctx: VarContext) -> TriangularSystem:
-    key = (degree, ctx.nvars)
-    hit = _system_cache.get(key)
-    if hit is not None:
-        return hit
     basis = partitions_of(degree, ctx.nvars)
     matrix: dict[tuple[Partition, Partition], FieldElement] = {}
     for lam in basis:
         image = apply_H(monomial_sym(lam, ctx))
         for mu, c in expand_in_basis(image, "m").coords.items():
             matrix[(mu, lam)] = c
-    result = TriangularSystem(degree, ctx.nvars, basis, matrix)
-    _system_cache[key] = result
-    return result
+    return TriangularSystem(degree, ctx.nvars, basis, matrix)
 
 
 def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
@@ -94,17 +87,6 @@ def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
     return out
 
 
-def _pairing(f: dict[Partition, FieldElement], g: dict[Partition, FieldElement]) -> FieldElement:
-    out = ZERO
-    for lam, a in f.items():
-        b = g.get(lam)
-        if b is None:
-            continue
-        weight = FieldElement((z_factor(lam),)) * FieldElement.beta(-len(lam))
-        out = out + a * b * weight
-    return out
-
-
 def jack_by_gram_schmidt(
     lam: Partition, ctx: VarContext, ordering: list[Partition] | None = None
 ) -> LaurentPoly:
@@ -121,23 +103,23 @@ def jack_by_gram_schmidt(
     if len(lam) > ctx.nvars:
         raise TooManyParts(f"l({lam}) = {len(lam)} > {ctx.nvars}")
     order = list(ordering) if ordering is not None else partitions_of(n, ctx.nvars)
-    built: list[tuple[LaurentPoly, dict, FieldElement]] = []
+    built: list[tuple[LaurentPoly, BasisExpansion, FieldElement]] = []
     for mu in reversed(order):
         poly = monomial_sym(mu, ctx)
-        coords = dict(expand_in_basis(poly, POWER_SUM).coords)
-        for upoly, ucoords, unorm in built:
-            c = _pairing(coords, ucoords) / unorm
+        ex = expand_in_basis(poly, POWER_SUM)
+        for upoly, uex, unorm in built:
+            c = scalar_product_p(ex, uex) / unorm
             if c:
                 poly = poly - upoly.scale(c)
-                for key, val in ucoords.items():
-                    acc = coords.get(key, ZERO) - val * c
+                for key, val in uex.coords.items():
+                    acc = ex.coords.get(key, ZERO) - val * c
                     if acc:
-                        coords[key] = acc
+                        ex.coords[key] = acc
                     else:
-                        coords.pop(key, None)
+                        ex.coords.pop(key, None)
         if mu == lam:
             return poly
-        built.append((poly, coords, _pairing(coords, coords)))
+        built.append((poly, ex, scalar_product_p(ex, ex)))
     raise InconsistentSystem(f"{lam} never appeared in the ordering")
 
 
@@ -207,7 +189,7 @@ def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
         for e in sorted(set(residual_rows) | set(rhs_terms), reverse=True):
             rows.append((residual_rows.get(e, {}), -rhs_terms.get(e, ZERO)))
 
-    solution = _solve_field_system(rows, len(cols))
+    solution = solve_linear(rows, len(cols))
     terms = {padded: ONE}
     for e, t in col_index.items():
         if solution[t]:
@@ -217,59 +199,6 @@ def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
         if apply_hatD(i, chi) != chi.scale(deltas[i - 1]):
             raise InconsistentSystem(f"solved vector fails the family at index {i}")
     return chi
-
-
-def _solve_field_system(
-    rows: list[tuple[dict[int, FieldElement], FieldElement]], ncols: int
-) -> list[FieldElement]:
-    """Exact Gaussian elimination; the stacked system must determine every
-    unknown uniquely and consistently."""
-    work = [(dict(r), b) for r, b in rows]
-    solved: list = [None] * ncols
-    for col in range(ncols):
-        pivot = None
-        for idx, (r, _) in enumerate(work):
-            if r.get(col):
-                pivot = idx
-                break
-        if pivot is None:
-            raise InconsistentSystem(f"unknown {col} is undetermined")
-        prow, pb = work.pop(pivot)
-        inv = prow[col].inverse()
-        prow = {k: v * inv for k, v in prow.items()}
-        pb = pb * inv
-        reduced = []
-        for r, b in work:
-            f = r.get(col)
-            if f:
-                nr = dict(r)
-                del nr[col]
-                for k, v in prow.items():
-                    if k == col:
-                        continue
-                    acc = nr.get(k, ZERO) - v * f
-                    if acc:
-                        nr[k] = acc
-                    else:
-                        nr.pop(k, None)
-                reduced.append((nr, b - pb * f))
-            else:
-                reduced.append((r, b))
-        work = reduced
-        del prow[col]
-        solved[col] = (prow, pb)  # back-substitute later
-    # rows left over must be trivial
-    for r, b in work:
-        if not r and b:
-            raise InconsistentSystem("stacked system is inconsistent")
-    out: list[FieldElement] = [ZERO] * ncols
-    for col in range(ncols - 1, -1, -1):
-        prow, pb = solved[col]
-        acc = pb
-        for k, v in prow.items():
-            acc = acc - v * out[k]
-        out[col] = acc
-    return out
 
 
 def jack_by_symmetrization(lam: Partition, ctx: VarContext) -> LaurentPoly:

@@ -54,10 +54,6 @@ class Partition(tuple):
         return out
 
 
-def make_partition(parts: Iterable[int]) -> Partition:
-    return Partition(parts)
-
-
 class Dominance(Enum):
     LESS = "less"
     EQUAL = "equal"

@@ -10,31 +10,24 @@ only ever stores final values, which keeps repeated sweeps deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import TooManyParts
 from .fieldring import BETA, ONE, FieldElement, pochhammer
-from .operators import apply_B_plus, full_index_set
+from .operators import apply_B_plus, full_index_set, galilei_boost
 from .partitions import Partition
 from .polyring import LaurentPoly, VarContext
 
-_phi_cache: dict[tuple[int, tuple[int, ...]], LaurentPoly] = {}
 
-
+@functools.cache
 def _phi(ctx: VarContext, parts: tuple[int, ...]) -> LaurentPoly:
-    key = (ctx.nvars, parts)
-    hit = _phi_cache.get(key)
-    if hit is not None:
-        return hit
     if not parts:
-        result = LaurentPoly.one(ctx)
-    else:
-        prev = tuple(x - 1 for x in parts)
-        while prev and prev[-1] == 0:
-            prev = prev[:-1]
-        result = apply_B_plus(len(parts), full_index_set(ctx.nvars), _phi(ctx, prev))
-    _phi_cache[key] = result
-    return result
+        return LaurentPoly.one(ctx)
+    prev = tuple(x - 1 for x in parts)
+    while prev and prev[-1] == 0:
+        prev = prev[:-1]
+    return apply_B_plus(len(parts), full_index_set(ctx.nvars), _phi(ctx, prev))
 
 
 def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:
@@ -44,7 +37,8 @@ def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:
         raise TooManyParts(
             f"creation product needs l(lambda) <= {ctx.nvars - 1}, got {len(lam)}"
         )
-    return _phi(ctx, tuple(lam))
+    # a copy, so a caller editing the result cannot reach the cache
+    return LaurentPoly._raw(ctx, dict(_phi(ctx, tuple(lam)).terms))
 
 
 def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:
@@ -79,14 +73,6 @@ def eigenvalue_epsilon(lam: Partition, nvars: int) -> FieldElement:
     const = sum(x * x for x in lam)
     linear = sum((nvars + 1 - 2 * j) * x for j, x in enumerate(lam, start=1))
     return FieldElement((const, linear))
-
-
-def galilei_boost(p: LaurentPoly, power: int = 1) -> LaurentPoly:
-    """Multiply by (z_1 ... z_N)^power: a uniform exponent shift."""
-    out = {}
-    for e, c in p.terms.items():
-        out[tuple(x + power for x in e)] = c
-    return LaurentPoly._raw(p.ctx, out)
 
 
 @dataclass

@@ -384,21 +384,6 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_degree: int, max_nvars: int, threads: int = 1) -> list[CheckResult]:
-    if name == "all":
-        names = list(SUITES)
-    else:
-        names = [name]
-    jobs = [(n, SUITES[n]) for n in names]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn, max_degree, max_nvars) for _, fn in jobs]
-            gathered = [f.result() for f in futures]
-    else:
-        gathered = [fn(max_degree, max_nvars) for _, fn in jobs]
-    out: list[CheckResult] = []
-    for block in gathered:
-        out.extend(block)
-    return out
+def run_suite(name: str, max_degree: int, max_nvars: int) -> list[CheckResult]:
+    names = list(SUITES) if name == "all" else [name]
+    return [result for n in names for result in SUITES[n](max_degree, max_nvars)]

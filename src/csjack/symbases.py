@@ -8,6 +8,7 @@ Schur polynomials by bialternant division.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,7 @@ from .errors import (
     NotSymmetric,
     TooManyParts,
 )
-from .fieldring import ONE, ZERO, FieldElement
+from .fieldring import ONE, ZERO, FieldElement, solve_linear
 from .partitions import Partition, partitions_of, z_factor
 from .polyring import LaurentPoly, VarContext, divide_by_vardiff
 
@@ -113,18 +114,6 @@ def _monomial_coords(p: LaurentPoly) -> dict[Partition, FieldElement]:
     return coords
 
 
-def _powersum_matrix(n: int, ctx: VarContext) -> tuple[list[Partition], list[list[Fraction]]]:
-    """Integer matrix of p_mu expanded over m_rho, both indexed by partitions of n."""
-    parts = partitions_of(n, None)
-    cols = {}
-    for mu in parts:
-        cols[mu] = _monomial_coords(power_sum(mu, ctx))
-    matrix = [
-        [cols[mu].get(rho, ZERO).as_fraction() for mu in parts] for rho in parts
-    ]
-    return parts, matrix
-
-
 def expand_in_basis(p: LaurentPoly, basis: str) -> BasisExpansion:
     """Coordinates of a homogeneous symmetric polynomial in the m or p basis.
 
@@ -143,47 +132,14 @@ def expand_in_basis(p: LaurentPoly, basis: str) -> BasisExpansion:
         raise DegreeExceedsVariables(
             f"power-sum coordinates need degree <= {p.ctx.nvars}, got {n}"
         )
-    parts, matrix = _powersum_matrix(n, p.ctx)
-    rhs = [mcoords.get(rho, ZERO) for rho in parts]
-    coeffs = _solve_rational_system(matrix, rhs)
+    parts = partitions_of(n, None)
+    rows: dict[Partition, dict[int, FieldElement]] = {rho: {} for rho in parts}
+    for col, mu in enumerate(parts):
+        for rho, c in _monomial_coords(power_sum(mu, p.ctx)).items():
+            rows[rho][col] = c
+    coeffs = solve_linear([(rows[rho], mcoords.get(rho, ZERO)) for rho in parts], len(parts))
     coords = {mu: c for mu, c in zip(parts, coeffs) if c}
     return BasisExpansion(POWER_SUM, n, p.ctx, coords)
-
-
-def _solve_rational_system(matrix: list[list[Fraction]], rhs: list[FieldElement]) -> list[FieldElement]:
-    """Gaussian elimination with rational pivots and field-valued right sides."""
-    from .errors import InconsistentSystem
-
-    size = len(matrix)
-    a = [row[:] for row in matrix]
-    b = list(rhs)
-    where = [-1] * size
-    row = 0
-    for col in range(size):
-        pivot = next((r for r in range(row, size) if a[r][col]), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        b[row], b[pivot] = b[pivot], b[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        b[row] = b[row] * inv
-        for r in range(size):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-                b[r] = b[r] - b[row] * f
-        where[col] = row
-        row += 1
-    for r in range(row, size):
-        if b[r]:
-            raise InconsistentSystem("basis transition system has no solution")
-    out = []
-    for col in range(size):
-        if where[col] < 0:
-            raise InconsistentSystem("basis transition system is singular")
-        out.append(b[where[col]])
-    return out
 
 
 def scalar_product_p(f: BasisExpansion, g: BasisExpansion) -> FieldElement:
@@ -202,56 +158,14 @@ def scalar_product_p(f: BasisExpansion, g: BasisExpansion) -> FieldElement:
     return out
 
 
-_weight_cache: dict[tuple[int, int], dict] = {}
-
-
-def _fraction_terms(p: LaurentPoly, beta_value: Fraction) -> dict[tuple, Fraction]:
-    out = {}
-    for e, c in p.terms.items():
-        v = c.specialize(beta_value)
-        if v:
-            out[e] = v
-    return out
-
-
-def _dict_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple, Fraction] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c1 * c2
-            else:
-                acc = acc + c1 * c2
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-    return out
-
-
-def _circle_weight(nvars: int, beta_int: int) -> dict:
-    key = (nvars, beta_int)
-    cached = _weight_cache.get(key)
-    if cached is not None:
-        return cached
-    weight = {(0,) * nvars: Fraction(1)}
-    for j in range(nvars):
-        for k in range(j + 1, nvars):
-            zj = [0] * nvars
-            zj[j] = 1
-            zk = [0] * nvars
-            zk[k] = 1
-            forward = {tuple(zj): Fraction(1), tuple(zk): Fraction(-1)}
-            backward = {
-                tuple(-x for x in zj): Fraction(1),
-                tuple(-x for x in zk): Fraction(-1),
-            }
-            for _ in range(beta_int):
-                weight = _dict_mul(weight, forward)
-                weight = _dict_mul(weight, backward)
-    _weight_cache[key] = weight
+@functools.cache
+def _circle_weight(nvars: int, beta_int: int) -> LaurentPoly:
+    ctx = VarContext(nvars)
+    weight = LaurentPoly.one(ctx)
+    for j in range(1, nvars + 1):
+        for k in range(j + 1, nvars + 1):
+            diff = LaurentPoly.variable(ctx, j) - LaurentPoly.variable(ctx, k)
+            weight = weight * (diff * diff.bar_involution()) ** beta_int
     return weight
 
 
@@ -263,10 +177,17 @@ def circle_inner_product(f: LaurentPoly, g: LaurentPoly, beta_int: int) -> Fract
         raise NonIntegerBeta(f"torus pairing needs a positive integer coupling, got {beta_int!r}")
     if f.ctx.nvars != g.ctx.nvars:
         raise ContextMismatch(f"{f.ctx} vs {g.ctx}")
-    bval = Fraction(beta_int)
-    prod = _dict_mul(_fraction_terms(f, bval), _fraction_terms(g.bar_involution(), bval))
-    prod = _dict_mul(_circle_weight(f.ctx.nvars, beta_int), prod)
-    return prod.get((0,) * f.ctx.nvars, Fraction(0))
+    weight = _circle_weight(f.ctx.nvars, beta_int).terms
+    fvals = [(a, c.specialize(beta_int)) for a, c in f.terms.items()]
+    total = Fraction(0)
+    # z^a * bar(z^e) * z^w is constant exactly when w = e - a
+    for e, c in g.terms.items():
+        gv = c.specialize(beta_int)
+        for a, fv in fvals:
+            w = weight.get(tuple(x - y for x, y in zip(e, a)))
+            if w is not None:
+                total += fv * gv * w.as_fraction()
+    return total
 
 
 def _parity(perm: tuple[int, ...]) -> int:

@@ -51,8 +51,8 @@ def sweep(max_weight, nvars_list):
 
 
 def test_criterion_01_worked_example():
-    rodrigues._phi_cache.clear()
-    oracle._system_cache.clear()
+    rodrigues._phi.cache_clear()
+    oracle.triangular_system.cache_clear()
     start = time.monotonic()
     ctx = VarContext(3)
     r = jack(Partition((3, 1)), ctx)

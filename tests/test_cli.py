@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, stdin=None):
     return subprocess.run(
@@ -90,14 +92,6 @@ def test_verify_passes():
     assert lines[-1].endswith("checks passed")
 
 
-def test_verify_thread_flag_keeps_bytes():
-    base = ("verify", "--suite", "all", "--max-degree", "3", "--max-nvars", "2")
-    a = run_cli(*base, "--threads", "1")
-    b = run_cli(*base, "--threads", "4")
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-
-
 def test_spectrum_text_frozen():
     r = run_cli("spectrum", "--lambda", "2,1", "--nparticles", "3", "--beta", "2")
     assert r.returncode == 0
@@ -165,3 +159,35 @@ def test_output_flag(tmp_path):
     assert r.stdout == ""
     obj = json.loads(out.read_text())
     assert obj["lambda"] == [1]
+
+
+BAD_INPUT = {
+    "jack-lambda-not-integers": (("jack", "--lambda", "x", "--nvars", "3"), None, 2),
+    "jack-beta-zero-denominator": (("jack", "--lambda", "2,1", "--nvars", "3", "--beta", "1/0"), None, 2),
+    "jack-beta-not-rational": (("jack", "--lambda", "2,1", "--nvars", "3", "--beta", "abc"), None, 2),
+    "verify-one-variable": (("verify", "--max-nvars", "1"), None, 2),
+    "verify-negative-degree": (("verify", "--max-degree", "-1"), None, 2),
+    "verify-negative-degree-one-suite": (
+        ("verify", "--suite", "rodrigues-vs-oracle", "--max-degree", "-1"),
+        None,
+        2,
+    ),
+    "verify-threads-removed": (("verify", "--threads", "2"), None, 2),
+    "spectrum-zero-length": (("spectrum", "--nparticles", "2", "--beta", "1", "--length", "0"), None, 2),
+    "spectrum-zero-beta": (("spectrum", "--nparticles", "2", "--beta", "0"), None, 2),
+    "spectrum-negative-beta": (("spectrum", "--nparticles", "2", "--beta", "-1"), None, 2),
+    "convert-malformed-json": (("convert", "--to", "m"), "{not json", 1),
+    "convert-missing-nvars": (("convert", "--to", "m"), '{"coords": []}', 1),
+}
+
+
+@pytest.mark.parametrize("args, stdin, code", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_exit_codes(args, stdin, code):
+    """Usage errors exit 2 before anything is built, domain errors exit 1
+    with a one-line message, and neither prints a traceback."""
+    r = run_cli(*args, stdin=stdin)
+    assert r.returncode == code
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    if code == 1:
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1

@@ -143,3 +143,13 @@ def test_specialization_beta_one_is_schur():
     for lam in [(2,), (2, 1), (3, 1), (2, 2)]:
         j = jack(Partition(lam), CTX3).polynomial.specialize_beta(Fraction(1))
         assert j == schur(Partition(lam), CTX3)
+
+
+def test_editing_a_result_leaves_the_cache_intact():
+    lam = Partition((2, 1))
+    monic = jack(lam, CTX3).monic
+    raw = rodrigues_raw(lam, CTX3)
+    jack(lam, CTX3).raw.terms.clear()
+    rodrigues_raw(lam, CTX3).terms.clear()
+    assert jack(lam, CTX3).monic == monic
+    assert rodrigues_raw(lam, CTX3) == raw

@@ -1,6 +1,5 @@
 from csjack.suites import (
     SUITES,
-    run_suite,
     suite_commutators,
     suite_hamiltonian,
     suite_spectrum_consistency,
@@ -49,9 +48,3 @@ def test_spectrum_consistency_small():
     results = suite_spectrum_consistency(count=10)
     assert all(r.passed for r in results)
 
-
-def test_run_suite_all_matches_threads():
-    seq = run_suite("all", 3, 2, threads=1)
-    par = run_suite("all", 3, 2, threads=3)
-    assert [(r.name, r.passed) for r in seq] == [(r.name, r.passed) for r in par]
-    assert all(r.passed for r in seq)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,9 @@ from csjack.errors import (
     TooManyParts,
 )
 from csjack.fieldring import BETA, ONE, FieldElement
-from csjack.partitions import Partition
+from csjack.partitions import Partition, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
+from csjack.rodrigues import jack
 from csjack.symbases import (
     BasisExpansion,
     MONOMIAL,
@@ -146,3 +148,33 @@ def test_schur():
     assert schur(Partition((3,)), CTX2) == monomial_sym(Partition((3,)), CTX2) + monomial_sym(
         Partition((2, 1)), CTX2
     )
+
+
+def _circle_reference(f, g, beta_int):
+    """Constant term of the full product W * f * bar(g), specialized at beta."""
+    ctx = f.ctx
+    weight = LaurentPoly.one(ctx)
+    for j in range(1, ctx.nvars + 1):
+        for k in range(j + 1, ctx.nvars + 1):
+            diff = LaurentPoly.variable(ctx, j) - LaurentPoly.variable(ctx, k)
+            for _ in range(beta_int):
+                weight = weight * diff * diff.bar_involution()
+    return (weight * f * g.bar_involution()).constant_term().specialize(beta_int)
+
+
+def test_circle_inner_product_matches_full_product():
+    rng = random.Random(5)
+    pairs = []
+    for ctx, max_degree in ((CTX2, 3), (CTX3, 2)):
+        polys = [jack(lam, ctx).monic for d in range(max_degree + 1) for lam in partitions_of(d, ctx.nvars)]
+        pairs += [(f, g) for f in polys for g in polys]
+        for _ in range(6):
+            exps = [tuple(rng.randint(-2, 2) for _ in range(ctx.nvars)) for _ in range(3)]
+            f, g = (LaurentPoly(ctx, {e: rng.randint(-3, 3) for e in exps[k:]}) for k in (0, 1))
+            pairs.append((f, g))
+    for beta_int in (1, 2):
+        for f, g in pairs:
+            value = circle_inner_product(f, g, beta_int)
+            assert value == _circle_reference(f, g, beta_int)
+            if f is g:
+                assert value > 0  # a squared norm on the torus
