@@ -45,6 +45,8 @@ def _checked(parse, expected: str, valid=lambda value: True):
 
 
 PARTITION_ARG = _checked(_parse_partition, "comma separated integers")
+COUNT_ARG = _checked(int, "an integer >= 1", lambda v: v >= 1)
+DEGREE_ARG = _checked(int, "an integer >= 0", lambda v: v >= 0)
 
 
 def _emit(args, payload: str):
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_jack.add_argument(
         "--lambda", dest="lam", type=PARTITION_ARG, required=True, help="comma separated parts, 0 for empty"
     )
-    p_jack.add_argument("--nvars", type=int, required=True)
+    p_jack.add_argument("--nvars", type=COUNT_ARG, required=True)
     p_jack.add_argument("--normalization", choices=rodrigues.NORMALIZATIONS, default="monic")
     p_jack.add_argument("--format", choices=("json", "text"), default="json")
     p_jack.add_argument(
@@ -256,15 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(suites.SUITES) + ["all"],
         default="all",
     )
-    p_verify.add_argument("--max-degree", type=_checked(int, "an integer >= 0", lambda v: v >= 0), default=4)
+    p_verify.add_argument("--max-degree", type=DEGREE_ARG, default=4)
     p_verify.add_argument("--max-nvars", type=_checked(int, "an integer >= 2", lambda v: v >= 2), default=3)
     p_verify.add_argument("--output", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_spec = sub.add_parser("spectrum", help="quasi-momenta and energies")
     p_spec.add_argument("--lambda", dest="lam", type=PARTITION_ARG, default="0")
-    p_spec.add_argument("--all-degree", type=int, default=None, help="list every state up to this degree")
-    p_spec.add_argument("--nparticles", type=int, required=True)
+    p_spec.add_argument("--all-degree", type=DEGREE_ARG, default=None, help="list every state up to this degree")
+    p_spec.add_argument("--nparticles", type=COUNT_ARG, required=True)
     p_spec.add_argument(
         "--beta", type=_checked(Fraction, "a positive integer or p/q", lambda v: v > 0), required=True
     )
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convert", help="expand a polynomial in the m or p basis")
     p_conv.add_argument("--to", choices=(symbases.MONOMIAL, symbases.POWER_SUM), required=True)
     p_conv.add_argument("--input", default=None, help="JSON file; stdin when omitted")
-    p_conv.add_argument("--nvars", type=int, default=None)
+    p_conv.add_argument("--nvars", type=COUNT_ARG, default=None)
     p_conv.add_argument("--output", default=None)
     p_conv.set_defaults(func=cmd_convert)
 

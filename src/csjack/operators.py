@@ -86,7 +86,10 @@ def apply_B_plus(i: int, J, p: LaurentPoly) -> LaurentPoly:
 
     Sum over i-element subsets J' of J of z_{J'} D-strings started at shift 1.
     The full-cardinality case i = N degenerates to multiplication by
-    z_1 ... z_N (the boost).
+    z_1 ... z_N (the boost).  On symmetric p and the full index set one
+    string is enough: Dunkl operators are S_N-equivariant, so the term of J'
+    is the term of (1..i) with slot t relabelled to the t-th element of J'
+    and the remaining slots to the rest of the variables, in order.
     """
     nvars = p.ctx.nvars
     J = _check_index_set(J, nvars)
@@ -97,6 +100,14 @@ def apply_B_plus(i: int, J, p: LaurentPoly) -> LaurentPoly:
     if i == nvars:
         return galilei_boost(p)
     total = LaurentPoly.zero(p.ctx)
+    if len(J) == nvars and p.is_symmetric():
+        q = apply_D_string(1, J[:i], p)
+        for v in range(1, i + 1):
+            q = q.shift_var(v, 1)
+        for subset in itertools.combinations(range(nvars), i):
+            rest = tuple(s for s in range(nvars) if s not in subset)
+            total = total + q.permute_vars(subset + rest)
+        return total
     for subset in itertools.combinations(J, i):
         q = apply_D_string(1, subset, p)
         for v in subset:

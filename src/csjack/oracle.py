@@ -14,7 +14,9 @@ Three routes, none of which touches the creation operators:
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     DegenerateDiagonal,
@@ -31,15 +33,16 @@ from .rodrigues import eigenvalue_epsilon
 from .symbases import POWER_SUM, BasisExpansion, expand_in_basis, monomial_sym, scalar_product_p
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriangularSystem:
     """Matrix of the Hamiltonian over monomial symmetric functions of one
-    degree, columns indexed by the partition whose m it acts on."""
+    degree, columns indexed by the partition whose m it acts on.  Read-only,
+    because triangular_system hands the cached value to every caller."""
 
     degree: int
     nvars: int
-    ordered_basis: list[Partition]
-    matrix: dict[tuple[Partition, Partition], FieldElement]
+    ordered_basis: tuple[Partition, ...]
+    matrix: Mapping[tuple[Partition, Partition], FieldElement]
 
 
 @functools.cache
@@ -50,7 +53,7 @@ def triangular_system(degree: int, ctx: VarContext) -> TriangularSystem:
         image = apply_H(monomial_sym(lam, ctx))
         for mu, c in expand_in_basis(image, "m").coords.items():
             matrix[(mu, lam)] = c
-    return TriangularSystem(degree, ctx.nvars, basis, matrix)
+    return TriangularSystem(degree, ctx.nvars, tuple(basis), MappingProxyType(matrix))
 
 
 def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:

@@ -41,6 +41,21 @@ def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:
     return LaurentPoly._raw(ctx, dict(_phi(ctx, tuple(lam)).terms))
 
 
+def _scale_by_orbit(p: LaurentPoly, c: FieldElement) -> LaurentPoly:
+    """p.scale(c) with one field product per m-coordinate when p is
+    symmetric, where every exponent of an orbit has the same coefficient."""
+    if not p.is_symmetric():
+        return p.scale(c)
+    products: dict[tuple, FieldElement] = {}
+    out = {}
+    for e, v in p.terms.items():
+        key = tuple(sorted(e))
+        if key not in products:
+            products[key] = v * c
+        out[e] = products[key]
+    return LaurentPoly._raw(p.ctx, out)
+
+
 def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:
     """Proportionality constant between phi_lam and the monic Jack polynomial.
 
@@ -90,7 +105,7 @@ class JackResult:
         """Rescaling that makes every coefficient an integer polynomial in
         the inverse coupling: raw divided by b^(weight of the unshifted part)."""
         exponent = self.lam.weight - self.ctx.nvars * self.shift
-        return self.raw.scale(FieldElement.beta(-exponent))
+        return _scale_by_orbit(self.raw, FieldElement.beta(-exponent))
 
     @property
     def polynomial(self) -> LaurentPoly:
@@ -146,5 +161,5 @@ def jack(lam: Partition, ctx: VarContext, normalization: str = "monic") -> JackR
         )
     raw = rodrigues_raw(lam, ctx)
     c = c_coefficient(lam, ctx)
-    monic = raw.scale(c.inverse())
+    monic = _scale_by_orbit(raw, c.inverse())
     return JackResult(lam=lam, ctx=ctx, normalization=normalization, raw=raw, c=c, monic=monic)

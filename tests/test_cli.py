@@ -176,6 +176,10 @@ BAD_INPUT = {
     "spectrum-zero-length": (("spectrum", "--nparticles", "2", "--beta", "1", "--length", "0"), None, 2),
     "spectrum-zero-beta": (("spectrum", "--nparticles", "2", "--beta", "0"), None, 2),
     "spectrum-negative-beta": (("spectrum", "--nparticles", "2", "--beta", "-1"), None, 2),
+    "spectrum-negative-all-degree": (("spectrum", "--nparticles", "2", "--beta", "1", "--all-degree", "-1"), None, 2),
+    "spectrum-zero-particles": (("spectrum", "--nparticles", "0", "--beta", "1"), None, 2),
+    "jack-zero-variables": (("jack", "--lambda", "0", "--nvars", "0"), None, 2),
+    "convert-zero-variables": (("convert", "--to", "m", "--nvars", "0"), '{"coords": []}', 2),
     "convert-malformed-json": (("convert", "--to", "m"), "{not json", 1),
     "convert-missing-nvars": (("convert", "--to", "m"), '{"coords": []}', 1),
 }

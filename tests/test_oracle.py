@@ -1,5 +1,7 @@
 """Independent constructions agreeing with the creation-operator route."""
 
+import dataclasses
+
 import pytest
 
 from csjack.errors import (
@@ -51,6 +53,17 @@ def test_triangular_system_respects_dominance():
     for (mu, lam), coeff in sys.matrix.items():
         if coeff:
             assert dominates(lam, mu)
+
+
+def test_cached_system_is_read_only():
+    system = triangular_system(2, CTX3)
+    with pytest.raises(AttributeError):
+        system.matrix.clear()
+    with pytest.raises(AttributeError):
+        system.ordered_basis.clear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.matrix = {}
+    assert jack_by_triangular_H(Partition((2,)), CTX3) == jack(Partition((2,)), CTX3).monic
 
 
 def test_gram_schmidt_matches():
