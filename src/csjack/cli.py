@@ -57,12 +57,6 @@ def _emit(args, payload: str):
         sys.stdout.write(payload)
 
 
-def _coeff_str(c, beta_value) -> str:
-    if beta_value is None:
-        return str(c)
-    return str(c.specialize(beta_value))
-
-
 def cmd_jack(args) -> int:
     lam = Partition(args.lam)
     ctx = VarContext(args.nvars)
@@ -74,27 +68,24 @@ def cmd_jack(args) -> int:
         )
         return 1
     result = rodrigues.jack(lam, ctx, args.normalization)
+
+    def show(c) -> str:
+        return str(c if args.beta is None else c.specialize(args.beta))
+
     if args.format == "json":
         obj = result.to_json()
         obj["beta"] = "sym" if args.beta is None else str(args.beta)
         if args.beta is not None:
-            obj["c"] = str(result.c.specialize(args.beta))
-            for entry in obj["monomial_expansion"]:
-                coeff = result.polynomial.coefficient(
-                    Partition(entry["partition"]).pad(ctx.nvars)
-                )
-                entry["coeff"] = str(coeff.specialize(args.beta))
+            obj["c"] = show(result.c)
+            for entry, (_, coeff) in zip(obj["monomial_expansion"], result.m_coordinates):
+                entry["coeff"] = show(coeff)
         payload = json.dumps(obj, indent=2) + "\n"
     else:
         lines = [
             f"jack lambda={list(lam)} nvars={ctx.nvars} normalization={args.normalization}",
-            f"c = {_coeff_str(result.c, args.beta)}",
+            f"c = {show(result.c)}",
         ]
-        rows = [
-            (f"m[{','.join(map(str, Partition(e)))}]", _coeff_str(c, args.beta))
-            for e, c in result.polynomial.sorted_terms()
-            if all(a >= b for a, b in zip(e, e[1:]))
-        ]
+        rows = [(f"m[{','.join(map(str, mu))}]", show(coeff)) for mu, coeff in result.m_coordinates]
         width = max(len(r[0]) for r in rows) if rows else 0
         lines += [f"{name:<{width}}  {val}" for name, val in rows]
         payload = "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ Variable indices in the public API are 1-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import fieldring
 from .errors import (
@@ -34,14 +33,6 @@ class VarContext:
             raise IndexOutOfRange(f"need at least one variable, got {self.nvars}")
 
 
-def _as_coeff(c) -> FieldElement:
-    if isinstance(c, FieldElement):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return fieldring.field(c)
-    raise TypeError(f"bad coefficient {c!r}")
-
-
 class LaurentPoly:
     __slots__ = ("ctx", "terms")
 
@@ -54,7 +45,7 @@ class LaurentPoly:
                 raise ContextMismatch(
                     f"exponent tuple {exps} has length {len(exps)}, context has {ctx.nvars}"
                 )
-            c = _as_coeff(c)
+            c = fieldring.field(c)
             if c:
                 clean[exps] = c
         self.terms = clean
@@ -75,7 +66,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, ctx: VarContext, c) -> "LaurentPoly":
-        c = _as_coeff(c)
+        c = fieldring.field(c)
         if not c:
             return cls.zero(ctx)
         return cls._raw(ctx, {(0,) * ctx.nvars: c})
@@ -86,7 +77,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, ctx: VarContext, exps, c=1) -> "LaurentPoly":
-        c = _as_coeff(c)
+        c = fieldring.field(c)
         exps = tuple(int(e) for e in exps)
         if len(exps) != ctx.nvars:
             raise ContextMismatch(f"exponent tuple {exps} vs {ctx.nvars} variables")
@@ -162,7 +153,7 @@ class LaurentPoly:
         return LaurentPoly._raw(self.ctx, out)
 
     def scale(self, c) -> "LaurentPoly":
-        c = _as_coeff(c)
+        c = fieldring.field(c)
         if not c:
             return LaurentPoly.zero(self.ctx)
         return LaurentPoly._raw(self.ctx, {e: v * c for e, v in self.terms.items()})

@@ -11,7 +11,7 @@ only ever stores final values, which keeps repeated sweeps deterministic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .errors import TooManyParts
 from .fieldring import BETA, ONE, FieldElement, pochhammer
@@ -42,17 +42,17 @@ def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:
 
 
 def _scale_by_orbit(p: LaurentPoly, c: FieldElement) -> LaurentPoly:
-    """p.scale(c) with one field product per m-coordinate when p is
-    symmetric, where every exponent of an orbit has the same coefficient."""
-    if not p.is_symmetric():
-        return p.scale(c)
-    products: dict[tuple, FieldElement] = {}
+    """p.scale(c), sharing one field product between the terms of an orbit
+    that carry an equal coefficient: one product per m-coordinate when p is
+    symmetric, and exact on any p."""
+    products: dict[tuple, tuple[FieldElement, FieldElement]] = {}
     out = {}
     for e, v in p.terms.items():
         key = tuple(sorted(e))
-        if key not in products:
-            products[key] = v * c
-        out[e] = products[key]
+        shared = products.get(key)
+        if shared is None or shared[0] != v:
+            shared = products[key] = (v, v * c)
+        out[e] = shared[1]
     return LaurentPoly._raw(p.ctx, out)
 
 
@@ -92,28 +92,41 @@ def eigenvalue_epsilon(lam: Partition, nvars: int) -> FieldElement:
 
 @dataclass
 class JackResult:
+    """raw = phi_lam = c * J_lam, boosted by shift for a full-length lam.  monic
+    and stanley each rescale raw once, on first use; known_monic seeds monic."""
+
     lam: Partition
     ctx: VarContext
     normalization: str
     raw: LaurentPoly
     c: FieldElement
-    monic: LaurentPoly
+    known_monic: InitVar[LaurentPoly | None] = None
     shift: int = 0
 
-    @property
-    def stanley(self) -> LaurentPoly:
-        """Rescaling that makes every coefficient an integer polynomial in
-        the inverse coupling: raw divided by b^(weight of the unshifted part)."""
-        exponent = self.lam.weight - self.ctx.nvars * self.shift
-        return _scale_by_orbit(self.raw, FieldElement.beta(-exponent))
+    def __post_init__(self, known_monic):
+        self._scaled = {"monic": known_monic}
 
-    @property
-    def polynomial(self) -> LaurentPoly:
-        if self.normalization == "monic":
-            return self.monic
-        if self.normalization == "stanley":
-            return self.stanley
-        return self.raw
+    def _form(self, normalization: str) -> LaurentPoly:
+        if normalization not in ("monic", "stanley"):
+            return self.raw
+        if self._scaled.get(normalization) is None:
+            if normalization == "monic":
+                factor = self.c.inverse()
+            else:
+                # stanley: integer polynomials in 1/b, raw / b^(unshifted weight)
+                factor = FieldElement.beta(self.ctx.nvars * self.shift - self.lam.weight)
+            self._scaled[normalization] = _scale_by_orbit(self.raw, factor)
+        return self._scaled[normalization]
+
+    monic = property(lambda self: self._form("monic"))
+    stanley = property(lambda self: self._form("stanley"))
+    polynomial = property(lambda self: self._form(self.normalization))
+
+    @functools.cached_property
+    def m_coordinates(self) -> tuple[tuple[Partition, FieldElement], ...]:
+        """(mu, coefficient of m_mu) of the chosen normalization, mu descending."""
+        listed = self.polynomial.sorted_terms()
+        return tuple((Partition(e), c) for e, c in listed if all(a >= b for a, b in zip(e, e[1:])))
 
     def to_json(self) -> dict:
         return {
@@ -122,9 +135,7 @@ class JackResult:
             "normalization": self.normalization,
             "c": self.c.to_json(),
             "monomial_expansion": [
-                {"partition": list(Partition(e)), "coeff": c.to_json()}
-                for e, c in self.polynomial.sorted_terms()
-                if all(a >= b for a, b in zip(e, e[1:]))
+                {"partition": list(mu), "coeff": c.to_json()} for mu, c in self.m_coordinates
             ],
         }
 
@@ -136,7 +147,7 @@ def jack(lam: Partition, ctx: VarContext, normalization: str = "monic") -> JackR
     """Jack polynomial for any l(lam) <= nvars.
 
     Full-length partitions are reduced by the boost: subtract the last part
-    from every part, build the shorter polynomial, multiply back by
+    from every part, build the shorter product, multiply back by
     (z_1 ... z_N)^(last part).  The reported constant c is the one actually
     used, i.e. the constant of the reduced partition.
     """
@@ -146,20 +157,11 @@ def jack(lam: Partition, ctx: VarContext, normalization: str = "monic") -> JackR
     n = ctx.nvars
     if len(lam) > n:
         raise TooManyParts(f"l({lam}) = {len(lam)} > {n} variables")
-    if len(lam) == n:
-        amount = lam[-1]
-        reduced = Partition(x - amount for x in lam)
-        base = jack(reduced, ctx, normalization)
-        return JackResult(
-            lam=lam,
-            ctx=ctx,
-            normalization=normalization,
-            raw=galilei_boost(base.raw, amount),
-            c=base.c,
-            monic=galilei_boost(base.monic, amount),
-            shift=amount,
-        )
-    raw = rodrigues_raw(lam, ctx)
-    c = c_coefficient(lam, ctx)
-    monic = _scale_by_orbit(raw, c.inverse())
-    return JackResult(lam=lam, ctx=ctx, normalization=normalization, raw=raw, c=c, monic=monic)
+    shift = lam[-1] if len(lam) == n else 0
+    reduced = Partition(x - shift for x in lam)
+    raw = rodrigues_raw(reduced, ctx)
+    if shift:
+        raw = galilei_boost(raw, shift)
+    result = JackResult(lam, ctx, normalization, raw, c_coefficient(reduced, ctx), shift=shift)
+    result.polynomial  # the one rescaling this normalization needs, done here
+    return result

@@ -4,7 +4,7 @@ against their definitions.
 On symmetric input over the full index set, apply_B_plus runs one D-string
 and relabels it onto every subset; the reference below is the defining sum
 over subsets.  The normalization multiplies once per m-coordinate when the
-polynomial is symmetric and otherwise scales term by term.
+polynomial is symmetric and equals a term-by-term scaling on any input.
 """
 
 import itertools
@@ -117,7 +117,8 @@ def test_orbit_scaling_falls_back_on_nonsymmetric_input():
     ctx = VarContext(3)
     z1, z2 = LaurentPoly.variable(ctx, 1), LaurentPoly.variable(ctx, 2)
     c = FieldElement([0, 1], [1, 1])
-    # z1^2 and z2^2 share an orbit but not a coefficient
-    p = z1 * z1 + (z2 * z2).scale(2)
-    assert not p.is_symmetric()
-    assert rodrigues._scale_by_orbit(p, c) == p.scale(c)
+    # z1^2 and z2^2 share an orbit, first with different coefficients, then
+    # with equal ones in a polynomial that is still not symmetric
+    for p in (z1 * z1 + (z2 * z2).scale(2), z1 * z1 + z2 * z2):
+        assert not p.is_symmetric()
+        assert rodrigues._scale_by_orbit(p, c) == p.scale(c)
