@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 
 from . import rodrigues, spectrum, suites, symbases
-from .errors import AlgebraError
+from .errors import AlgebraError, json_value
+from .fieldring import FieldElement
 from .partitions import Partition, partitions_of
 from .polyring import LaurentPoly, VarContext
 
@@ -173,21 +174,19 @@ def cmd_spectrum(args) -> int:
 def _decode_polynomial(obj) -> LaurentPoly | None:
     """Read a jack result, a LaurentPoly or a basis expansion payload."""
     if "monomial_expansion" in obj:
-        ctx = VarContext(int(obj["nvars"]))
-        poly = LaurentPoly.zero(ctx)
+        ctx = VarContext(json_value(obj["nvars"], (int,), "nvars"))
+        terms = []
         for entry in obj["monomial_expansion"]:
             coeff = entry["coeff"]
-            coeff = (
-                symbases.FieldElement.from_json(coeff)
-                if isinstance(coeff, dict)
-                else symbases.FieldElement([Fraction(coeff)])
-            )
-            poly = poly + symbases.monomial_sym(Partition(entry["partition"]), ctx).scale(coeff)
-        return poly
+            if not isinstance(coeff, dict):  # one rational, at a fixed beta
+                coeff = {"num": [coeff], "den": [1]}
+            m = symbases.monomial_sym(Partition.from_json(entry["partition"]), ctx)
+            terms.append(m.scale(FieldElement.from_json(coeff)))
+        return LaurentPoly.sum(ctx, terms)
     if "terms" in obj:
         return LaurentPoly.from_json(obj)
     if "coords" in obj:
-        ctx = VarContext(int(obj["nvars"]))
+        ctx = VarContext(json_value(obj["nvars"], (int,), "nvars"))
         return symbases.BasisExpansion.from_json(obj, ctx).reconstruct()
     return None
 
@@ -255,8 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_spec = sub.add_parser("spectrum", help="quasi-momenta and energies")
-    p_spec.add_argument("--lambda", dest="lam", type=PARTITION_ARG, default="0")
-    p_spec.add_argument("--all-degree", type=DEGREE_ARG, default=None, help="list every state up to this degree")
+    states = p_spec.add_mutually_exclusive_group()
+    states.add_argument("--lambda", dest="lam", type=PARTITION_ARG, default="0")
+    states.add_argument(
+        "--all-degree", type=DEGREE_ARG, default=None, help="list every state up to this degree"
+    )
     p_spec.add_argument("--nparticles", type=COUNT_ARG, required=True)
     p_spec.add_argument(
         "--beta", type=_checked(Fraction, "a positive integer or p/q", lambda v: v > 0), required=True

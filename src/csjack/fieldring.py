@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import DivisionByZero, InconsistentSystem, PoleAtValue
+from .errors import DivisionByZero, InconsistentSystem, PoleAtValue, json_value
 
 BetaPoly = tuple  # tuple[Fraction, ...], ascending powers, trimmed
 
@@ -315,7 +315,10 @@ class FieldElement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldElement":
-        return cls(poly(obj["num"]), poly(obj["den"]))
+        num, den = json_value(obj["num"], (list,), "num"), json_value(obj["den"], (list,), "den")
+        for c in num + den:
+            json_value(c, (str, int), "num or den entry")
+        return cls(poly(num), poly(den))
 
     def __str__(self) -> str:
         if self.den == _PONE:

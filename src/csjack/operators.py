@@ -59,11 +59,8 @@ def apply_dunkl(i: int, p: LaurentPoly) -> LaurentPoly:
     differences against every other variable."""
     _check_index(p, i)
     _check_ordinary(p)
-    out = p.partial_derivative(i)
-    for j in range(1, p.ctx.nvars + 1):
-        if j != i:
-            out = out + p.divided_difference(i, j).scale(BETA)
-    return out
+    differences = (p.divided_difference(i, j) for j in range(1, p.ctx.nvars + 1) if j != i)
+    return p.partial_derivative(i) + LaurentPoly.sum(p.ctx, differences).scale(BETA)
 
 
 def apply_D(i: int, p: LaurentPoly) -> LaurentPoly:
@@ -99,21 +96,21 @@ def apply_B_plus(i: int, J, p: LaurentPoly) -> LaurentPoly:
         raise BadCardinality(f"cardinality {i} exceeds |J| = {len(J)}")
     if i == nvars:
         return galilei_boost(p)
-    total = LaurentPoly.zero(p.ctx)
     if len(J) == nvars and p.is_symmetric():
-        q = apply_D_string(1, J[:i], p)
-        for v in range(1, i + 1):
-            q = q.shift_var(v, 1)
-        for subset in itertools.combinations(range(nvars), i):
-            rest = tuple(s for s in range(nvars) if s not in subset)
-            total = total + q.permute_vars(subset + rest)
-        return total
-    for subset in itertools.combinations(J, i):
-        q = apply_D_string(1, subset, p)
-        for v in subset:
-            q = q.shift_var(v, 1)
-        total = total + q
-    return total
+        q = _times_z(apply_D_string(1, J[:i], p), J[:i])
+        subsets = itertools.combinations(range(nvars), i)
+        terms = (q.permute_vars(s + tuple(v for v in range(nvars) if v not in s)) for s in subsets)
+    else:
+        subsets = itertools.combinations(J, i)
+        terms = (_times_z(apply_D_string(1, s, p), s) for s in subsets)
+    return LaurentPoly.sum(p.ctx, terms)
+
+
+def _times_z(p: LaurentPoly, subset) -> LaurentPoly:
+    """Multiply by the product of z_v over v in subset."""
+    for v in subset:
+        p = p.shift_var(v, 1)
+    return p
 
 
 def apply_N(i: int, J, p: LaurentPoly) -> LaurentPoly:
@@ -122,10 +119,7 @@ def apply_N(i: int, J, p: LaurentPoly) -> LaurentPoly:
     J = _check_index_set(J, p.ctx.nvars)
     if i < 1 or i > len(J):
         raise BadCardinality(f"cardinality {i} outside 1..|J| = {len(J)}")
-    total = LaurentPoly.zero(p.ctx)
-    for subset in itertools.combinations(J, i):
-        total = total + apply_D_string(0, subset, p)
-    return total
+    return LaurentPoly.sum(p.ctx, (apply_D_string(0, s, p) for s in itertools.combinations(J, i)))
 
 
 def apply_H(p: LaurentPoly) -> LaurentPoly:
@@ -138,17 +132,15 @@ def apply_H(p: LaurentPoly) -> LaurentPoly:
     _check_ordinary(p)
     if not p.is_symmetric():
         raise NotSymmetric("Hamiltonian input must be symmetric")
-    n = p.ctx.nvars
-    out = LaurentPoly.zero(p.ctx)
-    for i in range(1, n + 1):
-        out = out + p.euler_derivative(i).euler_derivative(i)
-    pair_sum = LaurentPoly.zero(p.ctx)
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            w = p.euler_derivative(j) - p.euler_derivative(k)
-            numerator = w.shift_var(j, 1) + w.shift_var(k, 1)
-            pair_sum = pair_sum + divide_by_vardiff(numerator, j, k)
-    return out + pair_sum.scale(BETA)
+    indices = range(1, p.ctx.nvars + 1)
+
+    def pair_term(j: int, k: int) -> LaurentPoly:
+        w = p.euler_derivative(j) - p.euler_derivative(k)
+        return divide_by_vardiff(w.shift_var(j, 1) + w.shift_var(k, 1), j, k)
+
+    squares = (p.euler_derivative(i).euler_derivative(i) for i in indices)
+    pairs = (pair_term(j, k) for j, k in itertools.combinations(indices, 2))
+    return LaurentPoly.sum(p.ctx, squares) + LaurentPoly.sum(p.ctx, pairs).scale(BETA)
 
 
 def apply_L(j: int, p: LaurentPoly) -> LaurentPoly:
@@ -158,26 +150,23 @@ def apply_L(j: int, p: LaurentPoly) -> LaurentPoly:
     _check_ordinary(p)
     if not p.is_symmetric():
         raise NotSymmetric("charge input must be symmetric")
-    total = LaurentPoly.zero(p.ctx)
-    for i in range(1, p.ctx.nvars + 1):
+
+    def power(i: int) -> LaurentPoly:
         q = p
         for _ in range(j):
             q = apply_D(i, q)
-        total = total + q
-    return total
+        return q
+
+    return LaurentPoly.sum(p.ctx, (power(i) for i in range(1, p.ctx.nvars + 1)))
 
 
 def apply_hatD(i: int, p: LaurentPoly) -> LaurentPoly:
-    """Shifted variant of D_i whose family commutes: D_i + (i-1) b minus the
-    coupling times the sum of (1 - swap_{ji}) over j < i."""
+    """Shifted variant of D_i whose family commutes: D_i + (i-1) b minus b times
+    the sum of (1 - swap_{ji}) over j < i, i.e. D_i + b * sum_{j<i} swap_{ji}."""
     _check_index(p, i)
     _check_ordinary(p)
-    out = apply_D(i, p)
-    if i > 1:
-        out = out + p.scale(BETA * (i - 1))
-        for j in range(1, i):
-            out = out - (p - p.swap_vars(j, i)).scale(BETA)
-    return out
+    swapped = LaurentPoly.sum(p.ctx, (p.swap_vars(j, i) for j in range(1, i)))
+    return apply_D(i, p) + swapped.scale(BETA)
 
 
 def apply_hatH(p: LaurentPoly) -> LaurentPoly:
@@ -185,9 +174,8 @@ def apply_hatH(p: LaurentPoly) -> LaurentPoly:
     - (N-1) b hatD_i, plus the constant N(N-1)(N-2) b^2 / 6."""
     _check_ordinary(p)
     n = p.ctx.nvars
-    out = LaurentPoly.zero(p.ctx)
-    for i in range(1, n + 1):
-        first = apply_hatD(i, p)
-        out = out + apply_hatD(i, first) - first.scale(BETA * (n - 1))
-    shift = BETA * BETA * Fraction(n * (n - 1) * (n - 2), 6)
-    return out + p.scale(shift)
+    first = [apply_hatD(i, p) for i in range(1, n + 1)]
+    squares = [apply_hatD(i, q) for i, q in enumerate(first, start=1)]
+    linear = LaurentPoly.sum(p.ctx, first).scale(BETA * (1 - n))
+    constant = p.scale(BETA * BETA * Fraction(n * (n - 1) * (n - 2), 6))
+    return LaurentPoly.sum(p.ctx, squares + [linear, constant])

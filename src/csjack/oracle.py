@@ -84,10 +84,7 @@ def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
         value = acc / gap
         if value:
             coeffs[mu] = value
-    out = LaurentPoly.zero(ctx)
-    for mu, v in coeffs.items():
-        out = out + monomial_sym(mu, ctx).scale(v)
-    return out
+    return LaurentPoly.sum(ctx, (monomial_sym(mu, ctx).scale(v) for mu, v in coeffs.items()))
 
 
 def jack_by_gram_schmidt(
@@ -181,10 +178,7 @@ def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
     for i in range(n):
         # residual of (hatD_i - delta_i) on the ansatz, row per monomial
         residual_rows: dict[tuple, dict[int, FieldElement]] = {}
-        rhs_terms: dict[tuple, FieldElement] = {}
-        lead = images[padded][i] - LaurentPoly.monomial(ctx, padded, deltas[i])
-        for e, c in lead.terms.items():
-            rhs_terms[e] = c
+        rhs_terms = (images[padded][i] - LaurentPoly.monomial(ctx, padded, deltas[i])).terms
         for col in cols:
             contrib = images[col][i] - LaurentPoly.monomial(ctx, col, deltas[i])
             for e, c in contrib.terms.items():
@@ -211,9 +205,7 @@ def jack_by_symmetrization(lam: Partition, ctx: VarContext) -> LaurentPoly:
 
     lam = Partition(lam)
     chi = nonsym_eigenfunction(lam, ctx)
-    total = LaurentPoly.zero(ctx)
-    for perm in itertools.permutations(range(ctx.nvars)):
-        total = total + chi.permute_vars(perm)
+    total = LaurentPoly.sum(ctx, map(chi.permute_vars, itertools.permutations(range(ctx.nvars))))
     lead = total.coefficient(lam.pad(ctx.nvars))
     if not lead:
         raise DegenerateLeadingTerm(f"symmetrization of {lam} lost its leading term")

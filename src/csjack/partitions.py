@@ -11,6 +11,7 @@ from .errors import (
     NegativePart,
     NotWeaklyDecreasing,
     WeightMismatch,
+    json_value,
 )
 
 
@@ -32,6 +33,10 @@ class Partition(tuple):
         while items and items[-1] == 0:
             items = items[:-1]
         return super().__new__(cls, items)
+
+    @classmethod
+    def from_json(cls, parts) -> "Partition":
+        return cls(json_value(x, (int,), "partition part") for x in parts)
 
     @property
     def weight(self) -> int:

@@ -18,6 +18,7 @@ from .errors import (
     ContextMismatch,
     IndexOutOfRange,
     NonzeroRemainder,
+    json_value,
 )
 from .fieldring import ONE, ZERO, FieldElement
 
@@ -94,26 +95,22 @@ class LaurentPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _match(self, other: "LaurentPoly"):
-        if self.ctx.nvars != other.ctx.nvars:
-            raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
+    @classmethod
+    def sum(cls, ctx: VarContext, polys) -> "LaurentPoly":
+        """Sum of polynomials in ctx, merged into one dict without intermediate
+        copies (an addend met while the dict is empty is copied whole); the
+        empty sum is zero."""
+        out: dict[tuple, FieldElement] = {}
+        for p in polys:
+            if p.ctx.nvars != ctx.nvars:
+                raise ContextMismatch(f"{p.ctx} vs {ctx}")
+            out = _merge(out, p.terms.items()) if out else dict(p.terms)
+        return cls._raw(ctx, out)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.constant(self.ctx, other)
-        self._match(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-        return LaurentPoly._raw(self.ctx, out)
+        return LaurentPoly.sum(self.ctx, (self, other))
 
     __radd__ = __add__
 
@@ -121,9 +118,7 @@ class LaurentPoly:
         return LaurentPoly._raw(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.constant(self.ctx, other)
-        return self.__add__(other.__neg__())
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -131,25 +126,15 @@ class LaurentPoly:
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return self.scale(other)
-        self._match(other)
+        if self.ctx.nvars != other.ctx.nvars:
+            raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         out: dict[tuple, FieldElement] = {}
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                if acc is None:
-                    if c:
-                        out[e] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[e] = acc
-                    else:
-                        del out[e]
+            # a field has no zero divisors, so no product c1 * c2 is zero
+            _merge(out, ((tuple(x + y for x, y in zip(e1, e2)), c1 * c2) for e2, c2 in b.items()))
         return LaurentPoly._raw(self.ctx, out)
 
     def scale(self, c) -> "LaurentPoly":
@@ -301,10 +286,11 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPoly":
-        ctx = VarContext(int(obj["nvars"]))
+        ctx = VarContext(json_value(obj["nvars"], (int,), "nvars"))
         terms = {}
         for entry in obj["terms"]:
-            terms[tuple(entry["exp"])] = FieldElement.from_json(entry["coeff"])
+            exps = tuple(json_value(x, (int,), "exponent") for x in entry["exp"])
+            terms[exps] = FieldElement.from_json(entry["coeff"])
         return cls(ctx, terms)
 
     def __str__(self) -> str:
@@ -326,6 +312,22 @@ class LaurentPoly:
         return " + ".join(pieces)
 
     __repr__ = __str__
+
+
+def _merge(out: dict, terms) -> dict:
+    """Add (exponents, coefficient) pairs into out in place, dropping the
+    terms that cancel; returns out."""
+    for e, c in terms:
+        acc = out.get(e)
+        if acc is None:
+            out[e] = c
+        else:
+            acc = acc + c
+            if acc:
+                out[e] = acc
+            else:
+                del out[e]
+    return out
 
 
 def _check_var(ctx: VarContext, i: int):
@@ -356,36 +358,19 @@ def divide_by_vardiff(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
         rest = e[:ii] + (0,) + e[ii + 1 :]
         buckets.setdefault(k, {})[rest] = c
 
+    def times_zj(carry):
+        return ((r[:jj] + (r[jj] + 1,) + r[jj + 1 :], c) for r, c in carry.items())
+
     kmax = max(buckets)
     kmin = min(buckets)
     out: dict[tuple, FieldElement] = {}
     carry: dict[tuple, FieldElement] = {}
     for k in range(kmax, kmin, -1):
         # quotient coefficient at z_i^(k-1) equals A_k + z_j * (previous carry)
-        nxt = dict(buckets.get(k, {}))
+        carry = _merge(buckets.pop(k, {}), times_zj(carry))
         for rest, c in carry.items():
-            shifted = rest[:jj] + (rest[jj] + 1,) + rest[jj + 1 :]
-            acc = nxt.get(shifted)
-            if acc is None:
-                nxt[shifted] = c
-            else:
-                acc = acc + c
-                if acc:
-                    nxt[shifted] = acc
-                else:
-                    del nxt[shifted]
-        for rest, c in nxt.items():
             out[rest[:ii] + (k - 1,) + rest[ii + 1 :]] = c
-        carry = nxt
 
-    rem = dict(buckets.get(kmin, {}))
-    for rest, c in carry.items():
-        shifted = rest[:jj] + (rest[jj] + 1,) + rest[jj + 1 :]
-        acc = rem.get(shifted)
-        if acc is None:
-            rem[shifted] = c
-        else:
-            rem[shifted] = acc + c
-    if any(c for c in rem.values()):
+    if _merge(buckets[kmin], times_zj(carry)):
         raise NonzeroRemainder(f"(z_{i} - z_{j}) does not divide the input")
     return LaurentPoly._raw(p.ctx, out)

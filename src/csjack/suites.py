@@ -6,6 +6,7 @@ case.  All randomness is seeded, so two runs produce identical output.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,11 +50,10 @@ def _random_poly(rng: random.Random, ctx: VarContext, max_degree: int) -> Lauren
 
 def _random_symmetric(rng: random.Random, ctx: VarContext, max_degree: int) -> LaurentPoly:
     degree = rng.randint(1, max_degree)
-    out = LaurentPoly.zero(ctx)
     choices = partitions_of(degree, ctx.nvars)
-    for lam in rng.sample(choices, k=min(len(choices), rng.randint(1, 2))):
-        out = out + symbases.monomial_sym(lam, ctx).scale(rng.randint(1, 5))
-    return out
+    picked = rng.sample(choices, k=min(len(choices), rng.randint(1, 2)))
+    terms = [symbases.monomial_sym(lam, ctx).scale(rng.randint(1, 5)) for lam in picked]
+    return LaurentPoly.sum(ctx, terms)
 
 
 def _case_ctx(rng: random.Random, max_nvars: int) -> VarContext:
@@ -89,10 +89,8 @@ def suite_commutators(
         lhs = apply_dunkl(i, p.shift_var(j, 1)) - apply_dunkl(i, p).shift_var(j, 1)
         rhs = -p.swap_vars(i, j).scale(BETA)
         if i == j:
-            acc = p
-            for l in range(1, ctx.nvars + 1):
-                acc = acc + p.swap_vars(i, l).scale(BETA)
-            rhs = rhs + acc
+            swapped = LaurentPoly.sum(ctx, (p.swap_vars(i, l) for l in range(1, ctx.nvars + 1)))
+            rhs = rhs + p + swapped.scale(BETA)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} p={p}"
 
     def degree_exchange(rng) -> str:
@@ -169,16 +167,15 @@ def suite_commutators(
 
         lhs = apply_D(i, times_zJ(p, J)) - times_zJ(apply_D(i, p), J)
         if i in J:
-            rhs = times_zJ(p, J)
-            for j in range(1, ctx.nvars + 1):
-                if j not in J:
-                    rhs = rhs + times_zJ(p.swap_vars(i, j), J).scale(BETA)
+            outside = (j for j in range(1, ctx.nvars + 1) if j not in J)
+            swapped = LaurentPoly.sum(ctx, (times_zJ(p.swap_vars(i, j), J) for j in outside))
+            rhs = times_zJ(p, J) + swapped.scale(BETA)
         else:
-            rhs = LaurentPoly.zero(ctx)
-            for j in J:
-                rest = tuple(v for v in J if v != j)
-                term = times_zJ(p.swap_vars(i, j), rest).shift_var(i, 1)
-                rhs = rhs - term.scale(BETA)
+            terms = [
+                times_zJ(p.swap_vars(i, j), tuple(v for v in J if v != j)).shift_var(i, 1)
+                for j in J
+            ]
+            rhs = -LaurentPoly.sum(ctx, terms).scale(BETA)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} J={J} p={p}"
 
     identities = [
@@ -253,26 +250,23 @@ def suite_annihilation(max_degree: int = 4, max_nvars: int = 3) -> list[CheckRes
 
 def suite_orthogonality(max_degree: int = 4, max_nvars: int = 4) -> list[CheckResult]:
     """Distinct Jack polynomials are orthogonal under both pairings."""
+
+    def first_nonzero_pairing(jacks: dict, pairing) -> str:
+        for a, b in itertools.combinations(jacks, 2):
+            value = pairing(jacks[a], jacks[b])
+            if value:
+                return f"<J_{a}, J_{b}> = {value}"
+        return ""
+
     results = []
     for nvars in range(2, max_nvars + 1):
         ctx = VarContext(nvars)
         for degree in range(1, min(max_degree, nvars) + 1):
-            parts = partitions_of(degree, nvars)
             expansions = {
                 lam: symbases.expand_in_basis(rodrigues.jack(lam, ctx).monic, "p")
-                for lam in parts
+                for lam in partitions_of(degree, nvars)
             }
-            bad = ""
-            for a in range(len(parts)):
-                for b in range(a + 1, len(parts)):
-                    value = symbases.scalar_product_p(
-                        expansions[parts[a]], expansions[parts[b]]
-                    )
-                    if value:
-                        bad = f"<J_{parts[a]}, J_{parts[b]}> = {value}"
-                        break
-                if bad:
-                    break
+            bad = first_nonzero_pairing(expansions, symbases.scalar_product_p)
             results.append(CheckResult(f"power-sum-orthogonal-n{nvars}-d{degree}", not bad, bad, 1))
     for nvars in range(2, min(max_nvars, 3) + 1):
         ctx = VarContext(nvars)
@@ -281,17 +275,11 @@ def suite_orthogonality(max_degree: int = 4, max_nvars: int = 4) -> list[CheckRe
             for degree in range(1, min(max_degree, 4) + 1):
                 parts = partitions_of(degree, nvars)
                 polys = {lam: rodrigues.jack(lam, ctx).monic for lam in parts}
-                for a in range(len(parts)):
-                    for b in range(a + 1, len(parts)):
-                        value = symbases.circle_inner_product(
-                            polys[parts[a]], polys[parts[b]], beta_int
-                        )
-                        if value:
-                            bad = f"degree {degree}: <J_{parts[a]}, J_{parts[b]}> = {value}"
-                            break
-                    if bad:
-                        break
+                bad = first_nonzero_pairing(
+                    polys, lambda f, g: symbases.circle_inner_product(f, g, beta_int)
+                )
                 if bad:
+                    bad = f"degree {degree}: {bad}"
                     break
             results.append(CheckResult(f"torus-orthogonal-n{nvars}-beta{beta_int}", not bad, bad, 1))
     return results
@@ -357,10 +345,8 @@ def suite_hamiltonian(
         p = _random_symmetric(rng, ctx, max_degree)
         h = apply_H(p)
         if not bad_square:
-            squares = LaurentPoly.zero(ctx)
-            for i in range(1, ctx.nvars + 1):
-                squares = squares + apply_D(i, apply_D(i, p))
-            if squares != h:
+            squares = (apply_D(i, apply_D(i, p)) for i in range(1, ctx.nvars + 1))
+            if LaurentPoly.sum(ctx, squares) != h:
                 bad_square = f"nvars={ctx.nvars} p={p}"
         if not bad_shifted:
             if apply_hatH(p) != h:

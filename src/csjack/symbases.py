@@ -24,6 +24,7 @@ from .errors import (
     NotHomogeneous,
     NotSymmetric,
     TooManyParts,
+    json_value,
 )
 from .fieldring import ONE, ZERO, FieldElement, solve_linear
 from .partitions import Partition, partitions_of, z_factor
@@ -72,10 +73,8 @@ class BasisExpansion:
 
     def reconstruct(self) -> LaurentPoly:
         build = monomial_sym if self.basis == MONOMIAL else power_sum
-        out = LaurentPoly.zero(self.ctx)
-        for lam, c in self.coords.items():
-            out = out + build(lam, self.ctx).scale(c)
-        return out
+        terms = (build(lam, self.ctx).scale(c) for lam, c in self.coords.items())
+        return LaurentPoly.sum(self.ctx, terms)
 
     def to_json(self) -> dict:
         return {
@@ -89,11 +88,16 @@ class BasisExpansion:
 
     @classmethod
     def from_json(cls, obj: dict, ctx: VarContext) -> "BasisExpansion":
-        coords = {
-            Partition(entry["partition"]): FieldElement.from_json(entry["coeff"])
-            for entry in obj["coords"]
-        }
-        return cls(obj["basis"], int(obj["degree"]), ctx, coords)
+        basis, degree = obj["basis"], json_value(obj["degree"], (int,), "degree")
+        if basis not in (MONOMIAL, POWER_SUM):
+            raise BasisMismatch(f"unknown basis {basis!r}")
+        coords = {}
+        for entry in obj["coords"]:
+            lam = Partition.from_json(entry["partition"])
+            if lam.weight != degree:
+                raise DegreeMismatch(f"partition {list(lam)} does not have degree {degree}")
+            coords[lam] = FieldElement.from_json(entry["coeff"])
+        return cls(basis, degree, ctx, coords)
 
 
 def _require_symmetric_homogeneous(p: LaurentPoly) -> int:
@@ -107,11 +111,7 @@ def _require_symmetric_homogeneous(p: LaurentPoly) -> int:
 
 
 def _monomial_coords(p: LaurentPoly) -> dict[Partition, FieldElement]:
-    coords = {}
-    for e, c in p.terms.items():
-        if all(a >= b for a, b in zip(e, e[1:])):
-            coords[Partition(e)] = c
-    return coords
+    return {Partition(e): c for e, c in p.terms.items() if all(a >= b for a, b in zip(e, e[1:]))}
 
 
 def expand_in_basis(p: LaurentPoly, basis: str) -> BasisExpansion:

@@ -6,13 +6,12 @@ stays well inside its runtime budgets on modest hardware.
 """
 
 import json
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from cli_helper import run_cli
 
 from csjack import oracle, rodrigues, suites
 from csjack.fieldring import (
@@ -31,15 +30,6 @@ from csjack.partitions import Partition, dominates, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
 from csjack.rodrigues import eigenvalue_epsilon, jack
 from csjack.symbases import monomial_sym, schur
-
-
-def run_cli(*args, stdin=None):
-    return subprocess.run(
-        [sys.executable, "-m", "csjack.cli", *args],
-        capture_output=True,
-        text=True,
-        input=stdin,
-    )
 
 
 def sweep(max_weight, nvars_list):

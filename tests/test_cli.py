@@ -3,19 +3,9 @@ must give byte-identical output, and the exit code contract is part of the
 interface."""
 
 import json
-import subprocess
-import sys
 
 import pytest
-
-
-def run_cli(*args, stdin=None):
-    return subprocess.run(
-        [sys.executable, "-m", "csjack.cli", *args],
-        capture_output=True,
-        text=True,
-        input=stdin,
-    )
+from cli_helper import run_cli
 
 
 def test_jack_json():
@@ -161,6 +151,24 @@ def test_output_flag(tmp_path):
     assert obj["lambda"] == [1]
 
 
+ONE_JSON = {"num": ["1"], "den": ["1"]}
+
+
+def _payload(nvars=2, **body):
+    return json.dumps({"nvars": nvars, **body})
+
+
+def _z1_plus_z2(first_exp=(1, 0), nvars=2, coeff=ONE_JSON):
+    """z1 + z2 as a terms payload, with its first exponent tuple replaced."""
+    terms = [{"exp": list(first_exp), "coeff": coeff}, {"exp": [0, 1], "coeff": coeff}]
+    return _payload(nvars, terms=terms)
+
+
+def _m1_coords(partition=(1,), basis="m", degree=1):
+    coords = [{"partition": list(partition), "coeff": ONE_JSON}]
+    return _payload(basis=basis, degree=degree, coords=coords)
+
+
 BAD_INPUT = {
     "jack-lambda-not-integers": (("jack", "--lambda", "x", "--nvars", "3"), None, 2),
     "jack-beta-zero-denominator": (("jack", "--lambda", "2,1", "--nvars", "3", "--beta", "1/0"), None, 2),
@@ -182,6 +190,28 @@ BAD_INPUT = {
     "convert-zero-variables": (("convert", "--to", "m", "--nvars", "0"), '{"coords": []}', 2),
     "convert-malformed-json": (("convert", "--to", "m"), "{not json", 1),
     "convert-missing-nvars": (("convert", "--to", "m"), '{"coords": []}', 1),
+    "convert-fractional-exponent": (("convert", "--to", "m"), _z1_plus_z2((1.5, 0)), 1),
+    "convert-boolean-exponent": (("convert", "--to", "m"), _z1_plus_z2((True, 0)), 1),
+    "convert-string-exponent": (("convert", "--to", "m"), _z1_plus_z2(("1", 0)), 1),
+    "convert-fractional-nvars": (("convert", "--to", "m"), _z1_plus_z2(nvars=2.5), 1),
+    "convert-string-numerator": (
+        ("convert", "--to", "m"),
+        _z1_plus_z2(coeff={"num": "12", "den": ["1"]}),
+        1,
+    ),
+    "convert-fractional-partition-part": (
+        ("convert", "--to", "m"),
+        _payload(monomial_expansion=[{"partition": [1.7], "coeff": ONE_JSON}]),
+        1,
+    ),
+    "convert-fractional-coords-part": (("convert", "--to", "m"), _m1_coords(partition=(1.7,)), 1),
+    "convert-unknown-basis": (("convert", "--to", "m"), _m1_coords(basis="q"), 1),
+    "convert-degree-mismatch": (("convert", "--to", "m"), _m1_coords(degree=2), 1),
+    "spectrum-lambda-and-all-degree": (
+        ("spectrum", "--lambda", "2,1", "--all-degree", "1", "--nparticles", "2", "--beta", "1"),
+        None,
+        2,
+    ),
 }
 
 
@@ -195,3 +225,5 @@ def test_bad_input_exit_codes(args, stdin, code):
     assert "Traceback" not in r.stderr
     if code == 1:
         assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    if code == 1 and args[0] == "convert":
+        assert r.stderr.startswith("error: malformed polynomial payload (")

@@ -7,9 +7,14 @@ from csjack.errors import (
     IndexOutOfRange,
     NonzeroRemainder,
 )
-from csjack.fieldring import BETA, ONE, FieldElement
+from csjack.fieldring import BETA, ONE, ZERO, FieldElement
 from csjack.polyring import LaurentPoly, VarContext, divide_by_vardiff
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test of LaurentPoly.sum is skipped
+    given = None
 
 CTX2 = VarContext(2)
 CTX3 = VarContext(3)
@@ -58,6 +63,59 @@ def test_arithmetic():
     assert z1.scale(BETA).coefficient((1, 0)) == BETA
     with pytest.raises(ContextMismatch):
         z1 + z(CTX3, 1)
+
+
+def test_sum_edge_cases():
+    z1, z2 = z(CTX2, 1), z(CTX2, 2)
+    assert LaurentPoly.sum(CTX2, []) == LaurentPoly.zero(CTX2)
+    assert LaurentPoly.sum(CTX2, iter(())).terms == {}
+    # cancelled terms are dropped, never stored with a zero coefficient
+    total = LaurentPoly.sum(CTX2, [z1 + z2, -z1 + z2, z1.scale(BETA), -z1.scale(BETA)])
+    assert total.terms == {(0, 1): FieldElement([2])}
+    assert LaurentPoly.sum(CTX2, [z1, -z1]).terms == {}
+    assert LaurentPoly.sum(CTX2, [z1, -z1, z2]) == z2
+    # the addends are left as they were
+    first = z1 + z2
+    LaurentPoly.sum(CTX2, [first, -z1])
+    assert first == z1 + z2
+    with pytest.raises(ContextMismatch):
+        LaurentPoly.sum(CTX2, [z1, z(CTX3, 1)])
+    with pytest.raises(ContextMismatch):
+        LaurentPoly.sum(CTX3, [z1])
+
+
+if given is not None:
+    EXPONENTS = st.tuples(st.integers(-1, 2), st.integers(-1, 2))
+    COEFFS = st.builds(
+        FieldElement, st.lists(st.integers(-2, 2), max_size=2), st.sampled_from([[1], [1, 1]])
+    )
+    POLYS = st.dictionaries(EXPONENTS, COEFFS, max_size=5).map(lambda t: LaurentPoly(CTX2, t))
+
+    @st.composite
+    def addends(draw):
+        """Random polynomials plus the negatives of some of them, shuffled,
+        so that some addends cancel completely."""
+        polys = draw(st.lists(POLYS, max_size=5))
+        return draw(st.permutations(polys + [-p for p in polys if draw(st.booleans())]))
+
+    @given(addends())
+    @settings(max_examples=100, deadline=None)
+    def test_sum_matches_chained_add(polys):
+        chained = LaurentPoly.zero(CTX2)
+        for p in polys:
+            chained = chained + p
+        total = LaurentPoly.sum(CTX2, polys)
+        assert total == chained
+        # and the coefficient-wise sum, computed here
+        expected = {}
+        for p in polys:
+            for e, c in p.terms.items():
+                expected[e] = expected.get(e, ZERO) + c
+        assert total.terms == {e: c for e, c in expected.items() if c}
+else:
+
+    def test_sum_matches_chained_add():
+        pytest.skip("hypothesis is not installed")
 
 
 def test_shape_queries():
@@ -113,6 +171,15 @@ def test_divide_by_vardiff():
         divide_by_vardiff(z1**2 + z2**2, 1, 2)
     with pytest.raises(NonzeroRemainder):
         divide_by_vardiff(z1, 1, 2)
+    # Laurent input: negative exponents in the dividend and the quotient
+    inv1, inv2, inv_z1_sq = (
+        LaurentPoly.monomial(CTX3, e) for e in ((-1, 0, 0), (0, -1, 0), (-2, 0, 0))
+    )
+    assert divide_by_vardiff(inv1 - inv2, 1, 2) == -LaurentPoly.monomial(CTX3, (-1, -1, 0))
+    q = z3 * inv_z1_sq + inv2
+    assert divide_by_vardiff((z1 - z2) * q, 1, 2) == q
+    with pytest.raises(NonzeroRemainder):
+        divide_by_vardiff(inv1 + inv2, 1, 2)
 
 
 def test_divided_difference():
