@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import rodrigues, spectrum, suites, symbases
-from .errors import AlgebraError, json_value
+from .errors import AlgebraError
 from .fieldring import FieldElement
 from .partitions import Partition, partitions_of
 from .polyring import LaurentPoly, VarContext
@@ -174,19 +174,21 @@ def cmd_spectrum(args) -> int:
 def _decode_polynomial(obj) -> LaurentPoly | None:
     """Read a jack result, a LaurentPoly or a basis expansion payload."""
     if "monomial_expansion" in obj:
-        ctx = VarContext(json_value(obj["nvars"], (int,), "nvars"))
-        terms = []
+        ctx = VarContext(obj["nvars"])
+        terms = {}
         for entry in obj["monomial_expansion"]:
             coeff = entry["coeff"]
             if not isinstance(coeff, dict):  # one rational, at a fixed beta
                 coeff = {"num": [coeff], "den": [1]}
-            m = symbases.monomial_sym(Partition.from_json(entry["partition"]), ctx)
-            terms.append(m.scale(FieldElement.from_json(coeff)))
-        return LaurentPoly.sum(ctx, terms)
+            mu = Partition(entry["partition"])
+            if mu in terms:
+                raise ValueError(f"partition {list(mu)} listed twice")
+            terms[mu] = symbases.monomial_sym(mu, ctx).scale(FieldElement.from_json(coeff))
+        return LaurentPoly.sum(ctx, terms.values())
     if "terms" in obj:
         return LaurentPoly.from_json(obj)
     if "coords" in obj:
-        ctx = VarContext(json_value(obj["nvars"], (int,), "nvars"))
+        ctx = VarContext(obj["nvars"])
         return symbases.BasisExpansion.from_json(obj, ctx).reconstruct()
     return None
 

@@ -1,13 +1,15 @@
-"""Domain error types, and the type check of values read from JSON.
+"""Domain error types, and the type check of values read from JSON or
+passed to a constructor.
 
 Everything raised on bad mathematical input derives from AlgebraError, so
 callers (and the command line driver) can catch one class.
 """
 
 
-def json_value(value, kinds: tuple, what: str):
-    """value, read from a JSON payload, if its type is one of kinds (a bool is
-    not an int); else TypeError, because converting it would misread it."""
+def checked_type(value, kinds: tuple, what: str):
+    """value, read from a JSON payload or passed to a constructor, if its type
+    is one of kinds (a bool is not an int); else TypeError, because converting
+    it would misread it."""
     if type(value) not in kinds:
         raise TypeError(f"{what}: expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
     return value

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import DivisionByZero, InconsistentSystem, PoleAtValue, json_value
+from .errors import DivisionByZero, InconsistentSystem, PoleAtValue, checked_type
 
 BetaPoly = tuple  # tuple[Fraction, ...], ascending powers, trimmed
 
@@ -315,9 +315,9 @@ class FieldElement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldElement":
-        num, den = json_value(obj["num"], (list,), "num"), json_value(obj["den"], (list,), "den")
+        num, den = checked_type(obj["num"], (list,), "num"), checked_type(obj["den"], (list,), "den")
         for c in num + den:
-            json_value(c, (str, int), "num or den entry")
+            checked_type(c, (str, int), "num or den entry")
         return cls(poly(num), poly(den))
 
     def __str__(self) -> str:

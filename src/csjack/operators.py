@@ -4,7 +4,8 @@ Conventions: variable and operator indices are 1-based; a product of
 operators written left to right acts right to left, so in an ordered string
 the rightmost factor hits the polynomial first.  All operators preserve the
 variable context and total degree (creation operators raise degree by their
-cardinality).
+cardinality).  The coupling `beta` of the Dunkl and creation operators is
+the symbol b unless given, e.g. as an int for int coefficients.
 """
 
 from __future__ import annotations
@@ -54,31 +55,30 @@ def galilei_boost(p: LaurentPoly, power: int = 1) -> LaurentPoly:
     return LaurentPoly._raw(p.ctx, out)
 
 
-def apply_dunkl(i: int, p: LaurentPoly) -> LaurentPoly:
+def apply_dunkl(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Dunkl operator: plain derivative plus coupling-weighted divided
     differences against every other variable."""
     _check_index(p, i)
     _check_ordinary(p)
     differences = (p.divided_difference(i, j) for j in range(1, p.ctx.nvars + 1) if j != i)
-    return p.partial_derivative(i) + LaurentPoly.sum(p.ctx, differences).scale(BETA)
+    return p.partial_derivative(i) + LaurentPoly.sum(p.ctx, differences).scale(beta)
 
 
-def apply_D(i: int, p: LaurentPoly) -> LaurentPoly:
+def apply_D(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Degree-preserving operator z_i * dunkl_i."""
-    return apply_dunkl(i, p).shift_var(i, 1)
+    return apply_dunkl(i, p, beta).shift_var(i, 1)
 
 
-def apply_D_string(k: int, J, p: LaurentPoly) -> LaurentPoly:
+def apply_D_string(k: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Ordered product over J = (j_1 < ... < j_l) of (D_{j_t} + (k+t-1) b),
     the factor with the largest shift acting first."""
     J = _check_index_set(J, p.ctx.nvars)
     for pos in range(len(J) - 1, -1, -1):
-        shift = BETA * (k + pos)
-        p = apply_D(J[pos], p) + p.scale(shift)
+        p = apply_D(J[pos], p, beta) + p.scale(beta * (k + pos))
     return p
 
 
-def apply_B_plus(i: int, J, p: LaurentPoly) -> LaurentPoly:
+def apply_B_plus(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Creation operator of cardinality i over the index set J.
 
     Sum over i-element subsets J' of J of z_{J'} D-strings started at shift 1.
@@ -97,12 +97,12 @@ def apply_B_plus(i: int, J, p: LaurentPoly) -> LaurentPoly:
     if i == nvars:
         return galilei_boost(p)
     if len(J) == nvars and p.is_symmetric():
-        q = _times_z(apply_D_string(1, J[:i], p), J[:i])
+        q = _times_z(apply_D_string(1, J[:i], p, beta), J[:i])
         subsets = itertools.combinations(range(nvars), i)
         terms = (q.permute_vars(s + tuple(v for v in range(nvars) if v not in s)) for s in subsets)
     else:
         subsets = itertools.combinations(J, i)
-        terms = (_times_z(apply_D_string(1, s, p), s) for s in subsets)
+        terms = (_times_z(apply_D_string(1, s, p, beta), s) for s in subsets)
     return LaurentPoly.sum(p.ctx, terms)
 
 

@@ -11,7 +11,7 @@ from .errors import (
     NegativePart,
     NotWeaklyDecreasing,
     WeightMismatch,
-    json_value,
+    checked_type,
 )
 
 
@@ -23,7 +23,7 @@ class Partition(tuple):
     """
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        items = tuple(int(x) for x in parts)
+        items = tuple(checked_type(x, (int,), "partition part") for x in parts)
         for x in items:
             if x < 0:
                 raise NegativePart(f"negative part {x} in {items}")
@@ -33,10 +33,6 @@ class Partition(tuple):
         while items and items[-1] == 0:
             items = items[:-1]
         return super().__new__(cls, items)
-
-    @classmethod
-    def from_json(cls, parts) -> "Partition":
-        return cls(json_value(x, (int,), "partition part") for x in parts)
 
     @property
     def weight(self) -> int:

@@ -1,12 +1,12 @@
 """Sparse exact Laurent polynomials in z_1 .. z_N over the coefficient field.
 
 Terms live in a dict mapping exponent tuples (length N, negative entries
-allowed) to nonzero FieldElement coefficients.  Polynomials are immutable by
-convention: every operation returns a fresh value and never mutates input
-dicts.  Serialization and printing order terms by descending lexicographic
-exponent, so equal polynomials always render byte identically.
-
-Variable indices in the public API are 1-based throughout.
+allowed) to nonzero FieldElement coefficients; the ring operations, moves
+and derivatives also run on plain int coefficients, which only _raw builds.
+Polynomials are immutable by convention: every operation returns a fresh
+value and never mutates input dicts.  Serialization and printing order terms
+by descending lexicographic exponent, so equal polynomials always render byte
+identically.  Variable indices in the public API are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import (
     ContextMismatch,
     IndexOutOfRange,
     NonzeroRemainder,
-    json_value,
+    checked_type,
 )
 from .fieldring import ONE, ZERO, FieldElement
 
@@ -30,7 +30,7 @@ class VarContext:
     nvars: int
 
     def __post_init__(self):
-        if self.nvars < 1:
+        if checked_type(self.nvars, (int,), "nvars") < 1:
             raise IndexOutOfRange(f"need at least one variable, got {self.nvars}")
 
 
@@ -41,7 +41,7 @@ class LaurentPoly:
         self.ctx = ctx
         clean: dict[tuple, FieldElement] = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = _exponents(exps)
             if len(exps) != ctx.nvars:
                 raise ContextMismatch(
                     f"exponent tuple {exps} has length {len(exps)}, context has {ctx.nvars}"
@@ -79,7 +79,7 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, ctx: VarContext, exps, c=1) -> "LaurentPoly":
         c = fieldring.field(c)
-        exps = tuple(int(e) for e in exps)
+        exps = _exponents(exps)
         if len(exps) != ctx.nvars:
             raise ContextMismatch(f"exponent tuple {exps} vs {ctx.nvars} variables")
         if not c:
@@ -138,7 +138,10 @@ class LaurentPoly:
         return LaurentPoly._raw(self.ctx, out)
 
     def scale(self, c) -> "LaurentPoly":
-        c = fieldring.field(c)
+        # an int factor of an int polynomial stays int; anything else joins
+        # the field once here rather than once per term
+        if type(c) is not int or type(next(iter(self.terms.values()), 0)) is not int:
+            c = fieldring.field(c)
         if not c:
             return LaurentPoly.zero(self.ctx)
         return LaurentPoly._raw(self.ctx, {e: v * c for e, v in self.terms.items()})
@@ -183,10 +186,13 @@ class LaurentPoly:
         return len(degrees) <= 1
 
     def is_symmetric(self) -> bool:
-        """Invariance under every adjacent variable swap."""
-        for i in range(1, self.ctx.nvars):
-            if self.swap_vars(i, i + 1) != self:
-                return False
+        """Invariance under every adjacent variable swap: each term's swapped
+        image carries the same coefficient (no swapped copies are built)."""
+        terms = self.terms
+        for e, c in terms.items():
+            for i in range(len(e) - 1):
+                if e[i] != e[i + 1] and terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]) != c:
+                    return False
         return True
 
     # -- variable moves --------------------------------------------------------
@@ -286,10 +292,12 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPoly":
-        ctx = VarContext(json_value(obj["nvars"], (int,), "nvars"))
+        ctx = VarContext(obj["nvars"])
         terms = {}
         for entry in obj["terms"]:
-            exps = tuple(json_value(x, (int,), "exponent") for x in entry["exp"])
+            exps = _exponents(entry["exp"])
+            if exps in terms:
+                raise ValueError(f"exponent {list(exps)} listed twice")
             terms[exps] = FieldElement.from_json(entry["coeff"])
         return cls(ctx, terms)
 
@@ -328,6 +336,10 @@ def _merge(out: dict, terms) -> dict:
             else:
                 del out[e]
     return out
+
+
+def _exponents(exps) -> tuple:
+    return tuple(checked_type(e, (int,), "exponent") for e in exps)
 
 
 def _check_var(ctx: VarContext, i: int):

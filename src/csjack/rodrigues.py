@@ -2,15 +2,16 @@
 
 The unnormalized eigenfunction phi_lam is built by applying creation
 operators right to left: cardinality-1 strings first, each cardinality k
-applied (lam_k - lam_{k+1}) times.  Dividing by the closed-form constant
-c_lam makes the result monic on m_lam.  Intermediate states are themselves
-phi_mu for smaller mu, so results are memoized per (nvars, mu); the cache
-only ever stores final values, which keeps repeated sweeps deterministic.
+applied (lam_k - lam_{k+1}) times, on plain ints at b = 2^B (Kronecker
+substitution).  Dividing by the closed-form constant c_lam makes the result
+monic on m_lam.  Results are memoized per (nvars, lam); the cache only ever
+stores final values, which keeps repeated sweeps deterministic.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import InitVar, dataclass
 
 from .errors import TooManyParts
@@ -20,14 +21,65 @@ from .partitions import Partition
 from .polyring import LaurentPoly, VarContext
 
 
+def _creation_steps(parts: tuple[int, ...]) -> list[int]:
+    """Cardinalities of the creation operators that build phi_parts from 1,
+    in the order they act: every part drops by one per step."""
+    steps = []
+    while parts:
+        steps.append(len(parts))
+        parts = tuple(x - 1 for x in parts if x > 1)
+    return steps[::-1]
+
+
+def _digit_width(nvars: int, steps: list[int]) -> int:
+    """Bits B per packed digit: every b-coefficient of the product is below
+    2^(B-2) in absolute value (B = 60 for (5,3,2,1)/5, 107 for (6,5,3,2,1)/6).
+
+    Let |p| be the sum of the absolute integer coefficients of p over z- and
+    b-monomials, and d the degree of p.  z_i d/dz_i multiplies |p| by at most
+    d; each of the N-1 divided differences turns a term into at most d terms
+    of coefficient +-1, and the factor b moves b-degrees only.  Hence
+    |(D_i + s b) p| <= (N d + s) |p|, and a step B_k+ (C(N, k) strings with
+    shifts 1..k at input degree d) multiplies |p| by at most
+    C(N, k) * prod_{pos<k} (N d + 1 + pos); |1| = 1, and every coefficient is
+    at most the final |p|.
+    """
+    bound, degree = 1, 0
+    for k in steps:
+        bound *= math.comb(nvars, k) * math.prod(nvars * degree + 1 + pos for pos in range(k))
+        degree += k
+    return bound.bit_length() + 2
+
+
+def _unpack(x: int, width: int, ndigits: int) -> FieldElement:
+    """The polynomial in b packed into x at b = 2^width, read as balanced
+    base-2^width digits, lowest first; more than ndigits digits raise."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    for _ in range(ndigits):
+        digit = ((x + half) & mask) - half
+        digits.append(digit)
+        x = (x - digit) >> width
+        if not x:
+            return FieldElement(digits)
+    raise OverflowError(f"coefficient needs more than {ndigits} digits of {width} bits")
+
+
 @functools.cache
 def _phi(ctx: VarContext, parts: tuple[int, ...]) -> LaurentPoly:
-    if not parts:
-        return LaurentPoly.one(ctx)
-    prev = tuple(x - 1 for x in parts)
-    while prev and prev[-1] == 0:
-        prev = prev[:-1]
-    return apply_B_plus(len(parts), full_index_set(ctx.nvars), _phi(ctx, prev))
+    """phi_parts, built on plain ints at b = 2^B and unpacked once.
+
+    Each creation step is Z[b]-linear on Z[b][z] (integer derivative factors,
+    synthetic division by the monic z_i - z_j, shifts (1+pos) b), so it
+    commutes with b -> 2^B.  Step B_k+ adds at most k to the b-degree, so a
+    coefficient has at most |parts| + 1 digits, unique by _digit_width.
+    """
+    steps = _creation_steps(parts)
+    width = _digit_width(ctx.nvars, steps)
+    p = LaurentPoly._raw(ctx, {(0,) * ctx.nvars: 1})
+    for k in steps:
+        p = apply_B_plus(k, full_index_set(ctx.nvars), p, 1 << width)
+    return LaurentPoly._raw(ctx, {e: _unpack(c, width, sum(steps) + 1) for e, c in p.terms.items()})
 
 
 def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:

@@ -24,7 +24,7 @@ from .errors import (
     NotHomogeneous,
     NotSymmetric,
     TooManyParts,
-    json_value,
+    checked_type,
 )
 from .fieldring import ONE, ZERO, FieldElement, solve_linear
 from .partitions import Partition, partitions_of, z_factor
@@ -88,12 +88,14 @@ class BasisExpansion:
 
     @classmethod
     def from_json(cls, obj: dict, ctx: VarContext) -> "BasisExpansion":
-        basis, degree = obj["basis"], json_value(obj["degree"], (int,), "degree")
+        basis, degree = obj["basis"], checked_type(obj["degree"], (int,), "degree")
         if basis not in (MONOMIAL, POWER_SUM):
             raise BasisMismatch(f"unknown basis {basis!r}")
         coords = {}
         for entry in obj["coords"]:
-            lam = Partition.from_json(entry["partition"])
+            lam = Partition(entry["partition"])
+            if lam in coords:
+                raise ValueError(f"partition {list(lam)} listed twice")
             if lam.weight != degree:
                 raise DegreeMismatch(f"partition {list(lam)} does not have degree {degree}")
             coords[lam] = FieldElement.from_json(entry["coeff"])

@@ -12,13 +12,17 @@ import csjack
 _SRC = str(Path(csjack.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, stdin=None):
+def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_child(*argv, stdin=None):
     return subprocess.run(
-        [sys.executable, "-m", "csjack.cli", *args],
-        capture_output=True,
-        text=True,
-        input=stdin,
-        env=env,
+        [sys.executable, *argv], capture_output=True, text=True, input=stdin, env=child_env()
     )
+
+
+def run_cli(*args, stdin=None):
+    return run_child("-m", "csjack.cli", *args, stdin=stdin)

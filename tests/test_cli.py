@@ -152,10 +152,15 @@ def test_output_flag(tmp_path):
 
 
 ONE_JSON = {"num": ["1"], "den": ["1"]}
+THREE_JSON = {"num": ["3"], "den": ["1"]}
 
 
 def _payload(nvars=2, **body):
     return json.dumps({"nvars": nvars, **body})
+
+
+def _entry(key, value, coeff=ONE_JSON):
+    return {key: value, "coeff": coeff}
 
 
 def _z1_plus_z2(first_exp=(1, 0), nvars=2, coeff=ONE_JSON):
@@ -207,6 +212,22 @@ BAD_INPUT = {
     "convert-fractional-coords-part": (("convert", "--to", "m"), _m1_coords(partition=(1.7,)), 1),
     "convert-unknown-basis": (("convert", "--to", "m"), _m1_coords(basis="q"), 1),
     "convert-degree-mismatch": (("convert", "--to", "m"), _m1_coords(degree=2), 1),
+    # each payload below exits 0 if the repeated entry overwrites or adds up
+    "convert-repeated-coords-partition": (
+        ("convert", "--to", "m"),
+        _payload(basis="m", degree=1, coords=[_entry("partition", [1]), _entry("partition", [1], THREE_JSON)]),
+        1,
+    ),
+    "convert-repeated-exponent": (
+        ("convert", "--to", "m"),
+        _payload(terms=[_entry("exp", [1, 0]), _entry("exp", [0, 1]), _entry("exp", [0, 1])]),
+        1,
+    ),
+    "convert-repeated-monomial-partition": (
+        ("convert", "--to", "m"),
+        _payload(monomial_expansion=[_entry("partition", [1]), _entry("partition", [1])]),
+        1,
+    ),
     "spectrum-lambda-and-all-degree": (
         ("spectrum", "--lambda", "2,1", "--all-degree", "1", "--nparticles", "2", "--beta", "1"),
         None,

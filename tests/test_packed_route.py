@@ -1,0 +1,98 @@
+"""The creation product on packed integers against the symbolic chain.
+
+rodrigues._phi runs every creation step on int coefficients at b = 2^B and
+unpacks each coefficient once; the reference here is the chain of creation
+operators at the symbolic coupling, written out as criterion 01 does.
+"""
+
+import functools
+
+import pytest
+
+from csjack import rodrigues
+from csjack.fieldring import BETA, FieldElement
+from csjack.operators import apply_B_plus, full_index_set
+from csjack.partitions import Partition, partitions_of
+from csjack.polyring import LaurentPoly, VarContext
+
+# the fixed cases of the benchmark: (lambda, N)
+PINNED = (((3, 1), 3), ((4, 2, 1), 4), ((6, 4, 2), 4), ((5, 3, 2, 1), 5), ((3, 2, 1), 6))
+# criterion 02's sweep: |lambda| <= 6, N = 2..4
+SWEEP = tuple(
+    (tuple(lam), nvars) for nvars in (2, 3, 4) for n in range(7) for lam in partitions_of(n, nvars - 1)
+)
+CHAIN = tuple(dict.fromkeys(SWEEP + PINNED))
+# the digit-width check also runs on a case with 1,296 terms
+WIDE = PINNED + (((4, 4, 3, 2, 1), 6),)
+
+
+def case_id(case):
+    lam, nvars = case
+    return f"{','.join(map(str, lam)) or '0'}/{nvars}"
+
+
+@functools.cache
+def symbolic_chain(ctx, parts):
+    """B_l+ ... acting on 1 at the symbolic coupling, l = len(parts)."""
+    if not parts:
+        return LaurentPoly.one(ctx)
+    prev = tuple(x - 1 for x in parts if x > 1)
+    return apply_B_plus(len(parts), full_index_set(ctx.nvars), symbolic_chain(ctx, prev))
+
+
+@pytest.fixture
+def cold_cache():
+    rodrigues._phi.cache_clear()
+    yield
+    rodrigues._phi.cache_clear()
+
+
+@pytest.mark.parametrize("lam, nvars", CHAIN, ids=map(case_id, CHAIN))
+def test_packed_product_is_the_symbolic_chain(lam, nvars, cold_cache):
+    ctx = VarContext(nvars)
+    assert rodrigues.rodrigues_raw(Partition(lam), ctx) == symbolic_chain(ctx, lam)
+
+
+@pytest.mark.parametrize("lam, nvars", WIDE, ids=map(case_id, WIDE))
+def test_digit_width_leaves_two_spare_bits(lam, nvars, cold_cache):
+    width = rodrigues._digit_width(nvars, rodrigues._creation_steps(lam))
+    raw = rodrigues.rodrigues_raw(Partition(lam), VarContext(nvars))
+    for c in raw.terms.values():
+        assert c.den == (1,)
+        assert all(x.denominator == 1 and abs(x).numerator.bit_length() < width - 1 for x in c.num)
+
+
+def test_documented_widths():
+    assert rodrigues._creation_steps((3, 1)) == [1, 1, 2]
+    assert rodrigues._digit_width(5, rodrigues._creation_steps((5, 3, 2, 1))) == 60
+    assert rodrigues._digit_width(6, rodrigues._creation_steps((6, 5, 3, 2, 1))) == 107
+
+
+def test_too_small_width_raises(monkeypatch, cold_cache):
+    monkeypatch.setattr(rodrigues, "_digit_width", lambda nvars, steps: 4)
+    with pytest.raises(OverflowError):
+        rodrigues.rodrigues_raw(Partition((5, 3, 2, 1)), VarContext(5))
+
+
+def test_unpack_balanced_digits():
+    # 5 - 3*16 + 2*16^2 at width 4
+    assert rodrigues._unpack(5 - 3 * 16 + 2 * 256, 4, 3) == FieldElement([5, -3, 2])
+    assert rodrigues._unpack(-7, 4, 1) == FieldElement([-7])
+    with pytest.raises(OverflowError):
+        rodrigues._unpack(5 - 3 * 16 + 2 * 256, 4, 2)
+    # no width, however small, loops forever
+    with pytest.raises(OverflowError):
+        rodrigues._unpack(1, 1, 10)
+
+
+def test_int_polynomial_scaled_by_int_stays_int():
+    ctx = VarContext(2)
+    p = LaurentPoly._raw(ctx, {(1, 0): 3, (0, 1): -2})
+    scaled = p.scale(4)
+    assert scaled.terms == {(1, 0): 12, (0, 1): -8}
+    assert all(type(c) is int for c in scaled.terms.values())
+    assert not p.scale(0)
+    # a field factor, or a field polynomial, gives field coefficients
+    assert all(isinstance(c, FieldElement) for c in p.scale(BETA).terms.values())
+    field_p = LaurentPoly(ctx, {(1, 0): 3})
+    assert all(isinstance(c, FieldElement) for c in field_p.scale(4).terms.values())

@@ -36,6 +36,12 @@ def test_construction_rejects():
         Partition((2, -1))
 
 
+def test_construction_rejects_non_int_parts():
+    for parts in ([1.7, True], [2, 1.0], ["2"]):
+        with pytest.raises(TypeError, match="partition part: expected int"):
+            Partition(parts)
+
+
 def test_pad():
     assert Partition((2, 1)).pad(4) == (2, 1, 0, 0)
     assert Partition((2, 1)).pad(2) == (2, 1)

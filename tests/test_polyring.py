@@ -132,6 +132,49 @@ def test_shape_queries():
     assert LaurentPoly.monomial(CTX2, (-1, 0)).has_negative_exponents()
 
 
+def test_is_symmetric_finds_every_mismatch():
+    ctx = VarContext(3)
+    z1, z2, z3 = (z(ctx, i) for i in (1, 2, 3))
+    e1 = z1 + z2 + z3
+    e2 = z1 * z2 + z1 * z3 + z2 * z3
+    sym = e1**2 + e2.scale(BETA)
+    assert sym.is_symmetric()
+    # one coefficient of an orbit differs
+    assert not (sym + z2 * z2).is_symmetric()
+    assert not (sym + z1 * z3.scale(BETA)).is_symmetric()
+    # one orbit member is missing
+    assert not (e2 - z2 * z3).is_symmetric()
+    assert not LaurentPoly(ctx, {(2, 1, 0): 1, (0, 1, 2): 1, (1, 2, 0): 1}).is_symmetric()
+
+
+def test_is_symmetric_edge_cases():
+    ctx = VarContext(3)
+    assert LaurentPoly.zero(ctx).is_symmetric()
+    assert LaurentPoly.one(ctx).is_symmetric()
+    # Laurent input: the orbit of z1/z2 under S_3
+    orbit = [(1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1), (0, 1, -1), (0, -1, 1)]
+    laurent = LaurentPoly(ctx, {e: 2 for e in orbit})
+    assert laurent.is_symmetric()
+    assert not LaurentPoly(ctx, {e: 2 for e in orbit[1:]}).is_symmetric()
+    # one variable: every polynomial is symmetric
+    ctx1 = VarContext(1)
+    assert (z(ctx1, 1) ** 3 + LaurentPoly.monomial(ctx1, (-2,), 5)).is_symmetric()
+
+
+def test_context_rejects_non_int():
+    for nvars in (2.5, 2.0, True, "2"):
+        with pytest.raises(TypeError, match="nvars: expected int"):
+            VarContext(nvars)
+
+
+def test_constructors_reject_non_int_exponents():
+    for exps in ((1.5, 0), (True, 0), ("1", 0)):
+        with pytest.raises(TypeError, match="exponent: expected int"):
+            LaurentPoly(CTX2, {exps: 1})
+    with pytest.raises(TypeError, match="exponent: expected int"):
+        LaurentPoly.monomial(CTX2, (2.9, 0))
+
+
 def test_swap_and_permute():
     z1, z2, z3 = (z(CTX3, i) for i in (1, 2, 3))
     p = z1**2 * z2 + z3

@@ -35,9 +35,9 @@ def string_calls(monkeypatch):
     calls = []
     original = operators.apply_D_string
 
-    def counted(k, J, p):
+    def counted(k, J, p, beta=BETA):
         calls.append(tuple(J))
-        return original(k, J, p)
+        return original(k, J, p, beta)
 
     monkeypatch.setattr(operators, "apply_D_string", counted)
     return calls

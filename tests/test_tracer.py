@@ -1,0 +1,32 @@
+"""Smoke test of the benchmark's tracer: a traced request prints what the
+plain command prints, and its trace holds a span for every layer of the
+creation product.  A change to an operator's signature that the tracer's
+wrappers cannot forward shows up here."""
+
+import json
+from pathlib import Path
+
+import pytest
+from cli_helper import run_child, run_cli
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+LAYERS = {"rodrigues.raw", "operators.B_plus", "operators.D_string", "operators.dunkl", "polyring.vardiff"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jack", "--lambda", "3,2,1", "--nvars", "4", "--normalization", "stanley"),
+        ("verify", "--max-nvars", "3", "--max-degree", "4"),
+    ],
+    ids=["jack", "verify"],
+)
+def test_traced_request_matches_plain_cli(argv, tmp_path):
+    trace_file = tmp_path / "trace.json"
+    traced = run_child(str(TRACER), str(trace_file), "smoke", *argv)
+    plain = run_cli(*argv)
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    trace = json.loads(trace_file.read_text())
+    assert trace["request"] == "smoke"
+    assert LAYERS <= {span[0] for span in trace["spans"]}
