@@ -4,98 +4,72 @@ The package builds Jack polynomials by repeated application of raising
 operators assembled from Dunkl-type derivatives, cross-checks them against
 independent constructions, and computes the quasi-particle spectrum of the
 underlying trigonometric many-body model.
+
+`import csjack` loads no layer: each name below imports its home module on
+first access (PEP 562), so a command loads only the layers it runs.
 """
 
-from .errors import AlgebraError
-from .fieldring import BETA, ONE, ZERO, FieldElement, pochhammer
-from .operators import (
-    apply_B_plus,
-    apply_D,
-    apply_D_string,
-    apply_dunkl,
-    apply_H,
-    apply_hatD,
-    apply_hatH,
-    apply_L,
-    apply_N,
-)
-from .oracle import (
-    jack_by_gram_schmidt,
-    jack_by_symmetrization,
-    jack_by_triangular_H,
-    nonsym_eigenfunction,
-    nonsym_eigenvalues,
-)
-from .partitions import Partition, dominance_compare, dominates, partitions_of
-from .polyring import LaurentPoly, VarContext, divide_by_vardiff
-from .rodrigues import JackResult, c_coefficient, eigenvalue_epsilon, jack, rodrigues_raw
-from .spectrum import (
-    ModelParams,
-    ground_energy,
-    quasi_momenta,
-    spectrum_record,
-    total_energy,
-    total_momentum,
-    wavefunction_descriptor,
-)
-from .symbases import (
-    BasisExpansion,
-    circle_inner_product,
-    expand_in_basis,
-    monomial_sym,
-    power_sum,
-    scalar_product_p,
-    schur,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraError",
-    "BETA",
-    "ONE",
-    "ZERO",
-    "FieldElement",
-    "pochhammer",
-    "Partition",
-    "dominance_compare",
-    "dominates",
-    "partitions_of",
-    "LaurentPoly",
-    "VarContext",
-    "divide_by_vardiff",
-    "BasisExpansion",
-    "monomial_sym",
-    "power_sum",
-    "schur",
-    "expand_in_basis",
-    "scalar_product_p",
-    "circle_inner_product",
-    "apply_dunkl",
-    "apply_D",
-    "apply_D_string",
-    "apply_B_plus",
-    "apply_N",
-    "apply_H",
-    "apply_L",
-    "apply_hatD",
-    "apply_hatH",
-    "jack",
-    "JackResult",
-    "rodrigues_raw",
-    "c_coefficient",
-    "eigenvalue_epsilon",
-    "jack_by_triangular_H",
-    "jack_by_gram_schmidt",
-    "jack_by_symmetrization",
-    "nonsym_eigenfunction",
-    "nonsym_eigenvalues",
-    "ModelParams",
-    "ground_energy",
-    "quasi_momenta",
-    "total_momentum",
-    "total_energy",
-    "spectrum_record",
-    "wavefunction_descriptor",
-    "__version__",
-]
+# home module of every exported name
+_EXPORTS = {
+    "errors": ("AlgebraError",),
+    "fieldring": ("BETA", "ONE", "ZERO", "FieldElement", "pochhammer"),
+    "partitions": ("Partition", "dominance_compare", "dominates", "partitions_of"),
+    "polyring": ("LaurentPoly", "VarContext", "divide_by_vardiff"),
+    "symbases": (
+        "BasisExpansion",
+        "monomial_sym",
+        "power_sum",
+        "schur",
+        "expand_in_basis",
+        "scalar_product_p",
+        "circle_inner_product",
+    ),
+    "operators": (
+        "apply_dunkl",
+        "apply_D",
+        "apply_D_string",
+        "apply_B_plus",
+        "apply_N",
+        "apply_H",
+        "apply_L",
+        "apply_hatD",
+        "apply_hatH",
+    ),
+    "rodrigues": ("jack", "JackResult", "rodrigues_raw", "c_coefficient", "eigenvalue_epsilon"),
+    "oracle": (
+        "jack_by_triangular_H",
+        "jack_by_gram_schmidt",
+        "jack_by_symmetrization",
+        "nonsym_eigenfunction",
+        "nonsym_eigenvalues",
+    ),
+    "spectrum": (
+        "ModelParams",
+        "ground_energy",
+        "quasi_momenta",
+        "total_momentum",
+        "total_energy",
+        "spectrum_record",
+        "wavefunction_descriptor",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

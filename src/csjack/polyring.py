@@ -11,8 +11,6 @@ identically.  Variable indices in the public API are 1-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import fieldring
 from .errors import (
     ContextMismatch,
@@ -23,15 +21,35 @@ from .errors import (
 from .fieldring import ONE, ZERO, FieldElement
 
 
-@dataclass(frozen=True)
 class VarContext:
-    """Number of variables a polynomial lives in."""
+    """Number of variables a polynomial lives in: immutable, equal and hashed
+    by nvars.  A plain class, so that a jack request never imports dataclasses."""
 
-    nvars: int
+    __slots__ = ("nvars",)
 
-    def __post_init__(self):
-        if checked_type(self.nvars, (int,), "nvars") < 1:
-            raise IndexOutOfRange(f"need at least one variable, got {self.nvars}")
+    def __init__(self, nvars: int):
+        if checked_type(nvars, (int,), "nvars") < 1:
+            raise IndexOutOfRange(f"need at least one variable, got {nvars}")
+        object.__setattr__(self, "nvars", nvars)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.nvars == other.nvars if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.nvars,))
+
+    def __repr__(self):
+        return f"VarContext(nvars={self.nvars})"
+
+    # copy and pickle rebuild through __init__, as __setattr__ refuses
+    def __reduce__(self):
+        return VarContext, (self.nvars,)
 
 
 class LaurentPoly:

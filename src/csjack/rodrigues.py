@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass
 
 from .errors import TooManyParts
 from .fieldring import BETA, ONE, FieldElement, pochhammer
@@ -142,20 +141,22 @@ def eigenvalue_epsilon(lam: Partition, nvars: int) -> FieldElement:
     return FieldElement((const, linear))
 
 
-@dataclass
 class JackResult:
     """raw = phi_lam = c * J_lam, boosted by shift for a full-length lam.  monic
     and stanley each rescale raw once, on first use; known_monic seeds monic."""
 
-    lam: Partition
-    ctx: VarContext
-    normalization: str
-    raw: LaurentPoly
-    c: FieldElement
-    known_monic: InitVar[LaurentPoly | None] = None
-    shift: int = 0
-
-    def __post_init__(self, known_monic):
+    def __init__(
+        self,
+        lam: Partition,
+        ctx: VarContext,
+        normalization: str,
+        raw: LaurentPoly,
+        c: FieldElement,
+        known_monic: LaurentPoly | None = None,
+        shift: int = 0,
+    ):
+        self.lam, self.ctx, self.normalization = lam, ctx, normalization
+        self.raw, self.c, self.shift = raw, c, shift
         self._scaled = {"monic": known_monic}
 
     def _form(self, normalization: str) -> LaurentPoly:

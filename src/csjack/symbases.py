@@ -68,8 +68,9 @@ class BasisExpansion:
     coords: dict[Partition, FieldElement]
 
     def sorted_coords(self) -> list[tuple[Partition, FieldElement]]:
-        order = partitions_of(self.degree, None)
-        return [(lam, self.coords[lam]) for lam in order if lam in self.coords]
+        # descending part tuples, the order of partitions_of: every key has
+        # weight degree, so none is a prefix of another
+        return sorted(self.coords.items(), reverse=True)
 
     def reconstruct(self) -> LaurentPoly:
         build = monomial_sym if self.basis == MONOMIAL else power_sum

@@ -74,6 +74,19 @@ def test_bad_flag_is_usage_error():
     assert r.returncode == 2
 
 
+def test_parser_choices_match_their_modules():
+    """cli copies these choices so that parsing imports neither module."""
+    from csjack import cli, suites, symbases
+
+    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+
+    def choices(command, dest):
+        return next(a for a in subcommands[command]._actions if a.dest == dest).choices
+
+    assert list(choices("verify", "suite")) == sorted(suites.SUITES) + ["all"]
+    assert tuple(choices("convert", "to")) == (symbases.MONOMIAL, symbases.POWER_SUM)
+
+
 def test_verify_passes():
     r = run_cli("verify", "--suite", "commutators", "--max-degree", "3", "--max-nvars", "2")
     assert r.returncode == 0
@@ -186,6 +199,8 @@ BAD_INPUT = {
         2,
     ),
     "verify-threads-removed": (("verify", "--threads", "2"), None, 2),
+    "verify-unknown-suite": (("verify", "--suite", "hamiltonian"), None, 2),
+    "convert-unknown-target-basis": (("convert", "--to", "q"), '{"coords": []}', 2),
     "spectrum-zero-length": (("spectrum", "--nparticles", "2", "--beta", "1", "--length", "0"), None, 2),
     "spectrum-zero-beta": (("spectrum", "--nparticles", "2", "--beta", "0"), None, 2),
     "spectrum-negative-beta": (("spectrum", "--nparticles", "2", "--beta", "-1"), None, 2),

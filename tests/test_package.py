@@ -1,0 +1,57 @@
+"""The package surface loads each layer on first use: every exported name
+resolves, and a `jack` request imports only the creation-product layers."""
+
+import importlib
+
+import pytest
+from cli_helper import run_child
+
+import csjack
+
+LAYERS = {"errors", "fieldring", "polyring", "partitions", "operators", "rodrigues"}
+
+
+@pytest.mark.parametrize("name", csjack.__all__)
+def test_every_exported_name_resolves(name):
+    namespace = {}
+    exec(f"from csjack import {name}", namespace)
+    assert namespace[name] is getattr(csjack, name)
+    assert name in dir(csjack)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        csjack.frobnicate
+    with pytest.raises(ImportError):
+        exec("from csjack import frobnicate", {})
+
+
+def test_submodules_still_import_by_name():
+    namespace = {}
+    exec("from csjack import cli, suites", namespace)
+    assert namespace["cli"] is importlib.import_module("csjack.cli")
+    assert namespace["suites"] is importlib.import_module("csjack.suites")
+
+
+def _loaded_after(code: str) -> set[str]:
+    """Modules loaded in a fresh interpreter after running code."""
+    r = run_child("-c", f"import sys\n{code}\nprint(*sorted(sys.modules), file=sys.stderr)")
+    assert r.returncode == 0, r.stderr
+    return set(r.stderr.splitlines()[-1].split())
+
+
+def test_import_loads_no_layer():
+    loaded = _loaded_after("import csjack")
+    assert "csjack" in loaded
+    assert not {m for m in loaded if m.startswith("csjack.")}
+
+
+def test_jack_request_imports_only_the_creation_product():
+    loaded = _loaded_after(
+        "from csjack import cli\n"
+        "assert cli.main(['jack', '--lambda', '3,2,1', '--nvars', '4']) == 0"
+    )
+    assert {m for m in loaded if m.startswith("csjack.")} == {"csjack.cli"} | {
+        f"csjack.{layer}" for layer in LAYERS
+    }
+    assert "dataclasses" not in loaded

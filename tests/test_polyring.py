@@ -1,3 +1,5 @@
+import copy
+import functools
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,27 @@ def test_context():
     assert VarContext(3).nvars == 3
     with pytest.raises(IndexOutOfRange):
         VarContext(0)
+
+
+def test_context_is_an_immutable_value():
+    ctx = VarContext(3)
+    assert ctx == VarContext(3) and ctx != VarContext(4) and ctx != 3
+    assert hash(ctx) == hash(VarContext(3))
+    assert repr(ctx) == "VarContext(nvars=3)"
+    assert copy.deepcopy(ctx) == ctx
+    with pytest.raises(AttributeError):
+        ctx.nvars = 4
+    with pytest.raises(AttributeError):
+        del ctx.nvars
+    with pytest.raises(AttributeError):
+        ctx.extra = 1
+    assert ctx.nvars == 3
+
+    @functools.cache
+    def width(c):
+        return object()
+
+    assert width(VarContext(2)) is width(VarContext(2)) is not width(VarContext(3))
 
 
 def test_constructors():

@@ -9,6 +9,7 @@ from csjack.partitions import Partition
 from csjack.polyring import LaurentPoly, VarContext
 from csjack.rodrigues import (
     NORMALIZATIONS,
+    JackResult,
     c_coefficient,
     eigenvalue_epsilon,
     galilei_boost,
@@ -153,3 +154,15 @@ def test_editing_a_result_leaves_the_cache_intact():
     rodrigues_raw(lam, CTX3).terms.clear()
     assert jack(lam, CTX3).monic == monic
     assert rodrigues_raw(lam, CTX3) == raw
+
+
+def test_result_built_positionally_seeds_monic():
+    # the signature perfbench/selftest.py builds results with
+    lam = Partition((2, 1))
+    built = jack(lam, CTX3)
+    monic = built.monic
+    c = built.c
+    seeded = JackResult(lam, CTX3, "raw", monic.scale(c), c, monic, 0)
+    assert seeded.monic is monic
+    assert seeded.polynomial == built.raw and seeded.shift == 0
+    assert JackResult(lam, CTX3, "monic", built.raw, c).monic == monic

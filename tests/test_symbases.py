@@ -137,6 +137,27 @@ def test_basis_expansion_json():
     assert back.reconstruct() == ex.reconstruct()
 
 
+def test_sorted_coords_follows_partitions_of_without_listing_them(monkeypatch):
+    """Coordinates are ordered like partitions_of(degree), which sorted_coords
+    never walks: its cost follows the coordinates held, not the partition count."""
+    orders = {degree: partitions_of(degree, None) for degree in range(9)}
+
+    def refuse(*args):
+        raise AssertionError("sorted_coords listed every partition")
+
+    monkeypatch.setattr("csjack.symbases.partitions_of", refuse)
+    rng = random.Random(7)
+    for degree, order in orders.items():
+        for _ in range(40):
+            held = [lam for lam in order if rng.random() < 0.5]
+            shuffled = rng.sample(held, len(held))
+            coords = {lam: FieldElement([i + 1]) for i, lam in enumerate(shuffled)}
+            listed = BasisExpansion(MONOMIAL, degree, CTX2, coords).sorted_coords()
+            assert listed == [(lam, coords[lam]) for lam in held]
+    power = LaurentPoly.monomial(CTX2, (60, 0)) + LaurentPoly.monomial(CTX2, (0, 60))
+    assert expand_in_basis(power, MONOMIAL).sorted_coords() == [(Partition((60,)), ONE)]
+
+
 def test_schur():
     # bialternant for (2,1) at three variables: m_21 + 2 m_111
     s = schur(Partition((2, 1)), CTX3)
