@@ -1,7 +1,12 @@
 """Exact coefficient field: rational functions of the coupling over Q.
 
-A BetaPoly is a dense tuple of Fractions in ascending powers of the coupling
-b, with no trailing zeros; the zero polynomial is the empty tuple.  A
+A BetaPoly is a dense tuple of rational coefficients in ascending powers of
+the coupling b, with no trailing zeros; the zero polynomial is the empty
+tuple.  A coefficient is a plain int wherever it is integral and a Fraction
+only where it has a denominator, so Fraction arithmetic runs only where a
+denominator exists: coefficients in Z[b] are the norm, and division by a
+monic polynomial stays in Z.  Fraction(n) == n and both hash alike, so an
+integral Fraction left by arithmetic needs no normalising.  A
 FieldElement is a quotient num/den of two BetaPolys kept canonical at all
 times: gcd(num, den) = 1 and den monic.  Canonical form makes equality and
 hashing structural, which the serialization contract relies on.
@@ -18,17 +23,24 @@ from typing import Iterable, Union
 
 from .errors import DivisionByZero, InconsistentSystem, PoleAtValue, checked_type
 
-BetaPoly = tuple  # tuple[Fraction, ...], ascending powers, trimmed
+BetaPoly = tuple  # tuple[int | Fraction, ...], ascending powers, trimmed
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_F1 = Fraction(1)  # numerator of every inverse, so 1/c is exact
 _PZERO: BetaPoly = ()
-_PONE: BetaPoly = (_F1,)
+_PONE: BetaPoly = (1,)
+
+
+def _coeff(c) -> Union[int, Fraction]:
+    """An int, Fraction or string as an exact coefficient, int when integral."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def poly(coeffs: Iterable) -> BetaPoly:
     """Build a BetaPoly from ascending coefficients (ints, Fractions, strings)."""
-    items = [Fraction(c) for c in coeffs]
+    items = [_coeff(c) for c in coeffs]
     while items and items[-1] == 0:
         items.pop()
     return tuple(items)
@@ -52,7 +64,7 @@ def poly_neg(a: BetaPoly) -> BetaPoly:
 def poly_mul(a: BetaPoly, b: BetaPoly) -> BetaPoly:
     if not a or not b:
         return _PZERO
-    out = [_F0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -75,12 +87,14 @@ def poly_divmod(a: BetaPoly, b: BetaPoly) -> tuple[BetaPoly, BetaPoly]:
     if len(a) < len(b):
         return _PZERO, a
     r = list(a)
-    q = [_F0] * (len(a) - len(b) + 1)
-    inv = _F1 / b[-1]
+    q = [0] * (len(a) - len(b) + 1)
+    lead = b[-1]
+    # a monic divisor (every canonical denominator) keeps integral input in Z
+    inv = None if lead == 1 else _F1 / lead
     for k in range(len(a) - len(b), -1, -1):
         top = r[k + len(b) - 1]
         if top:
-            c = top * inv
+            c = top if inv is None else top * inv
             q[k] = c
             for i, bc in enumerate(b):
                 if bc:
@@ -102,7 +116,7 @@ def poly_gcd(a: BetaPoly, b: BetaPoly) -> BetaPoly:
 
 
 def poly_eval(a: BetaPoly, x: Fraction) -> Fraction:
-    out = _F0
+    out = 0
     for c in reversed(a):
         out = out * x + c
     return out
@@ -175,7 +189,7 @@ class FieldElement:
 
     @classmethod
     def from_fraction(cls, value) -> "FieldElement":
-        value = Fraction(value)
+        value = _coeff(value)
         if not value:
             return ZERO
         return cls._raw((value,), _PONE)
@@ -184,8 +198,8 @@ class FieldElement:
     def beta(cls, power: int = 1) -> "FieldElement":
         """The coupling raised to an integer power (negative allowed)."""
         if power >= 0:
-            return cls._raw(tuple([_F0] * power) + (_F1,), _PONE)
-        return cls._raw(_PONE, tuple([_F0] * (-power)) + (_F1,))
+            return cls._raw((0,) * power + (1,), _PONE)
+        return cls._raw(_PONE, (0,) * -power + (1,))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -225,14 +239,17 @@ class FieldElement:
             return FieldElement._raw(poly_mul(n1, n2), _PONE)
         if not n1 or not n2:
             return ZERO
-        g1 = poly_gcd(n1, d2)
-        if len(g1) > 1:
-            n1 = poly_divmod(n1, g1)[0]
-            d2 = poly_divmod(d2, g1)[0]
-        g2 = poly_gcd(n2, d1)
-        if len(g2) > 1:
-            n2 = poly_divmod(n2, g2)[0]
-            d1 = poly_divmod(d1, g2)[0]
+        # a constant on either side has no common factor to cancel
+        if len(n1) > 1 and len(d2) > 1:
+            g1 = poly_gcd(n1, d2)
+            if len(g1) > 1:
+                n1 = poly_divmod(n1, g1)[0]
+                d2 = poly_divmod(d2, g1)[0]
+        if len(n2) > 1 and len(d1) > 1:
+            g2 = poly_gcd(n2, d1)
+            if len(g2) > 1:
+                n2 = poly_divmod(n2, g2)[0]
+                d1 = poly_divmod(d1, g2)[0]
         num = poly_mul(n1, n2)
         den = poly_mul(d1, d2)
         lc = den[-1]
@@ -292,10 +309,10 @@ class FieldElement:
 
     def as_fraction(self) -> Fraction:
         if not self.num:
-            return _F0
+            return Fraction(0)
         if not self.is_constant():
             raise PoleAtValue(f"{self} is not a constant")
-        return self.num[0]
+        return Fraction(self.num[0])
 
     def specialize(self, beta_value) -> Fraction:
         """Evaluate at a rational coupling value; poles raise PoleAtValue."""
@@ -323,18 +340,11 @@ class FieldElement:
     def __str__(self) -> str:
         if self.den == _PONE:
             return poly_str(self.num)
-        # display with cleared denominators: integer primitive num/den
-        mult = 1
-        for c in self.num + self.den:
-            mult = mult * c.denominator // math.gcd(mult, c.denominator)
+        # display with cleared denominators; den is monic, so clearing by the
+        # least common denominator already leaves num/den integer primitive
+        mult = math.lcm(*(c.denominator for c in self.num + self.den))
         n = [c * mult for c in self.num]
         d = [c * mult for c in self.den]
-        g = 0
-        for c in n + d:
-            g = math.gcd(g, int(c))
-        if g > 1:
-            n = [c / g for c in n]
-            d = [c / g for c in d]
         num = poly_str(tuple(n))
         den = poly_str(tuple(d))
         if len(n) > 1 or (n and n[0] < 0):

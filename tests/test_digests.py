@@ -6,7 +6,9 @@ draw.  The requests with N <= 4 and |lambda| <= 4, plus the verify sweeps at
 --max-nvars 3 --max-degree 4, cover every subcommand path the benchmark
 uses and run in a couple of seconds.  The jack requests with N >= 5 and
 |lambda| <= 4, plus the five fixed cases as both jack workloads ask for
-them, cover the creation product relabelled over many subsets.
+them, cover the creation product relabelled over many subsets.  Every
+verify sweep of the table also replays, since verify is the workload whose
+checks run in the coefficient field.
 """
 
 import contextlib
@@ -36,6 +38,20 @@ def test_small_requests_match_benchmark_digests():
     table = json.loads(DIGESTS.read_text())
     requests = [key for key in table if _small(key.split())]
     assert len(requests) == 421
+    drifted = []
+    for key in requests:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = cli.main(key.split())
+        if code != 0 or hashlib.sha256(buffer.getvalue().encode()).hexdigest() != table[key]:
+            drifted.append(key)
+    assert drifted == []
+
+
+def test_verify_requests_match_benchmark_digests():
+    table = json.loads(DIGESTS.read_text())
+    requests = [key for key in table if key.startswith("verify ")]
+    assert len(requests) == 40
     drifted = []
     for key in requests:
         buffer = io.StringIO()

@@ -1,6 +1,6 @@
 """Property tests of the coefficient field Q(b): the field axioms, the
 uniqueness of the canonical form, the JSON round trip, and a differential
-check of +, * and / against sympy."""
+check of +, * and / against sympy and against specialization."""
 
 import json
 from fractions import Fraction
@@ -9,9 +9,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from csjack.errors import PoleAtValue  # noqa: E402
 from csjack.fieldring import ONE, ZERO, FieldElement, poly_gcd, poly_mul  # noqa: E402
 
 COEFF = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -19,6 +20,7 @@ BETA_POLY = st.lists(COEFF, max_size=3)
 NONZERO_POLY = BETA_POLY.filter(any)
 FIELD = st.builds(FieldElement, BETA_POLY, NONZERO_POLY)
 NONZERO = st.builds(FieldElement, NONZERO_POLY, NONZERO_POLY)
+RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 SETTINGS = settings(max_examples=80, deadline=None)
 
 
@@ -74,6 +76,23 @@ def test_canonical_form_is_unique(a, b, c, k):
 @given(FIELD)
 def test_json_round_trip(a):
     assert_same(FieldElement.from_json(json.loads(json.dumps(a.to_json()))), a)
+
+
+@SETTINGS
+@given(FIELD, FIELD, RATIONAL)
+def test_arithmetic_commutes_with_specialize(a, b, x):
+    try:
+        va, vb = a.specialize(x), b.specialize(x)
+    except PoleAtValue:
+        assume(False)
+    assert (a + b).specialize(x) == va + vb
+    assert (a - b).specialize(x) == va - vb
+    assert (a * b).specialize(x) == va * vb
+    if vb:
+        assert (a / b).specialize(x) == va / vb
+    for value in (a, b, a + b, a * b):
+        assert type(value.specialize(x)) is Fraction
+        assert "." not in str(value)
 
 
 def to_sympy(sympy, b, a: FieldElement):

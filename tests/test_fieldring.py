@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from csjack import fieldring
 from csjack.errors import DivisionByZero, PoleAtValue
 from csjack.fieldring import (
     BETA,
@@ -132,3 +133,71 @@ def test_integer_in_inverse_beta():
     assert not is_integer_in_inverse_beta(field(Fraction(1, 2)))
     assert not is_integer_in_inverse_beta(ONE / (BETA + 1))
     assert not is_integer_in_inverse_beta((BETA**2 + 1) / BETA)
+
+
+def test_integral_values_are_stored_as_int():
+    built = [FieldElement.from_fraction(v) for v in (2, Fraction(2), "2", "4/2")]
+    built += [FieldElement([v]) for v in (2, Fraction(2), "2", "4/2")]
+    for x in built:
+        assert x.num == (2,) and type(x.num[0]) is int
+        assert type(x.den[0]) is int
+        assert x == built[0] and hash(x) == hash(built[0])
+        assert str(x) == "2" and x.to_json() == {"num": ["2"], "den": ["1"]}
+    assert all(type(c) is int for c in poly([3, "6/3", Fraction(-4)]))
+    assert all(type(c) is int for c in (BETA**3).num + FieldElement.beta(-2).den)
+    # an integral Fraction is equal to its int and hashes alike
+    assert FieldElement._raw((Fraction(2),), (1,)) == built[0]
+    assert hash(FieldElement._raw((Fraction(2),), (1,))) == hash(built[0])
+
+
+def test_non_integral_coefficients_stay_fractions():
+    x = FieldElement.from_fraction("3/2")
+    assert x.num == (Fraction(3, 2),) and type(x.num[0]) is Fraction
+    assert type(x.as_fraction()) is Fraction and x.as_fraction() == Fraction(3, 2)
+    assert type(field(2).as_fraction()) is Fraction and field(2).as_fraction() == 2
+    assert type(ZERO.as_fraction()) is Fraction
+    assert type(field(2).specialize(3)) is Fraction
+    assert type((BETA * 2 + 1).specialize(1)) is Fraction
+
+
+def test_integer_arithmetic_stays_in_z():
+    a, b = BETA * 3 + 2, BETA**2 - BETA * 5 + 7
+    for x in (a + b, a - b, a * b, (a * b) / b, -a):
+        assert all(type(c) is int for c in x.num + x.den)
+    # division by a monic divisor never builds a Fraction
+    q, r = poly_divmod(poly([7, -3, 0, 2]), poly([-1, 1]))
+    assert all(type(c) is int for c in q + r)
+    assert poly_mul(q, poly([-1, 1])) == poly([7 - r[0], -3, 0, 2])
+    # a non-monic divisor still divides exactly over Q
+    q, r = poly_divmod(poly([1, 0, 1]), poly([0, 2]))
+    assert q == (0, Fraction(1, 2)) and r == (1,)
+
+
+def test_product_skips_gcds_that_cannot_reduce(monkeypatch):
+    unit, ratio = BETA + 2, (BETA + 3) / (BETA + 1)
+    inverse_ratio = (BETA + 1) / (BETA + 3)
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    def gcds_of(x, y):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(fieldring, "poly_gcd", counted)
+            product = x * y
+        return product, list(calls)
+
+    # one gcd: n1 = b + 2 against d2 = b + 1; d1 = 1 cannot share a factor
+    product, seen = gcds_of(unit, ratio)
+    assert product == (BETA**2 + BETA * 5 + 6) / (BETA + 1)
+    assert seen == [(poly([2, 1]), poly([1, 1]))]
+    # a constant against a quotient needs none
+    product, seen = gcds_of(field(3), ratio)
+    assert product == (BETA * 3 + 9) / (BETA + 1) and seen == []
+    product, seen = gcds_of(ratio, Fraction(1, 2))
+    assert product == (BETA + 3) / (BETA * 2 + 2) and seen == []
+    # both cross pairs non-constant: both gcds run, and they cancel
+    product, seen = gcds_of(inverse_ratio, ratio)
+    assert product == ONE and len(seen) == 2
