@@ -4,12 +4,12 @@ A BetaPoly is a dense tuple of rational coefficients in ascending powers of
 the coupling b, with no trailing zeros; the zero polynomial is the empty
 tuple.  A coefficient is a plain int wherever it is integral and a Fraction
 only where it has a denominator, so Fraction arithmetic runs only where a
-denominator exists: coefficients in Z[b] are the norm, and division by a
-monic polynomial stays in Z.  Fraction(n) == n and both hash alike, so an
-integral Fraction left by arithmetic needs no normalising.  A
-FieldElement is a quotient num/den of two BetaPolys kept canonical at all
-times: gcd(num, den) = 1 and den monic.  Canonical form makes equality and
-hashing structural, which the serialization contract relies on.
+denominator exists: coefficients in Z[b] are the norm, division by a monic
+polynomial stays in Z, and _divide, the one monic step, keeps integral
+quotients as ints.  Fraction(n) == n and both hash alike, so an integral
+Fraction left by arithmetic needs no normalising.  A FieldElement is a
+canonical quotient num/den of two BetaPolys: gcd(num, den) = 1, den monic;
+this makes equality and hashing structural, as serialization requires.
 
 Arithmetic special-cases den == 1, the overwhelmingly common shape while
 operator pipelines run, so the hot path never touches the Euclidean gcd.
@@ -75,12 +75,6 @@ def poly_mul(a: BetaPoly, b: BetaPoly) -> BetaPoly:
     return tuple(out)
 
 
-def poly_scale(a: BetaPoly, s: Fraction) -> BetaPoly:
-    if not s:
-        return _PZERO
-    return tuple(c * s for c in a)
-
-
 def poly_divmod(a: BetaPoly, b: BetaPoly) -> tuple[BetaPoly, BetaPoly]:
     if not b:
         raise DivisionByZero("polynomial division by zero")
@@ -111,8 +105,15 @@ def poly_gcd(a: BetaPoly, b: BetaPoly) -> BetaPoly:
     while b:
         a, b = b, poly_divmod(a, b)[1]
     if a and a[-1] != 1:
-        a = poly_scale(a, _F1 / a[-1])
+        a = _divide(a, a[-1])
     return a
+
+
+def _divide(a: BetaPoly, lc) -> BetaPoly:
+    """a divided by a nonzero constant lc (the leading coefficient that makes
+    a denominator monic), every integral quotient kept as an int."""
+    inv = _F1 / lc
+    return tuple(q.numerator if q.denominator == 1 else q for q in (c * inv for c in a))
 
 
 def poly_eval(a: BetaPoly, x: Fraction) -> Fraction:
@@ -163,9 +164,7 @@ def _canonical(num: BetaPoly, den: BetaPoly) -> tuple[BetaPoly, BetaPoly]:
         den = poly_divmod(den, g)[0]
     lc = den[-1]
     if lc != 1:
-        inv = _F1 / lc
-        num = poly_scale(num, inv)
-        den = poly_scale(den, inv)
+        num, den = _divide(num, lc), _divide(den, lc)
     return num, den
 
 
@@ -250,14 +249,8 @@ class FieldElement:
             if len(g2) > 1:
                 n2 = poly_divmod(n2, g2)[0]
                 d1 = poly_divmod(d1, g2)[0]
-        num = poly_mul(n1, n2)
-        den = poly_mul(d1, d2)
-        lc = den[-1]
-        if lc != 1:
-            inv = _F1 / lc
-            num = poly_scale(num, inv)
-            den = poly_scale(den, inv)
-        return FieldElement._raw(num, den)
+        # d1, d2 and every gcd are monic, so the product's denominator is too
+        return FieldElement._raw(poly_mul(n1, n2), poly_mul(d1, d2))
 
     __rmul__ = __mul__
 

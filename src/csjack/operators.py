@@ -21,12 +21,7 @@ from .errors import (
     NotSymmetric,
 )
 from .fieldring import BETA
-from .polyring import LaurentPoly, divide_by_vardiff
-
-
-def _check_index(p: LaurentPoly, i: int):
-    if not 1 <= i <= p.ctx.nvars:
-        raise IndexOutOfRange(f"index {i} outside 1..{p.ctx.nvars}")
+from .polyring import LaurentPoly, _check_var, divide_by_vardiff
 
 
 def _check_ordinary(p: LaurentPoly):
@@ -58,7 +53,7 @@ def galilei_boost(p: LaurentPoly, power: int = 1) -> LaurentPoly:
 def apply_dunkl(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Dunkl operator: plain derivative plus coupling-weighted divided
     differences against every other variable."""
-    _check_index(p, i)
+    _check_var(p.ctx, i)
     _check_ordinary(p)
     differences = (p.divided_difference(i, j) for j in range(1, p.ctx.nvars + 1) if j != i)
     return p.partial_derivative(i) + LaurentPoly.sum(p.ctx, differences).scale(beta)
@@ -163,7 +158,7 @@ def apply_L(j: int, p: LaurentPoly) -> LaurentPoly:
 def apply_hatD(i: int, p: LaurentPoly) -> LaurentPoly:
     """Shifted variant of D_i whose family commutes: D_i + (i-1) b minus b times
     the sum of (1 - swap_{ji}) over j < i, i.e. D_i + b * sum_{j<i} swap_{ji}."""
-    _check_index(p, i)
+    _check_var(p.ctx, i)
     _check_ordinary(p)
     swapped = LaurentPoly.sum(p.ctx, (p.swap_vars(j, i) for j in range(1, i)))
     return apply_D(i, p) + swapped.scale(BETA)

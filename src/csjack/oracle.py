@@ -28,7 +28,7 @@ from .errors import (
 from .fieldring import ONE, ZERO, FieldElement, solve_linear
 from .operators import apply_H, apply_hatD
 from .partitions import Partition, dominates, partitions_of
-from .polyring import LaurentPoly, VarContext
+from .polyring import LaurentPoly, VarContext, _merge
 from .rodrigues import eigenvalue_epsilon
 from .symbases import POWER_SUM, BasisExpansion, expand_in_basis, monomial_sym, scalar_product_p
 
@@ -111,12 +111,7 @@ def jack_by_gram_schmidt(
             c = scalar_product_p(ex, uex) / unorm
             if c:
                 poly = poly - upoly.scale(c)
-                for key, val in uex.coords.items():
-                    acc = ex.coords.get(key, ZERO) - val * c
-                    if acc:
-                        ex.coords[key] = acc
-                    else:
-                        ex.coords.pop(key, None)
+                _merge(ex.coords, ((key, val * -c) for key, val in uex.coords.items()))
         if mu == lam:
             return poly
         built.append((poly, ex, scalar_product_p(ex, ex)))

@@ -3,6 +3,8 @@
 Terms live in a dict mapping exponent tuples (length N, negative entries
 allowed) to nonzero FieldElement coefficients; the ring operations, moves
 and derivatives also run on plain int coefficients, which only _raw builds.
+Sums merge through _merge, scalings go through scale (one field product per
+distinct coefficient), and m_coordinates lists the m-basis coordinates.
 Polynomials are immutable by convention: every operation returns a fresh
 value and never mutates input dicts.  Serialization and printing order terms
 by descending lexicographic exponent, so equal polynomials always render byte
@@ -19,6 +21,7 @@ from .errors import (
     checked_type,
 )
 from .fieldring import ONE, ZERO, FieldElement
+from .partitions import Partition
 
 
 class VarContext:
@@ -156,13 +159,16 @@ class LaurentPoly:
         return LaurentPoly._raw(self.ctx, out)
 
     def scale(self, c) -> "LaurentPoly":
-        # an int factor of an int polynomial stays int; anything else joins
-        # the field once here rather than once per term
+        # an int factor of an int polynomial stays int; anything else joins the
+        # field once here and multiplies each distinct coefficient value once
         if type(c) is not int or type(next(iter(self.terms.values()), 0)) is not int:
             c = fieldring.field(c)
         if not c:
             return LaurentPoly.zero(self.ctx)
-        return LaurentPoly._raw(self.ctx, {e: v * c for e, v in self.terms.items()})
+        if type(c) is int:
+            return LaurentPoly._raw(self.ctx, {e: v * c for e, v in self.terms.items()})
+        products = {v: v * c for v in set(self.terms.values())}
+        return LaurentPoly._raw(self.ctx, {e: products[v] for e, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -202,6 +208,11 @@ class LaurentPoly:
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
+
+    def m_coordinates(self) -> dict[Partition, FieldElement]:
+        """{mu: coefficient of z^mu} over the weakly decreasing exponents mu:
+        the coordinates in the m basis when the polynomial is symmetric."""
+        return {Partition(e): c for e, c in self.terms.items() if all(a >= b for a, b in zip(e, e[1:]))}
 
     def is_symmetric(self) -> bool:
         """Invariance under every adjacent variable swap: each term's swapped

@@ -92,21 +92,6 @@ def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:
     return LaurentPoly._raw(ctx, dict(_phi(ctx, tuple(lam)).terms))
 
 
-def _scale_by_orbit(p: LaurentPoly, c: FieldElement) -> LaurentPoly:
-    """p.scale(c), sharing one field product between the terms of an orbit
-    that carry an equal coefficient: one product per m-coordinate when p is
-    symmetric, and exact on any p."""
-    products: dict[tuple, tuple[FieldElement, FieldElement]] = {}
-    out = {}
-    for e, v in p.terms.items():
-        key = tuple(sorted(e))
-        shared = products.get(key)
-        if shared is None or shared[0] != v:
-            shared = products[key] = (v, v * c)
-        out[e] = shared[1]
-    return LaurentPoly._raw(p.ctx, out)
-
-
 def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:
     """Proportionality constant between phi_lam and the monic Jack polynomial.
 
@@ -168,7 +153,7 @@ class JackResult:
             else:
                 # stanley: integer polynomials in 1/b, raw / b^(unshifted weight)
                 factor = FieldElement.beta(self.ctx.nvars * self.shift - self.lam.weight)
-            self._scaled[normalization] = _scale_by_orbit(self.raw, factor)
+            self._scaled[normalization] = self.raw.scale(factor)
         return self._scaled[normalization]
 
     monic = property(lambda self: self._form("monic"))
@@ -178,8 +163,7 @@ class JackResult:
     @functools.cached_property
     def m_coordinates(self) -> tuple[tuple[Partition, FieldElement], ...]:
         """(mu, coefficient of m_mu) of the chosen normalization, mu descending."""
-        listed = self.polynomial.sorted_terms()
-        return tuple((Partition(e), c) for e, c in listed if all(a >= b for a, b in zip(e, e[1:])))
+        return tuple(sorted(self.polynomial.m_coordinates().items(), reverse=True))
 
     def to_json(self) -> dict:
         return {

@@ -7,9 +7,7 @@ half-coupling staircase
     kappa_i = (2 pi / L) [lam_i + (b/2)(N + 1 - 2 i) + q],
 
 the unique choice consistent with the ground-state energy, the excitation
-eigenvalues, and the exclusion spacing at once.  The variant with a full
-coupling staircase circulates in print; it is reachable through
-printed_form=True for comparison but is not part of the verified contract.
+eigenvalues, and the exclusion spacing at once.
 """
 
 from __future__ import annotations
@@ -43,16 +41,14 @@ def ground_energy(params: ModelParams) -> Fraction:
     return params.beta**2 * Fraction(n * (n * n - 1), 3)
 
 
-def quasi_momenta(
-    lam: Partition, params: ModelParams, printed_form: bool = False
-) -> list[Fraction]:
+def quasi_momenta(lam: Partition, params: ModelParams) -> list[Fraction]:
     """Quasi-momenta in units of 2*pi/L, one per particle, strictly ordered."""
     lam = Partition(lam)
     n = params.nparticles
     if len(lam) > n:
         raise TooManyParts(f"l({lam}) = {len(lam)} > {n} particles")
     padded = lam.pad(n)
-    stair = params.beta if printed_form else params.beta / 2
+    stair = params.beta / 2
     return [
         Fraction(padded[i - 1]) + stair * (n + 1 - 2 * i) + params.q
         for i in range(1, n + 1)

@@ -22,6 +22,7 @@ from .operators import (
     apply_L,
     apply_N,
     full_index_set,
+    _times_z,
 )
 from .partitions import Partition, partitions_of
 from .polyring import LaurentPoly, VarContext
@@ -160,19 +161,14 @@ def suite_commutators(
         J = tuple(sorted(rng.sample(range(1, ctx.nvars + 1), size)))
         i = rng.randint(1, ctx.nvars)
 
-        def times_zJ(q, indices):
-            for v in indices:
-                q = q.shift_var(v, 1)
-            return q
-
-        lhs = apply_D(i, times_zJ(p, J)) - times_zJ(apply_D(i, p), J)
+        lhs = apply_D(i, _times_z(p, J)) - _times_z(apply_D(i, p), J)
         if i in J:
             outside = (j for j in range(1, ctx.nvars + 1) if j not in J)
-            swapped = LaurentPoly.sum(ctx, (times_zJ(p.swap_vars(i, j), J) for j in outside))
-            rhs = times_zJ(p, J) + swapped.scale(BETA)
+            swapped = LaurentPoly.sum(ctx, (_times_z(p.swap_vars(i, j), J) for j in outside))
+            rhs = _times_z(p, J) + swapped.scale(BETA)
         else:
             terms = [
-                times_zJ(p.swap_vars(i, j), tuple(v for v in J if v != j)).shift_var(i, 1)
+                _times_z(p.swap_vars(i, j), tuple(v for v in J if v != j)).shift_var(i, 1)
                 for j in J
             ]
             rhs = -LaurentPoly.sum(ctx, terms).scale(BETA)

@@ -113,10 +113,6 @@ def _require_symmetric_homogeneous(p: LaurentPoly) -> int:
     return p.total_degree()
 
 
-def _monomial_coords(p: LaurentPoly) -> dict[Partition, FieldElement]:
-    return {Partition(e): c for e, c in p.terms.items() if all(a >= b for a, b in zip(e, e[1:]))}
-
-
 def expand_in_basis(p: LaurentPoly, basis: str) -> BasisExpansion:
     """Coordinates of a homogeneous symmetric polynomial in the m or p basis.
 
@@ -128,7 +124,7 @@ def expand_in_basis(p: LaurentPoly, basis: str) -> BasisExpansion:
     n = _require_symmetric_homogeneous(p)
     if not p.terms:
         return BasisExpansion(basis, 0, p.ctx, {})
-    mcoords = _monomial_coords(p)
+    mcoords = p.m_coordinates()
     if basis == MONOMIAL:
         return BasisExpansion(MONOMIAL, n, p.ctx, mcoords)
     if n > p.ctx.nvars:
@@ -138,7 +134,7 @@ def expand_in_basis(p: LaurentPoly, basis: str) -> BasisExpansion:
     parts = partitions_of(n, None)
     rows: dict[Partition, dict[int, FieldElement]] = {rho: {} for rho in parts}
     for col, mu in enumerate(parts):
-        for rho, c in _monomial_coords(power_sum(mu, p.ctx)).items():
+        for rho, c in power_sum(mu, p.ctx).m_coordinates().items():
             rows[rho][col] = c
     coeffs = solve_linear([(rows[rho], mcoords.get(rho, ZERO)) for rho in parts], len(parts))
     coords = {mu: c for mu, c in zip(parts, coeffs) if c}

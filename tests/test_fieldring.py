@@ -148,6 +148,12 @@ def test_integral_values_are_stored_as_int():
     # an integral Fraction is equal to its int and hashes alike
     assert FieldElement._raw((Fraction(2),), (1,)) == built[0]
     assert hash(FieldElement._raw((Fraction(2),), (1,))) == hash(built[0])
+    # making a denominator monic keeps every integral quotient an int
+    for x in (FieldElement([0, 2], [2]), FieldElement([2], [2, 4]).inverse()):
+        assert all(type(c) is int for c in x.num + x.den), x
+    assert FieldElement([0, 2], [2]) == BETA and FieldElement([2], [2, 4]).inverse() == BETA * 2 + 1
+    g = poly_gcd((2, 2), (4, 4))
+    assert g == (1, 1) and all(type(c) is int for c in g)
 
 
 def test_non_integral_coefficients_stay_fractions():

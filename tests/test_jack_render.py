@@ -11,7 +11,7 @@ import pytest
 from csjack import cli, rodrigues
 from csjack.fieldring import FieldElement
 from csjack.partitions import Partition
-from csjack.polyring import VarContext
+from csjack.polyring import LaurentPoly, VarContext
 
 # (lambda, nvars, extra flags); the last one is full length, built by the boost
 CASES = [("2,1", "3", ()), ("3,1", "3", ()), ("3,2,1", "3", ("--allow-shift",))]
@@ -45,15 +45,17 @@ def test_json_at_fixed_beta_is_the_specialized_symbolic_json(lam, nvars, extra, 
 
 @pytest.fixture
 def scalings(monkeypatch):
-    """One entry per rescaling of a raw product."""
+    """One entry per LaurentPoly.scale call with a field factor, i.e. per
+    rescaling of a raw product (the creation steps scale by ints)."""
     calls = []
-    original = rodrigues._scale_by_orbit
+    original = LaurentPoly.scale
 
     def counted(p, c):
-        calls.append(1)
+        if isinstance(c, FieldElement):
+            calls.append(1)
         return original(p, c)
 
-    monkeypatch.setattr(rodrigues, "_scale_by_orbit", counted)
+    monkeypatch.setattr(LaurentPoly, "scale", counted)
     return calls
 
 

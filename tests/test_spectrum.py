@@ -44,7 +44,6 @@ def test_quasi_momenta_frozen():
 def test_printed_form_differs():
     p = ModelParams(nparticles=2, beta=Fraction(1))
     assert quasi_momenta(Partition(()), p) == [Fraction(1, 2), Fraction(-1, 2)]
-    assert quasi_momenta(Partition(()), p, printed_form=True) == [1, -1]
 
 
 def test_momentum_additivity():
