@@ -13,6 +13,12 @@ this makes equality and hashing structural, as serialization requires.
 
 Arithmetic special-cases den == 1, the overwhelmingly common shape while
 operator pipelines run, so the hot path never touches the Euclidean gcd.
+
+pack, unpack and pack_width are the one Kronecker codec: an element of
+Z[b] becomes the int it takes at b = 2^B and is read back as balanced
+base-2^B digits, exact whenever a proven bound keeps every coefficient
+below 2^(B-2).  The packed creation product and the packed verify suites
+use it.
 """
 
 from __future__ import annotations
@@ -125,6 +131,41 @@ def poly_eval(a: BetaPoly, x: Fraction) -> Fraction:
 
 def poly_is_integral(a: BetaPoly) -> bool:
     return all(c.denominator == 1 for c in a)
+
+
+def pack_width(bound: int) -> int:
+    """Bits B per packed digit for integer coefficients of absolute value at
+    most bound: bound < 2^(B-2), which leaves two spare bits."""
+    return bound.bit_length() + 2
+
+
+def pack(a: "FieldElement", width: int) -> int:
+    """An element of Z[b] evaluated at b = 2^width (Kronecker substitution).
+
+    A denominator, or a coefficient outside the balanced digit range
+    |c| < 2^(width-1), raises: unpack reads the result back only then."""
+    if a.den != _PONE or not all(type(c) is int for c in a.num):
+        raise ValueError(f"{a} is not in Z[b]")
+    out = 0
+    for c in reversed(a.num):
+        if c.bit_length() >= width:
+            raise OverflowError(f"coefficient {c} needs more than {width} bits")
+        out = (out << width) + c
+    return out
+
+
+def unpack(x: int, width: int, ndigits: int) -> "FieldElement":
+    """The polynomial in b packed into x at b = 2^width, read as balanced
+    base-2^width digits, lowest first; more than ndigits digits raise."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    for _ in range(ndigits):
+        digit = ((x + half) & mask) - half
+        digits.append(digit)
+        x = (x - digit) >> width
+        if not x:
+            return FieldElement(digits)
+    raise OverflowError(f"coefficient needs more than {ndigits} digits of {width} bits")
 
 
 def poly_str(a: BetaPoly, sym: str = "b") -> str:

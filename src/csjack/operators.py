@@ -4,14 +4,18 @@ Conventions: variable and operator indices are 1-based; a product of
 operators written left to right acts right to left, so in an ordered string
 the rightmost factor hits the polynomial first.  All operators preserve the
 variable context and total degree (creation operators raise degree by their
-cardinality).  The coupling `beta` of the Dunkl and creation operators is
-the symbol b unless given, e.g. as an int for int coefficients.
+cardinality).  Every operator that involves the coupling takes it as
+`beta`, the symbol b unless given.  An int value on int coefficients
+evaluates the operator at b = beta: each operator is Z[b]-linear with
+structure constants in Z[b] (integer derivative factors, synthetic division
+by the monic z_i - z_j, integer multiples of powers of b), so it commutes
+with that evaluation.  The packed creation product and the packed verify
+suites run them this way.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import (
     BadCardinality,
@@ -108,16 +112,17 @@ def _times_z(p: LaurentPoly, subset) -> LaurentPoly:
     return p
 
 
-def apply_N(i: int, J, p: LaurentPoly) -> LaurentPoly:
+def apply_N(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Annihilation-side sum over i-element subsets of D-strings started at
     shift 0 (no variable prefactor)."""
     J = _check_index_set(J, p.ctx.nvars)
     if i < 1 or i > len(J):
         raise BadCardinality(f"cardinality {i} outside 1..|J| = {len(J)}")
-    return LaurentPoly.sum(p.ctx, (apply_D_string(0, s, p) for s in itertools.combinations(J, i)))
+    strings = (apply_D_string(0, s, p, beta) for s in itertools.combinations(J, i))
+    return LaurentPoly.sum(p.ctx, strings)
 
 
-def apply_H(p: LaurentPoly) -> LaurentPoly:
+def apply_H(p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Calogero-Sutherland Hamiltonian on symmetric polynomials.
 
     Differential form: sum of squared Euler operators plus the coupling times
@@ -135,10 +140,10 @@ def apply_H(p: LaurentPoly) -> LaurentPoly:
 
     squares = (p.euler_derivative(i).euler_derivative(i) for i in indices)
     pairs = (pair_term(j, k) for j, k in itertools.combinations(indices, 2))
-    return LaurentPoly.sum(p.ctx, squares) + LaurentPoly.sum(p.ctx, pairs).scale(BETA)
+    return LaurentPoly.sum(p.ctx, squares) + LaurentPoly.sum(p.ctx, pairs).scale(beta)
 
 
-def apply_L(j: int, p: LaurentPoly) -> LaurentPoly:
+def apply_L(j: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Conserved charge: restriction of sum_i D_i^j to symmetric input."""
     if j < 1:
         raise IndexOutOfRange(f"charge order {j} must be >= 1")
@@ -149,28 +154,29 @@ def apply_L(j: int, p: LaurentPoly) -> LaurentPoly:
     def power(i: int) -> LaurentPoly:
         q = p
         for _ in range(j):
-            q = apply_D(i, q)
+            q = apply_D(i, q, beta)
         return q
 
     return LaurentPoly.sum(p.ctx, (power(i) for i in range(1, p.ctx.nvars + 1)))
 
 
-def apply_hatD(i: int, p: LaurentPoly) -> LaurentPoly:
+def apply_hatD(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Shifted variant of D_i whose family commutes: D_i + (i-1) b minus b times
     the sum of (1 - swap_{ji}) over j < i, i.e. D_i + b * sum_{j<i} swap_{ji}."""
     _check_var(p.ctx, i)
     _check_ordinary(p)
     swapped = LaurentPoly.sum(p.ctx, (p.swap_vars(j, i) for j in range(1, i)))
-    return apply_D(i, p) + swapped.scale(BETA)
+    return apply_D(i, p, beta) + swapped.scale(beta)
 
 
-def apply_hatH(p: LaurentPoly) -> LaurentPoly:
+def apply_hatH(p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Hamiltonian in terms of the commuting family: sum of hatD_i^2
     - (N-1) b hatD_i, plus the constant N(N-1)(N-2) b^2 / 6."""
     _check_ordinary(p)
     n = p.ctx.nvars
-    first = [apply_hatD(i, p) for i in range(1, n + 1)]
-    squares = [apply_hatD(i, q) for i, q in enumerate(first, start=1)]
-    linear = LaurentPoly.sum(p.ctx, first).scale(BETA * (1 - n))
-    constant = p.scale(BETA * BETA * Fraction(n * (n - 1) * (n - 2), 6))
+    first = [apply_hatD(i, p, beta) for i in range(1, n + 1)]
+    squares = [apply_hatD(i, q, beta) for i, q in enumerate(first, start=1)]
+    linear = LaurentPoly.sum(p.ctx, first).scale(beta * (1 - n))
+    # a product of three consecutive integers is divisible by 6
+    constant = p.scale(beta * beta * (n * (n - 1) * (n - 2) // 6))
     return LaurentPoly.sum(p.ctx, squares + [linear, constant])

@@ -14,7 +14,7 @@ import functools
 import math
 
 from .errors import TooManyParts
-from .fieldring import BETA, ONE, FieldElement, pochhammer
+from .fieldring import BETA, ONE, FieldElement, pack_width, pochhammer, unpack
 from .operators import apply_B_plus, full_index_set, galilei_boost
 from .partitions import Partition
 from .polyring import LaurentPoly, VarContext
@@ -47,21 +47,7 @@ def _digit_width(nvars: int, steps: list[int]) -> int:
     for k in steps:
         bound *= math.comb(nvars, k) * math.prod(nvars * degree + 1 + pos for pos in range(k))
         degree += k
-    return bound.bit_length() + 2
-
-
-def _unpack(x: int, width: int, ndigits: int) -> FieldElement:
-    """The polynomial in b packed into x at b = 2^width, read as balanced
-    base-2^width digits, lowest first; more than ndigits digits raise."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    digits = []
-    for _ in range(ndigits):
-        digit = ((x + half) & mask) - half
-        digits.append(digit)
-        x = (x - digit) >> width
-        if not x:
-            return FieldElement(digits)
-    raise OverflowError(f"coefficient needs more than {ndigits} digits of {width} bits")
+    return pack_width(bound)
 
 
 @functools.cache
@@ -78,7 +64,7 @@ def _phi(ctx: VarContext, parts: tuple[int, ...]) -> LaurentPoly:
     p = LaurentPoly._raw(ctx, {(0,) * ctx.nvars: 1})
     for k in steps:
         p = apply_B_plus(k, full_index_set(ctx.nvars), p, 1 << width)
-    return LaurentPoly._raw(ctx, {e: _unpack(c, width, sum(steps) + 1) for e, c in p.terms.items()})
+    return LaurentPoly._raw(ctx, {e: unpack(c, width, sum(steps) + 1) for e, c in p.terms.items()})
 
 
 def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:

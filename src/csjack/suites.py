@@ -2,17 +2,25 @@
 
 Each suite returns a list of CheckResult, one per named identity or sweep
 case.  All randomness is seeded, so two runs produce identical output.
+
+The commutator and annihilation identities are Z[b]-linear and their inputs
+lie in Z[b][z], so those two suites run on plain ints at b = 2^B (Kronecker
+substitution), with B computed at run time from a bound proved in
+_commutator_width and _annihilation_width: with every coefficient of
+lhs - rhs below 2^(B-2), the two sides agree at 2^B only when they agree in
+Z[b].  The other suites run in Q(b) and import oracle, symbases and spectrum
+when they run, so a packed suite loads none of them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import oracle, rodrigues, spectrum, symbases
-from .fieldring import BETA
+from . import rodrigues
+from .fieldring import pack, pack_width
 from .operators import (
     apply_D,
     apply_dunkl,
@@ -30,15 +38,22 @@ from .polyring import LaurentPoly, VarContext
 DEFAULT_SEED = 20260819
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    cases: int = 0
+    """Outcome of one named identity or sweep case.  A plain class, so that a
+    packed suite never imports dataclasses."""
+
+    __slots__ = ("name", "passed", "detail", "cases")
+
+    def __init__(self, name: str, passed: bool, detail: str = "", cases: int = 0):
+        self.name, self.passed, self.detail, self.cases = name, passed, detail, cases
+
+    def __repr__(self):
+        return f"CheckResult({self.name!r}, {self.passed!r}, {self.detail!r}, {self.cases!r})"
 
 
 def _random_poly(rng: random.Random, ctx: VarContext, max_degree: int) -> LaurentPoly:
+    """At most four terms with int coefficients in [-4, 4], so the sum of the
+    absolute coefficients is at most 16."""
     terms = {}
     for _ in range(rng.randint(1, 4)):
         degree = rng.randint(0, max_degree)
@@ -46,10 +61,12 @@ def _random_poly(rng: random.Random, ctx: VarContext, max_degree: int) -> Lauren
         for _ in range(degree):
             exps[rng.randrange(ctx.nvars)] += 1
         terms[tuple(exps)] = rng.randint(-4, 4)
-    return LaurentPoly(ctx, terms)
+    return LaurentPoly._raw(ctx, {e: c for e, c in terms.items() if c})
 
 
 def _random_symmetric(rng: random.Random, ctx: VarContext, max_degree: int) -> LaurentPoly:
+    from . import symbases
+
     degree = rng.randint(1, max_degree)
     choices = partitions_of(degree, ctx.nvars)
     picked = rng.sample(choices, k=min(len(choices), rng.randint(1, 2)))
@@ -61,25 +78,49 @@ def _case_ctx(rng: random.Random, max_nvars: int) -> VarContext:
     return VarContext(rng.randint(2, max_nvars))
 
 
-def suite_commutators(
-    max_degree: int = 5, max_nvars: int = 4, count: int = 200, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
-    """Operator exchange identities on random polynomials."""
+def _commutator_width(max_nvars: int, max_degree: int) -> int:
+    """Bits B such that each identity of suite_commutators holds at b = 2^B
+    only when it holds in Z[b][z].
+
+    Let |q| be the sum of the absolute integer coefficients of q over z- and
+    b-monomials, N = max_nvars and d = max_degree.  On input of z-degree at
+    most e, z_i d/dz_i and each of the N - 1 divided differences multiply |q|
+    by at most e (rodrigues._digit_width) and the factor b by 1, so dunkl_i
+    and D_i multiply |q| by at most N e, hatD_i by at most N e + N - 1, and
+    D_i + s b by at most N e + s; swaps, shifts and z_J multiply it by 1 and
+    scaling by b m by |m|.  No intermediate has degree above d + N, so every
+    operator multiplies |q| by at most K = N (d + N) + N, and the string
+    factors of the restricted swap (s <= 4) by at most K + 4.  A side applies
+    at most four operators (power exchange at l = 3: |lhs - rhs| <=
+    (2 K^4 + 2 K^3) |p|), and every identity has |lhs - rhs| <= 4 (K + 4)^4 |p|.
+    _random_poly gives |p| <= 16 and the restricted swap's p = base + swap
+    base has |p| <= 32.  So every b-coefficient of lhs - rhs is below
+    2^(B-2) for B = pack_width(128 (K + 4)^4), and lhs - rhs vanishes at
+    b = 2^B only if it is zero: its lowest nonzero coefficient would be a
+    multiple of 2^B.
+    """
+    k = max_nvars * (max_degree + max_nvars) + max_nvars
+    return pack_width(128 * (k + 4) ** 4)
+
+
+def _commutator_identities(max_degree: int, max_nvars: int, beta) -> list[tuple]:
+    """(name, body) of each identity of suite_commutators at the coupling
+    beta; a body draws one case from its rng and returns "" or a detail."""
 
     def dunkl_commute(rng) -> str:
         ctx = _case_ctx(rng, max_nvars)
         p = _random_poly(rng, ctx, max_degree)
         i, j = rng.sample(range(1, ctx.nvars + 1), 2)
-        lhs = apply_dunkl(i, apply_dunkl(j, p))
-        rhs = apply_dunkl(j, apply_dunkl(i, p))
+        lhs = apply_dunkl(i, apply_dunkl(j, p, beta=beta), beta=beta)
+        rhs = apply_dunkl(j, apply_dunkl(i, p, beta=beta), beta=beta)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} p={p}"
 
     def dunkl_swap(rng) -> str:
         ctx = _case_ctx(rng, max_nvars)
         p = _random_poly(rng, ctx, max_degree)
         i, j = rng.sample(range(1, ctx.nvars + 1), 2)
-        lhs = apply_dunkl(j, p).swap_vars(i, j)
-        rhs = apply_dunkl(i, p.swap_vars(i, j))
+        lhs = apply_dunkl(j, p, beta=beta).swap_vars(i, j)
+        rhs = apply_dunkl(i, p.swap_vars(i, j), beta=beta)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} p={p}"
 
     def dunkl_z_commutator(rng) -> str:
@@ -87,19 +128,22 @@ def suite_commutators(
         p = _random_poly(rng, ctx, max_degree)
         i = rng.randint(1, ctx.nvars)
         j = rng.randint(1, ctx.nvars)
-        lhs = apply_dunkl(i, p.shift_var(j, 1)) - apply_dunkl(i, p).shift_var(j, 1)
-        rhs = -p.swap_vars(i, j).scale(BETA)
+        lhs = apply_dunkl(i, p.shift_var(j, 1), beta=beta)
+        lhs = lhs - apply_dunkl(i, p, beta=beta).shift_var(j, 1)
+        rhs = -p.swap_vars(i, j).scale(beta)
         if i == j:
             swapped = LaurentPoly.sum(ctx, (p.swap_vars(i, l) for l in range(1, ctx.nvars + 1)))
-            rhs = rhs + p + swapped.scale(BETA)
+            rhs = rhs + p + swapped.scale(beta)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} p={p}"
 
     def degree_exchange(rng) -> str:
         ctx = _case_ctx(rng, max_nvars)
         p = _random_poly(rng, ctx, max_degree)
         i, j = rng.sample(range(1, ctx.nvars + 1), 2)
-        lhs = apply_D(i, apply_D(j, p)) - apply_D(j, apply_D(i, p))
-        rhs = (apply_D(j, p.swap_vars(i, j)) - apply_D(i, p.swap_vars(i, j))).scale(BETA)
+        lhs = apply_D(i, apply_D(j, p, beta=beta), beta=beta)
+        lhs = lhs - apply_D(j, apply_D(i, p, beta=beta), beta=beta)
+        swapped = p.swap_vars(i, j)
+        rhs = (apply_D(j, swapped, beta=beta) - apply_D(i, swapped, beta=beta)).scale(beta)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} p={p}"
 
     def power_exchange(rng) -> str:
@@ -110,12 +154,12 @@ def suite_commutators(
 
         def dpow(k, q, times):
             for _ in range(times):
-                q = apply_D(k, q)
+                q = apply_D(k, q, beta=beta)
             return q
 
-        lhs = dpow(i, apply_D(j, p), ell) - apply_D(j, dpow(i, p, ell))
+        lhs = dpow(i, apply_D(j, p, beta=beta), ell) - apply_D(j, dpow(i, p, ell), beta=beta)
         swapped = p.swap_vars(i, j)
-        rhs = (dpow(j, swapped, ell) - dpow(i, swapped, ell)).scale(BETA)
+        rhs = (dpow(j, swapped, ell) - dpow(i, swapped, ell)).scale(beta)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} l={ell} p={p}"
 
     def restricted_swap(rng) -> str:
@@ -124,33 +168,35 @@ def suite_commutators(
         i, j = sorted(rng.sample(range(1, ctx.nvars + 1), 2))
         p = base + base.swap_vars(i, j)
         m = rng.randint(0, 3)
-        lhs = apply_D(i, apply_D(j, p) + p.scale(BETA * (m + 1))) + (
-            apply_D(j, p) + p.scale(BETA * (m + 1))
-        ).scale(BETA * m)
-        rhs = apply_D(j, apply_D(i, p) + p.scale(BETA * (m + 1))) + (
-            apply_D(i, p) + p.scale(BETA * (m + 1))
-        ).scale(BETA * m)
+        lhs = apply_D(i, apply_D(j, p, beta=beta) + p.scale(beta * (m + 1)), beta=beta) + (
+            apply_D(j, p, beta=beta) + p.scale(beta * (m + 1))
+        ).scale(beta * m)
+        rhs = apply_D(j, apply_D(i, p, beta=beta) + p.scale(beta * (m + 1)), beta=beta) + (
+            apply_D(i, p, beta=beta) + p.scale(beta * (m + 1))
+        ).scale(beta * m)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} m={m} p={p}"
 
     def shifted_commute(rng) -> str:
         ctx = _case_ctx(rng, max_nvars)
         p = _random_poly(rng, ctx, max_degree)
         i, j = rng.sample(range(1, ctx.nvars + 1), 2)
-        lhs = apply_hatD(i, apply_hatD(j, p))
-        rhs = apply_hatD(j, apply_hatD(i, p))
+        lhs = apply_hatD(i, apply_hatD(j, p, beta=beta), beta=beta)
+        rhs = apply_hatD(j, apply_hatD(i, p, beta=beta), beta=beta)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} p={p}"
 
     def shifted_swap(rng) -> str:
         ctx = _case_ctx(rng, max_nvars)
         p = _random_poly(rng, ctx, max_degree)
         i = rng.randint(1, ctx.nvars - 1)
-        lhs = apply_hatD(i + 1, p.swap_vars(i, i + 1)) - apply_hatD(i, p).swap_vars(i, i + 1)
-        if lhs != p.scale(BETA):
+        swapped = p.swap_vars(i, i + 1)
+        lhs = apply_hatD(i + 1, swapped, beta=beta)
+        lhs = lhs - apply_hatD(i, p, beta=beta).swap_vars(i, i + 1)
+        if lhs != p.scale(beta):
             return f"adjacent swap: nvars={ctx.nvars} i={i} p={p}"
         for k in range(1, ctx.nvars + 1):
             if k in (i, i + 1):
                 continue
-            if apply_hatD(k, p).swap_vars(i, i + 1) != apply_hatD(k, p.swap_vars(i, i + 1)):
+            if apply_hatD(k, p, beta=beta).swap_vars(i, i + 1) != apply_hatD(k, swapped, beta=beta):
                 return f"distant swap: nvars={ctx.nvars} i={i} k={k} p={p}"
         return ""
 
@@ -161,20 +207,20 @@ def suite_commutators(
         J = tuple(sorted(rng.sample(range(1, ctx.nvars + 1), size)))
         i = rng.randint(1, ctx.nvars)
 
-        lhs = apply_D(i, _times_z(p, J)) - _times_z(apply_D(i, p), J)
+        lhs = apply_D(i, _times_z(p, J), beta=beta) - _times_z(apply_D(i, p, beta=beta), J)
         if i in J:
             outside = (j for j in range(1, ctx.nvars + 1) if j not in J)
             swapped = LaurentPoly.sum(ctx, (_times_z(p.swap_vars(i, j), J) for j in outside))
-            rhs = _times_z(p, J) + swapped.scale(BETA)
+            rhs = _times_z(p, J) + swapped.scale(beta)
         else:
             terms = [
                 _times_z(p.swap_vars(i, j), tuple(v for v in J if v != j)).shift_var(i, 1)
                 for j in J
             ]
-            rhs = -LaurentPoly.sum(ctx, terms).scale(BETA)
+            rhs = -LaurentPoly.sum(ctx, terms).scale(beta)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} J={J} p={p}"
 
-    identities = [
+    return [
         ("dunkl-commute", dunkl_commute),
         ("dunkl-swap-intertwine", dunkl_swap),
         ("dunkl-z-commutator", dunkl_z_commutator),
@@ -185,6 +231,15 @@ def suite_commutators(
         ("shifted-family-swap", shifted_swap),
         ("z-set-commutator", z_set_commutator),
     ]
+
+
+def suite_commutators(
+    max_degree: int = 5, max_nvars: int = 4, count: int = 200, seed: int = DEFAULT_SEED
+) -> list[CheckResult]:
+    """Operator exchange identities on random int polynomials, checked on
+    ints at b = 2^B with B from _commutator_width."""
+    beta = 1 << _commutator_width(max_nvars, max_degree)
+    identities = _commutator_identities(max_degree, max_nvars, beta)
     per = max(1, -(-count // len(identities)))
     results = []
     for name, body in identities:
@@ -203,6 +258,8 @@ def suite_commutators(
 def suite_rodrigues_vs_oracle(max_degree: int = 4, max_nvars: int = 3) -> list[CheckResult]:
     """Creation-operator output against the triangular solve (and against
     Gram-Schmidt whenever the degree allows the pairing route)."""
+    from . import oracle
+
     results = []
     for nvars in range(2, max_nvars + 1):
         ctx = VarContext(nvars)
@@ -222,17 +279,40 @@ def suite_rodrigues_vs_oracle(max_degree: int = 4, max_nvars: int = 3) -> list[C
     return results
 
 
+def _annihilation_width(phi: LaurentPoly) -> int:
+    """Bits B such that phi and N_{k+1} phi over J = (1..k+1), for every
+    k < N, have every b-coefficient below 2^(B-2).
+
+    With |q| as in _commutator_width and d the degree of phi: N_{k+1} over
+    k + 1 indices is one string of factors D_j + pos b, pos = 0..k, each
+    multiplying |q| by at most N d + pos (rodrigues._digit_width at shift 0).
+    So |N_{k+1} phi| <= |phi| prod_{pos = 0..k} (N d + pos)
+    <= |phi| prod_{pos = 1..N} (N d + pos): raising each factor by one, and
+    adding factors of at least 1, only grows the product, which is then at
+    least 1.  A packed image with coefficients below 2^(B-2) is zero exactly
+    when the image is.  |phi| sums the numerator coefficients; pack raises
+    on a coefficient outside Z[b].
+    """
+    nvars, degree = phi.ctx.nvars, phi.total_degree()
+    norm = sum(abs(x) for c in phi.terms.values() for x in c.num)
+    return pack_width(norm * math.prod(nvars * degree + pos for pos in range(1, nvars + 1)))
+
+
 def suite_annihilation(max_degree: int = 4, max_nvars: int = 3) -> list[CheckResult]:
-    """Every leading D-string of the next cardinality kills phi_lam."""
+    """Every leading D-string of the next cardinality kills phi_lam, checked
+    on ints at b = 2^B with B from _annihilation_width."""
     results = []
     for nvars in range(2, max_nvars + 1):
         ctx = VarContext(nvars)
         for degree in range(0, max_degree + 1):
             for lam in partitions_of(degree, nvars - 1):
                 phi = rodrigues.rodrigues_raw(lam, ctx)
+                width = _annihilation_width(phi)
+                packed = LaurentPoly._raw(ctx, {e: pack(c, width) for e, c in phi.terms.items()})
                 bad = ""
                 for upto in range(len(lam), nvars):
-                    image = apply_N(upto + 1, full_index_set(nvars)[: upto + 1], phi)
+                    J = full_index_set(nvars)[: upto + 1]
+                    image = apply_N(upto + 1, J, packed, beta=1 << width)
                     if image:
                         bad = f"cardinality {upto + 1} image is nonzero"
                         break
@@ -246,6 +326,7 @@ def suite_annihilation(max_degree: int = 4, max_nvars: int = 3) -> list[CheckRes
 
 def suite_orthogonality(max_degree: int = 4, max_nvars: int = 4) -> list[CheckResult]:
     """Distinct Jack polynomials are orthogonal under both pairings."""
+    from . import symbases
 
     def first_nonzero_pairing(jacks: dict, pairing) -> str:
         for a, b in itertools.combinations(jacks, 2):
@@ -283,6 +364,8 @@ def suite_orthogonality(max_degree: int = 4, max_nvars: int = 4) -> list[CheckRe
 
 def suite_spectrum_consistency(count: int = 50, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Random spectra: additivity, ground state, exclusion spacing."""
+    from . import spectrum
+
     rng = random.Random(f"{seed}:spectrum")
     bad_energy = ""
     bad_momentum = ""

@@ -13,7 +13,16 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from csjack.errors import PoleAtValue  # noqa: E402
-from csjack.fieldring import ONE, ZERO, FieldElement, poly_gcd, poly_mul  # noqa: E402
+from csjack.fieldring import (  # noqa: E402
+    ONE,
+    ZERO,
+    FieldElement,
+    pack,
+    pack_width,
+    poly_gcd,
+    poly_mul,
+    unpack,
+)
 
 COEFF = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 BETA_POLY = st.lists(COEFF, max_size=3)
@@ -123,3 +132,21 @@ def test_arithmetic_matches_sympy(a, b):
     x, y = to_sympy(sympy, sym_b, a), to_sympy(sympy, sym_b, b)
     for ours, theirs in ((a + b, x + y), (a * b, x * y), (a / b, x / y)):
         assert (ours.num, ours.den) == from_sympy(sympy, sym_b, theirs)
+
+
+Z_BETA = st.builds(FieldElement, st.lists(st.integers(-(2**70), 2**70), max_size=5))
+
+
+@SETTINGS
+@given(Z_BETA, st.integers(0, 40))
+def test_pack_then_unpack_is_the_identity(a, spare):
+    bound = max(map(abs, a.num), default=0)
+    ndigits = max(1, len(a.num))
+    # any width above the bound holds every coefficient as a balanced digit
+    width = bound.bit_length() + 1 + spare
+    assert unpack(pack(a, width), width, ndigits) == a
+    assert unpack(pack(a, pack_width(bound)), pack_width(bound), ndigits) == a
+    # a digit too wide for the width raises, at every width up to the bound
+    for narrow in range(1, bound.bit_length() + 1):
+        with pytest.raises(OverflowError):
+            pack(a, narrow)

@@ -153,3 +153,33 @@ def test_hatH_small():
     # hatH is defined on non-symmetric input too
     z1 = var(CTX2, 1)
     assert apply_hatH(z1) == z1.scale(ONE + BETA)
+
+
+# int input in 3 variables: a non-symmetric one, and m_21 + 3 m_111 for the
+# operators that need symmetric input
+INT_P = LaurentPoly._raw(CTX3, {(2, 1, 0): 3, (0, 1, 1): -2, (1, 0, 0): 1})
+INT_SYM = LaurentPoly._raw(
+    CTX3,
+    {e: 1 for e in ((2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2))}
+    | {(1, 1, 1): 3},
+)
+BETA_OPERATORS = {
+    "dunkl": (lambda p, **kw: apply_dunkl(2, p, **kw), INT_P),
+    "D": (lambda p, **kw: apply_D(1, p, **kw), INT_P),
+    "D_string": (lambda p, **kw: apply_D_string(1, (1, 3), p, **kw), INT_P),
+    "B_plus": (lambda p, **kw: apply_B_plus(2, (1, 2, 3), p, **kw), INT_P),
+    "N": (lambda p, **kw: apply_N(2, (1, 2, 3), p, **kw), INT_P),
+    "H": (lambda p, **kw: apply_H(p, **kw), INT_SYM),
+    "L": (lambda p, **kw: apply_L(3, p, **kw), INT_SYM),
+    "hatD": (lambda p, **kw: apply_hatD(3, p, **kw), INT_P),
+    "hatH": (lambda p, **kw: apply_hatH(p, **kw), INT_P),
+}
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 2**40])
+@pytest.mark.parametrize("name", BETA_OPERATORS)
+def test_int_coupling_is_the_symbolic_image_at_that_value(name, t):
+    op, p = BETA_OPERATORS[name]
+    image = op(p, beta=t)
+    assert all(type(c) is int for c in image.terms.values())
+    assert LaurentPoly(p.ctx, image.terms) == op(LaurentPoly(p.ctx, p.terms)).specialize_beta(t)

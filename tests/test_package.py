@@ -55,3 +55,15 @@ def test_jack_request_imports_only_the_creation_product():
         f"csjack.{layer}" for layer in LAYERS
     }
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("suite", ["commutators", "annihilation"])
+def test_packed_verify_request_loads_no_oracle(suite):
+    loaded = _loaded_after(
+        "from csjack import cli\n"
+        f"assert cli.main(['verify', '--suite', '{suite}', '--max-degree', '3']) == 0"
+    )
+    assert {m for m in loaded if m.startswith("csjack.")} == {"csjack.cli", "csjack.suites"} | {
+        f"csjack.{layer}" for layer in LAYERS
+    }
+    assert "dataclasses" not in loaded

@@ -9,7 +9,7 @@ import functools
 
 import pytest
 
-from csjack import rodrigues
+from csjack import fieldring, rodrigues
 from csjack.fieldring import BETA, FieldElement
 from csjack.operators import apply_B_plus, full_index_set
 from csjack.partitions import Partition, partitions_of
@@ -76,13 +76,13 @@ def test_too_small_width_raises(monkeypatch, cold_cache):
 
 def test_unpack_balanced_digits():
     # 5 - 3*16 + 2*16^2 at width 4
-    assert rodrigues._unpack(5 - 3 * 16 + 2 * 256, 4, 3) == FieldElement([5, -3, 2])
-    assert rodrigues._unpack(-7, 4, 1) == FieldElement([-7])
+    assert fieldring.unpack(5 - 3 * 16 + 2 * 256, 4, 3) == FieldElement([5, -3, 2])
+    assert fieldring.unpack(-7, 4, 1) == FieldElement([-7])
     with pytest.raises(OverflowError):
-        rodrigues._unpack(5 - 3 * 16 + 2 * 256, 4, 2)
+        fieldring.unpack(5 - 3 * 16 + 2 * 256, 4, 2)
     # no width, however small, loops forever
     with pytest.raises(OverflowError):
-        rodrigues._unpack(1, 1, 10)
+        fieldring.unpack(1, 1, 10)
 
 
 def test_int_polynomial_scaled_by_int_stays_int():
