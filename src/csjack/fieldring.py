@@ -12,7 +12,9 @@ canonical quotient num/den of two BetaPolys: gcd(num, den) = 1, den monic;
 this makes equality and hashing structural, as serialization requires.
 
 Arithmetic special-cases den == 1, the overwhelmingly common shape while
-operator pipelines run, so the hot path never touches the Euclidean gcd.
+operator pipelines run, so the hot path never takes a gcd.  poly_gcd, the
+one gcd, runs a pseudo-remainder sequence over Z on integer primitive
+parts, so it builds no Fraction before its final monic step.
 
 pack, unpack and pack_width are the one Kronecker codec: an element of
 Z[b] becomes the int it takes at b = 2^B and is read back as balanced
@@ -107,12 +109,37 @@ def poly_divmod(a: BetaPoly, b: BetaPoly) -> tuple[BetaPoly, BetaPoly]:
 
 
 def poly_gcd(a: BetaPoly, b: BetaPoly) -> BetaPoly:
-    """Monic greatest common divisor; zero input pairs give zero."""
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a and a[-1] != 1:
-        a = _divide(a, a[-1])
-    return a
+    """Monic greatest common divisor; a zero input gives the other one made
+    monic.  Runs the primitive pseudo-remainder sequence over Z (Knuth, TAOCP
+    vol. 2, 4.6.1): every step is exact integer arithmetic on primitive parts,
+    and only the final monic step may build a Fraction."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return _PONE
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        # pseudo-remainder: a <- lc(b) a - lc(a) b z^(deg a - deg b) while deg a >= deg b
+        n, lb = len(b), b[-1]
+        while len(a) >= n:
+            shift, la = len(a) - n, a.pop()
+            a = [c * lb for c in a]
+            for i in range(n - 1):
+                a[shift + i] -= la * b[i]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, _primitive(a)
+    if b:
+        return _PONE  # a nonzero constant remainder: coprime
+    return _divide(a, a[-1]) if a and a[-1] != 1 else tuple(a)
+
+
+def _primitive(a: BetaPoly) -> list[int]:
+    """a * lcm(denominators) / content: the primitive integer polynomial of a."""
+    m = math.lcm(*[c.denominator for c in a])
+    a = [c.numerator * (m // c.denominator) for c in a]
+    g = math.gcd(*a)
+    return a if g < 2 else [c // g for c in a]
 
 
 def _divide(a: BetaPoly, lc) -> BetaPoly:

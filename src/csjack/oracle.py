@@ -6,7 +6,8 @@ Three routes, none of which touches the creation operators:
 * triangular solve of the Hamiltonian eigenproblem over the dominance
   down-set in the monomial basis,
 * Gram-Schmidt under the power-sum pairing along a linear extension of
-  dominance (degree <= nvars only),
+  dominance (degree <= nvars only), one pass per ordering in m- and
+  p-coordinates, cached,
 * the non-symmetric route: joint eigenvector of the commuting shifted
   family with leading monomial z^lam, then symmetrization.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import (
@@ -29,20 +29,33 @@ from .fieldring import ONE, ZERO, FieldElement, solve_linear
 from .operators import apply_H, apply_hatD
 from .partitions import Partition, dominates, partitions_of
 from .polyring import LaurentPoly, VarContext, _merge
+from .records import Record
 from .rodrigues import eigenvalue_epsilon
-from .symbases import POWER_SUM, BasisExpansion, expand_in_basis, monomial_sym, scalar_product_p
+from .symbases import (
+    POWER_SUM,
+    BasisExpansion,
+    expand_in_basis,
+    monomial_sym,
+    power_sum_columns,
+    scalar_product_p,
+)
 
 
-@dataclass(frozen=True)
-class TriangularSystem:
+class TriangularSystem(Record):
     """Matrix of the Hamiltonian over monomial symmetric functions of one
     degree, columns indexed by the partition whose m it acts on.  Read-only,
     because triangular_system hands the cached value to every caller."""
 
-    degree: int
-    nvars: int
-    ordered_basis: tuple[Partition, ...]
-    matrix: Mapping[tuple[Partition, Partition], FieldElement]
+    __slots__ = ("degree", "nvars", "ordered_basis", "matrix")
+
+    def __init__(
+        self,
+        degree: int,
+        nvars: int,
+        ordered_basis: tuple[Partition, ...],
+        matrix: Mapping[tuple[Partition, Partition], FieldElement],
+    ):
+        self._init(degree, nvars, ordered_basis, matrix)
 
 
 @functools.cache
@@ -102,20 +115,42 @@ def jack_by_gram_schmidt(
         )
     if len(lam) > ctx.nvars:
         raise TooManyParts(f"l({lam}) = {len(lam)} > {ctx.nvars}")
-    order = list(ordering) if ordering is not None else partitions_of(n, ctx.nvars)
-    built: list[tuple[LaurentPoly, BasisExpansion, FieldElement]] = []
-    for mu in reversed(order):
-        poly = monomial_sym(mu, ctx)
-        ex = expand_in_basis(poly, POWER_SUM)
-        for upoly, uex, unorm in built:
+    order = partitions_of(n, ctx.nvars) if ordering is None else map(Partition, ordering)
+    coords = _gram_schmidt(tuple(order), ctx).get(lam)
+    if coords is None:
+        raise InconsistentSystem(f"{lam} never appeared in the ordering")
+    return LaurentPoly.sum(ctx, (monomial_sym(mu, ctx).scale(v) for mu, v in coords.items()))
+
+
+@functools.cache
+def _gram_schmidt(ordering: tuple[Partition, ...], ctx: VarContext) -> MappingProxyType:
+    """{mu: read-only m-coordinates of the orthogonalized m_mu} for every mu
+    of the ordering, from one Gram-Schmidt pass that carries each element as
+    m- and p-coordinates.  The ordering must list every partition of its
+    degree with at most nvars parts exactly once, no entry dominating an
+    earlier one; anything else raises InconsistentSystem."""
+    degree = ordering[0].weight if ordering else 0
+    if sorted(ordering) != sorted(partitions_of(degree, ctx.nvars)) or any(
+        dominates(mu, nu) for i, mu in enumerate(ordering) for nu in ordering[:i]
+    ):
+        raise InconsistentSystem(
+            f"the ordering is not a linear extension of dominance listing each partition of {degree}"
+            f" with at most {ctx.nvars} parts once"
+        )
+    columns = power_sum_columns(degree, ctx)
+    built: list[tuple[dict, BasisExpansion, FieldElement]] = []
+    out = {}
+    for mu in reversed(ordering):
+        mcoords = {mu: ONE}
+        ex = BasisExpansion(POWER_SUM, degree, ctx, dict(columns[mu]))
+        for ucoords, uex, unorm in built:
             c = scalar_product_p(ex, uex) / unorm
             if c:
-                poly = poly - upoly.scale(c)
+                _merge(mcoords, ((key, val * -c) for key, val in ucoords.items()))
                 _merge(ex.coords, ((key, val * -c) for key, val in uex.coords.items()))
-        if mu == lam:
-            return poly
-        built.append((poly, ex, scalar_product_p(ex, ex)))
-    raise InconsistentSystem(f"{lam} never appeared in the ordering")
+        out[mu] = MappingProxyType(mcoords)
+        built.append((mcoords, ex, scalar_product_p(ex, ex)))
+    return MappingProxyType(out)
 
 
 def nonsym_eigenvalues(lam: Partition, ctx: VarContext) -> list[FieldElement]:

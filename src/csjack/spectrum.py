@@ -12,27 +12,26 @@ eigenvalues, and the exclusion spacing at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TooManyParts
 from .partitions import Partition
+from .records import Record
 
 MOMENTUM_UNIT = "2*pi/L"
 ENERGY_UNIT = "(2*pi/L)^2"
 GROUND_ENERGY_UNIT = "(pi/L)^2"
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    nparticles: int
-    beta: Fraction
-    q: Fraction = Fraction(0)
-    length: str | Fraction = "2pi"
+class ModelParams(Record):
+    __slots__ = ("nparticles", "beta", "q", "length")
 
-    def __post_init__(self):
-        if self.nparticles < 1:
-            raise TooManyParts(f"need at least one particle, got {self.nparticles}")
+    def __init__(
+        self, nparticles: int, beta: Fraction, q: Fraction = Fraction(0), length: str | Fraction = "2pi"
+    ):
+        if nparticles < 1:
+            raise TooManyParts(f"need at least one particle, got {nparticles}")
+        self._init(nparticles, beta, q, length)
 
 
 def ground_energy(params: ModelParams) -> Fraction:
@@ -64,14 +63,19 @@ def total_energy(lam: Partition, params: ModelParams) -> Fraction:
     return sum((k * k for k in quasi_momenta(lam, params)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class SpectrumRecord:
-    lam: Partition
-    params: ModelParams
-    kappa: tuple[Fraction, ...]
-    momentum: Fraction
-    energy: Fraction
-    ground: Fraction
+class SpectrumRecord(Record):
+    __slots__ = ("lam", "params", "kappa", "momentum", "energy", "ground")
+
+    def __init__(
+        self,
+        lam: Partition,
+        params: ModelParams,
+        kappa: tuple[Fraction, ...],
+        momentum: Fraction,
+        energy: Fraction,
+        ground: Fraction,
+    ):
+        self._init(lam, params, kappa, momentum, energy, ground)
 
     def to_json(self) -> dict:
         return {
@@ -94,15 +98,16 @@ def spectrum_record(lam: Partition, params: ModelParams) -> SpectrumRecord:
     )
 
 
-@dataclass(frozen=True)
-class WavefunctionDescriptor:
+class WavefunctionDescriptor(Record):
     """Shape of the full eigenfunction: a power of the product of all
     variables, the pair-difference factor to the coupling, and a Jack factor."""
 
-    jack_lam: Partition
-    nparticles: int
-    ring_exponent: Fraction
-    pair_exponent: Fraction
+    __slots__ = ("jack_lam", "nparticles", "ring_exponent", "pair_exponent")
+
+    def __init__(
+        self, jack_lam: Partition, nparticles: int, ring_exponent: Fraction, pair_exponent: Fraction
+    ):
+        self._init(jack_lam, nparticles, ring_exponent, pair_exponent)
 
     def to_json(self) -> dict:
         return {

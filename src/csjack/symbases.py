@@ -4,14 +4,19 @@ Monomial symmetric functions m_lam, power sums p_lam, conversion of a
 symmetric homogeneous polynomial into either basis, the coupling-weighted
 power-sum pairing, the torus constant-term pairing for integer coupling, and
 Schur polynomials by bialternant division.
+
+The power-sum coordinates of every m_rho of one (degree, nvars) come from
+one exact solve of the integer transition system, cached by
+power_sum_columns; a conversion to the p basis then sums the columns of its
+m-coordinates.  The power-sum pairing makes one quotient product per length.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import fieldring
 from .errors import (
@@ -28,7 +33,8 @@ from .errors import (
 )
 from .fieldring import ONE, ZERO, FieldElement, solve_linear
 from .partitions import Partition, partitions_of, z_factor
-from .polyring import LaurentPoly, VarContext, divide_by_vardiff
+from .polyring import LaurentPoly, VarContext, _merge, divide_by_vardiff
+from .records import Record
 
 MONOMIAL = "m"
 POWER_SUM = "p"
@@ -60,12 +66,16 @@ def power_sum(lam: Partition, ctx: VarContext) -> LaurentPoly:
     return out
 
 
-@dataclass
-class BasisExpansion:
-    basis: str
-    degree: int
-    ctx: VarContext
-    coords: dict[Partition, FieldElement]
+class BasisExpansion(Record):
+    """Coordinates of a symmetric polynomial in the m or p basis; mutable and
+    unhashable, like a plain dataclass."""
+
+    __slots__ = ("basis", "degree", "ctx", "coords")
+    _frozen = False
+    __hash__ = None
+
+    def __init__(self, basis: str, degree: int, ctx: VarContext, coords: dict[Partition, FieldElement]):
+        self._init(basis, degree, ctx, coords)
 
     def sorted_coords(self) -> list[tuple[Partition, FieldElement]]:
         # descending part tuples, the order of partitions_of: every key has
@@ -113,11 +123,29 @@ def _require_symmetric_homogeneous(p: LaurentPoly) -> int:
     return p.total_degree()
 
 
+@functools.cache
+def power_sum_columns(degree: int, ctx: VarContext) -> MappingProxyType:
+    """{rho: ((mu, coefficient of p_mu in m_rho), ...)} over the partitions
+    rho of degree <= nvars, from one exact solve per rho of the integer
+    transition system p_mu = sum_rho <coefficient of z^rho in p_mu> m_rho.
+    Read-only, because every caller shares the cached value."""
+    parts = partitions_of(degree, None)
+    rows: dict[Partition, dict[int, FieldElement]] = {rho: {} for rho in parts}
+    for col, mu in enumerate(parts):
+        for rho, c in power_sum(mu, ctx).m_coordinates().items():
+            rows[rho][col] = c
+    columns = {}
+    for rho in parts:
+        coeffs = solve_linear([(rows[r], ONE if r == rho else ZERO) for r in parts], len(parts))
+        columns[rho] = tuple((mu, c) for mu, c in zip(parts, coeffs) if c)
+    return MappingProxyType(columns)
+
+
 def expand_in_basis(p: LaurentPoly, basis: str) -> BasisExpansion:
     """Coordinates of a homogeneous symmetric polynomial in the m or p basis.
 
     The power-sum route needs degree <= nvars, where the p_mu stay linearly
-    independent; it solves the integer transition system exactly.
+    independent; it sums the cached power_sum_columns of p's m-coordinates.
     """
     if basis not in (MONOMIAL, POWER_SUM):
         raise BasisMismatch(f"unknown basis {basis!r}")
@@ -131,13 +159,10 @@ def expand_in_basis(p: LaurentPoly, basis: str) -> BasisExpansion:
         raise DegreeExceedsVariables(
             f"power-sum coordinates need degree <= {p.ctx.nvars}, got {n}"
         )
-    parts = partitions_of(n, None)
-    rows: dict[Partition, dict[int, FieldElement]] = {rho: {} for rho in parts}
-    for col, mu in enumerate(parts):
-        for rho, c in power_sum(mu, p.ctx).m_coordinates().items():
-            rows[rho][col] = c
-    coeffs = solve_linear([(rows[rho], mcoords.get(rho, ZERO)) for rho in parts], len(parts))
-    coords = {mu: c for mu, c in zip(parts, coeffs) if c}
+    columns = power_sum_columns(n, p.ctx)
+    coords: dict[Partition, FieldElement] = {}
+    for rho, c in mcoords.items():
+        _merge(coords, ((mu, c * t) for mu, t in columns[rho]))
     return BasisExpansion(POWER_SUM, n, p.ctx, coords)
 
 
@@ -147,13 +172,15 @@ def scalar_product_p(f: BasisExpansion, g: BasisExpansion) -> FieldElement:
         raise BasisMismatch("scalar product needs power-sum coordinates")
     if f.coords and g.coords and f.degree != g.degree:
         raise DegreeMismatch(f"degrees {f.degree} != {g.degree}")
-    out = ZERO
+    # sum a c z_lam per length l, then one quotient product by b^(-l) per length
+    by_length: dict[int, FieldElement] = {}
     for lam, a in f.coords.items():
         c = g.coords.get(lam)
-        if c is None:
-            continue
-        weight = FieldElement((z_factor(lam),)) * FieldElement.beta(-len(lam))
-        out = out + a * c * weight
+        if c is not None:
+            by_length[len(lam)] = by_length.get(len(lam), ZERO) + a * c * z_factor(lam)
+    out = ZERO
+    for length, total in by_length.items():
+        out = out + total * FieldElement.beta(-length)
     return out
 
 

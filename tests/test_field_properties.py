@@ -1,6 +1,7 @@
 """Property tests of the coefficient field Q(b): the field axioms, the
-uniqueness of the canonical form, the JSON round trip, and a differential
-check of +, * and / against sympy and against specialization."""
+uniqueness of the canonical form, the JSON round trip, a differential
+check of +, * and / against sympy and against specialization, and the gcd
+over Z against sympy and against Euclid over Q."""
 
 import json
 from fractions import Fraction
@@ -19,6 +20,7 @@ from csjack.fieldring import (  # noqa: E402
     FieldElement,
     pack,
     pack_width,
+    poly_divmod,
     poly_gcd,
     poly_mul,
     unpack,
@@ -150,3 +152,50 @@ def test_pack_then_unpack_is_the_identity(a, spare):
     for narrow in range(1, bound.bit_length() + 1):
         with pytest.raises(OverflowError):
             pack(a, narrow)
+
+
+# int and Fraction coefficients; products with a planted factor also leave
+# integral Fractions such as Fraction(2, 1)
+MIXED_POLY = st.lists(st.one_of(st.integers(-9, 9), COEFF), max_size=4).map(
+    lambda cs: tuple(cs[: max((i + 1 for i, c in enumerate(cs) if c), default=0)])
+)
+
+
+def euclid_gcd(a: tuple, b: tuple) -> tuple:
+    """The monic gcd by Euclid over Q: the reference for poly_gcd."""
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return tuple(Fraction(c) / a[-1] for c in a) if a else a
+
+
+def sympy_gcd(sympy, a: tuple, b: tuple) -> tuple:
+    """sympy's gcd over QQ made monic, ascending."""
+    x = sympy.Symbol("b")
+    pa, pb = (
+        sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)] or [0], x, domain="QQ")
+        for p in (a, b)
+    )
+    g = pa.gcd(pb)
+    if g.is_zero:
+        return ()
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs()))
+
+
+@SETTINGS
+@given(MIXED_POLY, MIXED_POLY, MIXED_POLY.filter(any), st.one_of(st.integers(1, 9), COEFF.filter(bool)))
+def test_gcd_over_z(x, y, planted, constant):
+    sympy = pytest.importorskip("sympy")
+    a, b = poly_mul(x, planted), poly_mul(y, planted)
+    for u, v in ((a, b), (x, y), (b, a), (a, ()), ((), b), ((), ()), ((constant,), a), (b, (constant,))):
+        g = poly_gcd(u, v)
+        assert g == euclid_gcd(u, v) == sympy_gcd(sympy, u, v)
+        assert all(type(c) is int for c in g if c.denominator == 1)
+        if not (u or v):
+            assert g == ()
+            continue
+        assert g[-1] == 1
+        (qu, ru), (qv, rv) = poly_divmod(u, g), poly_divmod(v, g)
+        assert ru == () and rv == ()
+        assert poly_gcd(qu, qv) == (1,)
+    if a and b:
+        assert poly_divmod(poly_gcd(a, b), poly_gcd(planted, planted))[1] == ()

@@ -1,12 +1,11 @@
 """Independent constructions agreeing with the creation-operator route."""
 
-import dataclasses
-
 import pytest
 
 from csjack.errors import (
     DegenerateLeadingTerm,
     DegreeExceedsVariables,
+    InconsistentSystem,
     TooManyParts,
 )
 from csjack.fieldring import BETA, ONE, FieldElement
@@ -61,8 +60,10 @@ def test_cached_system_is_read_only():
         system.matrix.clear()
     with pytest.raises(AttributeError):
         system.ordered_basis.clear()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    matrix = dict(system.matrix)
+    with pytest.raises(AttributeError):
         system.matrix = {}
+    assert system.matrix == matrix
     assert jack_by_triangular_H(Partition((2,)), CTX3) == jack(Partition((2,)), CTX3).monic
 
 
@@ -78,6 +79,31 @@ def test_gram_schmidt_ordering_independent():
     alt = sorted(partitions_of(4, 4), key=lambda p: (len(p), tuple(-x for x in p)))
     assert jack_by_gram_schmidt(lam, CTX4, ordering=alt) == default
     assert default == jack(lam, CTX4).monic
+
+
+@pytest.mark.parametrize(
+    "ordering",
+    [
+        list(reversed(partitions_of(4, 4))),  # most dominant last
+        [(2, 1, 1)],  # misses every other partition
+        partitions_of(4, 4) + [(2, 1, 1)],  # lists one twice
+        partitions_of(4, 3),  # misses (1, 1, 1, 1)
+        partitions_of(3, 4),  # a valid ordering of another degree
+    ],
+    ids=["reversed", "single", "duplicate", "incomplete", "other-degree"],
+)
+def test_gram_schmidt_rejects_a_bad_ordering(ordering):
+    with pytest.raises(InconsistentSystem):
+        jack_by_gram_schmidt(Partition((2, 1, 1)), CTX4, ordering=ordering)
+
+
+def test_gram_schmidt_callers_cannot_corrupt_cached_values():
+    lam = Partition((2, 1, 1))
+    first = jack_by_gram_schmidt(lam, CTX4)
+    expected = LaurentPoly(CTX4, dict(first.terms))
+    first.terms.clear()
+    first.terms[(9, 0, 0, 0)] = ONE
+    assert jack_by_gram_schmidt(lam, CTX4) == expected == jack(lam, CTX4).monic
 
 
 def test_gram_schmidt_needs_enough_variables():

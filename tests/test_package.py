@@ -67,3 +67,12 @@ def test_packed_verify_request_loads_no_oracle(suite):
         f"csjack.{layer}" for layer in LAYERS
     }
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("suite", ["rodrigues-vs-oracle", "orthogonality", "spectrum-consistency", "all"])
+def test_field_verify_request_loads_no_dataclasses(suite):
+    loaded = _loaded_after(
+        "from csjack import cli\n"
+        f"assert cli.main(['verify', '--suite', '{suite}', '--max-degree', '3']) == 0"
+    )
+    assert "dataclasses" not in loaded

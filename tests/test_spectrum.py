@@ -114,3 +114,21 @@ def test_wavefunction_descriptor():
     assert obj["jack_normalization"] == "monic"
     with pytest.raises(TooManyParts):
         wavefunction_descriptor(Partition((1, 1, 1)), p)
+
+
+def test_records_behave_as_frozen_values():
+    import copy
+    import pickle
+
+    p = ModelParams(nparticles=3, beta=Fraction(1, 2))
+    assert p == ModelParams(3, Fraction(1, 2), Fraction(0), "2pi") and p != ModelParams(3, Fraction(1))
+    assert hash(p) == hash(ModelParams(3, Fraction(1, 2)))
+    assert repr(p) == "ModelParams(nparticles=3, beta=Fraction(1, 2), q=Fraction(0, 1), length='2pi')"
+    assert copy.deepcopy(p) == p == pickle.loads(pickle.dumps(p))
+    record = spectrum_record(Partition((2, 1)), p)
+    assert repr(record).startswith("SpectrumRecord(lam=(2, 1), params=ModelParams(")
+    for value, field in ((p, "beta"), (record, "energy"), (wavefunction_descriptor(Partition((1,)), p), "nparticles")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)

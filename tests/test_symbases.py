@@ -13,7 +13,7 @@ from csjack.errors import (
     NotSymmetric,
     TooManyParts,
 )
-from csjack.fieldring import BETA, ONE, FieldElement
+from csjack.fieldring import BETA, ONE, ZERO, FieldElement, solve_linear
 from csjack.partitions import Partition, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
 from csjack.rodrigues import jack
@@ -114,6 +114,55 @@ def test_scalar_product_p():
     with pytest.raises(BasisMismatch):
         m2 = expand_in_basis(monomial_sym(Partition((2,)), CTX2), MONOMIAL)
         scalar_product_p(m2, p2)
+
+
+def _random_symmetric(rng: random.Random, degree: int, ctx: VarContext) -> LaurentPoly:
+    """A sum of m_lam over a random subset of the partitions of degree, each
+    with a coefficient in Q(b)."""
+    terms = []
+    for lam in partitions_of(degree, ctx.nvars):
+        if rng.random() < 0.6:
+            num = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            den = [rng.randint(1, 3), rng.randint(0, 2)]
+            terms.append(monomial_sym(lam, ctx).scale(FieldElement(num, den)))
+    return LaurentPoly.sum(ctx, terms)
+
+
+def _solve_power_sum_directly(p: LaurentPoly, degree: int) -> dict:
+    """Power-sum coordinates from one solve of the transition system p_mu -> m."""
+    parts = partitions_of(degree, None)
+    rows = {rho: {} for rho in parts}
+    for col, mu in enumerate(parts):
+        for e, c in power_sum(mu, p.ctx).terms.items():
+            if list(e) == sorted(e, reverse=True):
+                rows[Partition(e)][col] = c
+    mcoords = {Partition(e): c for e, c in p.terms.items() if list(e) == sorted(e, reverse=True)}
+    solution = solve_linear([(rows[rho], mcoords.get(rho, ZERO)) for rho in parts], len(parts))
+    return {mu: c for mu, c in zip(parts, solution) if c}
+
+
+def test_power_sum_expansion_matches_a_direct_solve():
+    rng = random.Random(20261018)
+    for nvars in range(1, 6):
+        ctx = VarContext(nvars)
+        for degree in range(nvars + 1):
+            for _ in range(3):
+                p = _random_symmetric(rng, degree, ctx)
+                ex = expand_in_basis(p, POWER_SUM)
+                assert ex.coords == _solve_power_sum_directly(p, degree)
+                assert ex.reconstruct() == p
+
+
+def test_callers_cannot_corrupt_cached_values():
+    p = monomial_sym(Partition((2, 1, 1)), VarContext(4))
+    first = expand_in_basis(p, POWER_SUM)
+    expected = dict(first.coords)
+    first.coords.clear()
+    first.coords[Partition((4,))] = BETA
+    second = expand_in_basis(p, POWER_SUM)
+    assert second.coords == expected and second.coords is not first.coords
+    second.coords[Partition((1, 1, 1, 1))] = ONE
+    assert expand_in_basis(p, POWER_SUM).coords == expected
 
 
 def test_circle_inner_product():
