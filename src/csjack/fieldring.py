@@ -12,9 +12,12 @@ canonical quotient num/den of two BetaPolys: gcd(num, den) = 1, den monic;
 this makes equality and hashing structural, as serialization requires.
 
 Arithmetic special-cases den == 1, the overwhelmingly common shape while
-operator pipelines run, so the hot path never takes a gcd.  poly_gcd, the
-one gcd, runs a pseudo-remainder sequence over Z on integer primitive
-parts, so it builds no Fraction before its final monic step.
+operator pipelines run, so the hot path never takes a gcd.  A sum of two
+quotients follows Henrici: one gcd of the two denominators (none when they
+are equal or one is 1), then one gcd of the numerator with that common
+factor, the only one that can cancel.  poly_gcd, the one gcd, runs a
+pseudo-remainder sequence over Z on integer primitive parts, so it builds
+no Fraction before its final monic step.
 
 pack, unpack and pack_width are the one Kronecker codec: an element of
 Z[b] becomes the int it takes at b = 2^B and is read back as balanced
@@ -72,6 +75,10 @@ def poly_neg(a: BetaPoly) -> BetaPoly:
 def poly_mul(a: BetaPoly, b: BetaPoly) -> BetaPoly:
     if not a or not b:
         return _PZERO
+    if b == _PONE:
+        return a
+    if a == _PONE:
+        return b
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -274,10 +281,29 @@ class FieldElement:
         other = _as_field(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _PONE and other.den == _PONE:
-            return FieldElement._raw(poly_add(self.num, other.num), _PONE)
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return FieldElement._raw(*_canonical(num, poly_mul(self.den, other.den)))
+        n1, d1 = self.num, self.den
+        n2, d2 = other.num, other.den
+        if d1 == _PONE and d2 == _PONE:
+            return FieldElement._raw(poly_add(n1, n2), _PONE)
+        # Henrici (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(d1, d2) and
+        # e_k = d_k / g, n1 e2 + n2 e1 shares no factor with e1 e2, so only
+        # gcd(num, g) can cancel; every factor is monic, hence so is den
+        if d1 == d2:
+            g, e1, e2 = d1, _PONE, _PONE
+        elif d1 == _PONE or d2 == _PONE:
+            g, e1, e2 = _PONE, d1, d2
+        else:
+            g = poly_gcd(d1, d2)
+            e1, e2 = (d1, d2) if g == _PONE else (poly_divmod(d1, g)[0], poly_divmod(d2, g)[0])
+        num = poly_add(poly_mul(n1, e2), poly_mul(n2, e1))
+        if not num:
+            return ZERO
+        den = poly_mul(d1, e2)
+        if len(g) > 1 and len(num) > 1:
+            h = poly_gcd(num, g)
+            if len(h) > 1:
+                num, den = poly_divmod(num, h)[0], poly_divmod(den, h)[0]
+        return FieldElement._raw(num, den)
 
     __radd__ = __add__
 

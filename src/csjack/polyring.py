@@ -5,6 +5,9 @@ allowed) to nonzero FieldElement coefficients; the ring operations, moves
 and derivatives also run on plain int coefficients, which only _raw builds.
 Sums merge through _merge, scalings go through scale (one field product per
 distinct coefficient), and m_coordinates lists the m-basis coordinates.
+divide_by_vardiff, the one exact division by z_i - z_j, runs line by line
+on partial sums of coefficients, and divided_difference feeds it p - swap p
+built in one pass.
 Polynomials are immutable by convention: every operation returns a fresh
 value and never mutates input dicts.  Serialization and printing order terms
 by descending lexicographic exponent, so equal polynomials always render byte
@@ -288,7 +291,29 @@ class LaurentPoly:
         """(p - swap_ij p) / (z_i - z_j), always an exact division."""
         if i == j:
             raise IndexOutOfRange(f"divided difference needs distinct variables, got {i}")
-        return divide_by_vardiff(self - self.swap_vars(i, j), i, j)
+        _check_var(self.ctx, i)
+        _check_var(self.ctx, j)
+        ii, jj = i - 1, j - 1
+        terms = self.terms
+        diff = {}
+        # p - swap_ij p in one pass: each pair {e, swap e} off the diagonal
+        # e_i = e_j is settled once, from the member with e_i > e_j when both
+        # are present
+        for e, c in terms.items():
+            a, b = e[ii], e[jj]
+            if a == b:
+                continue
+            le = list(e)
+            le[ii], le[jj] = b, a
+            f = tuple(le)
+            cf = terms.get(f)
+            if cf is None:
+                diff[e], diff[f] = c, -c
+            elif a > b:
+                d = c - cf
+                if d:
+                    diff[e], diff[f] = d, -d
+        return divide_by_vardiff(LaurentPoly._raw(self.ctx, diff), i, j)
 
     def bar_involution(self) -> "LaurentPoly":
         """Substitute every z_i by its reciprocal."""
@@ -377,41 +402,48 @@ def _check_var(ctx: VarContext, i: int):
 
 
 def divide_by_vardiff(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
-    """Exact division of p by (z_i - z_j) via synthetic division in z_i.
+    """Exact division of p by (z_i - z_j), one line at a time.
 
-    p is viewed as a one-variable polynomial in z_i whose coefficients are
-    Laurent polynomials in the other variables; Horner steps run from the top
-    exponent down.  A nonzero remainder means p was not divisible and raises
-    NonzeroRemainder.  Works for negative exponents too.
+    A line is the set of exponents that agree once z_i^k is moved onto z_j;
+    along it p = sum_k a_k z_i^k z_j^(s-k), and the quotient's coefficient of
+    z_i^m z_j^(s-1-m) is the partial sum of the a_k with k > m, so it repeats
+    across the gaps between exponents and is not stored where it vanishes.
+    A nonzero full sum on any line means p was not divisible and raises
+    NonzeroRemainder.  Works for negative exponents and for int or field
+    coefficients.
     """
     if i == j:
         raise IndexOutOfRange(f"cannot divide by (z_{i} - z_{i})")
     _check_var(p.ctx, i)
     _check_var(p.ctx, j)
-    if not p.terms:
-        return p
     ii, jj = i - 1, j - 1
 
-    # bucket terms by z_i exponent, zeroing that slot in the key
-    buckets: dict[int, dict[tuple, FieldElement]] = {}
+    # key each line by its exponents with z_i^k moved onto z_j
+    lines: dict[tuple, list] = {}
     for e, c in p.terms.items():
-        k = e[ii]
-        rest = e[:ii] + (0,) + e[ii + 1 :]
-        buckets.setdefault(k, {})[rest] = c
+        le = list(e)
+        k = le[ii]
+        le[ii], le[jj] = 0, le[jj] + k
+        key = tuple(le)
+        line = lines.get(key)
+        if line is None:
+            lines[key] = [(k, c)]
+        else:
+            line.append((k, c))
 
-    def times_zj(carry):
-        return ((r[:jj] + (r[jj] + 1,) + r[jj + 1 :], c) for r, c in carry.items())
-
-    kmax = max(buckets)
-    kmin = min(buckets)
     out: dict[tuple, FieldElement] = {}
-    carry: dict[tuple, FieldElement] = {}
-    for k in range(kmax, kmin, -1):
-        # quotient coefficient at z_i^(k-1) equals A_k + z_j * (previous carry)
-        carry = _merge(buckets.pop(k, {}), times_zj(carry))
-        for rest, c in carry.items():
-            out[rest[:ii] + (k - 1,) + rest[ii + 1 :]] = c
-
-    if _merge(buckets[kmin], times_zj(carry)):
-        raise NonzeroRemainder(f"(z_{i} - z_{j}) does not divide the input")
+    for key, line in lines.items():
+        line.sort(reverse=True)  # the k on a line are distinct
+        le = list(key)
+        top = le[jj] - 1
+        acc, prev = 0, None
+        for k, c in line:
+            if acc:
+                for m in range(k, prev):
+                    le[ii], le[jj] = m, top - m
+                    out[tuple(le)] = acc
+            acc = acc + c if acc else c
+            prev = k
+        if acc:
+            raise NonzeroRemainder(f"(z_{i} - z_{j}) does not divide the input")
     return LaurentPoly._raw(p.ctx, out)

@@ -9,6 +9,9 @@ The power-sum coordinates of every m_rho of one (degree, nvars) come from
 one exact solve of the integer transition system, cached by
 power_sum_columns; a conversion to the p basis then sums the columns of its
 m-coordinates.  The power-sum pairing makes one quotient product per length.
+The torus pairing reads a cached, read-only table of integer weights, sums
+them per pair of distinct coefficients, and specializes each distinct
+coefficient once.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from operator import sub
 from types import MappingProxyType
 
 from . import fieldring
@@ -185,34 +189,49 @@ def scalar_product_p(f: BasisExpansion, g: BasisExpansion) -> FieldElement:
 
 
 @functools.cache
-def _circle_weight(nvars: int, beta_int: int) -> LaurentPoly:
+def _circle_weight(nvars: int, beta_int: int) -> MappingProxyType:
+    """{exponent: int coefficient} of the torus weight; read-only, because
+    every caller shares the cached value."""
     ctx = VarContext(nvars)
     weight = LaurentPoly.one(ctx)
     for j in range(1, nvars + 1):
         for k in range(j + 1, nvars + 1):
             diff = LaurentPoly.variable(ctx, j) - LaurentPoly.variable(ctx, k)
             weight = weight * (diff * diff.bar_involution()) ** beta_int
-    return weight
+    return MappingProxyType({e: int(c.as_fraction()) for e, c in weight.terms.items()})
 
 
 def circle_inner_product(f: LaurentPoly, g: LaurentPoly, beta_int: int) -> Fraction:
     """Constant term of weight * f * bar(g) with the torus weight
     prod_{j<k} (z_j - z_k)^beta (1/z_j - 1/z_k)^beta, for positive integer
-    coupling."""
+    coupling.
+
+    The integer weights are summed per pair of distinct coefficients (one of
+    f's, one of g's); each distinct coefficient is specialized once, and each
+    coefficient pair costs one Fraction product."""
     if not isinstance(beta_int, int) or beta_int < 1:
         raise NonIntegerBeta(f"torus pairing needs a positive integer coupling, got {beta_int!r}")
     if f.ctx.nvars != g.ctx.nvars:
         raise ContextMismatch(f"{f.ctx} vs {g.ctx}")
-    weight = _circle_weight(f.ctx.nvars, beta_int).terms
-    fvals = [(a, c.specialize(beta_int)) for a, c in f.terms.items()]
-    total = Fraction(0)
+    weight = _circle_weight(f.ctx.nvars, beta_int)
+    # number the distinct coefficients, so that the pair loop hashes ints
+    findex: dict[FieldElement, int] = {}
+    gindex: dict[FieldElement, int] = {}
+    fterms = [(a, findex.setdefault(c, len(findex))) for a, c in f.terms.items()]
+    gterms = [(e, gindex.setdefault(c, len(gindex))) for e, c in g.terms.items()]
+    fvals = [c.specialize(beta_int) for c in findex]
+    gvals = [c.specialize(beta_int) for c in gindex]
+    pairs: dict[tuple, int] = {}
     # z^a * bar(z^e) * z^w is constant exactly when w = e - a
-    for e, c in g.terms.items():
-        gv = c.specialize(beta_int)
-        for a, fv in fvals:
-            w = weight.get(tuple(x - y for x, y in zip(e, a)))
+    for e, jg in gterms:
+        for a, jf in fterms:
+            w = weight.get(tuple(map(sub, e, a)))
             if w is not None:
-                total += fv * gv * w.as_fraction()
+                pairs[jf, jg] = pairs.get((jf, jg), 0) + w
+    total = Fraction(0)
+    for (jf, jg), w in pairs.items():
+        if w:
+            total += fvals[jf] * gvals[jg] * w
     return total
 
 

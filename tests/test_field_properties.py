@@ -18,8 +18,10 @@ from csjack.fieldring import (  # noqa: E402
     ONE,
     ZERO,
     FieldElement,
+    _canonical,
     pack,
     pack_width,
+    poly_add,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -199,3 +201,55 @@ def test_gcd_over_z(x, y, planted, constant):
         assert poly_gcd(qu, qv) == (1,)
     if a and b:
         assert poly_divmod(poly_gcd(a, b), poly_gcd(planted, planted))[1] == ()
+
+
+def _factor_product(multiplicities) -> tuple:
+    """prod_k (b + k)^m_k over the shared pool k = 0..3."""
+    out = (1,)
+    for k, m in enumerate(multiplicities):
+        for _ in range(m):
+            out = poly_mul(out, (k, 1))
+    return out
+
+
+# denominators over a shared pool of factors (b + k), k in 0..3, each of
+# multiplicity at most 2, so that sums meet equal, coprime and partly shared
+# denominators and repeated factors; numerators may share factors too
+POOLED = st.builds(
+    lambda num, mults, planted: FieldElement(poly_mul(num, _factor_product(planted)), _factor_product(mults)),
+    NONZERO_POLY | st.just(()),
+    st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    st.lists(st.integers(0, 1), min_size=4, max_size=4),
+)
+
+
+def cross_multiply_add(a: FieldElement, b: FieldElement) -> tuple:
+    """(num, den) of a + b by cross-multiplication and one full reduction."""
+    if a.den == (1,) and b.den == (1,):
+        return poly_add(a.num, b.num), (1,)
+    num = poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den))
+    return _canonical(num, poly_mul(a.den, b.den))
+
+
+@SETTINGS
+@given(POOLED, POOLED)
+def test_pooled_sums_are_canonical(a, b):
+    for value in (a + b, a - b, b + a, a + a):
+        assert_canonical(value)
+
+
+@SETTINGS
+@given(POOLED, POOLED)
+def test_pooled_sums_match_cross_multiplication(a, b):
+    for x, y in ((a, b), (a, -b), (b, a), (a, a), (a, -a)):
+        assert ((x + y).num, (x + y).den) == cross_multiply_add(x, y)
+
+
+@SETTINGS
+@given(POOLED, POOLED)
+def test_pooled_sums_match_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    sym_b = sympy.Symbol("b")
+    x, y = to_sympy(sympy, sym_b, a), to_sympy(sympy, sym_b, b)
+    for ours, theirs in ((a + b, x + y), (a - b, x - y)):
+        assert (ours.num, ours.den) == from_sympy(sympy, sym_b, theirs)

@@ -21,6 +21,7 @@ from csjack.symbases import (
     BasisExpansion,
     MONOMIAL,
     POWER_SUM,
+    _circle_weight,
     circle_inner_product,
     expand_in_basis,
     monomial_sym,
@@ -248,3 +249,47 @@ def test_circle_inner_product_matches_full_product():
             assert value == _circle_reference(f, g, beta_int)
             if f is g:
                 assert value > 0  # a squared norm on the torus
+
+
+def _pair_loop(f, g, beta_int):
+    """The torus pairing term pair by term, against a weight with field
+    coefficients: one Fraction product per matching pair of terms."""
+    ctx = f.ctx
+    weight = LaurentPoly.one(ctx)
+    for j in range(1, ctx.nvars + 1):
+        for k in range(j + 1, ctx.nvars + 1):
+            diff = LaurentPoly.variable(ctx, j) - LaurentPoly.variable(ctx, k)
+            weight = weight * (diff * diff.bar_involution()) ** beta_int
+    fvals = [(a, c.specialize(beta_int)) for a, c in f.terms.items()]
+    total = Fraction(0)
+    for e, c in g.terms.items():
+        gv = c.specialize(beta_int)
+        for a, fv in fvals:
+            w = weight.terms.get(tuple(x - y for x, y in zip(e, a)))
+            if w is not None:
+                total += fv * gv * w.as_fraction()
+    return total
+
+
+def test_circle_inner_product_matches_the_pair_loop():
+    rng = random.Random(13)
+    for ctx, max_degree in ((CTX2, 3), (CTX3, 2)):
+        polys = [jack(lam, ctx).monic for d in range(max_degree + 1) for lam in partitions_of(d, ctx.nvars)]
+        polys += [_random_symmetric(rng, d, ctx) for d in range(max_degree + 1) for _ in range(2)]
+        for beta_int in (1, 2, 3):
+            for f in polys:
+                for g in polys:
+                    value = circle_inner_product(f, g, beta_int)
+                    assert type(value) is Fraction
+                    assert value == _pair_loop(f, g, beta_int)
+
+
+def test_callers_cannot_corrupt_the_torus_weight():
+    weight = _circle_weight(3, 2)
+    before = dict(weight)
+    assert all(type(w) is int for w in before.values())
+    with pytest.raises(TypeError):
+        weight[(0, 0, 0)] = 0
+    with pytest.raises(TypeError):
+        del weight[(0, 0, 0)]
+    assert _circle_weight(3, 2) == before
