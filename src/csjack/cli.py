@@ -193,16 +193,16 @@ def _decode_polynomial(obj) -> LaurentPoly | None:
 
     if "monomial_expansion" in obj:
         ctx = VarContext(obj["nvars"])
-        terms = {}
+        coords = {}
         for entry in obj["monomial_expansion"]:
             coeff = entry["coeff"]
             if not isinstance(coeff, dict):  # one rational, at a fixed beta
                 coeff = {"num": [coeff], "den": [1]}
             mu = Partition(entry["partition"])
-            if mu in terms:
+            if mu in coords:
                 raise ValueError(f"partition {list(mu)} listed twice")
-            terms[mu] = symbases.monomial_sym(mu, ctx).scale(FieldElement.from_json(coeff))
-        return LaurentPoly.sum(ctx, terms.values())
+            coords[mu] = FieldElement.from_json(coeff)
+        return symbases.from_m_coordinates(coords, ctx)
     if "terms" in obj:
         return LaurentPoly.from_json(obj)
     if "coords" in obj:

@@ -28,13 +28,13 @@ from .errors import (
 from .fieldring import ONE, ZERO, FieldElement, solve_linear
 from .operators import apply_H, apply_hatD
 from .partitions import Partition, dominates, partitions_of
-from .polyring import LaurentPoly, VarContext, _merge
-from .records import Record
+from .polyring import LaurentPoly, Record, VarContext, _merge
 from .rodrigues import eigenvalue_epsilon
 from .symbases import (
     POWER_SUM,
     BasisExpansion,
     expand_in_basis,
+    from_m_coordinates,
     monomial_sym,
     power_sum_columns,
     scalar_product_p,
@@ -97,7 +97,7 @@ def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
         value = acc / gap
         if value:
             coeffs[mu] = value
-    return LaurentPoly.sum(ctx, (monomial_sym(mu, ctx).scale(v) for mu, v in coeffs.items()))
+    return from_m_coordinates(coeffs, ctx)
 
 
 def jack_by_gram_schmidt(
@@ -113,13 +113,11 @@ def jack_by_gram_schmidt(
         raise DegreeExceedsVariables(
             f"pairing route needs degree <= {ctx.nvars}, got {n}"
         )
-    if len(lam) > ctx.nvars:
-        raise TooManyParts(f"l({lam}) = {len(lam)} > {ctx.nvars}")
     order = partitions_of(n, ctx.nvars) if ordering is None else map(Partition, ordering)
     coords = _gram_schmidt(tuple(order), ctx).get(lam)
     if coords is None:
         raise InconsistentSystem(f"{lam} never appeared in the ordering")
-    return LaurentPoly.sum(ctx, (monomial_sym(mu, ctx).scale(v) for mu, v in coords.items()))
+    return from_m_coordinates(coords, ctx)
 
 
 @functools.cache

@@ -131,11 +131,3 @@ def partitions_of(n: int, max_length: int | None = None) -> list[Partition]:
         raise NegativePart(f"cannot partition {n}")
     slots = n if max_length is None else min(max_length, n)
     return [Partition(p) for p in _gen(n, n, slots)]
-
-
-def shift_by_one(lam: Partition, length: int) -> Partition:
-    """Add one to each of the first `length` parts (zero parts included)."""
-    lam = Partition(lam)
-    if length < len(lam):
-        raise LengthTooSmall(f"length {length} < l({lam}) = {len(lam)}")
-    return Partition(x + 1 for x in lam.pad(length))

@@ -1,4 +1,6 @@
-"""Sparse exact Laurent polynomials in z_1 .. z_N over the coefficient field.
+"""Sparse exact Laurent polynomials in z_1 .. z_N over the coefficient field,
+and Record, the one base of the package's value classes (VarContext here,
+the records of the verify, convert and spectrum layers elsewhere).
 
 Terms live in a dict mapping exponent tuples (length N, negative entries
 allowed) to nonzero FieldElement coefficients; the ring operations, moves
@@ -27,35 +29,57 @@ from .fieldring import ONE, ZERO, FieldElement
 from .partitions import Partition
 
 
-class VarContext:
+class Record:
+    """A value class that behaves as a dataclass would, so that no request
+    imports dataclasses: its fields are the names in __slots__, in
+    constructor order; equality, hash, repr, copy and pickle follow them, and
+    a frozen record (the default) refuses assignment once __init__ has set
+    the fields through _init."""
+
+    __slots__ = ()
+    _frozen = True
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        if self._frozen:
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if self._frozen:
+            raise AttributeError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class VarContext(Record):
     """Number of variables a polynomial lives in: immutable, equal and hashed
-    by nvars.  A plain class, so that a jack request never imports dataclasses."""
+    by nvars."""
 
     __slots__ = ("nvars",)
 
     def __init__(self, nvars: int):
         if checked_type(nvars, (int,), "nvars") < 1:
             raise IndexOutOfRange(f"need at least one variable, got {nvars}")
-        object.__setattr__(self, "nvars", nvars)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return self.nvars == other.nvars if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars,))
-
-    def __repr__(self):
-        return f"VarContext(nvars={self.nvars})"
-
-    # copy and pickle rebuild through __init__, as __setattr__ refuses
-    def __reduce__(self):
-        return VarContext, (self.nvars,)
+        self._init(nvars)
 
 
 class LaurentPoly:

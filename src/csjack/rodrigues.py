@@ -67,13 +67,19 @@ def _phi(ctx: VarContext, parts: tuple[int, ...]) -> LaurentPoly:
     return LaurentPoly._raw(ctx, {e: unpack(c, width, sum(steps) + 1) for e, c in p.terms.items()})
 
 
-def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:
-    """Unnormalized eigenfunction phi_lam; needs l(lam) <= nvars - 1."""
+def _creation_partition(lam: Partition, ctx: VarContext) -> Partition:
+    """lam as a Partition, checked to have at most nvars - 1 parts."""
     lam = Partition(lam)
     if len(lam) > ctx.nvars - 1:
         raise TooManyParts(
             f"creation product needs l(lambda) <= {ctx.nvars - 1}, got {len(lam)}"
         )
+    return lam
+
+
+def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:
+    """Unnormalized eigenfunction phi_lam; needs l(lam) <= nvars - 1."""
+    lam = _creation_partition(lam, ctx)
     # a copy, so a caller editing the result cannot reach the cache
     return LaurentPoly._raw(ctx, dict(_phi(ctx, tuple(lam)).terms))
 
@@ -84,12 +90,8 @@ def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:
     Product over cardinalities k of rising factorials
     (m b + lam_{k+1-m} - lam_k)_{lam_k - lam_{k+1}} for m = 1..k.
     """
-    lam = Partition(lam)
+    lam = _creation_partition(lam, ctx)
     n = ctx.nvars
-    if len(lam) > n - 1:
-        raise TooManyParts(
-            f"creation product needs l(lambda) <= {n - 1}, got {len(lam)}"
-        )
     padded = lam.pad(n)
     out = ONE
     for k in range(1, n):

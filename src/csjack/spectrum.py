@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import TooManyParts
 from .partitions import Partition
-from .records import Record
+from .polyring import Record
 
 MOMENTUM_UNIT = "2*pi/L"
 ENERGY_UNIT = "(2*pi/L)^2"

@@ -5,6 +5,7 @@ symmetric homogeneous polynomial into either basis, the coupling-weighted
 power-sum pairing, the torus constant-term pairing for integer coupling, and
 Schur polynomials by bialternant division.
 
+from_m_coordinates is the one way from m-coordinates back to a polynomial.
 The power-sum coordinates of every m_rho of one (degree, nvars) come from
 one exact solve of the integer transition system, cached by
 power_sum_columns; a conversion to the p basis then sums the columns of its
@@ -37,36 +38,38 @@ from .errors import (
 )
 from .fieldring import ONE, ZERO, FieldElement, solve_linear
 from .partitions import Partition, partitions_of, z_factor
-from .polyring import LaurentPoly, VarContext, _merge, divide_by_vardiff
-from .records import Record
+from .polyring import LaurentPoly, Record, VarContext, _merge, divide_by_vardiff
 
 MONOMIAL = "m"
 POWER_SUM = "p"
 
 
-def monomial_sym(lam: Partition, ctx: VarContext) -> LaurentPoly:
-    """Sum of all distinct variable rearrangements of z^lam."""
-    lam = Partition(lam)
-    if len(lam) > ctx.nvars:
-        raise TooManyParts(f"l({lam}) = {len(lam)} > {ctx.nvars} variables")
-    padded = lam.pad(ctx.nvars)
-    terms = {e: ONE for e in set(itertools.permutations(padded))}
+def from_m_coordinates(coords, ctx: VarContext) -> LaurentPoly:
+    """Sum of c m_mu over the items (mu, c) of coords, a mapping from
+    Partition to anything the field coerces; zero coordinates are skipped.
+    Orbits of distinct partitions are disjoint, so each exponent is written
+    once and nothing merges."""
+    terms = {}
+    for mu, c in coords.items():
+        if len(mu) > ctx.nvars:
+            raise TooManyParts(f"l({mu}) = {len(mu)} > {ctx.nvars} variables")
+        c = fieldring.field(c)
+        if c:
+            for e in set(itertools.permutations(mu.pad(ctx.nvars))):
+                terms[e] = c
     return LaurentPoly._raw(ctx, terms)
 
 
+def monomial_sym(lam: Partition, ctx: VarContext) -> LaurentPoly:
+    """Sum of all distinct variable rearrangements of z^lam."""
+    return from_m_coordinates({Partition(lam): ONE}, ctx)
+
+
 def power_sum(lam: Partition, ctx: VarContext) -> LaurentPoly:
-    """Product over parts k of (z_1^k + ... + z_N^k)."""
-    lam = Partition(lam)
+    """Product over parts k of z_1^k + ... + z_N^k, which is m_(k)."""
     out = LaurentPoly.one(ctx)
-    for k in lam:
-        pk = LaurentPoly(
-            ctx,
-            {
-                tuple(k if t == v else 0 for t in range(ctx.nvars)): ONE
-                for v in range(ctx.nvars)
-            },
-        )
-        out = out * pk
+    for k in Partition(lam):
+        out = out * monomial_sym((k,), ctx)
     return out
 
 
@@ -87,8 +90,9 @@ class BasisExpansion(Record):
         return sorted(self.coords.items(), reverse=True)
 
     def reconstruct(self) -> LaurentPoly:
-        build = monomial_sym if self.basis == MONOMIAL else power_sum
-        terms = (build(lam, self.ctx).scale(c) for lam, c in self.coords.items())
+        if self.basis == MONOMIAL:
+            return from_m_coordinates(self.coords, self.ctx)
+        terms = (power_sum(lam, self.ctx).scale(c) for lam, c in self.coords.items())
         return LaurentPoly.sum(self.ctx, terms)
 
     def to_json(self) -> dict:

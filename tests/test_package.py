@@ -1,7 +1,9 @@
 """The package surface loads each layer on first use: every exported name
 resolves, and a `jack` request imports only the creation-product layers."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 from cli_helper import run_child
@@ -76,3 +78,18 @@ def test_field_verify_request_loads_no_dataclasses(suite):
         f"assert cli.main(['verify', '--suite', '{suite}', '--max-degree', '3']) == 0"
     )
     assert "dataclasses" not in loaded
+
+
+def test_only_the_record_base_hand_writes_value_class_methods():
+    """A second hand-written value class (its own __setattr__, __delattr__ or
+    __reduce__) would duplicate polyring.Record."""
+    src = Path(csjack.__file__).parent
+    owners = {
+        (path.stem, node.name, item.name)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__", "__reduce__")
+    }
+    assert owners == {("polyring", "Record", name) for name in ("__setattr__", "__delattr__", "__reduce__")}

@@ -12,7 +12,6 @@ from csjack.partitions import (
     dominance_compare,
     dominates,
     partitions_of,
-    shift_by_one,
     z_factor,
 )
 
@@ -105,10 +104,3 @@ def test_z_factor():
     assert z_factor(Partition((2, 1))) == 2
     assert z_factor(Partition((3, 3, 1))) == 18
     assert z_factor(Partition((2, 2, 1, 1))) == 16
-
-
-def test_shift_by_one():
-    assert shift_by_one(Partition((2, 1)), 3) == (3, 2, 1)
-    assert shift_by_one(Partition(()), 2) == (1, 1)
-    with pytest.raises(LengthTooSmall):
-        shift_by_one(Partition((2, 1, 1)), 2)

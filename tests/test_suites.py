@@ -1,5 +1,11 @@
+import copy
+import pickle
+
+import pytest
+
 from csjack.suites import (
     SUITES,
+    CheckResult,
     suite_commutators,
     suite_hamiltonian,
     suite_spectrum_consistency,
@@ -48,3 +54,16 @@ def test_spectrum_consistency_small():
     results = suite_spectrum_consistency(count=10)
     assert all(r.passed for r in results)
 
+
+def test_check_result_is_a_frozen_record():
+    result = CheckResult("dunkl-commute", True, "", 23)
+    assert result == CheckResult("dunkl-commute", True, "", 23) != CheckResult("dunkl-commute", False, "x", 23)
+    assert hash(result) == hash(CheckResult("dunkl-commute", True, "", 23))
+    assert repr(result) == "CheckResult(name='dunkl-commute', passed=True, detail='', cases=23)"
+    assert CheckResult("x", False) == CheckResult("x", False, "", 0)
+    assert copy.copy(result) == result == pickle.loads(pickle.dumps(result))
+    with pytest.raises(AttributeError):
+        result.passed = False
+    with pytest.raises(AttributeError):
+        del result.detail
+    assert result.passed is True

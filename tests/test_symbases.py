@@ -24,6 +24,7 @@ from csjack.symbases import (
     _circle_weight,
     circle_inner_product,
     expand_in_basis,
+    from_m_coordinates,
     monomial_sym,
     power_sum,
     scalar_product_p,
@@ -48,6 +49,25 @@ def test_monomial_sym():
     assert m == LaurentPoly.monomial(CTX2, (2, 2))
     with pytest.raises(TooManyParts):
         monomial_sym(Partition((1, 1, 1)), CTX2)
+
+
+def test_from_m_coordinates_matches_a_sum_of_scaled_monomials():
+    rng = random.Random(1509)
+    for nvars in range(2, 6):
+        ctx = VarContext(nvars)
+        for degree in range(6):
+            parts = partitions_of(degree, nvars)
+            for _ in range(4):
+                picked = rng.sample(parts, k=rng.randint(1, len(parts)))
+                quotient = FieldElement([rng.randint(-3, 3), 1], [rng.randint(1, 3), 1])
+                values = (0, rng.randint(-5, 5), quotient)
+                coords = {mu: rng.choice(values) for mu in picked}
+                built = from_m_coordinates(coords, ctx)
+                summed = LaurentPoly.sum(ctx, (monomial_sym(mu, ctx).scale(c) for mu, c in coords.items()))
+                assert built == summed, (nvars, coords)
+                assert all(type(c) is FieldElement and c for c in built.terms.values())
+    with pytest.raises(TooManyParts):
+        from_m_coordinates({Partition((1, 1, 1)): 0}, CTX2)
 
 
 def test_power_sum():
