@@ -105,10 +105,6 @@ class BadCardinality(AlgebraError):
 
 # linear solvers
 
-class DegenerateDiagonal(AlgebraError):
-    pass
-
-
 class DegenerateLeadingTerm(AlgebraError):
     pass
 

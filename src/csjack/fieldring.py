@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import DivisionByZero, InconsistentSystem, PoleAtValue, checked_type
+from .errors import DivisionByZero, PoleAtValue, checked_type
 
 BetaPoly = tuple  # tuple[int | Fraction, ...], ascending powers, trimmed
 
@@ -161,10 +161,6 @@ def poly_eval(a: BetaPoly, x: Fraction) -> Fraction:
     for c in reversed(a):
         out = out * x + c
     return out
-
-
-def poly_is_integral(a: BetaPoly) -> bool:
-    return all(c.denominator == 1 for c in a)
 
 
 def pack_width(bound: int) -> int:
@@ -472,76 +468,4 @@ def pochhammer(x: FieldLike, n: int) -> FieldElement:
     term = field(x)
     for k in range(n):
         out = out * (term + k)
-    return out
-
-
-def is_integer_in_inverse_beta(a: FieldElement) -> bool:
-    """True when a is an integer-coefficient polynomial in 1/b.
-
-    Canonical form makes this a structural check: the denominator must be a
-    monic power of b and the numerator an integer polynomial of no larger
-    degree.
-    """
-    den = a.den
-    if any(c for c in den[:-1]) or den[-1] != 1:
-        return False
-    if len(a.num) > len(den):
-        return False
-    return poly_is_integral(a.num)
-
-
-def solve_linear(
-    rows: list[tuple[dict[int, FieldElement], FieldElement]], ncols: int
-) -> list[FieldElement]:
-    """Exact sparse Gaussian elimination.
-
-    Each row is ({column: coefficient}, right-hand side).  The rows may
-    outnumber the unknowns, but together they must determine every unknown
-    uniquely and consistently; otherwise InconsistentSystem is raised.
-    """
-    work = [(dict(r), b) for r, b in rows]
-    solved: list = [None] * ncols
-    for col in range(ncols):
-        pivot = None
-        for idx, (r, _) in enumerate(work):
-            if r.get(col):
-                pivot = idx
-                break
-        if pivot is None:
-            raise InconsistentSystem(f"unknown {col} is undetermined")
-        prow, pb = work.pop(pivot)
-        inv = prow[col].inverse()
-        prow = {k: v * inv for k, v in prow.items()}
-        pb = pb * inv
-        reduced = []
-        for r, b in work:
-            f = r.get(col)
-            if f:
-                nr = dict(r)
-                del nr[col]
-                for k, v in prow.items():
-                    if k == col:
-                        continue
-                    acc = nr.get(k, ZERO) - v * f
-                    if acc:
-                        nr[k] = acc
-                    else:
-                        nr.pop(k, None)
-                reduced.append((nr, b - pb * f))
-            else:
-                reduced.append((r, b))
-        work = reduced
-        del prow[col]
-        solved[col] = (prow, pb)  # back-substitute later
-    # rows left over must be trivial
-    for r, b in work:
-        if not r and b:
-            raise InconsistentSystem("stacked system is inconsistent")
-    out: list[FieldElement] = [ZERO] * ncols
-    for col in range(ncols - 1, -1, -1):
-        prow, pb = solved[col]
-        acc = pb
-        for k, v in prow.items():
-            acc = acc - v * out[k]
-        out[col] = acc
     return out

@@ -18,14 +18,8 @@ import functools
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .errors import (
-    DegenerateDiagonal,
-    DegenerateLeadingTerm,
-    DegreeExceedsVariables,
-    InconsistentSystem,
-    TooManyParts,
-)
-from .fieldring import ONE, ZERO, FieldElement, solve_linear
+from .errors import DegenerateLeadingTerm, DegreeExceedsVariables, InconsistentSystem, TooManyParts
+from .fieldring import ONE, ZERO, FieldElement
 from .operators import apply_H, apply_hatD
 from .partitions import Partition, dominates, partitions_of
 from .polyring import LaurentPoly, Record, VarContext, _merge
@@ -38,6 +32,7 @@ from .symbases import (
     monomial_sym,
     power_sum_columns,
     scalar_product_p,
+    solve_linear,
 )
 
 
@@ -87,14 +82,8 @@ def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
             entry = system.matrix.get((mu, nu))
             if entry is not None:
                 acc = acc + entry * v
-        gap = eps - system.matrix.get((mu, mu), ZERO)
-        if not gap:
-            if acc:
-                raise DegenerateDiagonal(
-                    f"eigenvalue collision between {lam} and {mu} with nonzero coupling"
-                )
-            continue
-        value = acc / gap
+        # eps(lam) - eps(mu) has b-coefficient 2(n(mu) - n(lam)) > 0 (Macdonald I (1.11))
+        value = acc / (eps - system.matrix.get((mu, mu), ZERO))
         if value:
             coeffs[mu] = value
     return from_m_coordinates(coeffs, ctx)

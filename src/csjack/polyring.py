@@ -1,6 +1,7 @@
 """Sparse exact Laurent polynomials in z_1 .. z_N over the coefficient field,
-and Record, the one base of the package's value classes (VarContext here,
-the records of the verify, convert and spectrum layers elsewhere).
+and Record, the one base of the package's value classes, all of them frozen
+(VarContext here, the records of the verify, convert and spectrum layers
+elsewhere).
 
 Terms live in a dict mapping exponent tuples (length N, negative entries
 allowed) to nonzero FieldElement coefficients; the ring operations, moves
@@ -33,11 +34,10 @@ class Record:
     """A value class that behaves as a dataclass would, so that no request
     imports dataclasses: its fields are the names in __slots__, in
     constructor order; equality, hash, repr, copy and pickle follow them, and
-    a frozen record (the default) refuses assignment once __init__ has set
-    the fields through _init."""
+    a record refuses assignment and deletion once __init__ has set the fields
+    through _init."""
 
     __slots__ = ()
-    _frozen = True
 
     def _init(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -47,14 +47,10 @@ class Record:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
-        if self._frozen:
-            raise AttributeError(f"cannot assign to field {name!r}")
-        object.__setattr__(self, name, value)
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        if self._frozen:
-            raise AttributeError(f"cannot delete field {name!r}")
-        object.__delattr__(self, name)
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented

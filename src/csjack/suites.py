@@ -24,10 +24,7 @@ from .fieldring import pack, pack_width
 from .operators import (
     apply_D,
     apply_dunkl,
-    apply_H,
     apply_hatD,
-    apply_hatH,
-    apply_L,
     apply_N,
     full_index_set,
     _times_z,
@@ -58,15 +55,6 @@ def _random_poly(rng: random.Random, ctx: VarContext, max_degree: int) -> Lauren
             exps[rng.randrange(ctx.nvars)] += 1
         terms[tuple(exps)] = rng.randint(-4, 4)
     return LaurentPoly._raw(ctx, {e: c for e, c in terms.items() if c})
-
-
-def _random_symmetric(rng: random.Random, ctx: VarContext, max_degree: int) -> LaurentPoly:
-    from . import symbases
-
-    degree = rng.randint(1, max_degree)
-    choices = partitions_of(degree, ctx.nvars)
-    picked = rng.sample(choices, k=min(len(choices), rng.randint(1, 2)))
-    return symbases.from_m_coordinates({lam: rng.randint(1, 5) for lam in picked}, ctx)
 
 
 def _case_ctx(rng: random.Random, max_nvars: int) -> VarContext:
@@ -393,38 +381,6 @@ def suite_spectrum_consistency(count: int = 50, seed: int = DEFAULT_SEED) -> lis
         CheckResult("momentum-additivity", not bad_momentum, bad_momentum, count),
         CheckResult("exclusion-spacing", not bad_spacing, bad_spacing, count),
         CheckResult("ground-state-energy", not bad_ground, bad_ground, count),
-    ]
-
-
-def suite_hamiltonian(
-    max_degree: int = 5, max_nvars: int = 4, count: int = 100, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
-    """Agreement of the three Hamiltonian routes and charge commutation on
-    random symmetric polynomials."""
-    rng = random.Random(f"{seed}:hamiltonian")
-    bad_square = ""
-    bad_shifted = ""
-    bad_charges = ""
-    runs = 0
-    for _ in range(count):
-        runs += 1
-        ctx = _case_ctx(rng, max_nvars)
-        p = _random_symmetric(rng, ctx, max_degree)
-        h = apply_H(p)
-        if not bad_square:
-            squares = (apply_D(i, apply_D(i, p)) for i in range(1, ctx.nvars + 1))
-            if LaurentPoly.sum(ctx, squares) != h:
-                bad_square = f"nvars={ctx.nvars} p={p}"
-        if not bad_shifted:
-            if apply_hatH(p) != h:
-                bad_shifted = f"nvars={ctx.nvars} p={p}"
-        if not bad_charges:
-            if apply_L(2, apply_L(3, p)) != apply_L(3, apply_L(2, p)):
-                bad_charges = f"nvars={ctx.nvars} p={p}"
-    return [
-        CheckResult("hamiltonian-vs-squares", not bad_square, bad_square, runs),
-        CheckResult("hamiltonian-vs-shifted-family", not bad_shifted, bad_shifted, runs),
-        CheckResult("charge-commutation-2-3", not bad_charges, bad_charges, runs),
     ]
 
 

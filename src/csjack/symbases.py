@@ -6,6 +6,7 @@ power-sum pairing, the torus constant-term pairing for integer coupling, and
 Schur polynomials by bialternant division.
 
 from_m_coordinates is the one way from m-coordinates back to a polynomial.
+solve_linear is the one exact linear solver, kept here off the jack path.
 The power-sum coordinates of every m_rho of one (degree, nvars) come from
 one exact solve of the integer transition system, cached by
 power_sum_columns; a conversion to the p basis then sums the columns of its
@@ -29,6 +30,7 @@ from .errors import (
     ContextMismatch,
     DegreeExceedsVariables,
     DegreeMismatch,
+    InconsistentSystem,
     LaurentInput,
     NonIntegerBeta,
     NotHomogeneous,
@@ -36,7 +38,7 @@ from .errors import (
     TooManyParts,
     checked_type,
 )
-from .fieldring import ONE, ZERO, FieldElement, solve_linear
+from .fieldring import ONE, ZERO, FieldElement
 from .partitions import Partition, partitions_of, z_factor
 from .polyring import LaurentPoly, Record, VarContext, _merge, divide_by_vardiff
 
@@ -55,7 +57,12 @@ def from_m_coordinates(coords, ctx: VarContext) -> LaurentPoly:
             raise TooManyParts(f"l({mu}) = {len(mu)} > {ctx.nvars} variables")
         c = fieldring.field(c)
         if c:
-            for e in set(itertools.permutations(mu.pad(ctx.nvars))):
+            # insert the parts one at a time into every slot, so the cost
+            # follows the size of the orbit, not N!
+            orbit = {(0,) * (ctx.nvars - len(mu))}
+            for part in mu:
+                orbit = {e[:k] + (part,) + e[k:] for e in orbit for k in range(len(e) + 1)}
+            for e in orbit:
                 terms[e] = c
     return LaurentPoly._raw(ctx, terms)
 
@@ -74,11 +81,10 @@ def power_sum(lam: Partition, ctx: VarContext) -> LaurentPoly:
 
 
 class BasisExpansion(Record):
-    """Coordinates of a symmetric polynomial in the m or p basis; mutable and
-    unhashable, like a plain dataclass."""
+    """Coordinates of a symmetric polynomial in the m or p basis; unhashable,
+    because coords is a plain dict."""
 
     __slots__ = ("basis", "degree", "ctx", "coords")
-    _frozen = False
     __hash__ = None
 
     def __init__(self, basis: str, degree: int, ctx: VarContext, coords: dict[Partition, FieldElement]):
@@ -129,6 +135,63 @@ def _require_symmetric_homogeneous(p: LaurentPoly) -> int:
     if not p.is_symmetric():
         raise NotSymmetric("input is not symmetric")
     return p.total_degree()
+
+
+def solve_linear(
+    rows: list[tuple[dict[int, FieldElement], FieldElement]], ncols: int
+) -> list[FieldElement]:
+    """Exact sparse Gaussian elimination.
+
+    Each row is ({column: coefficient}, right-hand side).  The rows may
+    outnumber the unknowns, but together they must determine every unknown
+    uniquely and consistently; otherwise InconsistentSystem is raised.
+    """
+    work = [(dict(r), b) for r, b in rows]
+    solved: list = [None] * ncols
+    for col in range(ncols):
+        pivot = None
+        for idx, (r, _) in enumerate(work):
+            if r.get(col):
+                pivot = idx
+                break
+        if pivot is None:
+            raise InconsistentSystem(f"unknown {col} is undetermined")
+        prow, pb = work.pop(pivot)
+        inv = prow[col].inverse()
+        prow = {k: v * inv for k, v in prow.items()}
+        pb = pb * inv
+        reduced = []
+        for r, b in work:
+            f = r.get(col)
+            if f:
+                nr = dict(r)
+                del nr[col]
+                for k, v in prow.items():
+                    if k == col:
+                        continue
+                    acc = nr.get(k, ZERO) - v * f
+                    if acc:
+                        nr[k] = acc
+                    else:
+                        nr.pop(k, None)
+                reduced.append((nr, b - pb * f))
+            else:
+                reduced.append((r, b))
+        work = reduced
+        del prow[col]
+        solved[col] = (prow, pb)  # back-substitute later
+    # rows left over must be trivial
+    for r, b in work:
+        if not r and b:
+            raise InconsistentSystem("stacked system is inconsistent")
+    out: list[FieldElement] = [ZERO] * ncols
+    for col in range(ncols - 1, -1, -1):
+        prow, pb = solved[col]
+        acc = pb
+        for k, v in prow.items():
+            acc = acc - v * out[k]
+        out[col] = acc
+    return out
 
 
 @functools.cache

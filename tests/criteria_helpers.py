@@ -1,0 +1,22 @@
+"""Predicates that only the tests need, kept out of the package."""
+
+from csjack.fieldring import BetaPoly, FieldElement
+
+
+def poly_is_integral(a: BetaPoly) -> bool:
+    return all(c.denominator == 1 for c in a)
+
+
+def is_integer_in_inverse_beta(a: FieldElement) -> bool:
+    """True when a is an integer-coefficient polynomial in 1/b.
+
+    Canonical form makes this a structural check: the denominator must be a
+    monic power of b and the numerator an integer polynomial of no larger
+    degree.
+    """
+    den = a.den
+    if any(c for c in den[:-1]) or den[-1] != 1:
+        return False
+    if len(a.num) > len(den):
+        return False
+    return poly_is_integral(a.num)

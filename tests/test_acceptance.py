@@ -6,6 +6,7 @@ stays well inside its runtime budgets on modest hardware.
 """
 
 import json
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -13,23 +14,27 @@ from itertools import combinations
 import pytest
 from cli_helper import run_cli
 
+from criteria_helpers import is_integer_in_inverse_beta
+
 from csjack import oracle, rodrigues, suites
 from csjack.fieldring import (
     BETA,
     ONE,
     FieldElement,
-    is_integer_in_inverse_beta,
 )
 from csjack.operators import (
     apply_B_plus,
+    apply_D,
     apply_H,
     apply_hatD,
+    apply_hatH,
+    apply_L,
     full_index_set,
 )
 from csjack.partitions import Partition, dominates, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
 from csjack.rodrigues import eigenvalue_epsilon, jack
-from csjack.symbases import monomial_sym, schur
+from csjack.symbases import from_m_coordinates, monomial_sym, schur
 
 
 def sweep(max_weight, nvars_list):
@@ -121,10 +126,19 @@ def test_criterion_06_commutators():
 
 
 def test_criterion_07_hamiltonian_consistency():
-    results = suites.suite_hamiltonian(max_degree=5, max_nvars=4, count=100)
-    assert all(r.cases >= 100 for r in results)
-    failed = [r for r in results if not r.passed]
-    assert not failed, [(r.name, r.detail) for r in failed]
+    # sum of D_i^2 == H == hatH, and [L_2, L_3] = 0, on 100 random symmetric
+    # polynomials: one or two m_lam, degree 1..5, in 2..4 variables
+    rng = random.Random(f"{suites.DEFAULT_SEED}:hamiltonian")
+    for _ in range(100):
+        ctx = VarContext(rng.randint(2, 4))
+        choices = partitions_of(rng.randint(1, 5), ctx.nvars)
+        picked = rng.sample(choices, k=min(len(choices), rng.randint(1, 2)))
+        p = from_m_coordinates({lam: rng.randint(1, 5) for lam in picked}, ctx)
+        h = apply_H(p)
+        squares = (apply_D(i, apply_D(i, p)) for i in range(1, ctx.nvars + 1))
+        assert LaurentPoly.sum(ctx, squares) == h, p
+        assert apply_hatH(p) == h, p
+        assert apply_L(2, apply_L(3, p)) == apply_L(3, apply_L(2, p)), p
 
 
 def test_criterion_08_orthogonality():

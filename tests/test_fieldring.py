@@ -4,6 +4,7 @@ never floating point."""
 from fractions import Fraction
 
 import pytest
+from criteria_helpers import is_integer_in_inverse_beta
 
 from csjack import fieldring
 from csjack.errors import DivisionByZero, PoleAtValue
@@ -13,7 +14,6 @@ from csjack.fieldring import (
     ZERO,
     FieldElement,
     field,
-    is_integer_in_inverse_beta,
     pochhammer,
     poly,
     poly_divmod,

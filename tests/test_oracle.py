@@ -1,5 +1,7 @@
 """Independent constructions agreeing with the creation-operator route."""
 
+import itertools
+
 import pytest
 
 from csjack.errors import (
@@ -20,7 +22,7 @@ from csjack.oracle import (
 )
 from csjack.partitions import Partition, dominates, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
-from csjack.rodrigues import jack
+from csjack.rodrigues import eigenvalue_epsilon, jack
 
 CTX2 = VarContext(2)
 CTX3 = VarContext(3)
@@ -35,8 +37,6 @@ def test_triangular_route_matches():
 def test_triangular_survives_spectral_collision():
     # (3,1,1,1) and (2,2,2) share the quadratic eigenvalue at four variables
     # but are dominance-incomparable, so the solve must not couple them
-    from csjack.rodrigues import eigenvalue_epsilon
-
     a = Partition((3, 1, 1, 1))
     b = Partition((2, 2, 2))
     assert eigenvalue_epsilon(a, 4) == eigenvalue_epsilon(b, 4)
@@ -45,6 +45,24 @@ def test_triangular_survives_spectral_collision():
     assert ja == jack(a, CTX4).monic
     assert jb == jack(b, CTX4).monic
     assert ja.coefficient((2, 2, 2, 0)) == FieldElement([0])
+
+
+def test_triangular_gaps_never_vanish():
+    """jack_by_triangular_H divides by eps(lam) - eps(mu) for each mu strictly
+    dominated by lam; its b-coefficient is 2(n(mu) - n(lam)), n(mu) the sum of
+    (i - 1) mu_i, and dominance makes that positive."""
+
+    def n(mu):
+        return sum(i * part for i, part in enumerate(mu))
+
+    for nvars in range(1, 7):
+        for degree in range(9):
+            parts = partitions_of(degree, nvars)
+            for lam, mu in itertools.permutations(parts, 2):
+                if dominates(lam, mu):
+                    gap = eigenvalue_epsilon(lam, nvars) - eigenvalue_epsilon(mu, nvars)
+                    expected = 2 * (n(mu) - n(lam))
+                    assert expected > 0 and gap.den == (1,) and gap.num[1:2] == (expected,), (lam, mu, nvars)
 
 
 def test_triangular_system_respects_dominance():

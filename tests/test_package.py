@@ -93,3 +93,25 @@ def test_only_the_record_base_hand_writes_value_class_methods():
         if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__", "__reduce__")
     }
     assert owners == {("polyring", "Record", name) for name in ("__setattr__", "__delattr__", "__reduce__")}
+
+
+def test_every_module_level_definition_is_used_or_exported():
+    """A function or class that no module of src/ names (as a name, an
+    attribute or an import) and that csjack does not export is dead code,
+    or code only the tests need.  Methods are out of scope."""
+    src = Path(csjack.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    named = {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    # dunder hooks (the PEP 562 __getattr__ and __dir__) are Python's to call
+    unused = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
+    } - named - set(csjack.__all__)
+    assert not unused, sorted(unused)

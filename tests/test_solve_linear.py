@@ -8,7 +8,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from csjack.errors import InconsistentSystem  # noqa: E402
-from csjack.fieldring import ONE, ZERO, FieldElement, solve_linear  # noqa: E402
+from csjack.fieldring import ONE, ZERO, FieldElement  # noqa: E402
+from csjack.symbases import solve_linear  # noqa: E402
 
 SMALL = st.integers(-3, 3)
 BETA_POLY = st.lists(SMALL, max_size=3)

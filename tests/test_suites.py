@@ -7,7 +7,6 @@ from csjack.suites import (
     SUITES,
     CheckResult,
     suite_commutators,
-    suite_hamiltonian,
     suite_spectrum_consistency,
 )
 
@@ -38,16 +37,6 @@ def test_commutators_deterministic():
     assert [(r.name, r.passed, r.detail) for r in a] == [
         (r.name, r.passed, r.detail) for r in b
     ]
-
-
-def test_hamiltonian_small():
-    results = suite_hamiltonian(max_degree=3, max_nvars=3, count=12)
-    assert [r.name for r in results] == [
-        "hamiltonian-vs-squares",
-        "hamiltonian-vs-shifted-family",
-        "charge-commutation-2-3",
-    ]
-    assert all(r.passed for r in results)
 
 
 def test_spectrum_consistency_small():

@@ -1,3 +1,6 @@
+import copy
+import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ from csjack.errors import (
     NotSymmetric,
     TooManyParts,
 )
-from csjack.fieldring import BETA, ONE, ZERO, FieldElement, solve_linear
+from csjack.fieldring import BETA, ONE, ZERO, FieldElement
 from csjack.partitions import Partition, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
 from csjack.rodrigues import jack
@@ -29,6 +32,7 @@ from csjack.symbases import (
     power_sum,
     scalar_product_p,
     schur,
+    solve_linear,
 )
 
 CTX2 = VarContext(2)
@@ -68,6 +72,15 @@ def test_from_m_coordinates_matches_a_sum_of_scaled_monomials():
                 assert all(type(c) is FieldElement and c for c in built.terms.values())
     with pytest.raises(TooManyParts):
         from_m_coordinates({Partition((1, 1, 1)): 0}, CTX2)
+
+
+def test_from_m_coordinates_writes_every_distinct_permutation():
+    for nvars in range(1, 8):
+        ctx = VarContext(nvars)
+        for degree in range(8):
+            for mu in partitions_of(degree, nvars):
+                built = from_m_coordinates({mu: 1}, ctx)
+                assert set(built.terms) == set(itertools.permutations(mu.pad(nvars))), (nvars, mu)
 
 
 def test_power_sum():
@@ -205,6 +218,20 @@ def test_basis_expansion_json():
     assert back.basis == ex.basis
     assert back.coords == ex.coords
     assert back.reconstruct() == ex.reconstruct()
+
+
+def test_basis_expansion_is_a_frozen_unhashable_record():
+    ex = expand_in_basis(monomial_sym(Partition((1, 1)), CTX2), POWER_SUM)
+    with pytest.raises(AttributeError):
+        ex.coords = {}
+    with pytest.raises(AttributeError):
+        del ex.basis
+    with pytest.raises(TypeError):
+        hash(ex)
+    assert ex == BasisExpansion(POWER_SUM, 2, CTX2, dict(ex.coords)) != BasisExpansion(MONOMIAL, 2, CTX2, ex.coords)
+    assert repr(ex) == "BasisExpansion(basis='p', degree=2, ctx=VarContext(nvars=2), coords={(2,): -1/2, (1, 1): 1/2})"
+    assert copy.copy(ex) == ex == pickle.loads(pickle.dumps(ex))
+    assert copy.deepcopy(ex) == ex
 
 
 def test_sorted_coords_follows_partitions_of_without_listing_them(monkeypatch):
