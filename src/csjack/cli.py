@@ -5,13 +5,13 @@ spectrum (quasi-momenta and energies), convert (basis conversion of a
 polynomial read from a file or stdin).  Output is byte deterministic for
 fixed inputs.  Exit codes: 0 success, 1 domain error or unreadable input,
 2 usage error (bad flags or flag values), 3 a verification suite reported a
-failure.
+failure.  json is imported only by the handlers that read or write it, so a
+verify request or a text-format request does not load it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -86,6 +86,8 @@ def cmd_jack(args) -> int:
         return str(c if args.beta is None else c.specialize(args.beta))
 
     if args.format == "json":
+        import json
+
         obj = result.to_json()
         obj["beta"] = "sym" if args.beta is None else str(args.beta)
         if args.beta is not None:
@@ -150,6 +152,8 @@ def cmd_spectrum(args) -> int:
     records = [spectrum.spectrum_record(lam, params) for lam in lams]
     ground = spectrum.ground_energy(params)
     if args.format == "json":
+        import json
+
         obj = {
             "params": {
                 "nparticles": params.nparticles,
@@ -212,6 +216,8 @@ def _decode_polynomial(obj) -> LaurentPoly | None:
 
 
 def cmd_convert(args) -> int:
+    import json
+
     from . import symbases
 
     try:

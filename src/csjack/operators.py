@@ -25,7 +25,7 @@ from .errors import (
     NotSymmetric,
 )
 from .fieldring import BETA
-from .polyring import LaurentPoly, _check_var, divide_by_vardiff
+from .polyring import LaurentPoly, _check_var, _merge, divide_by_vardiff
 
 
 def _check_ordinary(p: LaurentPoly):
@@ -59,8 +59,13 @@ def apply_dunkl(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     differences against every other variable."""
     _check_var(p.ctx, i)
     _check_ordinary(p)
-    differences = (p.divided_difference(i, j) for j in range(1, p.ctx.nvars + 1) if j != i)
-    return p.partial_derivative(i) + LaurentPoly.sum(p.ctx, differences).scale(beta)
+    # every quotient is a fresh dict, so the first one takes the others
+    differences: dict = {}
+    for j in range(1, p.ctx.nvars + 1):
+        if j != i:
+            q = p.divided_difference(i, j).terms
+            differences = _merge(differences, q.items()) if differences else q
+    return p.partial_derivative(i) + LaurentPoly._raw(p.ctx, differences).scale(beta)
 
 
 def apply_D(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:

@@ -4,7 +4,8 @@ creation-operator product.
 Three routes, none of which touches the creation operators:
 
 * triangular solve of the Hamiltonian eigenproblem over the dominance
-  down-set in the monomial basis,
+  down-set in the monomial basis, its matrix read off the partitions in
+  closed form (Sutherland 1972; Macdonald VI.3-4), cached,
 * Gram-Schmidt under the power-sum pairing along a linear extension of
   dominance (degree <= nvars only), one pass per ordering in m- and
   p-coordinates, cached,
@@ -15,21 +16,20 @@ Three routes, none of which touches the creation operators:
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Mapping
 from types import MappingProxyType
 
 from .errors import DegenerateLeadingTerm, DegreeExceedsVariables, InconsistentSystem, TooManyParts
 from .fieldring import ONE, ZERO, FieldElement
-from .operators import apply_H, apply_hatD
+from .operators import apply_hatD
 from .partitions import Partition, dominates, partitions_of
 from .polyring import LaurentPoly, Record, VarContext, _merge
 from .rodrigues import eigenvalue_epsilon
 from .symbases import (
     POWER_SUM,
     BasisExpansion,
-    expand_in_basis,
     from_m_coordinates,
-    monomial_sym,
     power_sum_columns,
     scalar_product_p,
     solve_linear,
@@ -55,13 +55,32 @@ class TriangularSystem(Record):
 
 @functools.cache
 def triangular_system(degree: int, ctx: VarContext) -> TriangularSystem:
-    basis = partitions_of(degree, ctx.nvars)
+    """The coefficient of m_mu in H m_nu, read off the partitions: eps(mu)
+    on the diagonal; off it, each pair of slots of the padded mu with values
+    x >= y and each p in (x, x + y], q = x + y - p, adds 2 b (p - q) at nu =
+    mu with (p, q) in that pair, sorted.  For p > q the pair term of H
+    sends z_j^p z_k^q + z_j^q z_k^p to p - q times itself (summing to the b
+    part of eps) plus 2 (p - q) z_j^x z_k^(p+q-x) for every q < x < p."""
+    n = ctx.nvars
+    basis = partitions_of(degree, n)
     matrix: dict[tuple[Partition, Partition], FieldElement] = {}
-    for lam in basis:
-        image = apply_H(monomial_sym(lam, ctx))
-        for mu, c in expand_in_basis(image, "m").coords.items():
-            matrix[(mu, lam)] = c
-    return TriangularSystem(degree, ctx.nvars, tuple(basis), MappingProxyType(matrix))
+    off: dict[tuple[Partition, Partition], int] = {}
+    for mu in basis:
+        eps = eigenvalue_epsilon(mu, n)
+        if eps:
+            matrix[(mu, mu)] = eps
+        padded = mu.pad(n)
+        for s, t in itertools.combinations(range(n), 2):
+            x, y = padded[s], padded[t]
+            for p in range(x + 1, x + y + 1):
+                q = x + y - p
+                nu = list(padded)
+                nu[s], nu[t] = p, q
+                key = (mu, Partition(sorted(nu, reverse=True)))
+                off[key] = off.get(key, 0) + 2 * (p - q)
+    for key, v in off.items():
+        matrix[key] = FieldElement((0, v))
+    return TriangularSystem(degree, n, tuple(basis), MappingProxyType(matrix))
 
 
 def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
@@ -218,8 +237,6 @@ def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
 def jack_by_symmetrization(lam: Partition, ctx: VarContext) -> LaurentPoly:
     """Sum the non-symmetric eigenfunction over all variable relabelings and
     rescale so the coefficient on z^lam is one."""
-    import itertools
-
     lam = Partition(lam)
     chi = nonsym_eigenfunction(lam, ctx)
     total = LaurentPoly.sum(ctx, map(chi.permute_vars, itertools.permutations(range(ctx.nvars))))

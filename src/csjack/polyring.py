@@ -8,9 +8,10 @@ allowed) to nonzero FieldElement coefficients; the ring operations, moves
 and derivatives also run on plain int coefficients, which only _raw builds.
 Sums merge through _merge, scalings go through scale (one field product per
 distinct coefficient), and m_coordinates lists the m-basis coordinates.
-divide_by_vardiff, the one exact division by z_i - z_j, runs line by line
-on partial sums of coefficients, and divided_difference feeds it p - swap p
-built in one pass.
+divide_by_vardiff, the one exact division by z_i - z_j, divides an
+antisymmetric dividend pair by pair in closed form and any other line by
+line on partial sums of coefficients; divided_difference feeds it p - swap p
+built in one pass, and does not call it when that difference is zero.
 Polynomials are immutable by convention: every operation returns a fresh
 value and never mutates input dicts.  Serialization and printing order terms
 by descending lexicographic exponent, so equal polynomials always render byte
@@ -216,9 +217,6 @@ class LaurentPoly:
     def coefficient(self, exps) -> FieldElement:
         return self.terms.get(tuple(exps), ZERO)
 
-    def constant_term(self) -> FieldElement:
-        return self.terms.get((0,) * self.ctx.nvars, ZERO)
-
     def has_negative_exponents(self) -> bool:
         return any(min(e) < 0 for e in self.terms)
 
@@ -333,6 +331,8 @@ class LaurentPoly:
                 d = c - cf
                 if d:
                     diff[e], diff[f] = d, -d
+        if not diff:
+            return LaurentPoly._raw(self.ctx, {})
         return divide_by_vardiff(LaurentPoly._raw(self.ctx, diff), i, j)
 
     def bar_involution(self) -> "LaurentPoly":
@@ -340,15 +340,6 @@ class LaurentPoly:
         out = {}
         for e, c in self.terms.items():
             out[tuple(-x for x in e)] = c
-        return LaurentPoly._raw(self.ctx, out)
-
-    def specialize_beta(self, beta_value) -> "LaurentPoly":
-        """Freeze the coupling to a rational value; coefficients stay exact."""
-        out: dict[tuple, FieldElement] = {}
-        for e, c in self.terms.items():
-            v = c.specialize(beta_value)
-            if v:
-                out[e] = FieldElement.from_fraction(v)
         return LaurentPoly._raw(self.ctx, out)
 
     # -- serialization -------------------------------------------------------------
@@ -422,25 +413,53 @@ def _check_var(ctx: VarContext, i: int):
 
 
 def divide_by_vardiff(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
-    """Exact division of p by (z_i - z_j), one line at a time.
+    """Exact division of p by (z_i - z_j).
 
-    A line is the set of exponents that agree once z_i^k is moved onto z_j;
-    along it p = sum_k a_k z_i^k z_j^(s-k), and the quotient's coefficient of
-    z_i^m z_j^(s-1-m) is the partial sum of the a_k with k > m, so it repeats
-    across the gaps between exponents and is not stored where it vanishes.
-    A nonzero full sum on any line means p was not divisible and raises
-    NonzeroRemainder.  Works for negative exponents and for int or field
-    coefficients.
+    An antisymmetric p (p = -swap_ij p, checked in the same pass) divides
+    pair by pair in closed form: for e_i > e_j, (z^e - z^(swap e)) / (z_i - z_j)
+    is z^rest times the sum over m = e_j .. e_i - 1 of z_i^m z_j^(e_i+e_j-1-m).
+    Any other p divides one line at a time: a line is the set of exponents
+    that agree once z_i^k is moved onto z_j; along it p = sum_k a_k z_i^k
+    z_j^(s-k), and the quotient's coefficient of z_i^m z_j^(s-1-m) is the
+    partial sum of the a_k with k > m, so it repeats across the gaps between
+    exponents and is not stored where it vanishes.  A nonzero full sum on
+    any line means p was not divisible and raises NonzeroRemainder.  Works
+    for negative exponents and for int or field coefficients.
     """
     if i == j:
         raise IndexOutOfRange(f"cannot divide by (z_{i} - z_{i})")
     _check_var(p.ctx, i)
     _check_var(p.ctx, j)
     ii, jj = i - 1, j - 1
+    terms = p.terms
+
+    out: dict[tuple, FieldElement] = {}
+    below = 0  # terms with e_i < e_j, each the partner of one with e_i > e_j
+    for e, c in terms.items():
+        a, b = e[ii], e[jj]
+        if a <= b:
+            if a == b:
+                break
+            below += 1
+            continue
+        le = list(e)
+        le[ii], le[jj] = b, a
+        if terms.get(tuple(le)) != -c:
+            break
+        top = a + b - 1
+        for m in range(b, a):
+            le[ii], le[jj] = m, top - m
+            key = tuple(le)
+            acc = out.get(key)
+            out[key] = c if acc is None else acc + c
+    else:
+        if 2 * below == len(terms):
+            # pairs on one line overlap, and their sums may cancel
+            return LaurentPoly._raw(p.ctx, {e: c for e, c in out.items() if c})
 
     # key each line by its exponents with z_i^k moved onto z_j
     lines: dict[tuple, list] = {}
-    for e, c in p.terms.items():
+    for e, c in terms.items():
         le = list(e)
         k = le[ii]
         le[ii], le[jj] = 0, le[jj] + k
@@ -451,7 +470,7 @@ def divide_by_vardiff(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
         else:
             line.append((k, c))
 
-    out: dict[tuple, FieldElement] = {}
+    out = {}
     for key, line in lines.items():
         line.sort(reverse=True)  # the k on a line are distinct
         le = list(key)

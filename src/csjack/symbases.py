@@ -7,9 +7,11 @@ Schur polynomials by bialternant division.
 
 from_m_coordinates is the one way from m-coordinates back to a polynomial.
 solve_linear is the one exact linear solver, kept here off the jack path.
-The power-sum coordinates of every m_rho of one (degree, nvars) come from
-one exact solve of the integer transition system, cached by
-power_sum_columns; a conversion to the p basis then sums the columns of its
+The power-sum coordinates of every m_rho of one degree come from one exact
+solve of the integer transition system, whose entries are counts of maps
+between parts (Macdonald I.6), so no power sums are multiplied; for degree
+<= nvars the table does not depend on nvars and is cached per degree by
+power_sum_columns.  A conversion to the p basis then sums the columns of its
 m-coordinates.  The power-sum pairing makes one quotient product per length.
 The torus pairing reads a cached, read-only table of integer weights, sums
 them per pair of distinct coefficients, and specializes each distinct
@@ -194,17 +196,43 @@ def solve_linear(
     return out
 
 
-@functools.cache
 def power_sum_columns(degree: int, ctx: VarContext) -> MappingProxyType:
     """{rho: ((mu, coefficient of p_mu in m_rho), ...)} over the partitions
-    rho of degree <= nvars, from one exact solve per rho of the integer
-    transition system p_mu = sum_rho <coefficient of z^rho in p_mu> m_rho.
-    Read-only, because every caller shares the cached value."""
+    rho of degree, which must be <= nvars for the p_mu to stay independent.
+    The table is the same for every such nvars and read-only, because every
+    caller shares the cached value."""
+    if degree > ctx.nvars:
+        raise DegreeExceedsVariables(f"power-sum coordinates need degree <= {ctx.nvars}, got {degree}")
+    return _power_sum_columns(degree)
+
+
+def _slot_maps(parts: tuple[int, ...], slots: tuple[int, ...]) -> int:
+    """Number of maps from parts to slots under which the parts sent to each
+    slot sum to its value, when both sum alike: the coefficient of m_slots in
+    p_parts (Macdonald I.6).  Slots of equal value are counted once and
+    weighted by their number."""
+    if not parts:
+        return 1
+    first, rest = parts[0], parts[1:]
+    total = 0
+    for v in set(slots):
+        if v >= first:
+            s = slots.index(v)
+            total += slots.count(v) * _slot_maps(rest, slots[:s] + (v - first,) + slots[s + 1 :])
+    return total
+
+
+@functools.cache
+def _power_sum_columns(degree: int) -> MappingProxyType:
+    """power_sum_columns of the degree, from one exact solve per rho of the
+    integer transition system p_mu = sum_rho <maps from mu to rho> m_rho."""
     parts = partitions_of(degree, None)
     rows: dict[Partition, dict[int, FieldElement]] = {rho: {} for rho in parts}
     for col, mu in enumerate(parts):
-        for rho, c in power_sum(mu, ctx).m_coordinates().items():
-            rows[rho][col] = c
+        for rho in parts:
+            count = _slot_maps(mu, rho)
+            if count:
+                rows[rho][col] = FieldElement((count,))
     columns = {}
     for rho in parts:
         coeffs = solve_linear([(rows[r], ONE if r == rho else ZERO) for r in parts], len(parts))
@@ -226,10 +254,6 @@ def expand_in_basis(p: LaurentPoly, basis: str) -> BasisExpansion:
     mcoords = p.m_coordinates()
     if basis == MONOMIAL:
         return BasisExpansion(MONOMIAL, n, p.ctx, mcoords)
-    if n > p.ctx.nvars:
-        raise DegreeExceedsVariables(
-            f"power-sum coordinates need degree <= {p.ctx.nvars}, got {n}"
-        )
     columns = power_sum_columns(n, p.ctx)
     coords: dict[Partition, FieldElement] = {}
     for rho, c in mcoords.items():

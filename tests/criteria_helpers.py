@@ -1,6 +1,7 @@
 """Predicates that only the tests need, kept out of the package."""
 
-from csjack.fieldring import BetaPoly, FieldElement
+from csjack.fieldring import ZERO, BetaPoly, FieldElement
+from csjack.polyring import LaurentPoly
 
 
 def poly_is_integral(a: BetaPoly) -> bool:
@@ -20,3 +21,17 @@ def is_integer_in_inverse_beta(a: FieldElement) -> bool:
     if len(a.num) > len(den):
         return False
     return poly_is_integral(a.num)
+
+
+def constant_term(p: LaurentPoly) -> FieldElement:
+    return p.terms.get((0,) * p.ctx.nvars, ZERO)
+
+
+def specialize_beta(p: LaurentPoly, beta_value) -> LaurentPoly:
+    """Freeze the coupling to a rational value; coefficients stay exact."""
+    out = {}
+    for e, c in p.terms.items():
+        v = c.specialize(beta_value)
+        if v:
+            out[e] = FieldElement.from_fraction(v)
+    return LaurentPoly._raw(p.ctx, out)

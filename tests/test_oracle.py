@@ -11,7 +11,7 @@ from csjack.errors import (
     TooManyParts,
 )
 from csjack.fieldring import BETA, ONE, FieldElement
-from csjack.operators import apply_hatD
+from csjack.operators import apply_H, apply_hatD
 from csjack.oracle import (
     jack_by_gram_schmidt,
     jack_by_symmetrization,
@@ -23,6 +23,7 @@ from csjack.oracle import (
 from csjack.partitions import Partition, dominates, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
 from csjack.rodrigues import eigenvalue_epsilon, jack
+from csjack.symbases import expand_in_basis, monomial_sym
 
 CTX2 = VarContext(2)
 CTX3 = VarContext(3)
@@ -63,6 +64,21 @@ def test_triangular_gaps_never_vanish():
                     gap = eigenvalue_epsilon(lam, nvars) - eigenvalue_epsilon(mu, nvars)
                     expected = 2 * (n(mu) - n(lam))
                     assert expected > 0 and gap.den == (1,) and gap.num[1:2] == (expected,), (lam, mu, nvars)
+
+
+def test_triangular_system_is_the_hamiltonian_on_monomials():
+    """The closed-form matrix against the coefficients of m_mu in H m_lam,
+    computed by applying H and expanding in the m basis."""
+    for nvars in range(1, 7):
+        ctx = VarContext(nvars)
+        for degree in range(7):
+            system = triangular_system(degree, ctx)
+            expected = {}
+            for lam in partitions_of(degree, nvars):
+                image = expand_in_basis(apply_H(monomial_sym(lam, ctx)), "m")
+                expected.update(((mu, lam), c) for mu, c in image.coords.items())
+            assert dict(system.matrix) == expected, (degree, nvars)
+            assert system.ordered_basis == tuple(partitions_of(degree, nvars))
 
 
 def test_triangular_system_respects_dominance():

@@ -1,14 +1,20 @@
 """The package surface loads each layer on first use: every exported name
-resolves, and a `jack` request imports only the creation-product layers."""
+resolves, a `jack` request imports only the creation-product layers, and
+only requests that read or write JSON import json."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
-from cli_helper import run_child
+from cli_helper import run_child, run_cli
 
 import csjack
+from csjack.partitions import Partition
+from csjack.polyring import VarContext
+from csjack.rodrigues import jack
+from csjack.symbases import expand_in_basis
 
 LAYERS = {"errors", "fieldring", "polyring", "partitions", "operators", "rodrigues"}
 
@@ -115,3 +121,27 @@ def test_every_module_level_definition_is_used_or_exported():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
     } - named - set(csjack.__all__)
     assert not unused, sorted(unused)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "commutators", "--max-degree", "3"],
+        ["jack", "--lambda", "3,2,1", "--nvars", "4", "--format", "text"],
+    ],
+    ids=["verify", "jack-text"],
+)
+def test_requests_without_json_output_load_no_json(argv):
+    loaded = _loaded_after(f"from csjack import cli\nassert cli.main({argv!r}) == 0")
+    assert "json" not in loaded
+
+
+def test_json_requests_still_write_json():
+    r = run_cli("jack", "--lambda", "2,1", "--nvars", "3")
+    result = jack(Partition((2, 1)), VarContext(3))
+    assert r.returncode == 0
+    assert r.stdout == json.dumps({**result.to_json(), "beta": "sym"}, indent=2) + "\n"
+    back = run_cli("convert", "--to", "p", stdin=r.stdout)
+    assert back.returncode == 0
+    expansion = expand_in_basis(result.monic, "p").to_json()
+    assert back.stdout == json.dumps({**expansion, "nvars": 3}, indent=2) + "\n"

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from criteria_helpers import constant_term
 
 from csjack.errors import (
     BasisMismatch,
@@ -30,6 +31,7 @@ from csjack.symbases import (
     from_m_coordinates,
     monomial_sym,
     power_sum,
+    power_sum_columns,
     scalar_product_p,
     schur,
     solve_linear,
@@ -162,14 +164,22 @@ def _random_symmetric(rng: random.Random, degree: int, ctx: VarContext) -> Laure
     return LaurentPoly.sum(ctx, terms)
 
 
-def _solve_power_sum_directly(p: LaurentPoly, degree: int) -> dict:
-    """Power-sum coordinates from one solve of the transition system p_mu -> m."""
+def _transition_rows(degree: int, ctx: VarContext) -> dict:
+    """{rho: {column of mu: coefficient of z^rho in p_mu}}, from the products
+    of power sums in ctx, columns numbered along partitions_of(degree)."""
     parts = partitions_of(degree, None)
     rows = {rho: {} for rho in parts}
     for col, mu in enumerate(parts):
-        for e, c in power_sum(mu, p.ctx).terms.items():
+        for e, c in power_sum(mu, ctx).terms.items():
             if list(e) == sorted(e, reverse=True):
                 rows[Partition(e)][col] = c
+    return rows
+
+
+def _solve_power_sum_directly(p: LaurentPoly, degree: int) -> dict:
+    """Power-sum coordinates from one solve of the transition system p_mu -> m."""
+    parts = partitions_of(degree, None)
+    rows = _transition_rows(degree, p.ctx)
     mcoords = {Partition(e): c for e, c in p.terms.items() if list(e) == sorted(e, reverse=True)}
     solution = solve_linear([(rows[rho], mcoords.get(rho, ZERO)) for rho in parts], len(parts))
     return {mu: c for mu, c in zip(parts, solution) if c}
@@ -185,6 +195,39 @@ def test_power_sum_expansion_matches_a_direct_solve():
                 ex = expand_in_basis(p, POWER_SUM)
                 assert ex.coords == _solve_power_sum_directly(p, degree)
                 assert ex.reconstruct() == p
+
+
+def test_power_sum_table_matches_a_direct_solve_for_every_nvars():
+    """The table counts maps between parts instead of multiplying power
+    sums; for degree <= N it must equal the solve of the multiplied-out
+    transition system in N variables, and be one table for every such N."""
+    for degree in range(8):
+        parts = partitions_of(degree, None)
+        first = power_sum_columns(degree, VarContext(max(degree, 1)))
+        for nvars in range(max(degree, 1), 8):
+            ctx = VarContext(nvars)
+            table = power_sum_columns(degree, ctx)
+            assert table is first
+            rows = _transition_rows(degree, ctx)
+            for rho in parts:
+                rhs = [(rows[r], ONE if r == rho else ZERO) for r in parts]
+                solution = solve_linear(rhs, len(parts))
+                assert table[rho] == tuple((mu, c) for mu, c in zip(parts, solution) if c), (rho, nvars)
+
+
+def test_power_sum_table_refuses_more_degree_than_variables():
+    for nvars in range(1, 6):
+        with pytest.raises(DegreeExceedsVariables):
+            power_sum_columns(nvars + 1, VarContext(nvars))
+
+
+def test_power_sum_table_is_read_only():
+    table = power_sum_columns(3, CTX3)
+    with pytest.raises(TypeError):
+        table[Partition((3,))] = ()
+    with pytest.raises(TypeError):
+        del table[Partition((3,))]
+    assert table[Partition((3,))] == ((Partition((3,)), ONE),)
 
 
 def test_callers_cannot_corrupt_cached_values():
@@ -277,7 +320,7 @@ def _circle_reference(f, g, beta_int):
             diff = LaurentPoly.variable(ctx, j) - LaurentPoly.variable(ctx, k)
             for _ in range(beta_int):
                 weight = weight * diff * diff.bar_involution()
-    return (weight * f * g.bar_involution()).constant_term().specialize(beta_int)
+    return constant_term(weight * f * g.bar_involution()).specialize(beta_int)
 
 
 def test_circle_inner_product_matches_full_product():

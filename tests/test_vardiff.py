@@ -1,7 +1,8 @@
 """Property tests of the exact division by z_i - z_j and of the divided
 difference built on it: Laurent input with int and Q(b) coefficients,
 negative exponents and several terms per line, so that partial sums vanish
-mid-line; a reference Horner division checks the divided difference."""
+mid-line; a reference Horner division checks the divided difference and the
+closed form that antisymmetric dividends take."""
 
 import pytest
 
@@ -109,3 +110,35 @@ def test_divided_difference_matches_swap_subtract_divide(case):
     assert all(got.terms.values())
     if ints:
         assert all(type(c) is int for c in got.terms.values())
+
+
+@SETTINGS
+@given(laurent_case(), st.booleans(), st.data())
+def test_antisymmetric_dividends_match_horner(case, difference, data):
+    """p - swap_ij p, or (z_i - z_j) q with q symmetric in i and j: both are
+    antisymmetric and divide pair by pair in closed form.  Changing one
+    coefficient breaks antisymmetry and divisibility, so the division must
+    raise instead of returning the closed form of the other terms."""
+    q, i, j, ints = case
+    if difference:
+        p = q - q.swap_vars(i, j)
+    else:
+        p = vardiff(q.ctx, i, j, ints) * (q + q.swap_vars(i, j))
+    assert p == -p.swap_vars(i, j)
+    quotient = divide_by_vardiff(p, i, j)
+    assert quotient == horner_divide(p, i, j)
+    assert all(quotient.terms.values())
+    if ints:
+        assert all(type(c) is int for c in quotient.terms.values())
+    if not p.terms:
+        return
+    e = data.draw(st.sampled_from(sorted(p.terms)))
+    delta = data.draw(INT_COEFF)
+    terms = dict(p.terms)
+    c = terms[e] + (delta if ints else field(delta))
+    if c:
+        terms[e] = c
+    else:
+        del terms[e]
+    with pytest.raises(NonzeroRemainder):
+        divide_by_vardiff(LaurentPoly._raw(q.ctx, terms), i, j)
