@@ -16,7 +16,6 @@ import math
 import sys
 from fractions import Fraction
 
-from . import rodrigues
 from .errors import AlgebraError
 from .fieldring import FieldElement
 from .partitions import Partition, partitions_of
@@ -49,8 +48,10 @@ PARTITION_ARG = _checked(_parse_partition, "comma separated integers")
 COUNT_ARG = _checked(int, "an integer >= 1", lambda v: v >= 1)
 DEGREE_ARG = _checked(int, "an integer >= 0", lambda v: v >= 0)
 
-# choices of verify --suite and convert --to, copied so that building the
-# parser imports neither suites nor symbases; a test pins them to their source
+# choices of jack --normalization, verify --suite and convert --to, copied so
+# that building the parser imports none of rodrigues, suites and symbases; a
+# test pins them to their source
+NORMALIZATION_CHOICES = ("monic", "stanley", "raw")
 SUITE_CHOICES = [
     "annihilation",
     "commutators",
@@ -80,6 +81,8 @@ def cmd_jack(args) -> int:
             file=sys.stderr,
         )
         return 1
+    from . import rodrigues
+
     result = rodrigues.jack(lam, ctx, args.normalization)
 
     def show(c) -> str:
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="lam", type=PARTITION_ARG, required=True, help="comma separated parts, 0 for empty"
     )
     p_jack.add_argument("--nvars", type=COUNT_ARG, required=True)
-    p_jack.add_argument("--normalization", choices=rodrigues.NORMALIZATIONS, default="monic")
+    p_jack.add_argument("--normalization", choices=NORMALIZATION_CHOICES, default="monic")
     p_jack.add_argument("--format", choices=("json", "text"), default="json")
     p_jack.add_argument(
         "--beta",

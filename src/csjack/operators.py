@@ -11,6 +11,15 @@ structure constants in Z[b] (integer derivative factors, synthetic division
 by the monic z_i - z_j, integer multiples of powers of b), so it commutes
 with that evaluation.  The packed creation product and the packed verify
 suites run them this way.
+
+apply_dunkl writes the derivative and, for every other variable, the
+closed-form divided difference of each term into one dict, so it builds no
+p - s_ij p and makes no per-pair call.  On symmetric input
+apply_D_string proves which differences vanish (Dunkl operators are
+S_N-equivariant) and passes the rest down; those still run through
+LaurentPoly.divided_difference and so through divide_by_vardiff, where the
+benchmark's tracer times them on the creation product, until that span
+moves.
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from .errors import (
     LaurentInput,
     NotSymmetric,
 )
-from .fieldring import BETA
-from .polyring import LaurentPoly, _check_var, _merge, divide_by_vardiff
+from .fieldring import BETA, field
+from .polyring import LaurentPoly, _check_var, divide_by_vardiff
 
 
 def _check_ordinary(p: LaurentPoly):
@@ -54,31 +63,73 @@ def galilei_boost(p: LaurentPoly, power: int = 1) -> LaurentPoly:
     return LaurentPoly._raw(p.ctx, out)
 
 
-def apply_dunkl(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
+def apply_dunkl(i: int, p: LaurentPoly, beta=BETA, *, _against=None) -> LaurentPoly:
     """Dunkl operator: plain derivative plus coupling-weighted divided
-    differences against every other variable."""
+    differences against every other variable, written into one dict.
+
+    A term c z^e with a = e_i != b = e_j adds to (p - s_ij p)/(z_i - z_j)
+    the closed form +-z^rest sum over m = min(a,b) .. max(a,b) - 1 of
+    z_i^m z_j^(a+b-1-m), + when a > b, with beta c computed once per term;
+    partner terms z^e and z^(s_ij e) cancel in the dict, and zeros are
+    dropped once at the end.  apply_D_string passes _against, the j that
+    its proof of symmetry leaves, and each of those differences then runs
+    through LaurentPoly.divided_difference instead.
+    """
     _check_var(p.ctx, i)
     _check_ordinary(p)
-    # every quotient is a fresh dict, so the first one takes the others
-    differences: dict = {}
-    for j in range(1, p.ctx.nvars + 1):
-        if j != i:
-            q = p.divided_difference(i, j).terms
-            differences = _merge(differences, q.items()) if differences else q
-    return p.partial_derivative(i) + LaurentPoly._raw(p.ctx, differences).scale(beta)
+    terms = p.terms
+    # the rule of LaurentPoly.scale: an int coupling stays int on int input
+    if type(beta) is not int or type(next(iter(terms.values()), 0)) is not int:
+        beta = field(beta)
+    ii = i - 1
+    # the derivative's exponents are distinct, so it fills the dict first
+    out = {e[:ii] + (e[ii] - 1,) + e[ii + 1 :]: c * e[ii] for e, c in terms.items() if e[ii]}
+    if _against is not None:
+        for j in _against:
+            for key, c in p.divided_difference(i, j).terms.items():
+                acc = out.get(key)
+                out[key] = beta * c if acc is None else acc + beta * c
+    else:
+        others = [jj for jj in range(p.ctx.nvars) if jj != ii]
+        for e, c in terms.items():
+            a = e[ii]
+            bc = beta * c
+            le = list(e)
+            for jj in others:
+                b = e[jj]
+                if a == b:
+                    continue
+                lo, hi, v = (b, a, bc) if a > b else (a, b, -bc)
+                top = a + b - 1
+                for m in range(lo, hi):
+                    le[ii], le[jj] = m, top - m
+                    key = tuple(le)
+                    acc = out.get(key)
+                    out[key] = v if acc is None else acc + v
+                le[jj] = b
+    return LaurentPoly._raw(p.ctx, {e: c for e, c in out.items() if c})
 
 
-def apply_D(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
+def apply_D(i: int, p: LaurentPoly, beta=BETA, *, _against=None) -> LaurentPoly:
     """Degree-preserving operator z_i * dunkl_i."""
-    return apply_dunkl(i, p, beta).shift_var(i, 1)
+    return apply_dunkl(i, p, beta, _against=_against).shift_var(i, 1)
 
 
 def apply_D_string(k: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Ordered product over J = (j_1 < ... < j_l) of (D_{j_t} + (k+t-1) b),
-    the factor with the largest shift acting first."""
+    the factor with the largest shift acting first.
+
+    On symmetric p only the differences against later indices survive:
+    Dunkl operators are S_N-equivariant (Dunkl 1989), so the input of the
+    factor at pos is symmetric in every variable outside J[pos+1:], its
+    divided differences against any of them vanish, and it takes only
+    those against J[pos+1:].
+    """
     J = _check_index_set(J, p.ctx.nvars)
+    symmetric = p.is_symmetric()
     for pos in range(len(J) - 1, -1, -1):
-        p = apply_D(J[pos], p, beta) + p.scale(beta * (k + pos))
+        against = J[pos + 1 :] if symmetric else None
+        p = apply_D(J[pos], p, beta, _against=against) + p.scale(beta * (k + pos))
     return p
 
 

@@ -7,7 +7,9 @@ half-coupling staircase
     kappa_i = (2 pi / L) [lam_i + (b/2)(N + 1 - 2 i) + q],
 
 the unique choice consistent with the ground-state energy, the excitation
-eigenvalues, and the exclusion spacing at once.
+eigenvalues, and the exclusion spacing at once.  The quasi-momenta, their
+sum and their squared sum are computed on integer numerators over one
+common denominator, 2 den(b) den(q), and each becomes one Fraction.
 """
 
 from __future__ import annotations
@@ -40,27 +42,36 @@ def ground_energy(params: ModelParams) -> Fraction:
     return params.beta**2 * Fraction(n * (n * n - 1), 3)
 
 
-def quasi_momenta(lam: Partition, params: ModelParams) -> list[Fraction]:
-    """Quasi-momenta in units of 2*pi/L, one per particle, strictly ordered."""
+def _numerators(lam: Partition, params: ModelParams) -> tuple[list[int], int]:
+    """Integer numerators of the quasi-momenta over their one common
+    denominator 2 den(b) den(q), and that denominator."""
     lam = Partition(lam)
     n = params.nparticles
     if len(lam) > n:
         raise TooManyParts(f"l({lam}) = {len(lam)} > {n} particles")
-    padded = lam.pad(n)
-    stair = params.beta / 2
-    return [
-        Fraction(padded[i - 1]) + stair * (n + 1 - 2 * i) + params.q
-        for i in range(1, n + 1)
-    ]
+    beta, q = params.beta, params.q
+    den = 2 * beta.denominator * q.denominator
+    # den * b / 2 and den * q, both integers
+    stair = beta.numerator * q.denominator
+    shift = 2 * beta.denominator * q.numerator
+    return [x * den + stair * (n + 1 - 2 * i) + shift for i, x in enumerate(lam.pad(n), start=1)], den
+
+
+def quasi_momenta(lam: Partition, params: ModelParams) -> list[Fraction]:
+    """Quasi-momenta in units of 2*pi/L, one per particle, strictly ordered."""
+    nums, den = _numerators(lam, params)
+    return [Fraction(k, den) for k in nums]
 
 
 def total_momentum(lam: Partition, params: ModelParams) -> Fraction:
-    return sum(quasi_momenta(lam, params), Fraction(0))
+    nums, den = _numerators(lam, params)
+    return Fraction(sum(nums), den)
 
 
 def total_energy(lam: Partition, params: ModelParams) -> Fraction:
     """Sum of squared quasi-momenta, in units of (2*pi/L)^2."""
-    return sum((k * k for k in quasi_momenta(lam, params)), Fraction(0))
+    nums, den = _numerators(lam, params)
+    return Fraction(sum(k * k for k in nums), den * den)
 
 
 class SpectrumRecord(Record):
@@ -87,13 +98,12 @@ class SpectrumRecord(Record):
 
 
 def spectrum_record(lam: Partition, params: ModelParams) -> SpectrumRecord:
-    kappa = tuple(quasi_momenta(lam, params))
     return SpectrumRecord(
         lam=Partition(lam),
         params=params,
-        kappa=kappa,
-        momentum=sum(kappa, Fraction(0)),
-        energy=sum((k * k for k in kappa), Fraction(0)),
+        kappa=tuple(quasi_momenta(lam, params)),
+        momentum=total_momentum(lam, params),
+        energy=total_energy(lam, params),
         ground=ground_energy(params),
     )
 

@@ -8,8 +8,10 @@ lie in Z[b][z], so those two suites run on plain ints at b = 2^B (Kronecker
 substitution), with B computed at run time from a bound proved in
 _commutator_width and _annihilation_width: with every coefficient of
 lhs - rhs below 2^(B-2), the two sides agree at 2^B only when they agree in
-Z[b].  The other suites run in Q(b) and import oracle, symbases and spectrum
-when they run, so a packed suite loads none of them.
+Z[b].  The other suites run in Q(b).  Each suite imports the layers it
+runs (rodrigues, operators, oracle, symbases, spectrum) when it runs, so
+the commutators suite does not load rodrigues and the spectrum suite loads
+neither rodrigues nor operators.
 """
 
 from __future__ import annotations
@@ -19,16 +21,7 @@ import math
 import random
 from fractions import Fraction
 
-from . import rodrigues
 from .fieldring import pack, pack_width
-from .operators import (
-    apply_D,
-    apply_dunkl,
-    apply_hatD,
-    apply_N,
-    full_index_set,
-    _times_z,
-)
 from .partitions import Partition, partitions_of
 from .polyring import LaurentPoly, Record, VarContext
 
@@ -99,6 +92,7 @@ def _commutator_width(max_nvars: int, max_degree: int) -> int:
 def _commutator_identities(max_degree: int, max_nvars: int, beta) -> list[tuple]:
     """(name, body) of each identity of suite_commutators at the coupling
     beta; a body draws one case from its rng and returns "" or a detail."""
+    from .operators import _times_z, apply_D, apply_dunkl, apply_hatD
 
     def dunkl_commute(rng) -> str:
         ctx = _case_ctx(rng, max_nvars)
@@ -249,7 +243,7 @@ def suite_commutators(
 def suite_rodrigues_vs_oracle(max_degree: int = 4, max_nvars: int = 3) -> list[CheckResult]:
     """Creation-operator output against the triangular solve (and against
     Gram-Schmidt whenever the degree allows the pairing route)."""
-    from . import oracle
+    from . import oracle, rodrigues
 
     results = []
     for ctx, lam, label in _creation_cases(max_degree, max_nvars):
@@ -285,6 +279,9 @@ def _annihilation_width(phi: LaurentPoly) -> int:
 def suite_annihilation(max_degree: int = 4, max_nvars: int = 3) -> list[CheckResult]:
     """Every leading D-string of the next cardinality kills phi_lam, checked
     on ints at b = 2^B with B from _annihilation_width."""
+    from . import rodrigues
+    from .operators import apply_N, full_index_set
+
     results = []
     for ctx, lam, label in _creation_cases(max_degree, max_nvars):
         phi = rodrigues.rodrigues_raw(lam, ctx)
@@ -302,7 +299,7 @@ def suite_annihilation(max_degree: int = 4, max_nvars: int = 3) -> list[CheckRes
 
 def suite_orthogonality(max_degree: int = 4, max_nvars: int = 4) -> list[CheckResult]:
     """Distinct Jack polynomials are orthogonal under both pairings."""
-    from . import symbases
+    from . import rodrigues, symbases
 
     def first_nonzero_pairing(jacks: dict, pairing) -> str:
         for a, b in itertools.combinations(jacks, 2):

@@ -75,8 +75,8 @@ def test_bad_flag_is_usage_error():
 
 
 def test_parser_choices_match_their_modules():
-    """cli copies these choices so that parsing imports neither module."""
-    from csjack import cli, suites, symbases
+    """cli copies these choices so that parsing imports none of their modules."""
+    from csjack import cli, rodrigues, suites, symbases
 
     subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
 
@@ -85,6 +85,7 @@ def test_parser_choices_match_their_modules():
 
     assert list(choices("verify", "suite")) == sorted(suites.SUITES) + ["all"]
     assert tuple(choices("convert", "to")) == (symbases.MONOMIAL, symbases.POWER_SUM)
+    assert tuple(choices("jack", "normalization")) == rodrigues.NORMALIZATIONS
 
 
 def test_verify_passes():

@@ -1,6 +1,7 @@
 """The package surface loads each layer on first use: every exported name
-resolves, a `jack` request imports only the creation-product layers, and
-only requests that read or write JSON import json."""
+resolves, a `jack` request imports only the creation-product layers, a
+verify request only the layers its suite runs, and only requests that read
+or write JSON import json."""
 
 import ast
 import importlib
@@ -65,14 +66,23 @@ def test_jack_request_imports_only_the_creation_product():
     assert "dataclasses" not in loaded
 
 
-@pytest.mark.parametrize("suite", ["commutators", "annihilation"])
-def test_packed_verify_request_loads_no_oracle(suite):
+VERIFY_LAYERS = {
+    "commutators": {"errors", "fieldring", "polyring", "partitions", "operators"},
+    "annihilation": LAYERS,
+    "rodrigues-vs-oracle": LAYERS | {"oracle", "symbases"},
+    "orthogonality": LAYERS | {"symbases"},
+    "spectrum-consistency": {"errors", "fieldring", "polyring", "partitions", "spectrum"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_LAYERS))
+def test_verify_request_loads_only_its_suites_layers(suite):
     loaded = _loaded_after(
         "from csjack import cli\n"
         f"assert cli.main(['verify', '--suite', '{suite}', '--max-degree', '3']) == 0"
     )
     assert {m for m in loaded if m.startswith("csjack.")} == {"csjack.cli", "csjack.suites"} | {
-        f"csjack.{layer}" for layer in LAYERS
+        f"csjack.{layer}" for layer in VERIFY_LAYERS[suite]
     }
     assert "dataclasses" not in loaded
 

@@ -17,6 +17,12 @@ from csjack.spectrum import (
     wavefunction_descriptor,
 )
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test of the integer numerators is skipped
+    given = None
+
 
 def test_units():
     assert MOMENTUM_UNIT == "2*pi/L"
@@ -132,3 +138,42 @@ def test_records_behave_as_frozen_values():
             setattr(value, field, 0)
         with pytest.raises(AttributeError):
             delattr(value, field)
+
+
+if given is not None:
+    RATIONAL = st.fractions(min_value=-8, max_value=8, max_denominator=7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.one_of(st.integers(1, 6), RATIONAL.filter(lambda b: b > 0)),
+        RATIONAL,
+        st.lists(st.integers(0, 6), max_size=7),
+    )
+    def test_numerators_match_the_fraction_staircase(n, beta, q, parts):
+        """The spectrum over one common denominator against kappa_i =
+        lam_i + (b/2)(N + 1 - 2i) + q built Fraction by Fraction; an int
+        coupling is exact too."""
+        lam = Partition(sorted(parts, reverse=True))
+        params = ModelParams(nparticles=n, beta=beta, q=q)
+        if len(lam) > n:
+            with pytest.raises(TooManyParts):
+                quasi_momenta(lam, params)
+            return
+        half = Fraction(beta) / 2
+        kappa = [Fraction(x) + half * (n + 1 - 2 * i) + q for i, x in enumerate(lam.pad(n), start=1)]
+        got = quasi_momenta(lam, params)
+        assert got == kappa and all(type(k) is Fraction for k in got)
+        assert total_momentum(lam, params) == sum(kappa, Fraction(0))
+        assert total_energy(lam, params) == sum((k * k for k in kappa), Fraction(0))
+        record = spectrum_record(lam, params)
+        assert (record.kappa, record.momentum, record.energy) == (
+            tuple(kappa),
+            sum(kappa, Fraction(0)),
+            sum((k * k for k in kappa), Fraction(0)),
+        )
+
+else:
+
+    def test_numerators_match_the_fraction_staircase():
+        pytest.skip("hypothesis is not installed")
