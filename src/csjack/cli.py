@@ -5,8 +5,10 @@ spectrum (quasi-momenta and energies), convert (basis conversion of a
 polynomial read from a file or stdin).  Output is byte deterministic for
 fixed inputs.  Exit codes: 0 success, 1 domain error or unreadable input,
 2 usage error (bad flags or flag values), 3 a verification suite reported a
-failure.  json is imported only by the handlers that read or write it, so a
-verify request or a text-format request does not load it.
+failure.  Each handler imports the layers it runs when it runs: json only
+where JSON is read or written, fieldring and polyring only for jack and
+convert (and the verify suites that build polynomials), so a spectrum
+request or `verify --suite spectrum-consistency` loads neither.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import sys
 from fractions import Fraction
 
 from .errors import AlgebraError
-from .fieldring import FieldElement
 from .partitions import Partition, partitions_of
-from .polyring import LaurentPoly, VarContext
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -72,6 +72,8 @@ def _emit(args, payload: str):
 
 
 def cmd_jack(args) -> int:
+    from .polyring import VarContext
+
     lam = Partition(args.lam)
     ctx = VarContext(args.nvars)
     if len(lam) == ctx.nvars and not args.allow_shift:
@@ -194,9 +196,12 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _decode_polynomial(obj) -> LaurentPoly | None:
-    """Read a jack result, a LaurentPoly or a basis expansion payload."""
+def _decode_polynomial(obj):
+    """Read a jack result, a LaurentPoly or a basis expansion payload; None
+    when obj is none of them."""
     from . import symbases
+    from .fieldring import FieldElement
+    from .polyring import LaurentPoly, VarContext
 
     if "monomial_expansion" in obj:
         ctx = VarContext(obj["nvars"])

@@ -115,7 +115,7 @@ def apply_D(i: int, p: LaurentPoly, beta=BETA, *, _against=None) -> LaurentPoly:
     return apply_dunkl(i, p, beta, _against=_against).shift_var(i, 1)
 
 
-def apply_D_string(k: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
+def apply_D_string(k: int, J, p: LaurentPoly, beta=BETA, *, _symmetric=None) -> LaurentPoly:
     """Ordered product over J = (j_1 < ... < j_l) of (D_{j_t} + (k+t-1) b),
     the factor with the largest shift acting first.
 
@@ -123,10 +123,11 @@ def apply_D_string(k: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     Dunkl operators are S_N-equivariant (Dunkl 1989), so the input of the
     factor at pos is symmetric in every variable outside J[pos+1:], its
     divided differences against any of them vanish, and it takes only
-    those against J[pos+1:].
+    those against J[pos+1:].  A caller that has already tested p passes
+    the answer as _symmetric, so that p is tested once.
     """
     J = _check_index_set(J, p.ctx.nvars)
-    symmetric = p.is_symmetric()
+    symmetric = p.is_symmetric() if _symmetric is None else _symmetric
     for pos in range(len(J) - 1, -1, -1):
         against = J[pos + 1 :] if symmetric else None
         p = apply_D(J[pos], p, beta, _against=against) + p.scale(beta * (k + pos))
@@ -151,13 +152,14 @@ def apply_B_plus(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
         raise BadCardinality(f"cardinality {i} exceeds |J| = {len(J)}")
     if i == nvars:
         return galilei_boost(p)
-    if len(J) == nvars and p.is_symmetric():
-        q = _times_z(apply_D_string(1, J[:i], p, beta), J[:i])
+    symmetric = p.is_symmetric()
+    if len(J) == nvars and symmetric:
+        q = _times_z(apply_D_string(1, J[:i], p, beta, _symmetric=True), J[:i])
         subsets = itertools.combinations(range(nvars), i)
         terms = (q.permute_vars(s + tuple(v for v in range(nvars) if v not in s)) for s in subsets)
     else:
         subsets = itertools.combinations(J, i)
-        terms = (_times_z(apply_D_string(1, s, p, beta), s) for s in subsets)
+        terms = (_times_z(apply_D_string(1, s, p, beta, _symmetric=symmetric), s) for s in subsets)
     return LaurentPoly.sum(p.ctx, terms)
 
 
@@ -174,7 +176,9 @@ def apply_N(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     J = _check_index_set(J, p.ctx.nvars)
     if i < 1 or i > len(J):
         raise BadCardinality(f"cardinality {i} outside 1..|J| = {len(J)}")
-    strings = (apply_D_string(0, s, p, beta) for s in itertools.combinations(J, i))
+    symmetric = p.is_symmetric()
+    subsets = itertools.combinations(J, i)
+    strings = (apply_D_string(0, s, p, beta, _symmetric=symmetric) for s in subsets)
     return LaurentPoly.sum(p.ctx, strings)
 
 

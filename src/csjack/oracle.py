@@ -23,8 +23,8 @@ from types import MappingProxyType
 from .errors import DegenerateLeadingTerm, DegreeExceedsVariables, InconsistentSystem, TooManyParts
 from .fieldring import ONE, ZERO, FieldElement
 from .operators import apply_hatD
-from .partitions import Partition, dominates, partitions_of
-from .polyring import LaurentPoly, Record, VarContext, _merge
+from .partitions import Partition, Record, dominates, partitions_of
+from .polyring import LaurentPoly, VarContext, _merge
 from .rodrigues import eigenvalue_epsilon
 from .symbases import (
     POWER_SUM,

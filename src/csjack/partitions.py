@@ -1,4 +1,9 @@
-"""Integer partitions, the dominance order, and small combinatorial factors."""
+"""Integer partitions, the dominance order, and small combinatorial factors.
+
+Record, the one base of the package's frozen value classes (Partition, a
+tuple, aside), lives here because every request loads this module, so the
+spectrum records and the verify results derive from it without loading
+polyring."""
 
 from __future__ import annotations
 
@@ -13,6 +18,42 @@ from .errors import (
     WeightMismatch,
     checked_type,
 )
+
+
+class Record:
+    """A value class that behaves as a dataclass would, so that no request
+    imports dataclasses: its fields are the names in __slots__, in
+    constructor order; equality, hash, repr, copy and pickle follow them, and
+    a record refuses assignment and deletion once __init__ has set the fields
+    through _init."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class Partition(tuple):

@@ -1,7 +1,6 @@
 """Sparse exact Laurent polynomials in z_1 .. z_N over the coefficient field,
-and Record, the one base of the package's value classes, all of them frozen
-(VarContext here, the records of the verify, convert and spectrum layers
-elsewhere).
+and VarContext, the frozen record (partitions.Record) of their number of
+variables.
 
 Terms live in a dict mapping exponent tuples (length N, negative entries
 allowed) to nonzero FieldElement coefficients; the ring operations, moves
@@ -28,43 +27,7 @@ from .errors import (
     checked_type,
 )
 from .fieldring import ONE, ZERO, FieldElement
-from .partitions import Partition
-
-
-class Record:
-    """A value class that behaves as a dataclass would, so that no request
-    imports dataclasses: its fields are the names in __slots__, in
-    constructor order; equality, hash, repr, copy and pickle follow them, and
-    a record refuses assignment and deletion once __init__ has set the fields
-    through _init."""
-
-    __slots__ = ()
-
-    def _init(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
+from .partitions import Partition, Record
 
 
 class VarContext(Record):

@@ -17,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import TooManyParts
-from .partitions import Partition
-from .polyring import Record
+from .partitions import Partition, Record
 
 MOMENTUM_UNIT = "2*pi/L"
 ENERGY_UNIT = "(2*pi/L)^2"

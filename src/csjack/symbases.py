@@ -41,8 +41,8 @@ from .errors import (
     checked_type,
 )
 from .fieldring import ONE, ZERO, FieldElement
-from .partitions import Partition, partitions_of, z_factor
-from .polyring import LaurentPoly, Record, VarContext, _merge, divide_by_vardiff
+from .partitions import Partition, Record, partitions_of, z_factor
+from .polyring import LaurentPoly, VarContext, _merge, divide_by_vardiff
 
 MONOMIAL = "m"
 POWER_SUM = "p"

@@ -67,11 +67,11 @@ def test_jack_request_imports_only_the_creation_product():
 
 
 VERIFY_LAYERS = {
-    "commutators": {"errors", "fieldring", "polyring", "partitions", "operators"},
+    "commutators": {"errors", "fieldring", "polyring", "partitions", "operators", "commutators"},
     "annihilation": LAYERS,
     "rodrigues-vs-oracle": LAYERS | {"oracle", "symbases"},
     "orthogonality": LAYERS | {"symbases"},
-    "spectrum-consistency": {"errors", "fieldring", "polyring", "partitions", "spectrum"},
+    "spectrum-consistency": {"errors", "partitions", "spectrum"},
 }
 
 
@@ -87,6 +87,15 @@ def test_verify_request_loads_only_its_suites_layers(suite):
     assert "dataclasses" not in loaded
 
 
+def test_spectrum_request_loads_no_polynomials():
+    loaded = _loaded_after(
+        "from csjack import cli\n"
+        "assert cli.main(['spectrum', '--nparticles', '3', '--beta', '2', '--lambda', '2,1']) == 0"
+    )
+    assert "csjack.spectrum" in loaded
+    assert not {"csjack.fieldring", "csjack.polyring"} & loaded
+
+
 @pytest.mark.parametrize("suite", ["rodrigues-vs-oracle", "orthogonality", "spectrum-consistency", "all"])
 def test_field_verify_request_loads_no_dataclasses(suite):
     loaded = _loaded_after(
@@ -98,7 +107,7 @@ def test_field_verify_request_loads_no_dataclasses(suite):
 
 def test_only_the_record_base_hand_writes_value_class_methods():
     """A second hand-written value class (its own __setattr__, __delattr__ or
-    __reduce__) would duplicate polyring.Record."""
+    __reduce__) would duplicate partitions.Record."""
     src = Path(csjack.__file__).parent
     owners = {
         (path.stem, node.name, item.name)
@@ -108,7 +117,7 @@ def test_only_the_record_base_hand_writes_value_class_methods():
         for item in node.body
         if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__", "__reduce__")
     }
-    assert owners == {("polyring", "Record", name) for name in ("__setattr__", "__delattr__", "__reduce__")}
+    assert owners == {("partitions", "Record", name) for name in ("__setattr__", "__delattr__", "__reduce__")}
 
 
 def test_every_module_level_definition_is_used_or_exported():

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from csjack import operators, rodrigues, suites
+from csjack import commutators, operators, rodrigues, suites
 from csjack.fieldring import BETA
 from csjack.partitions import partitions_of
 from csjack.polyring import LaurentPoly, VarContext
@@ -37,12 +37,12 @@ def norm(p: LaurentPoly) -> int:
 
 def symbolic_commutators(monkeypatch, max_degree, max_nvars, count=200, seed=suites.DEFAULT_SEED):
     """suite_commutators' loop with field input at the symbolic coupling."""
-    draw = suites._random_poly
-    identities = suites._commutator_identities(max_degree, max_nvars, BETA)
+    draw = commutators._random_poly
+    identities = commutators._commutator_identities(max_degree, max_nvars, BETA)
     per = max(1, -(-count // len(identities)))
     results = []
     with monkeypatch.context() as m:
-        m.setattr(suites, "_random_poly", lambda *args: LaurentPoly(args[1], draw(*args).terms))
+        m.setattr(commutators, "_random_poly", lambda *args: LaurentPoly(args[1], draw(*args).terms))
         for name, body in identities:
             rng = random.Random(f"{seed}:{name}")
             detail, runs = "", 0
@@ -98,7 +98,7 @@ def test_commutator_width_covers_every_side(cell, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(LaurentPoly, "__eq__", recorded_eq)
         symbolic_commutators(m, *cell)
-    width = suites._commutator_width(cell[1], cell[0])
+    width = commutators._commutator_width(cell[1], cell[0])
     # every identity compares at least once per case
     assert len(sides) >= 200
     assert 0 < max(sides) < 1 << (width - 2)

@@ -6,6 +6,7 @@ and relabels it onto every subset; the reference below is the defining sum
 over subsets.  LaurentPoly.scale, which the normalization uses, multiplies
 once per distinct coefficient (at most once per m-coordinate when the
 polynomial is symmetric) and equals a term-by-term scaling on any input.
+A creation step and an annihilation sum test their input's symmetry once.
 """
 
 import itertools
@@ -36,9 +37,9 @@ def string_calls(monkeypatch):
     calls = []
     original = operators.apply_D_string
 
-    def counted(k, J, p, beta=BETA):
+    def counted(k, J, p, beta=BETA, **private):
         calls.append(tuple(J))
-        return original(k, J, p, beta)
+        return original(k, J, p, beta, **private)
 
     monkeypatch.setattr(operators, "apply_D_string", counted)
     return calls
@@ -94,6 +95,38 @@ def test_one_string_per_creation_step(string_calls):
     # creation steps B_1 () -> (1), B_2 (1) -> (2,1), B_3 (2,1) -> (3,2,1);
     # the subset loop would run C(6,1) + C(6,2) + C(6,3) = 41 strings
     assert string_calls == [(1,), (1, 2), (1, 2, 3)]
+
+
+@pytest.fixture
+def symmetry_tests(monkeypatch):
+    tests = []
+    original = LaurentPoly.is_symmetric
+
+    def counted(self):
+        tests.append(len(self.terms))
+        return original(self)
+
+    monkeypatch.setattr(LaurentPoly, "is_symmetric", counted)
+    return tests
+
+
+def test_one_symmetry_test_per_creation_step(symmetry_tests):
+    lam = (5, 3, 2, 1)
+    rodrigues._phi.cache_clear()
+    try:
+        rodrigues.rodrigues_raw(Partition(lam), VarContext(5))
+    finally:
+        rodrigues._phi.cache_clear()
+    # apply_B_plus tests its input and hands the answer to its one string
+    assert len(symmetry_tests) == len(rodrigues._creation_steps(lam)) == 5
+
+
+def test_annihilation_tests_symmetry_once_for_all_strings(symmetry_tests):
+    phi = rodrigues.rodrigues_raw(Partition((2, 1)), VarContext(4))
+    del symmetry_tests[:]
+    # four strings, one per 3-subset of (1, 2, 3, 4)
+    assert not operators.apply_N(3, full_index_set(4), phi)
+    assert len(symmetry_tests) == 1
 
 
 def term_by_term(p, c):
