@@ -235,7 +235,8 @@ def cmd_convert(args) -> int:
         else:
             obj = json.load(sys.stdin)
         poly = _decode_polynomial(obj)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    # json.load recurses once per nesting level
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
         print(f"error: malformed polynomial payload ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 1
     if poly is None:

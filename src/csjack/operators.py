@@ -12,14 +12,10 @@ by the monic z_i - z_j, integer multiples of powers of b), so it commutes
 with that evaluation.  The packed creation product and the packed verify
 suites run them this way.
 
-apply_dunkl writes the derivative and, for every other variable, the
-closed-form divided difference of each term into one dict, so it builds no
-p - s_ij p and makes no per-pair call.  On symmetric input
-apply_D_string proves which differences vanish (Dunkl operators are
-S_N-equivariant) and passes the rest down; those still run through
-LaurentPoly.divided_difference and so through divide_by_vardiff, where the
-benchmark's tracer times them on the creation product, until that span
-moves.
+apply_dunkl writes the derivative and the closed-form divided differences
+of each term into one dict, so it builds no p - s_ij p and makes no
+per-pair call.  On symmetric input apply_D_string proves which differences
+vanish (Dunkl operators are S_N-equivariant) and passes only the rest down.
 """
 
 from __future__ import annotations
@@ -65,15 +61,15 @@ def galilei_boost(p: LaurentPoly, power: int = 1) -> LaurentPoly:
 
 def apply_dunkl(i: int, p: LaurentPoly, beta=BETA, *, _against=None) -> LaurentPoly:
     """Dunkl operator: plain derivative plus coupling-weighted divided
-    differences against every other variable, written into one dict.
+    differences against every other variable, or against the j in _against
+    only (the ones apply_D_string's proof of symmetry leaves), written into
+    one dict.
 
     A term c z^e with a = e_i != b = e_j adds to (p - s_ij p)/(z_i - z_j)
     the closed form +-z^rest sum over m = min(a,b) .. max(a,b) - 1 of
     z_i^m z_j^(a+b-1-m), + when a > b, with beta c computed once per term;
     partner terms z^e and z^(s_ij e) cancel in the dict, and zeros are
-    dropped once at the end.  apply_D_string passes _against, the j that
-    its proof of symmetry leaves, and each of those differences then runs
-    through LaurentPoly.divided_difference instead.
+    dropped once at the end.
     """
     _check_var(p.ctx, i)
     _check_ordinary(p)
@@ -84,29 +80,27 @@ def apply_dunkl(i: int, p: LaurentPoly, beta=BETA, *, _against=None) -> LaurentP
     ii = i - 1
     # the derivative's exponents are distinct, so it fills the dict first
     out = {e[:ii] + (e[ii] - 1,) + e[ii + 1 :]: c * e[ii] for e, c in terms.items() if e[ii]}
-    if _against is not None:
-        for j in _against:
-            for key, c in p.divided_difference(i, j).terms.items():
-                acc = out.get(key)
-                out[key] = beta * c if acc is None else acc + beta * c
-    else:
+    if _against is None:
         others = [jj for jj in range(p.ctx.nvars) if jj != ii]
-        for e, c in terms.items():
-            a = e[ii]
-            bc = beta * c
-            le = list(e)
-            for jj in others:
-                b = e[jj]
-                if a == b:
-                    continue
-                lo, hi, v = (b, a, bc) if a > b else (a, b, -bc)
-                top = a + b - 1
-                for m in range(lo, hi):
-                    le[ii], le[jj] = m, top - m
-                    key = tuple(le)
-                    acc = out.get(key)
-                    out[key] = v if acc is None else acc + v
-                le[jj] = b
+    else:
+        others = [j - 1 for j in _against]
+    # the last factor of a proven string takes no pair
+    for e, c in terms.items() if others else ():
+        a = e[ii]
+        bc = beta * c
+        le = list(e)
+        for jj in others:
+            b = e[jj]
+            if a == b:
+                continue
+            lo, hi, v = (b, a, bc) if a > b else (a, b, -bc)
+            top = a + b - 1
+            for m in range(lo, hi):
+                le[ii], le[jj] = m, top - m
+                key = tuple(le)
+                acc = out.get(key)
+                out[key] = v if acc is None else acc + v
+            le[jj] = b
     return LaurentPoly._raw(p.ctx, {e: c for e, c in out.items() if c})
 
 

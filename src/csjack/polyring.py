@@ -7,10 +7,8 @@ allowed) to nonzero FieldElement coefficients; the ring operations, moves
 and derivatives also run on plain int coefficients, which only _raw builds.
 Sums merge through _merge, scalings go through scale (one field product per
 distinct coefficient), and m_coordinates lists the m-basis coordinates.
-divide_by_vardiff, the one exact division by z_i - z_j, divides an
-antisymmetric dividend pair by pair in closed form and any other line by
-line on partial sums of coefficients; divided_difference feeds it p - swap p
-built in one pass, and does not call it when that difference is zero.
+divide_by_vardiff, the one exact division by z_i - z_j, divides line by
+line on partial sums of coefficients.
 Polynomials are immutable by convention: every operation returns a fresh
 value and never mutates input dicts.  Serialization and printing order terms
 by descending lexicographic exponent, so equal polynomials always render byte
@@ -247,16 +245,6 @@ class LaurentPoly:
 
     # -- calculus ---------------------------------------------------------------
 
-    def partial_derivative(self, i: int) -> "LaurentPoly":
-        _check_var(self.ctx, i)
-        ii = i - 1
-        out = {}
-        for e, c in self.terms.items():
-            k = e[ii]
-            if k:
-                out[e[:ii] + (k - 1,) + e[ii + 1 :]] = c * k
-        return LaurentPoly._raw(self.ctx, out)
-
     def euler_derivative(self, i: int) -> "LaurentPoly":
         """z_i d/dz_i: scales each term by its z_i exponent."""
         _check_var(self.ctx, i)
@@ -267,36 +255,6 @@ class LaurentPoly:
             if k:
                 out[e] = c * k
         return LaurentPoly._raw(self.ctx, out)
-
-    def divided_difference(self, i: int, j: int) -> "LaurentPoly":
-        """(p - swap_ij p) / (z_i - z_j), always an exact division."""
-        if i == j:
-            raise IndexOutOfRange(f"divided difference needs distinct variables, got {i}")
-        _check_var(self.ctx, i)
-        _check_var(self.ctx, j)
-        ii, jj = i - 1, j - 1
-        terms = self.terms
-        diff = {}
-        # p - swap_ij p in one pass: each pair {e, swap e} off the diagonal
-        # e_i = e_j is settled once, from the member with e_i > e_j when both
-        # are present
-        for e, c in terms.items():
-            a, b = e[ii], e[jj]
-            if a == b:
-                continue
-            le = list(e)
-            le[ii], le[jj] = b, a
-            f = tuple(le)
-            cf = terms.get(f)
-            if cf is None:
-                diff[e], diff[f] = c, -c
-            elif a > b:
-                d = c - cf
-                if d:
-                    diff[e], diff[f] = d, -d
-        if not diff:
-            return LaurentPoly._raw(self.ctx, {})
-        return divide_by_vardiff(LaurentPoly._raw(self.ctx, diff), i, j)
 
     def bar_involution(self) -> "LaurentPoly":
         """Substitute every z_i by its reciprocal."""
@@ -376,53 +334,24 @@ def _check_var(ctx: VarContext, i: int):
 
 
 def divide_by_vardiff(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
-    """Exact division of p by (z_i - z_j).
-
-    An antisymmetric p (p = -swap_ij p, checked in the same pass) divides
-    pair by pair in closed form: for e_i > e_j, (z^e - z^(swap e)) / (z_i - z_j)
-    is z^rest times the sum over m = e_j .. e_i - 1 of z_i^m z_j^(e_i+e_j-1-m).
-    Any other p divides one line at a time: a line is the set of exponents
-    that agree once z_i^k is moved onto z_j; along it p = sum_k a_k z_i^k
-    z_j^(s-k), and the quotient's coefficient of z_i^m z_j^(s-1-m) is the
-    partial sum of the a_k with k > m, so it repeats across the gaps between
-    exponents and is not stored where it vanishes.  A nonzero full sum on
-    any line means p was not divisible and raises NonzeroRemainder.  Works
-    for negative exponents and for int or field coefficients.
+    """Exact division of p by (z_i - z_j), one line at a time: a line is the
+    set of exponents that agree once z_i^k is moved onto z_j; along it
+    p = sum_k a_k z_i^k z_j^(s-k), and the quotient's coefficient of
+    z_i^m z_j^(s-1-m) is the partial sum of the a_k with k > m, so it
+    repeats across the gaps between exponents and is not stored where it
+    vanishes.  A nonzero full sum on any line means p was not divisible and
+    raises NonzeroRemainder.  Works for negative exponents and for int or
+    field coefficients.
     """
     if i == j:
         raise IndexOutOfRange(f"cannot divide by (z_{i} - z_{i})")
     _check_var(p.ctx, i)
     _check_var(p.ctx, j)
     ii, jj = i - 1, j - 1
-    terms = p.terms
-
-    out: dict[tuple, FieldElement] = {}
-    below = 0  # terms with e_i < e_j, each the partner of one with e_i > e_j
-    for e, c in terms.items():
-        a, b = e[ii], e[jj]
-        if a <= b:
-            if a == b:
-                break
-            below += 1
-            continue
-        le = list(e)
-        le[ii], le[jj] = b, a
-        if terms.get(tuple(le)) != -c:
-            break
-        top = a + b - 1
-        for m in range(b, a):
-            le[ii], le[jj] = m, top - m
-            key = tuple(le)
-            acc = out.get(key)
-            out[key] = c if acc is None else acc + c
-    else:
-        if 2 * below == len(terms):
-            # pairs on one line overlap, and their sums may cancel
-            return LaurentPoly._raw(p.ctx, {e: c for e, c in out.items() if c})
 
     # key each line by its exponents with z_i^k moved onto z_j
     lines: dict[tuple, list] = {}
-    for e, c in terms.items():
+    for e, c in p.terms.items():
         le = list(e)
         k = le[ii]
         le[ii], le[jj] = 0, le[jj] + k
@@ -433,7 +362,7 @@ def divide_by_vardiff(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
         else:
             line.append((k, c))
 
-    out = {}
+    out: dict[tuple, FieldElement] = {}
     for key, line in lines.items():
         line.sort(reverse=True)  # the k on a line are distinct
         le = list(key)

@@ -1,7 +1,7 @@
 """Predicates that only the tests need, kept out of the package."""
 
 from csjack.fieldring import ZERO, BetaPoly, FieldElement
-from csjack.polyring import LaurentPoly
+from csjack.polyring import LaurentPoly, divide_by_vardiff
 
 
 def poly_is_integral(a: BetaPoly) -> bool:
@@ -25,6 +25,18 @@ def is_integer_in_inverse_beta(a: FieldElement) -> bool:
 
 def constant_term(p: LaurentPoly) -> FieldElement:
     return p.terms.get((0,) * p.ctx.nvars, ZERO)
+
+
+def partial_derivative(p: LaurentPoly, i: int) -> LaurentPoly:
+    """d/dz_i p."""
+    ii = i - 1
+    out = {e[:ii] + (e[ii] - 1,) + e[ii + 1 :]: c * e[ii] for e, c in p.terms.items() if e[ii]}
+    return LaurentPoly._raw(p.ctx, out)
+
+
+def divided_difference(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
+    """(p - s_ij p) / (z_i - z_j), by its definition."""
+    return divide_by_vardiff(p - p.swap_vars(i, j), i, j)
 
 
 def specialize_beta(p: LaurentPoly, beta_value) -> LaurentPoly:

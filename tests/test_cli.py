@@ -156,6 +156,22 @@ def test_convert_rejects_garbage():
     assert r.returncode == 1
 
 
+DEEP_PAYLOADS = {"arrays": "[" * 5000 + "]" * 5000, "objects": '{"a": ' * 5000 + "1" + "}" * 5000}
+
+
+@pytest.mark.parametrize("payload", DEEP_PAYLOADS.values(), ids=DEEP_PAYLOADS.keys())
+def test_convert_rejects_deep_nesting_in_one_line(payload, tmp_path):
+    """json.load raises RecursionError on deep nesting: one line, exit 1."""
+    src = tmp_path / "deep.json"
+    src.write_text(payload)
+    runs = (run_cli("convert", "--to", "m", stdin=payload), run_cli("convert", "--to", "m", "--input", str(src)))
+    for r in runs:
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: malformed polynomial payload (RecursionError")
+        assert len(r.stderr.splitlines()) == 1
+
+
 def test_output_flag(tmp_path):
     out = tmp_path / "result.json"
     r = run_cli("jack", "--lambda", "1", "--nvars", "2", "--output", str(out))

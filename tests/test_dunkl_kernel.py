@@ -3,15 +3,17 @@ references of the test's own.
 
 apply_dunkl writes the derivative and the closed-form divided differences
 of every term into one dict.  The reference is the definition: the
-derivative plus the coupling times the sum of LaurentPoly.divided_difference
-against every other variable.  On symmetric input apply_D_string takes only
-the differences against the later indices of its string; the reference
-string takes every pair.
+derivative plus the coupling times the sum of the divided differences
+(p - s_ij p)/(z_i - z_j) against every other variable, each built by a
+swap, a subtraction and divide_by_vardiff.  On symmetric input
+apply_D_string takes only the differences against the later indices of its
+string; the reference string takes every pair.
 """
 
 import itertools
 
 import pytest
+from criteria_helpers import divided_difference, partial_derivative
 
 pytest.importorskip("hypothesis")
 
@@ -44,8 +46,8 @@ COUPLINGS = {
 
 def reference_dunkl(i, p, beta=BETA):
     """d/dz_i p + beta * sum over j != i of (p - s_ij p) / (z_i - z_j)."""
-    differences = (p.divided_difference(i, j) for j in range(1, p.ctx.nvars + 1) if j != i)
-    return p.partial_derivative(i) + LaurentPoly.sum(p.ctx, differences).scale(beta)
+    differences = (divided_difference(p, i, j) for j in range(1, p.ctx.nvars + 1) if j != i)
+    return partial_derivative(p, i) + LaurentPoly.sum(p.ctx, differences).scale(beta)
 
 
 def every_pair_string(k, J, p, beta=BETA):

@@ -120,25 +120,48 @@ def test_only_the_record_base_hand_writes_value_class_methods():
     assert owners == {("partitions", "Record", name) for name in ("__setattr__", "__delattr__", "__reduce__")}
 
 
-def test_every_module_level_definition_is_used_or_exported():
-    """A function or class that no module of src/ names (as a name, an
-    attribute or an import) and that csjack does not export is dead code,
-    or code only the tests need.  Methods are out of scope."""
-    src = Path(csjack.__file__).parent
-    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
-    named = {
+def _src_trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text()) for path in sorted(Path(csjack.__file__).parent.glob("*.py"))]
+
+
+def _named(trees) -> set[str]:
+    """Every name, attribute and import that a module of src/ mentions."""
+    return {
         getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
     }
+
+
+def test_every_module_level_definition_is_used_or_exported():
+    """A function or class that no module of src/ names (as a name, an
+    attribute or an import) and that csjack does not export is dead code,
+    or code only the tests need."""
+    trees = _src_trees()
     # dunder hooks (the PEP 562 __getattr__ and __dir__) are Python's to call
     unused = {
         node.name
         for tree in trees
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
-    } - named - set(csjack.__all__)
+    } - _named(trees) - set(csjack.__all__)
+    assert not unused, sorted(unused)
+
+
+def test_every_method_is_used():
+    """A method of a src/ class whose name no module of src/ mentions is dead
+    code, or code only the tests need; dunder methods are Python's to call."""
+    trees = _src_trees()
+    named = _named(trees)
+    unused = {
+        f"{node.name}.{item.name}"
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__") and item.name not in named
+    }
     assert not unused, sorted(unused)
 
 

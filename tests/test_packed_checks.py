@@ -9,6 +9,7 @@ draws and strings in Q(b), as the suites did before they were packed.
 import random
 
 import pytest
+from criteria_helpers import divided_difference, partial_derivative
 
 from csjack import commutators, operators, rodrigues, suites
 from csjack.fieldring import BETA
@@ -124,8 +125,8 @@ def test_annihilation_width_covers_every_string_step(cell):
 def dunkl_without_last_difference(i, p, beta=BETA, *, _against=None):
     """A broken Dunkl operator: no divided difference against z_N (and no
     skip on the pairs a D-string proves vanishing)."""
-    differences = (p.divided_difference(i, j) for j in range(1, p.ctx.nvars) if j != i)
-    return p.partial_derivative(i) + LaurentPoly.sum(p.ctx, differences).scale(beta)
+    differences = (divided_difference(p, i, j) for j in range(1, p.ctx.nvars) if j != i)
+    return partial_derivative(p, i) + LaurentPoly.sum(p.ctx, differences).scale(beta)
 
 
 def test_broken_operator_fails_both_commutator_routes(monkeypatch):

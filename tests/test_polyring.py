@@ -3,7 +3,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from criteria_helpers import constant_term, specialize_beta
+from criteria_helpers import constant_term, divided_difference, partial_derivative, specialize_beta
 
 from csjack.errors import (
     ContextMismatch,
@@ -11,6 +11,7 @@ from csjack.errors import (
     NonzeroRemainder,
 )
 from csjack.fieldring import BETA, ONE, ZERO, FieldElement
+from csjack.operators import apply_dunkl
 from csjack.polyring import LaurentPoly, VarContext, divide_by_vardiff
 
 try:
@@ -219,8 +220,8 @@ def test_shift_var():
 def test_derivatives():
     z1, z2 = z(CTX2, 1), z(CTX2, 2)
     p = z1**3 * z2
-    assert p.partial_derivative(1) == (z1**2 * z2).scale(3)
-    assert p.partial_derivative(2) == z1**3
+    assert partial_derivative(p, 1) == (z1**2 * z2).scale(3)
+    assert partial_derivative(p, 2) == z1**3
     assert p.euler_derivative(1) == p.scale(3)
     assert p.euler_derivative(2) == p
     assert (p + z2).euler_derivative(2) == p + z2
@@ -250,11 +251,13 @@ def test_divide_by_vardiff():
 
 
 def test_divided_difference():
+    """Worked (p - K p)/(z1 - z2), and the Dunkl operator that takes it in
+    closed form: the derivative plus b times the same quotient."""
     z1, z2 = z(CTX2, 1), z(CTX2, 2)
-    # (p - K p)/(z1 - z2)
-    assert (z1**2).divided_difference(1, 2) == z1 + z2
-    assert (z1 * z2).divided_difference(1, 2) == LaurentPoly.zero(CTX2)
-    assert (z1 + z2).divided_difference(1, 2) == LaurentPoly.zero(CTX2) + 2 - 2
+    zero = LaurentPoly.zero(CTX2)
+    for p, quotient in ((z1**2, z1 + z2), (z1 * z2, zero), (z1 + z2, zero)):
+        assert divided_difference(p, 1, 2) == quotient
+        assert apply_dunkl(1, p) == partial_derivative(p, 1) + quotient.scale(BETA)
 
 
 def test_bar_involution():

@@ -1,7 +1,9 @@
 """Smoke test of the benchmark's tracer: a traced request prints what the
 plain command prints, and its trace holds a span for every layer of the
-creation product.  A change to an operator's signature that the tracer's
-wrappers cannot forward shows up here."""
+creation product.  A jack trace holds exactly those spans, so a per-pair
+division coming back into the creation product shows up here, and so does
+a change to an operator's signature that the tracer's wrappers cannot
+forward."""
 
 import json
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 from cli_helper import run_child, run_cli
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-LAYERS = {"rodrigues.raw", "operators.B_plus", "operators.D_string", "operators.dunkl", "polyring.vardiff"}
+LAYERS = {"rodrigues.raw", "operators.B_plus", "operators.D_string", "operators.dunkl"}
+JACK_SPANS = LAYERS | {"cli.main", "rodrigues.jack", "rodrigues.c_coefficient"}
 
 
 @pytest.mark.parametrize(
@@ -29,4 +32,8 @@ def test_traced_request_matches_plain_cli(argv, tmp_path):
     assert traced.stdout == plain.stdout
     trace = json.loads(trace_file.read_text())
     assert trace["request"] == "smoke"
-    assert LAYERS <= {span[0] for span in trace["spans"]}
+    spans = {span[0] for span in trace["spans"]}
+    if argv[0] == "jack":
+        assert spans == JACK_SPANS
+    else:
+        assert LAYERS <= spans

@@ -1,8 +1,8 @@
-"""Property tests of the exact division by z_i - z_j and of the divided
-difference built on it: Laurent input with int and Q(b) coefficients,
-negative exponents and several terms per line, so that partial sums vanish
-mid-line; a reference Horner division checks the divided difference and the
-closed form that antisymmetric dividends take."""
+"""Property tests of the exact division by z_i - z_j: Laurent input with int
+and Q(b) coefficients, negative exponents and several terms per line, so
+that partial sums vanish mid-line; a reference Horner division checks the
+quotients of antisymmetric dividends, the ones the Dunkl divided
+differences and the Hamiltonian's pair terms divide."""
 
 import pytest
 
@@ -101,24 +101,12 @@ def test_one_more_term_leaves_a_remainder(case, exps, c):
 
 
 @SETTINGS
-@given(laurent_case())
-def test_divided_difference_matches_swap_subtract_divide(case):
-    p, i, j, ints = case
-    expected = horner_divide(p - p.swap_vars(i, j), i, j)
-    got = p.divided_difference(i, j)
-    assert got == expected
-    assert all(got.terms.values())
-    if ints:
-        assert all(type(c) is int for c in got.terms.values())
-
-
-@SETTINGS
 @given(laurent_case(), st.booleans(), st.data())
 def test_antisymmetric_dividends_match_horner(case, difference, data):
     """p - swap_ij p, or (z_i - z_j) q with q symmetric in i and j: both are
-    antisymmetric and divide pair by pair in closed form.  Changing one
+    antisymmetric, so every line pairs z^e with -z^(swap e).  Changing one
     coefficient breaks antisymmetry and divisibility, so the division must
-    raise instead of returning the closed form of the other terms."""
+    raise instead of returning the quotient of the other terms."""
     q, i, j, ints = case
     if difference:
         p = q - q.swap_vars(i, j)
