@@ -6,20 +6,20 @@ polynomial read from a file or stdin).  Output is byte deterministic for
 fixed inputs.  Exit codes: 0 success, 1 domain error or unreadable input,
 2 usage error (bad flags or flag values), 3 a verification suite reported a
 failure.  Each handler imports the layers it runs when it runs: json only
-where JSON is read or written, fieldring and polyring only for jack and
-convert (and the verify suites that build polynomials), so a spectrum
-request or `verify --suite spectrum-consistency` loads neither.
+where JSON is read or written, fieldring and polyring only for jack,
+convert and the verify suites that build polynomials.  The spectrum and
+convert modules build their payloads and never import cli, which
+`python -m csjack.cli` would compile a second time.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
 from .errors import AlgebraError
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -52,14 +52,9 @@ DEGREE_ARG = _checked(int, "an integer >= 0", lambda v: v >= 0)
 # that building the parser imports none of rodrigues, suites and symbases; a
 # test pins them to their source
 NORMALIZATION_CHOICES = ("monic", "stanley", "raw")
-SUITE_CHOICES = [
-    "annihilation",
-    "commutators",
-    "orthogonality",
-    "rodrigues-vs-oracle",
-    "spectrum-consistency",
-    "all",
-]
+SUITE_CHOICES = (
+    "annihilation", "commutators", "orthogonality", "rodrigues-vs-oracle", "spectrum-consistency", "all"
+)
 BASIS_CHOICES = ("m", "p")
 
 
@@ -130,128 +125,17 @@ def cmd_verify(args) -> int:
     return 3 if failed else 0
 
 
-def _length_scale(length) -> float | None:
-    """Numeric value of 2*pi/L when L is a plain rational, else None."""
-    if length == "2pi":
-        return None
-    return 2 * math.pi / float(length)
-
-
 def cmd_spectrum(args) -> int:
-    from . import spectrum
+    from .spectrum import spectrum_payload
 
-    params = spectrum.ModelParams(
-        nparticles=args.nparticles,
-        beta=args.beta,
-        q=args.q,
-        length=args.length,
-    )
-    if args.all_degree is not None:
-        lams = [
-            lam
-            for n in range(args.all_degree + 1)
-            for lam in partitions_of(n, params.nparticles)
-        ]
-    else:
-        lams = [Partition(args.lam)]
-    records = [spectrum.spectrum_record(lam, params) for lam in lams]
-    ground = spectrum.ground_energy(params)
-    if args.format == "json":
-        import json
-
-        obj = {
-            "params": {
-                "nparticles": params.nparticles,
-                "beta": str(params.beta),
-                "q": str(params.q),
-                "length": str(params.length),
-            },
-            "units": {
-                "momentum": spectrum.MOMENTUM_UNIT,
-                "energy": spectrum.ENERGY_UNIT,
-                "ground_energy": spectrum.GROUND_ENERGY_UNIT,
-            },
-            "ground_energy": str(ground),
-            "states": [r.to_json() for r in records],
-        }
-        payload = json.dumps(obj, indent=2) + "\n"
-    else:
-        lines = [
-            f"spectrum nparticles={params.nparticles} beta={params.beta} "
-            f"q={params.q} length={params.length}",
-            f"ground energy = {ground} * {spectrum.GROUND_ENERGY_UNIT}",
-        ]
-        scale = _length_scale(params.length)
-        for r in records:
-            kappa = ", ".join(str(k) for k in r.kappa)
-            line = (
-                f"lambda={list(r.lam)} kappa=[{kappa}] momentum={r.momentum} "
-                f"energy={r.energy}"
-            )
-            if scale is not None:
-                line += f" energy_value={float(r.energy) * scale * scale:.12g}"
-            lines.append(line)
-        payload = "\n".join(lines) + "\n"
-    _emit(args, payload)
+    _emit(args, spectrum_payload(args))
     return 0
 
 
-def _decode_polynomial(obj):
-    """Read a jack result, a LaurentPoly or a basis expansion payload; None
-    when obj is none of them."""
-    from . import symbases
-    from .fieldring import FieldElement
-    from .polyring import LaurentPoly, VarContext
-
-    if "monomial_expansion" in obj:
-        ctx = VarContext(obj["nvars"])
-        coords = {}
-        for entry in obj["monomial_expansion"]:
-            coeff = entry["coeff"]
-            if not isinstance(coeff, dict):  # one rational, at a fixed beta
-                coeff = {"num": [coeff], "den": [1]}
-            mu = Partition(entry["partition"])
-            if mu in coords:
-                raise ValueError(f"partition {list(mu)} listed twice")
-            coords[mu] = FieldElement.from_json(coeff)
-        return symbases.from_m_coordinates(coords, ctx)
-    if "terms" in obj:
-        return LaurentPoly.from_json(obj)
-    if "coords" in obj:
-        ctx = VarContext(obj["nvars"])
-        return symbases.BasisExpansion.from_json(obj, ctx).reconstruct()
-    return None
-
-
 def cmd_convert(args) -> int:
-    import json
+    from .convert import convert_payload
 
-    from . import symbases
-
-    try:
-        if args.input:
-            with open(args.input) as fh:
-                obj = json.load(fh)
-        else:
-            obj = json.load(sys.stdin)
-        poly = _decode_polynomial(obj)
-    # json.load recurses once per nesting level
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
-        print(f"error: malformed polynomial payload ({type(exc).__name__}: {exc})", file=sys.stderr)
-        return 1
-    if poly is None:
-        print("error: unrecognized polynomial payload", file=sys.stderr)
-        return 1
-    if args.nvars and args.nvars != poly.ctx.nvars:
-        print(
-            f"error: input declares {poly.ctx.nvars} variables, flags say {args.nvars}",
-            file=sys.stderr,
-        )
-        return 1
-    expansion = symbases.expand_in_basis(poly, args.to)
-    obj = expansion.to_json()
-    obj["nvars"] = poly.ctx.nvars
-    _emit(args, json.dumps(obj, indent=2) + "\n")
+    _emit(args, convert_payload(args))
     return 0
 
 
@@ -332,6 +216,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

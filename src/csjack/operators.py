@@ -9,8 +9,9 @@ cardinality).  Every operator that involves the coupling takes it as
 evaluates the operator at b = beta: each operator is Z[b]-linear with
 structure constants in Z[b] (integer derivative factors, synthetic division
 by the monic z_i - z_j, integer multiples of powers of b), so it commutes
-with that evaluation.  The packed creation product and the packed verify
-suites run them this way.
+with that evaluation.  The packed verify suites run them this way, and
+rodrigues runs the creation product's string on m-coordinates in the same
+closed form.
 
 apply_dunkl writes the derivative and the closed-form divided differences
 of each term into one dict, so it builds no p - s_ij p and makes no
@@ -30,7 +31,7 @@ from .errors import (
     NotSymmetric,
 )
 from .fieldring import BETA, field
-from .polyring import LaurentPoly, _check_var, divide_by_vardiff
+from .polyring import LaurentPoly, _check_var, divide_by_vardiff, galilei_boost
 
 
 def _check_ordinary(p: LaurentPoly):
@@ -51,12 +52,6 @@ def _check_index_set(J, nvars: int) -> tuple[int, ...]:
 
 def full_index_set(nvars: int) -> tuple[int, ...]:
     return tuple(range(1, nvars + 1))
-
-
-def galilei_boost(p: LaurentPoly, power: int = 1) -> LaurentPoly:
-    """Multiply by (z_1 ... z_N)^power: a uniform exponent shift."""
-    out = {tuple(x + power for x in e): c for e, c in p.terms.items()}
-    return LaurentPoly._raw(p.ctx, out)
 
 
 def apply_dunkl(i: int, p: LaurentPoly, beta=BETA, *, _against=None) -> LaurentPoly:
@@ -133,10 +128,7 @@ def apply_B_plus(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
 
     Sum over i-element subsets J' of J of z_{J'} D-strings started at shift 1.
     The full-cardinality case i = N degenerates to multiplication by
-    z_1 ... z_N (the boost).  On symmetric p and the full index set one
-    string is enough: Dunkl operators are S_N-equivariant, so the term of J'
-    is the term of (1..i) with slot t relabelled to the t-th element of J'
-    and the remaining slots to the rest of the variables, in order.
+    z_1 ... z_N (the boost).  p is tested for symmetry once, for all strings.
     """
     nvars = p.ctx.nvars
     J = _check_index_set(J, nvars)
@@ -147,13 +139,8 @@ def apply_B_plus(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     if i == nvars:
         return galilei_boost(p)
     symmetric = p.is_symmetric()
-    if len(J) == nvars and symmetric:
-        q = _times_z(apply_D_string(1, J[:i], p, beta, _symmetric=True), J[:i])
-        subsets = itertools.combinations(range(nvars), i)
-        terms = (q.permute_vars(s + tuple(v for v in range(nvars) if v not in s)) for s in subsets)
-    else:
-        subsets = itertools.combinations(J, i)
-        terms = (_times_z(apply_D_string(1, s, p, beta, _symmetric=symmetric), s) for s in subsets)
+    subsets = itertools.combinations(J, i)
+    terms = (_times_z(apply_D_string(1, s, p, beta, _symmetric=symmetric), s) for s in subsets)
     return LaurentPoly.sum(p.ctx, terms)
 
 

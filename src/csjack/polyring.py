@@ -333,6 +333,12 @@ def _check_var(ctx: VarContext, i: int):
         raise IndexOutOfRange(f"variable index {i} outside 1..{ctx.nvars}")
 
 
+def galilei_boost(p: LaurentPoly, power: int = 1) -> LaurentPoly:
+    """Multiply by (z_1 ... z_N)^power: a uniform exponent shift."""
+    out = {tuple(x + power for x in e): c for e, c in p.terms.items()}
+    return LaurentPoly._raw(p.ctx, out)
+
+
 def divide_by_vardiff(p: LaurentPoly, i: int, j: int) -> LaurentPoly:
     """Exact division of p by (z_i - z_j), one line at a time: a line is the
     set of exponents that agree once z_i^k is moved onto z_j; along it

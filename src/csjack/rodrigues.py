@@ -2,22 +2,23 @@
 
 The unnormalized eigenfunction phi_lam is built by applying creation
 operators right to left: cardinality-1 strings first, each cardinality k
-applied (lam_k - lam_{k+1}) times, on plain ints at b = 2^B (Kronecker
-substitution).  Dividing by the closed-form constant c_lam makes the result
-monic on m_lam.  Results are memoized per (nvars, lam); the cache only ever
-stores final values, which keeps repeated sweeps deterministic.
+applied (lam_k - lam_{k+1}) times, each on the m-coordinates of its
+symmetric input as plain ints at b = 2^B (Kronecker substitution).
+Dividing by the closed-form constant c_lam makes the result monic on m_lam.
+Results are memoized per (nvars, lam); the cache only ever stores final
+values, which keeps repeated sweeps deterministic.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from .errors import TooManyParts
 from .fieldring import BETA, ONE, FieldElement, pack_width, pochhammer, unpack
-from .operators import apply_B_plus, full_index_set, galilei_boost
 from .partitions import Partition
-from .polyring import LaurentPoly, VarContext
+from .polyring import LaurentPoly, VarContext, galilei_boost
 
 
 def _creation_steps(parts: tuple[int, ...]) -> list[int]:
@@ -50,9 +51,62 @@ def _digit_width(nvars: int, steps: list[int]) -> int:
     return pack_width(bound)
 
 
+def _arrangements(mu: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """The distinct rearrangements of the weakly decreasing mu whose entries
+    after the first k are still weakly decreasing: every distinct head of k
+    parts, followed by the other parts in order (k >= len(mu) - 1 gives all)."""
+    level = [((), mu)]
+    for _ in range(k):
+        level = [
+            (head + (x,), rest[:i] + rest[i + 1 :])
+            for head, rest in level
+            for i, x in enumerate(rest)
+            if not i or x != rest[i - 1]
+        ]
+    return [head + rest for head, rest in level]
+
+
+def _creation_step(nvars: int, k: int, coords: dict, beta: int) -> dict:
+    """m-coordinates {nu: int} of B_k+ p (1 <= k < nvars) from those of a
+    symmetric p, at the int coupling beta.
+
+    B_k+ p sums z_S (D_{s_1} + b) ... (D_{s_k} + k b) p over the k-subsets S.
+    Dunkl operators are S_N-equivariant (Dunkl 1989), so on symmetric p the
+    term of S is the term q of (1..k) with slot t moved to s_t and the rest R
+    kept in order, and the coefficient of m_nu is the sum over S of
+    q[nu_S, nu_R].  The string moves exponents of z_1 .. z_k only, so p is
+    expanded onto weakly decreasing tails alone; its factor at t takes the
+    divided differences against t+1 .. k only (operators.apply_D_string), in
+    the closed form of operators.apply_dunkl, times z_t.
+    """
+    p = {e: c for mu, c in coords.items() for e in _arrangements(mu, k)}
+    for t in range(k - 1, -1, -1):
+        # z_t d/dz_t and the shift keep each exponent, so they fill the dict first
+        out = {e: c * (e[t] + (t + 1) * beta) for e, c in p.items()}
+        for e, c in p.items() if t < k - 1 else ():
+            a, bc, le = e[t], beta * c, list(e)
+            for j in range(t + 1, k):
+                b = e[j]
+                lo, hi, v = (b, a, bc) if a > b else (a, b, -bc)
+                for m in range(lo, hi):
+                    le[t], le[j] = m + 1, a + b - 1 - m
+                    key = tuple(le)
+                    out[key] = out.get(key, 0) + v
+                le[j] = b
+        p = {e: c for e, c in out.items() if c}
+    subsets = [(s, [v for v in range(nvars) if v not in s]) for s in itertools.combinations(range(nvars), k)]
+    coords = {}
+    for e in p:
+        nu = tuple(sorted([x + 1 for x in e[:k]] + list(e[k:]), reverse=True))
+        if nu not in coords:
+            coords[nu] = sum(p.get(tuple([nu[v] - 1 for v in s] + [nu[v] for v in r]), 0) for s, r in subsets)
+    return {nu: c for nu, c in coords.items() if c}
+
+
 @functools.cache
 def _phi(ctx: VarContext, parts: tuple[int, ...]) -> LaurentPoly:
-    """phi_parts, built on plain ints at b = 2^B and unpacked once.
+    """phi_parts, built on plain ints at b = 2^B; only its m-coordinates are
+    unpacked, each once, and then spread over their orbits.
 
     Each creation step is Z[b]-linear on Z[b][z] (integer derivative factors,
     synthetic division by the monic z_i - z_j, shifts (1+pos) b), so it
@@ -61,19 +115,20 @@ def _phi(ctx: VarContext, parts: tuple[int, ...]) -> LaurentPoly:
     """
     steps = _creation_steps(parts)
     width = _digit_width(ctx.nvars, steps)
-    p = LaurentPoly._raw(ctx, {(0,) * ctx.nvars: 1})
+    coords = {(0,) * ctx.nvars: 1}
     for k in steps:
-        p = apply_B_plus(k, full_index_set(ctx.nvars), p, 1 << width)
-    return LaurentPoly._raw(ctx, {e: unpack(c, width, sum(steps) + 1) for e, c in p.terms.items()})
+        coords = _creation_step(ctx.nvars, k, coords, 1 << width)
+    terms = {}
+    for mu, c in coords.items():
+        terms.update(dict.fromkeys(_arrangements(mu, ctx.nvars - 1), unpack(c, width, sum(steps) + 1)))
+    return LaurentPoly._raw(ctx, terms)
 
 
 def _creation_partition(lam: Partition, ctx: VarContext) -> Partition:
     """lam as a Partition, checked to have at most nvars - 1 parts."""
     lam = Partition(lam)
     if len(lam) > ctx.nvars - 1:
-        raise TooManyParts(
-            f"creation product needs l(lambda) <= {ctx.nvars - 1}, got {len(lam)}"
-        )
+        raise TooManyParts(f"creation product needs l(lambda) <= {ctx.nvars - 1}, got {len(lam)}")
     return lam
 
 
@@ -115,8 +170,9 @@ def eigenvalue_epsilon(lam: Partition, nvars: int) -> FieldElement:
 
 
 class JackResult:
-    """raw = phi_lam = c * J_lam, boosted by shift for a full-length lam.  monic
-    and stanley each rescale raw once, on first use; known_monic seeds monic."""
+    """raw = phi_lam = c * J_lam, boosted by shift for a full-length lam.  The
+    printed m-coordinates scale raw's, one product per distinct value; monic
+    and stanley rescale all of raw once, on first use (known_monic seeds monic)."""
 
     def __init__(
         self,
@@ -132,16 +188,20 @@ class JackResult:
         self.raw, self.c, self.shift = raw, c, shift
         self._scaled = {"monic": known_monic}
 
+    def _factor(self, normalization: str) -> FieldElement | None:
+        """raw times this is the normalization (stanley: integer polynomials
+        in 1/b, raw / b^(unshifted weight)); None for raw itself."""
+        if normalization == "monic":
+            return self.c.inverse()
+        if normalization == "stanley":
+            return FieldElement.beta(self.ctx.nvars * self.shift - self.lam.weight)
+        return None
+
     def _form(self, normalization: str) -> LaurentPoly:
         if normalization not in ("monic", "stanley"):
             return self.raw
         if self._scaled.get(normalization) is None:
-            if normalization == "monic":
-                factor = self.c.inverse()
-            else:
-                # stanley: integer polynomials in 1/b, raw / b^(unshifted weight)
-                factor = FieldElement.beta(self.ctx.nvars * self.shift - self.lam.weight)
-            self._scaled[normalization] = self.raw.scale(factor)
+            self._scaled[normalization] = self.raw.scale(self._factor(normalization))
         return self._scaled[normalization]
 
     monic = property(lambda self: self._form("monic"))
@@ -151,7 +211,12 @@ class JackResult:
     @functools.cached_property
     def m_coordinates(self) -> tuple[tuple[Partition, FieldElement], ...]:
         """(mu, coefficient of m_mu) of the chosen normalization, mu descending."""
-        return tuple(sorted(self.polynomial.m_coordinates().items(), reverse=True))
+        coords = self.raw.m_coordinates()
+        factor = self._factor(self.normalization)
+        if factor is not None:
+            products = {v: v * factor for v in set(coords.values())}
+            coords = {mu: products[v] for mu, v in coords.items()}
+        return tuple(sorted(coords.items(), reverse=True))
 
     def to_json(self) -> dict:
         return {
@@ -187,6 +252,4 @@ def jack(lam: Partition, ctx: VarContext, normalization: str = "monic") -> JackR
     raw = rodrigues_raw(reduced, ctx)
     if shift:
         raw = galilei_boost(raw, shift)
-    result = JackResult(lam, ctx, normalization, raw, c_coefficient(reduced, ctx), shift=shift)
-    result.polynomial  # the one rescaling this normalization needs, done here
-    return result
+    return JackResult(lam, ctx, normalization, raw, c_coefficient(reduced, ctx), shift=shift)

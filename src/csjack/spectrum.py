@@ -10,14 +10,16 @@ the unique choice consistent with the ground-state energy, the excitation
 eigenvalues, and the exclusion spacing at once.  The quasi-momenta, their
 sum and their squared sum are computed on integer numerators over one
 common denominator, 2 den(b) den(q), and each becomes one Fraction.
+spectrum_payload renders a `csjack spectrum` request as text or JSON.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import TooManyParts
-from .partitions import Partition, Record
+from .partitions import Partition, Record, partitions_of
 
 MOMENTUM_UNIT = "2*pi/L"
 ENERGY_UNIT = "(2*pi/L)^2"
@@ -139,3 +141,65 @@ def wavefunction_descriptor(lam: Partition, params: ModelParams) -> Wavefunction
         ring_exponent=params.q - Fraction(n - 1) * params.beta / 2,
         pair_exponent=params.beta,
     )
+
+
+def _length_scale(length) -> float | None:
+    """Numeric value of 2*pi/L when L is a plain rational, else None."""
+    if length == "2pi":
+        return None
+    return 2 * math.pi / float(length)
+
+
+def spectrum_payload(args) -> str:
+    """stdout of `csjack spectrum` for the parsed flags args."""
+    params = ModelParams(
+        nparticles=args.nparticles,
+        beta=args.beta,
+        q=args.q,
+        length=args.length,
+    )
+    if args.all_degree is not None:
+        lams = [
+            lam
+            for n in range(args.all_degree + 1)
+            for lam in partitions_of(n, params.nparticles)
+        ]
+    else:
+        lams = [Partition(args.lam)]
+    records = [spectrum_record(lam, params) for lam in lams]
+    ground = ground_energy(params)
+    if args.format == "json":
+        import json
+
+        obj = {
+            "params": {
+                "nparticles": params.nparticles,
+                "beta": str(params.beta),
+                "q": str(params.q),
+                "length": str(params.length),
+            },
+            "units": {
+                "momentum": MOMENTUM_UNIT,
+                "energy": ENERGY_UNIT,
+                "ground_energy": GROUND_ENERGY_UNIT,
+            },
+            "ground_energy": str(ground),
+            "states": [r.to_json() for r in records],
+        }
+        return json.dumps(obj, indent=2) + "\n"
+    lines = [
+        f"spectrum nparticles={params.nparticles} beta={params.beta} "
+        f"q={params.q} length={params.length}",
+        f"ground energy = {ground} * {GROUND_ENERGY_UNIT}",
+    ]
+    scale = _length_scale(params.length)
+    for r in records:
+        kappa = ", ".join(str(k) for k in r.kappa)
+        line = (
+            f"lambda={list(r.lam)} kappa=[{kappa}] momentum={r.momentum} "
+            f"energy={r.energy}"
+        )
+        if scale is not None:
+            line += f" energy_value={float(r.energy) * scale * scale:.12g}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"

@@ -1,7 +1,21 @@
-"""Predicates that only the tests need, kept out of the package."""
+"""Predicates and case lists that only the tests need, kept out of the
+package."""
 
 from csjack.fieldring import ZERO, BetaPoly, FieldElement
+from csjack.partitions import partitions_of
 from csjack.polyring import LaurentPoly, divide_by_vardiff
+
+# the fixed cases of the benchmark: (lambda, N)
+PINNED = (((3, 1), 3), ((4, 2, 1), 4), ((6, 4, 2), 4), ((5, 3, 2, 1), 5), ((3, 2, 1), 6))
+# criterion 02's sweep: |lambda| <= 6, N = 2..4
+SWEEP = tuple(
+    (tuple(lam), nvars) for nvars in (2, 3, 4) for n in range(7) for lam in partitions_of(n, nvars - 1)
+)
+
+
+def case_id(case) -> str:
+    lam, nvars = case
+    return f"{','.join(map(str, lam)) or '0'}/{nvars}"
 
 
 def poly_is_integral(a: BetaPoly) -> bool:

@@ -268,6 +268,21 @@ BAD_INPUT = {
 }
 
 
+# sizes whose first allocation fails at once, before anything is built
+OUT_OF_MEMORY = {
+    "jack-huge-nvars": ("jack", "--lambda", "0", "--nvars", "100000000000"),
+    "spectrum-huge-nparticles": ("spectrum", "--nparticles", "100000000000", "--beta", "2"),
+}
+
+
+@pytest.mark.parametrize("args", OUT_OF_MEMORY.values(), ids=OUT_OF_MEMORY.keys())
+def test_out_of_memory_is_one_line(args):
+    r = run_cli(*args)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("args, stdin, code", BAD_INPUT.values(), ids=BAD_INPUT.keys())
 def test_bad_input_exit_codes(args, stdin, code):
     """Usage errors exit 2 before anything is built, domain errors exit 1

@@ -1,7 +1,8 @@
 """The package surface loads each layer on first use: every exported name
 resolves, a `jack` request imports only the creation-product layers, a
-verify request only the layers its suite runs, and only requests that read
-or write JSON import json."""
+verify request only the layers its suite runs, no module imports the
+command line module back, and only requests that read or write JSON import
+json."""
 
 import ast
 import importlib
@@ -17,7 +18,7 @@ from csjack.polyring import VarContext
 from csjack.rodrigues import jack
 from csjack.symbases import expand_in_basis
 
-LAYERS = {"errors", "fieldring", "polyring", "partitions", "operators", "rodrigues"}
+LAYERS = {"errors", "fieldring", "polyring", "partitions", "rodrigues"}
 
 
 @pytest.mark.parametrize("name", csjack.__all__)
@@ -68,7 +69,7 @@ def test_jack_request_imports_only_the_creation_product():
 
 VERIFY_LAYERS = {
     "commutators": {"errors", "fieldring", "polyring", "partitions", "operators", "commutators"},
-    "annihilation": LAYERS,
+    "annihilation": LAYERS | {"operators"},
     "rodrigues-vs-oracle": LAYERS | {"oracle", "symbases"},
     "orthogonality": LAYERS | {"symbases"},
     "spectrum-consistency": {"errors", "partitions", "spectrum"},
@@ -94,6 +95,45 @@ def test_spectrum_request_loads_no_polynomials():
     )
     assert "csjack.spectrum" in loaded
     assert not {"csjack.fieldring", "csjack.polyring"} & loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--nparticles", "3", "--beta", "2", "--lambda", "2,1"],
+        ["spectrum", "--nparticles", "2", "--beta", "1", "--all-degree", "2", "--format", "json"],
+        ["convert", "--to", "p"],
+    ],
+    ids=["spectrum-text", "spectrum-json", "convert"],
+)
+def test_requests_run_as_a_module_do_not_import_cli_again(argv):
+    """Under `python -m csjack.cli` the cli module runs as __main__; a module that
+    imported csjack.cli would compile it a second time."""
+    one = {"num": ["1"], "den": ["1"]}
+    stdin = json.dumps({"nvars": 2, "terms": [{"exp": [1, 0], "coeff": one}, {"exp": [0, 1], "coeff": one}]})
+    r = run_child("-X", "importtime", "-m", "csjack.cli", *argv, stdin=stdin)
+    assert r.returncode == 0, r.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in r.stderr.splitlines() if line.startswith("import time:")}
+    assert f"csjack.{argv[0]}" in imported
+    assert "csjack.cli" not in imported
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Absolute names of the csjack modules that an import statement of tree
+    names, relative imports resolved against the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "csjack" + (f".{node.module}" if node.module else "") if node.level else node.module
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_module_imports_cli():
+    assert all("csjack.cli" not in _imported_modules(tree) for tree in _src_trees())
 
 
 @pytest.mark.parametrize("suite", ["rodrigues-vs-oracle", "orthogonality", "spectrum-consistency", "all"])

@@ -1,34 +1,24 @@
 """The creation product on packed integers against the symbolic chain.
 
-rodrigues._phi runs every creation step on int coefficients at b = 2^B and
-unpacks each coefficient once; the reference here is the chain of creation
+rodrigues._phi runs every creation step on int m-coordinates at b = 2^B and
+unpacks each m-coordinate once; the reference here is the chain of creation
 operators at the symbolic coupling, written out as criterion 01 does.
 """
 
 import functools
 
 import pytest
+from criteria_helpers import PINNED, SWEEP, case_id
 
 from csjack import fieldring, rodrigues
 from csjack.fieldring import BETA, FieldElement
 from csjack.operators import apply_B_plus, full_index_set
-from csjack.partitions import Partition, partitions_of
+from csjack.partitions import Partition
 from csjack.polyring import LaurentPoly, VarContext
 
-# the fixed cases of the benchmark: (lambda, N)
-PINNED = (((3, 1), 3), ((4, 2, 1), 4), ((6, 4, 2), 4), ((5, 3, 2, 1), 5), ((3, 2, 1), 6))
-# criterion 02's sweep: |lambda| <= 6, N = 2..4
-SWEEP = tuple(
-    (tuple(lam), nvars) for nvars in (2, 3, 4) for n in range(7) for lam in partitions_of(n, nvars - 1)
-)
 CHAIN = tuple(dict.fromkeys(SWEEP + PINNED))
 # the digit-width check also runs on a case with 1,296 terms
 WIDE = PINNED + (((4, 4, 3, 2, 1), 6),)
-
-
-def case_id(case):
-    lam, nvars = case
-    return f"{','.join(map(str, lam)) or '0'}/{nvars}"
 
 
 @functools.cache

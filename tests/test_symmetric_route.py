@@ -1,17 +1,20 @@
-"""The symmetric route of the creation operator and of the normalization
-against their definitions.
+"""The creation kernel and the normalization against their definitions.
 
-On symmetric input over the full index set, apply_B_plus runs one D-string
-and relabels it onto every subset; the reference below is the defining sum
-over subsets.  LaurentPoly.scale, which the normalization uses, multiplies
-once per distinct coefficient (at most once per m-coordinate when the
-polynomial is symmetric) and equals a term-by-term scaling on any input.
-A creation step and an annihilation sum test their input's symmetry once.
+rodrigues._creation_step takes a symmetric polynomial's m-coordinates
+through one creation step B_k+: one D-string over (1..k), then C(N, k)
+lookups per new m-coordinate.  The reference below is the defining sum over
+subsets, operators.apply_B_plus, on every m_mu input and step by step along
+each creation chain; a jack request calls no operator.
+LaurentPoly.scale, which the normalized forms use, multiplies once per
+distinct coefficient (at most once per m-coordinate when the polynomial is
+symmetric) and equals a term-by-term scaling on any input.  A creation step
+and an annihilation sum of the operators test their input's symmetry once.
 """
 
 import itertools
 
 import pytest
+from criteria_helpers import PINNED, SWEEP, case_id
 
 from csjack import operators, rodrigues
 from csjack.fieldring import BETA, FieldElement
@@ -19,6 +22,10 @@ from csjack.operators import apply_B_plus, apply_D_string, full_index_set
 from csjack.partitions import Partition, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
 from csjack.symbases import monomial_sym
+
+CHAIN = tuple(dict.fromkeys(SWEEP + PINNED))
+# an int coupling large enough that no coefficient cancels by accident
+PACKED_BETA = 1 << 40
 
 
 def subset_sum(k, J, p):
@@ -30,6 +37,16 @@ def subset_sum(k, J, p):
             q = q * LaurentPoly.variable(p.ctx, v)
         total = total + q
     return total
+
+
+def int_poly(ctx, coords):
+    """The symmetric int polynomial with the m-coordinates coords."""
+    terms = {e: c for mu, c in coords.items() for e in set(itertools.permutations(mu))}
+    return LaurentPoly._raw(ctx, terms)
+
+
+def m_coordinates(p):
+    return {e: c for e, c in p.terms.items() if list(e) == sorted(e, reverse=True)}
 
 
 @pytest.fixture
@@ -47,20 +64,33 @@ def string_calls(monkeypatch):
 
 @pytest.mark.parametrize("nvars", [2, 3, 4, 5, 6])
 def test_symmetric_route_matches_subset_sum(nvars):
+    """Both sides are linear in p, so the m_mu inputs cover every symmetric
+    input of their degrees."""
     ctx = VarContext(nvars)
     J = full_index_set(nvars)
-    inputs = []
     for n in range(5):
         for lam in partitions_of(n, nvars):
-            inputs.append(monomial_sym(lam, ctx))
-            # both sides are linear in p, so the m inputs already cover every
-            # phi; the phi inputs of degree 3 and 4 at N = 6 would add 30 s
-            if nvars < 6 or n <= 2:
-                inputs.append(rodrigues._phi(ctx, tuple(lam)))
-    for p in inputs:
-        assert p.is_symmetric()
-        for k in range(1, nvars):
-            assert apply_B_plus(k, J, p) == subset_sum(k, J, p)
+            coords = {lam.pad(nvars): 1}
+            p = int_poly(ctx, coords)
+            for k in range(1, nvars):
+                expected = apply_B_plus(k, J, p, PACKED_BETA)
+                assert expected.is_symmetric()
+                assert rodrigues._creation_step(nvars, k, coords, PACKED_BETA) == m_coordinates(expected)
+
+
+@pytest.mark.parametrize("lam, nvars", CHAIN, ids=map(case_id, CHAIN))
+def test_kernel_follows_the_subset_sum_chain(lam, nvars):
+    """Every creation step of phi_lam, at the packed coupling _phi uses."""
+    ctx = VarContext(nvars)
+    steps = rodrigues._creation_steps(lam)
+    beta = 1 << rodrigues._digit_width(nvars, steps)
+    coords = {(0,) * nvars: 1}
+    p = int_poly(ctx, coords)
+    for k in steps:
+        coords = rodrigues._creation_step(nvars, k, coords, beta)
+        p = apply_B_plus(k, full_index_set(nvars), p, beta)
+        assert coords == m_coordinates(p)
+        assert p == int_poly(ctx, coords)
 
 
 def test_nonsymmetric_input_takes_the_subset_loop(string_calls):
@@ -86,15 +116,19 @@ def test_partial_index_set_takes_the_subset_loop(string_calls):
         assert out == subset_sum(k, J, p)
 
 
-def test_one_string_per_creation_step(string_calls):
+def test_a_jack_request_makes_no_operator_call(monkeypatch):
+    calls = []
+    for name in dir(operators):
+        if name.startswith("apply_"):
+            monkeypatch.setattr(operators, name, lambda *args, name=name, **kwargs: calls.append(name))
     rodrigues._phi.cache_clear()
     try:
+        # a creation chain, and a full-length partition built by the boost
         rodrigues.jack(Partition((3, 2, 1)), VarContext(6))
+        rodrigues.jack(Partition((4, 2, 1)), VarContext(3), "stanley")
     finally:
         rodrigues._phi.cache_clear()
-    # creation steps B_1 () -> (1), B_2 (1) -> (2,1), B_3 (2,1) -> (3,2,1);
-    # the subset loop would run C(6,1) + C(6,2) + C(6,3) = 41 strings
-    assert string_calls == [(1,), (1, 2), (1, 2, 3)]
+    assert calls == []
 
 
 @pytest.fixture
@@ -111,14 +145,22 @@ def symmetry_tests(monkeypatch):
 
 
 def test_one_symmetry_test_per_creation_step(symmetry_tests):
-    lam = (5, 3, 2, 1)
+    lam, nvars = (5, 3, 2, 1), 5
+    steps = rodrigues._creation_steps(lam)
+    beta = 1 << rodrigues._digit_width(nvars, steps)
+    p = LaurentPoly._raw(VarContext(nvars), {(0,) * nvars: 1})
+    for k in steps:
+        p = apply_B_plus(k, full_index_set(nvars), p, beta)
+    # apply_B_plus tests its input and hands the answer to all its strings
+    assert len(symmetry_tests) == len(steps) == 5
+    # the kernel's input is symmetric by construction and is never tested
+    del symmetry_tests[:]
     rodrigues._phi.cache_clear()
     try:
-        rodrigues.rodrigues_raw(Partition(lam), VarContext(5))
+        rodrigues.rodrigues_raw(Partition(lam), VarContext(nvars))
     finally:
         rodrigues._phi.cache_clear()
-    # apply_B_plus tests its input and hands the answer to its one string
-    assert len(symmetry_tests) == len(rodrigues._creation_steps(lam)) == 5
+    assert not symmetry_tests
 
 
 def test_annihilation_tests_symmetry_once_for_all_strings(symmetry_tests):
