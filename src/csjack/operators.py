@@ -9,14 +9,15 @@ cardinality).  Every operator that involves the coupling takes it as
 evaluates the operator at b = beta: each operator is Z[b]-linear with
 structure constants in Z[b] (integer derivative factors, synthetic division
 by the monic z_i - z_j, integer multiples of powers of b), so it commutes
-with that evaluation.  The packed verify suites run them this way, and
-rodrigues runs the creation product's string on m-coordinates in the same
-closed form.
+with that evaluation.  The commutator suite runs them this way, and
+rodrigues runs the symmetric D-string of the creation product and of the
+annihilation suite on m-coordinates in the same closed form.
 
 apply_dunkl writes the derivative and the closed-form divided differences
 of each term into one dict, so it builds no p - s_ij p and makes no
-per-pair call.  On symmetric input apply_D_string proves which differences
-vanish (Dunkl operators are S_N-equivariant) and passes only the rest down.
+per-pair call.  Every operator here takes every difference on every input:
+the differences that vanish on symmetric input are skipped only in
+rodrigues._d_string, which the tests compare with these definitions.
 """
 
 from __future__ import annotations
@@ -50,15 +51,9 @@ def _check_index_set(J, nvars: int) -> tuple[int, ...]:
     return J
 
 
-def full_index_set(nvars: int) -> tuple[int, ...]:
-    return tuple(range(1, nvars + 1))
-
-
-def apply_dunkl(i: int, p: LaurentPoly, beta=BETA, *, _against=None) -> LaurentPoly:
+def apply_dunkl(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Dunkl operator: plain derivative plus coupling-weighted divided
-    differences against every other variable, or against the j in _against
-    only (the ones apply_D_string's proof of symmetry leaves), written into
-    one dict.
+    differences against every other variable, written into one dict.
 
     A term c z^e with a = e_i != b = e_j adds to (p - s_ij p)/(z_i - z_j)
     the closed form +-z^rest sum over m = min(a,b) .. max(a,b) - 1 of
@@ -75,12 +70,8 @@ def apply_dunkl(i: int, p: LaurentPoly, beta=BETA, *, _against=None) -> LaurentP
     ii = i - 1
     # the derivative's exponents are distinct, so it fills the dict first
     out = {e[:ii] + (e[ii] - 1,) + e[ii + 1 :]: c * e[ii] for e, c in terms.items() if e[ii]}
-    if _against is None:
-        others = [jj for jj in range(p.ctx.nvars) if jj != ii]
-    else:
-        others = [j - 1 for j in _against]
-    # the last factor of a proven string takes no pair
-    for e, c in terms.items() if others else ():
+    others = [jj for jj in range(p.ctx.nvars) if jj != ii]
+    for e, c in terms.items():
         a = e[ii]
         bc = beta * c
         le = list(e)
@@ -99,27 +90,17 @@ def apply_dunkl(i: int, p: LaurentPoly, beta=BETA, *, _against=None) -> LaurentP
     return LaurentPoly._raw(p.ctx, {e: c for e, c in out.items() if c})
 
 
-def apply_D(i: int, p: LaurentPoly, beta=BETA, *, _against=None) -> LaurentPoly:
+def apply_D(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Degree-preserving operator z_i * dunkl_i."""
-    return apply_dunkl(i, p, beta, _against=_against).shift_var(i, 1)
+    return apply_dunkl(i, p, beta).shift_var(i, 1)
 
 
-def apply_D_string(k: int, J, p: LaurentPoly, beta=BETA, *, _symmetric=None) -> LaurentPoly:
+def apply_D_string(k: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Ordered product over J = (j_1 < ... < j_l) of (D_{j_t} + (k+t-1) b),
-    the factor with the largest shift acting first.
-
-    On symmetric p only the differences against later indices survive:
-    Dunkl operators are S_N-equivariant (Dunkl 1989), so the input of the
-    factor at pos is symmetric in every variable outside J[pos+1:], its
-    divided differences against any of them vanish, and it takes only
-    those against J[pos+1:].  A caller that has already tested p passes
-    the answer as _symmetric, so that p is tested once.
-    """
+    the factor with the largest shift acting first."""
     J = _check_index_set(J, p.ctx.nvars)
-    symmetric = p.is_symmetric() if _symmetric is None else _symmetric
     for pos in range(len(J) - 1, -1, -1):
-        against = J[pos + 1 :] if symmetric else None
-        p = apply_D(J[pos], p, beta, _against=against) + p.scale(beta * (k + pos))
+        p = apply_D(J[pos], p, beta) + p.scale(beta * (k + pos))
     return p
 
 
@@ -128,7 +109,7 @@ def apply_B_plus(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
 
     Sum over i-element subsets J' of J of z_{J'} D-strings started at shift 1.
     The full-cardinality case i = N degenerates to multiplication by
-    z_1 ... z_N (the boost).  p is tested for symmetry once, for all strings.
+    z_1 ... z_N (the boost).
     """
     nvars = p.ctx.nvars
     J = _check_index_set(J, nvars)
@@ -138,9 +119,8 @@ def apply_B_plus(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
         raise BadCardinality(f"cardinality {i} exceeds |J| = {len(J)}")
     if i == nvars:
         return galilei_boost(p)
-    symmetric = p.is_symmetric()
     subsets = itertools.combinations(J, i)
-    terms = (_times_z(apply_D_string(1, s, p, beta, _symmetric=symmetric), s) for s in subsets)
+    terms = (_times_z(apply_D_string(1, s, p, beta), s) for s in subsets)
     return LaurentPoly.sum(p.ctx, terms)
 
 
@@ -157,9 +137,8 @@ def apply_N(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     J = _check_index_set(J, p.ctx.nvars)
     if i < 1 or i > len(J):
         raise BadCardinality(f"cardinality {i} outside 1..|J| = {len(J)}")
-    symmetric = p.is_symmetric()
     subsets = itertools.combinations(J, i)
-    strings = (apply_D_string(0, s, p, beta, _symmetric=symmetric) for s in subsets)
+    strings = (apply_D_string(0, s, p, beta) for s in subsets)
     return LaurentPoly.sum(p.ctx, strings)
 
 

@@ -66,23 +66,21 @@ def _arrangements(mu: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     return [head + rest for head, rest in level]
 
 
-def _creation_step(nvars: int, k: int, coords: dict, beta: int) -> dict:
-    """m-coordinates {nu: int} of B_k+ p (1 <= k < nvars) from those of a
-    symmetric p, at the int coupling beta.
+def _d_string(coords: dict, k: int, start: int, beta: int) -> dict:
+    """The nonzero terms {e: int} with e[k:] weakly decreasing of
+    (D_1 + start b) ... (D_k + (start+k-1) b) p, from the m-coordinates
+    {mu: int} of a symmetric p, at the int coupling beta.
 
-    B_k+ p sums z_S (D_{s_1} + b) ... (D_{s_k} + k b) p over the k-subsets S.
-    Dunkl operators are S_N-equivariant (Dunkl 1989), so on symmetric p the
-    term of S is the term q of (1..k) with slot t moved to s_t and the rest R
-    kept in order, and the coefficient of m_nu is the sum over S of
-    q[nu_S, nu_R].  The string moves exponents of z_1 .. z_k only, so p is
-    expanded onto weakly decreasing tails alone; its factor at t takes the
-    divided differences against t+1 .. k only (operators.apply_D_string), in
-    the closed form of operators.apply_dunkl, times z_t.
+    Dunkl operators are S_N-equivariant (Dunkl 1989), so the factor at t
+    acts on input symmetric outside t+1 .. k and takes only the divided
+    differences against t+1 .. k (operators.apply_dunkl's closed form, times
+    z_t); the string then moves z_1 .. z_k only, so p is expanded onto
+    weakly decreasing tails alone.
     """
     p = {e: c for mu, c in coords.items() for e in _arrangements(mu, k)}
     for t in range(k - 1, -1, -1):
         # z_t d/dz_t and the shift keep each exponent, so they fill the dict first
-        out = {e: c * (e[t] + (t + 1) * beta) for e, c in p.items()}
+        out = {e: c * (e[t] + (start + t) * beta) for e, c in p.items()}
         for e, c in p.items() if t < k - 1 else ():
             a, bc, le = e[t], beta * c, list(e)
             for j in range(t + 1, k):
@@ -94,6 +92,20 @@ def _creation_step(nvars: int, k: int, coords: dict, beta: int) -> dict:
                     out[key] = out.get(key, 0) + v
                 le[j] = b
         p = {e: c for e, c in out.items() if c}
+    return p
+
+
+def _creation_step(nvars: int, k: int, coords: dict, beta: int) -> dict:
+    """m-coordinates {nu: int} of B_k+ p (1 <= k < nvars) from those of a
+    symmetric p, at the int coupling beta.
+
+    B_k+ p sums z_S (D_{s_1} + b) ... (D_{s_k} + k b) p over the k-subsets S.
+    Dunkl operators are S_N-equivariant (Dunkl 1989), so on symmetric p the
+    term of S is the term q of (1..k) with slot t moved to s_t and the rest R
+    kept in order, and the coefficient of m_nu is the sum over S of
+    q[nu_S, nu_R]; q is _d_string at start 1, and z_S raises nu_S by one.
+    """
+    p = _d_string(coords, k, 1, beta)
     subsets = [(s, [v for v in range(nvars) if v not in s]) for s in itertools.combinations(range(nvars), k)]
     coords = {}
     for e in p:

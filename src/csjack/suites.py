@@ -11,9 +11,10 @@ coefficient of lhs - rhs below 2^(B-2), the two sides agree at 2^B only
 when they agree in Z[b].  The orthogonality suite pairs the integral
 phi_lam = c_lam J_lam, which carry no b-denominators, and the other suites
 run in Q(b).  Each suite imports what it runs (commutators, rodrigues,
-operators, oracle, symbases, spectrum, and fieldring and polyring) when it
-runs, so importing this module loads only partitions and errors, and the
-spectrum suite loads neither polynomials nor their coefficient field.
+oracle, symbases, spectrum, and fieldring and polyring) when it runs, so
+importing this module loads only partitions and errors, only the
+commutator suite loads operators, and the spectrum suite loads neither
+polynomials nor their coefficient field.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ def _annihilation_width(phi) -> int:
     So |N_{k+1} phi| <= |phi| prod_{pos = 0..k} (N d + pos)
     <= |phi| prod_{pos = 1..N} (N d + pos): raising each factor by one, and
     adding factors of at least 1, only grows the product, which is then at
-    least 1.  A packed image with coefficients below 2^(B-2) is zero exactly
-    when the image is.  |phi| sums the numerator coefficients; pack raises
-    on a coefficient outside Z[b].
+    least 1.  A packed image, or any part of it, with coefficients below
+    2^(B-2) is zero at 2^B exactly when it is zero in Z[b].  |phi| sums the
+    numerator coefficients; pack raises on a coefficient outside Z[b].
     """
     from .fieldring import pack_width
 
@@ -114,22 +115,22 @@ def _annihilation_width(phi) -> int:
 
 def suite_annihilation(max_degree: int = 4, max_nvars: int = 3) -> list[CheckResult]:
     """Every leading D-string of the next cardinality kills phi_lam, checked
-    on ints at b = 2^B with B from _annihilation_width."""
+    on ints at b = 2^B with B from _annihilation_width.  N_k over (1..k) is
+    one string and moves z_1 .. z_k only, so its image of phi_lam is
+    symmetric in the other variables, and zero exactly when its part on
+    weakly decreasing tails, rodrigues._d_string at shift 0, is."""
     from . import rodrigues
     from .fieldring import pack
-    from .operators import apply_N, full_index_set
-    from .polyring import LaurentPoly
 
     results = []
     for ctx, lam, label in _creation_cases(max_degree, max_nvars):
         phi = rodrigues.rodrigues_raw(lam, ctx)
         width = _annihilation_width(phi)
-        packed = LaurentPoly._raw(ctx, {e: pack(c, width) for e, c in phi.terms.items()})
+        coords = {mu.pad(ctx.nvars): pack(c, width) for mu, c in phi.m_coordinates().items()}
         bad = ""
-        for upto in range(len(lam), ctx.nvars):
-            J = full_index_set(ctx.nvars)[: upto + 1]
-            if apply_N(upto + 1, J, packed, beta=1 << width):
-                bad = f"cardinality {upto + 1} image is nonzero"
+        for k in range(len(lam) + 1, ctx.nvars + 1):
+            if rodrigues._d_string(coords, k, 0, 1 << width):
+                bad = f"cardinality {k} image is nonzero"
                 break
         results.append(CheckResult(f"annihilate-{label}", not bad, bad, 1))
     return results

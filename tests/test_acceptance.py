@@ -29,7 +29,6 @@ from csjack.operators import (
     apply_hatD,
     apply_hatH,
     apply_L,
-    full_index_set,
 )
 from csjack.partitions import Partition, dominates, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
@@ -54,7 +53,7 @@ def test_criterion_01_worked_example():
     assert r.c == BETA**2 * (BETA + 1) ** 2 * 2
     # the raw product B_2+ (B_1+)^2 acting on 1, divided by c, is monic
     one = LaurentPoly.one(ctx)
-    J = full_index_set(3)
+    J = (1, 2, 3)
     raw = apply_B_plus(2, J, apply_B_plus(1, J, apply_B_plus(1, J, one)))
     assert raw == r.monic.scale(r.c)
     monic = raw.scale(r.c.inverse())
@@ -102,7 +101,7 @@ def test_criterion_05_leading_coefficient():
     for n in range(0, 6):
         for ell in range(1, 4):
             ctx = VarContext(ell + 1)
-            J = full_index_set(ctx.nvars)
+            J = tuple(range(1, ctx.nvars + 1))
             for lam in partitions_of(n, ell):
                 padded = lam.pad(ell)
                 a = ONE

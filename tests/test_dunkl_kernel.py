@@ -1,13 +1,14 @@
-"""The one-pass Dunkl kernel and the proven skip set of D-strings against
-references of the test's own.
+"""The one-pass Dunkl kernel and the proven skip set of the symmetric
+D-string against their definitions.
 
 apply_dunkl writes the derivative and the closed-form divided differences
 of every term into one dict.  The reference is the definition: the
 derivative plus the coupling times the sum of the divided differences
 (p - s_ij p)/(z_i - z_j) against every other variable, each built by a
-swap, a subtraction and divide_by_vardiff.  On symmetric input
-apply_D_string takes only the differences against the later indices of its
-string; the reference string takes every pair.
+swap, a subtraction and divide_by_vardiff.  rodrigues._d_string takes only
+the differences against the later indices of its string, on the weakly
+decreasing tails of its symmetric input; the reference is apply_D_string,
+which takes every pair on every term.
 """
 
 import itertools
@@ -20,12 +21,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from csjack import operators, rodrigues  # noqa: E402
-from csjack.fieldring import BETA, FieldElement  # noqa: E402
-from csjack.operators import apply_D_string, apply_dunkl  # noqa: E402
-from csjack.partitions import Partition, partitions_of  # noqa: E402
+from csjack import rodrigues, suites  # noqa: E402
+from csjack.fieldring import BETA, FieldElement, pack  # noqa: E402
+from csjack.operators import apply_D_string, apply_dunkl, apply_N  # noqa: E402
+from csjack.partitions import partitions_of  # noqa: E402
 from csjack.polyring import LaurentPoly, VarContext  # noqa: E402
-from csjack.symbases import monomial_sym  # noqa: E402
 
 PACKED_BETA = 1 << 24
 COEFFICIENTS = {
@@ -48,13 +48,6 @@ def reference_dunkl(i, p, beta=BETA):
     """d/dz_i p + beta * sum over j != i of (p - s_ij p) / (z_i - z_j)."""
     differences = (divided_difference(p, i, j) for j in range(1, p.ctx.nvars + 1) if j != i)
     return partial_derivative(p, i) + LaurentPoly.sum(p.ctx, differences).scale(beta)
-
-
-def every_pair_string(k, J, p, beta=BETA):
-    """apply_D_string with every divided difference taken."""
-    for pos in range(len(J) - 1, -1, -1):
-        p = reference_dunkl(J[pos], p, beta).shift_var(J[pos], 1) + p.scale(beta * (k + pos))
-    return p
 
 
 @st.composite
@@ -91,51 +84,35 @@ def test_kernel_matches_the_definition(case):
         assert all(type(c) is int for c in got.terms.values())
 
 
-def symmetric_inputs(nvars):
-    """m_lam for every lam of weight <= 5, and phi_lam where l(lam) < nvars:
-    the m_lam span the symmetric polynomials of those degrees."""
-    ctx = VarContext(nvars)
-    for degree in range(6):
-        for lam in partitions_of(degree, nvars):
-            yield monomial_sym(lam, ctx)
-            if len(lam) < nvars:
-                yield rodrigues.rodrigues_raw(lam, ctx)
+def weakly_decreasing_tails(p, k):
+    """The terms of p whose exponents after the first k weakly decrease."""
+    return {e: c for e, c in p.terms.items() if all(a >= b for a, b in zip(e[k:], e[k + 1 :]))}
 
 
 @pytest.mark.parametrize("nvars", [2, 3, 4, 5])
 def test_proven_strings_match_every_pair_strings(nvars):
-    index_sets = [
-        J for size in range(1, nvars + 1) for J in itertools.combinations(range(1, nvars + 1), size)
-    ]
-    for p in symmetric_inputs(nvars):
-        assert p.is_symmetric()
-        for J in index_sets:
-            k = len(J) % 2
-            assert apply_D_string(k, J, p) == every_pair_string(k, J, p)
-
-
-@pytest.fixture
-def dunkl_calls(monkeypatch):
-    calls = []
-    original = operators.apply_dunkl
-
-    def recorded(i, p, beta=BETA, *, _against=None):
-        calls.append((i, _against))
-        return original(i, p, beta, _against=_against)
-
-    monkeypatch.setattr(operators, "apply_dunkl", recorded)
-    return calls
-
-
-def test_skip_engages_only_on_symmetric_input(dunkl_calls):
-    ctx = VarContext(4)
-    p = monomial_sym(Partition((2, 1)), ctx)
-    J = (1, 3, 4)
-    apply_D_string(1, J, p)
-    assert dunkl_calls == [(4, ()), (3, (4,)), (1, (3, 4))]
-    # one term off the orbit: no skip, and the every-pair result
-    q = p + LaurentPoly.monomial(ctx, (2, 0, 0, 0))
-    assert not q.is_symmetric()
-    del dunkl_calls[:]
-    assert apply_D_string(1, J, q) == every_pair_string(1, J, q)
-    assert [against for _, against in dunkl_calls] == [None, None, None]
+    """On every m_mu of weight <= 5, which span the symmetric inputs of
+    those degrees, at the creation (start 1) and annihilation (start 0)
+    shifts, k = nvars being reached only by annihilation; and on phi_lam,
+    packed as the annihilation suite packs it, where the kernel's part is
+    empty exactly when apply_N's whole image is zero."""
+    ctx = VarContext(nvars)
+    for degree in range(6):
+        for mu in partitions_of(degree, nvars):
+            e = mu.pad(nvars)
+            p = LaurentPoly._raw(ctx, dict.fromkeys(set(itertools.permutations(e)), 1))
+            for start, k in itertools.product((0, 1), range(1, nvars + 1)):
+                expected = apply_D_string(start, tuple(range(1, k + 1)), p, PACKED_BETA)
+                got = rodrigues._d_string({e: 1}, k, start, PACKED_BETA)
+                assert got == weakly_decreasing_tails(expected, k)
+        for lam in partitions_of(degree, nvars - 1):
+            phi = rodrigues.rodrigues_raw(lam, ctx)
+            width = suites._annihilation_width(phi)
+            packed = LaurentPoly._raw(ctx, {e: pack(c, width) for e, c in phi.terms.items()})
+            coords = {mu.pad(nvars): pack(c, width) for mu, c in phi.m_coordinates().items()}
+            for k in range(1, nvars + 1):
+                image = apply_N(k, tuple(range(1, k + 1)), packed, 1 << width)
+                got = rodrigues._d_string(coords, k, 0, 1 << width)
+                assert got == weakly_decreasing_tails(image, k)
+                # both outcomes occur: only cardinalities above l(lam) annihilate
+                assert (not got) == (not image) == (k > len(lam))

@@ -22,7 +22,6 @@ from csjack.operators import (
     apply_hatH,
     apply_L,
     apply_N,
-    full_index_set,
 )
 from csjack.partitions import Partition
 from csjack.polyring import LaurentPoly, VarContext
@@ -73,10 +72,6 @@ def test_D_string_rightmost_first():
     assert apply_D_string(1, (1, 2), LaurentPoly.one(CTX2)) == LaurentPoly.constant(
         CTX2, 1
     ).scale(BETA * BETA * 2)
-
-
-def test_full_index_set():
-    assert full_index_set(3) == (1, 2, 3)
 
 
 def test_B_plus_small():

@@ -14,7 +14,7 @@ from cli_helper import run_child, run_cli
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 JACK_SPANS = {"cli.main", "rodrigues.jack", "rodrigues.raw", "rodrigues.c_coefficient"}
-VERIFY_LAYERS = {"rodrigues.raw", "operators.D_string", "operators.dunkl"}
+VERIFY_LAYERS = {"rodrigues.raw", "operators.dunkl"}
 
 
 @pytest.mark.parametrize(
