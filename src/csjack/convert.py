@@ -14,7 +14,7 @@ from . import symbases
 from .errors import AlgebraError
 from .fieldring import FieldElement
 from .partitions import Partition
-from .polyring import LaurentPoly, VarContext
+from .polyring import LaurentPoly, VarContext, from_m_coordinates
 
 
 class BadPayload(AlgebraError):
@@ -35,7 +35,7 @@ def _decode_polynomial(obj):
             if mu in coords:
                 raise ValueError(f"partition {list(mu)} listed twice")
             coords[mu] = FieldElement.from_json(coeff)
-        return symbases.from_m_coordinates(coords, ctx)
+        return from_m_coordinates(coords, ctx)
     if "terms" in obj:
         return LaurentPoly.from_json(obj)
     if "coords" in obj:

@@ -198,7 +198,7 @@ def unpack(x: int, width: int, ndigits: int) -> "FieldElement":
     raise OverflowError(f"coefficient needs more than {ndigits} digits of {width} bits")
 
 
-def poly_str(a: BetaPoly, sym: str = "b") -> str:
+def poly_str(a: BetaPoly) -> str:
     if not a:
         return "0"
     pieces = []
@@ -211,7 +211,7 @@ def poly_str(a: BetaPoly, sym: str = "b") -> str:
         else:
             mag = abs(c)
             head = "" if mag == 1 else f"{mag}*"
-            body = f"{head}{sym}" if power == 1 else f"{head}{sym}^{power}"
+            body = f"{head}b" if power == 1 else f"{head}b^{power}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

@@ -6,9 +6,9 @@ Three routes, none of which touches the creation operators:
 * triangular solve of the Hamiltonian eigenproblem over the dominance
   down-set in the monomial basis, its matrix read off the partitions in
   closed form (Sutherland 1972; Macdonald VI.3-4), cached,
-* Gram-Schmidt under the power-sum pairing along a linear extension of
-  dominance (degree <= nvars only), one pass per ordering in m- and
-  p-coordinates, cached,
+* Gram-Schmidt under the power-sum pairing up the partitions of a degree
+  in increasing lexicographic order, which extends dominance (degree <=
+  nvars only), one pass per degree in m- and p-coordinates, cached,
 * the non-symmetric route: joint eigenvector of the commuting shifted
   family with leading monomial z^lam, then symmetrization.
 """
@@ -23,12 +23,11 @@ from types import MappingProxyType
 from .errors import DegenerateLeadingTerm, DegreeExceedsVariables, InconsistentSystem, TooManyParts
 from .fieldring import ONE, ZERO, FieldElement
 from .partitions import Partition, Record, dominates, partitions_of
-from .polyring import LaurentPoly, VarContext, _merge
+from .polyring import LaurentPoly, VarContext, _merge, from_m_coordinates
 from .rodrigues import eigenvalue_epsilon
 from .symbases import (
     POWER_SUM,
     BasisExpansion,
-    from_m_coordinates,
     power_sum_columns,
     scalar_product_p,
     solve_linear,
@@ -107,45 +106,28 @@ def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
     return from_m_coordinates(coeffs, ctx)
 
 
-def jack_by_gram_schmidt(
-    lam: Partition, ctx: VarContext, ordering: list[Partition] | None = None
-) -> LaurentPoly:
+def jack_by_gram_schmidt(lam: Partition, ctx: VarContext) -> LaurentPoly:
     """Monic Jack polynomial by orthogonalizing monomial symmetric functions
-    under the power-sum pairing, working up any linear extension of dominance
-    from the least dominant partition.  Only valid while the power sums of
-    the degree stay independent, i.e. degree <= nvars."""
+    under the power-sum pairing.  Only valid while the power sums of the
+    degree stay independent, i.e. degree <= nvars, which also bounds the
+    length of lam."""
     lam = Partition(lam)
-    n = lam.weight
-    if n > ctx.nvars:
-        raise DegreeExceedsVariables(
-            f"pairing route needs degree <= {ctx.nvars}, got {n}"
-        )
-    order = partitions_of(n, ctx.nvars) if ordering is None else map(Partition, ordering)
-    coords = _gram_schmidt(tuple(order), ctx).get(lam)
-    if coords is None:
-        raise InconsistentSystem(f"{lam} never appeared in the ordering")
-    return from_m_coordinates(coords, ctx)
+    if lam.weight > ctx.nvars:
+        raise DegreeExceedsVariables(f"pairing route needs degree <= {ctx.nvars}, got {lam.weight}")
+    return from_m_coordinates(_gram_schmidt(lam.weight, ctx)[lam], ctx)
 
 
 @functools.cache
-def _gram_schmidt(ordering: tuple[Partition, ...], ctx: VarContext) -> MappingProxyType:
-    """{mu: read-only m-coordinates of the orthogonalized m_mu} for every mu
-    of the ordering, from one Gram-Schmidt pass that carries each element as
-    m- and p-coordinates.  The ordering must list every partition of its
-    degree with at most nvars parts exactly once, no entry dominating an
-    earlier one; anything else raises InconsistentSystem."""
-    degree = ordering[0].weight if ordering else 0
-    if sorted(ordering) != sorted(partitions_of(degree, ctx.nvars)) or any(
-        dominates(mu, nu) for i, mu in enumerate(ordering) for nu in ordering[:i]
-    ):
-        raise InconsistentSystem(
-            f"the ordering is not a linear extension of dominance listing each partition of {degree}"
-            f" with at most {ctx.nvars} parts once"
-        )
+def _gram_schmidt(degree: int, ctx: VarContext) -> MappingProxyType:
+    """{mu: read-only m-coordinates of the orthogonalized m_mu} for every
+    partition mu of degree with at most nvars parts, from one Gram-Schmidt
+    pass that carries each element as m- and p-coordinates.  The pass works
+    up from the least dominant partition in increasing lexicographic order,
+    which extends dominance."""
     columns = power_sum_columns(degree, ctx)
     built: list[tuple[dict, BasisExpansion, FieldElement]] = []
     out = {}
-    for mu in reversed(ordering):
+    for mu in reversed(partitions_of(degree, ctx.nvars)):
         mcoords = {mu: ONE}
         ex = BasisExpansion(POWER_SUM, degree, ctx, dict(columns[mu]))
         for ucoords, uex, unorm in built:

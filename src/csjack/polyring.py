@@ -6,7 +6,8 @@ Terms live in a dict mapping exponent tuples (length N, negative entries
 allowed) to nonzero FieldElement coefficients; the ring operations, moves
 and derivatives also run on plain int coefficients, which only _raw builds.
 Sums merge through _merge, scalings go through scale (one field product per
-distinct coefficient), and m_coordinates lists the m-basis coordinates.
+distinct coefficient), m_coordinates lists the m-basis coordinates, and
+from_m_coordinates, the one full-orbit builder, goes back.
 divide_by_vardiff, the one exact division by z_i - z_j, divides line by
 line on partial sums of coefficients.
 Polynomials are immutable by convention: every operation returns a fresh
@@ -22,6 +23,7 @@ from .errors import (
     ContextMismatch,
     IndexOutOfRange,
     NonzeroRemainder,
+    TooManyParts,
     checked_type,
 )
 from .fieldring import ONE, ZERO, FieldElement
@@ -331,6 +333,27 @@ def _exponents(exps) -> tuple:
 def _check_var(ctx: VarContext, i: int):
     if not 1 <= i <= ctx.nvars:
         raise IndexOutOfRange(f"variable index {i} outside 1..{ctx.nvars}")
+
+
+def from_m_coordinates(coords, ctx: VarContext) -> LaurentPoly:
+    """Sum of c m_mu over the items (mu, c) of coords, a mapping from
+    Partition to anything the field coerces; zero coordinates are skipped.
+    Orbits of distinct partitions are disjoint, so each exponent is written
+    once and nothing merges."""
+    terms = {}
+    for mu, c in coords.items():
+        if len(mu) > ctx.nvars:
+            raise TooManyParts(f"l({mu}) = {len(mu)} > {ctx.nvars} variables")
+        c = fieldring.field(c)
+        if c:
+            # insert the parts one at a time into every slot, so the cost
+            # follows the size of the orbit, not N!
+            orbit = {(0,) * (ctx.nvars - len(mu))}
+            for part in mu:
+                orbit = {e[:k] + (part,) + e[k:] for e in orbit for k in range(len(e) + 1)}
+            for e in orbit:
+                terms[e] = c
+    return LaurentPoly._raw(ctx, terms)
 
 
 def galilei_boost(p: LaurentPoly, power: int = 1) -> LaurentPoly:

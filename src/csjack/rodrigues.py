@@ -5,8 +5,9 @@ operators right to left: cardinality-1 strings first, each cardinality k
 applied (lam_k - lam_{k+1}) times, each on the m-coordinates of its
 symmetric input as plain ints at b = 2^B (Kronecker substitution).
 Dividing by the closed-form constant c_lam makes the result monic on m_lam.
-Results are memoized per (nvars, lam); the cache only ever stores final
-values, which keeps repeated sweeps deterministic.
+The m-coordinates of phi_lam are memoized per (nvars, lam), read-only; the
+cache only ever stores final values, which keeps repeated sweeps
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from types import MappingProxyType
 
 from .errors import TooManyParts
 from .fieldring import BETA, ONE, FieldElement, pack_width, pochhammer, unpack
 from .partitions import Partition
-from .polyring import LaurentPoly, VarContext, galilei_boost
+from .polyring import LaurentPoly, VarContext, from_m_coordinates, galilei_boost
 
 
 def _creation_steps(parts: tuple[int, ...]) -> list[int]:
@@ -116,9 +118,10 @@ def _creation_step(nvars: int, k: int, coords: dict, beta: int) -> dict:
 
 
 @functools.cache
-def _phi(ctx: VarContext, parts: tuple[int, ...]) -> LaurentPoly:
-    """phi_parts, built on plain ints at b = 2^B; only its m-coordinates are
-    unpacked, each once, and then spread over their orbits.
+def _phi(ctx: VarContext, parts: tuple[int, ...]) -> MappingProxyType:
+    """{mu: coefficient of m_mu} of phi_parts, read-only, because every
+    caller shares the cached value; built on plain ints at b = 2^B, each
+    m-coordinate unpacked once.
 
     Each creation step is Z[b]-linear on Z[b][z] (integer derivative factors,
     synthetic division by the monic z_i - z_j, shifts (1+pos) b), so it
@@ -130,10 +133,7 @@ def _phi(ctx: VarContext, parts: tuple[int, ...]) -> LaurentPoly:
     coords = {(0,) * ctx.nvars: 1}
     for k in steps:
         coords = _creation_step(ctx.nvars, k, coords, 1 << width)
-    terms = {}
-    for mu, c in coords.items():
-        terms.update(dict.fromkeys(_arrangements(mu, ctx.nvars - 1), unpack(c, width, sum(steps) + 1)))
-    return LaurentPoly._raw(ctx, terms)
+    return MappingProxyType({Partition(mu): unpack(c, width, sum(steps) + 1) for mu, c in coords.items()})
 
 
 def _creation_partition(lam: Partition, ctx: VarContext) -> Partition:
@@ -146,9 +146,7 @@ def _creation_partition(lam: Partition, ctx: VarContext) -> Partition:
 
 def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:
     """Unnormalized eigenfunction phi_lam; needs l(lam) <= nvars - 1."""
-    lam = _creation_partition(lam, ctx)
-    # a copy, so a caller editing the result cannot reach the cache
-    return LaurentPoly._raw(ctx, dict(_phi(ctx, tuple(lam)).terms))
+    return from_m_coordinates(_phi(ctx, tuple(_creation_partition(lam, ctx))), ctx)
 
 
 def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:

@@ -27,6 +27,9 @@ from fractions import Fraction
 from .partitions import Partition, Record, partitions_of
 
 DEFAULT_SEED = 20260819
+# draws of the commutator corpus and of the random spectra
+COMMUTATOR_COUNT = 200
+SPECTRUM_COUNT = 50
 
 
 class CheckResult(Record):
@@ -50,19 +53,17 @@ def _creation_cases(max_degree: int, max_nvars: int):
                 yield ctx, lam, f"n{nvars}-{'.'.join(map(str, lam)) or '0'}"
 
 
-def suite_commutators(
-    max_degree: int = 5, max_nvars: int = 4, count: int = 200, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
+def suite_commutators(max_degree: int, max_nvars: int) -> list[CheckResult]:
     """Operator exchange identities on random int polynomials, checked on
     ints at b = 2^B with B from commutators._commutator_width."""
     from .commutators import _commutator_identities, _commutator_width
 
     beta = 1 << _commutator_width(max_nvars, max_degree)
     identities = _commutator_identities(max_degree, max_nvars, beta)
-    per = max(1, -(-count // len(identities)))
+    per = max(1, -(-COMMUTATOR_COUNT // len(identities)))
     results = []
     for name, body in identities:
-        rng = random.Random(f"{seed}:{name}")
+        rng = random.Random(f"{DEFAULT_SEED}:{name}")
         detail = ""
         runs = 0
         for _ in range(per):
@@ -74,7 +75,7 @@ def suite_commutators(
     return results
 
 
-def suite_rodrigues_vs_oracle(max_degree: int = 4, max_nvars: int = 3) -> list[CheckResult]:
+def suite_rodrigues_vs_oracle(max_degree: int, max_nvars: int) -> list[CheckResult]:
     """Creation-operator output against the triangular solve (and against
     Gram-Schmidt whenever the degree allows the pairing route)."""
     from . import oracle, rodrigues
@@ -91,42 +92,45 @@ def suite_rodrigues_vs_oracle(max_degree: int = 4, max_nvars: int = 3) -> list[C
     return results
 
 
-def _annihilation_width(phi) -> int:
+def _annihilation_width(coords, nvars: int) -> int:
     """Bits B such that phi and N_{k+1} phi over J = (1..k+1), for every
-    k < N, have every b-coefficient below 2^(B-2).
+    k < N, have every b-coefficient below 2^(B-2), where coords maps each
+    mu to the coefficient of m_mu in phi, all in Z[b].
 
     With |q| as in commutators._commutator_width and d the degree of phi:
-    N_{k+1} over k + 1 indices is one string of factors D_j + pos b,
-    pos = 0..k, each multiplying |q| by at most N d + pos
-    (rodrigues._digit_width at shift 0).
+    an orbit has at most N! exponents, so |phi| <= N! sum_mu |coords[mu]|,
+    where |coords[mu]| sums the numerator coefficients (pack raises on a
+    coefficient outside Z[b]).  N_{k+1} over k + 1 indices is one string of
+    factors D_j + pos b, pos = 0..k, each multiplying |q| by at most
+    N d + pos (rodrigues._digit_width at shift 0).
     So |N_{k+1} phi| <= |phi| prod_{pos = 0..k} (N d + pos)
     <= |phi| prod_{pos = 1..N} (N d + pos): raising each factor by one, and
     adding factors of at least 1, only grows the product, which is then at
     least 1.  A packed image, or any part of it, with coefficients below
-    2^(B-2) is zero at 2^B exactly when it is zero in Z[b].  |phi| sums the
-    numerator coefficients; pack raises on a coefficient outside Z[b].
+    2^(B-2) is zero at 2^B exactly when it is zero in Z[b].
     """
     from .fieldring import pack_width
 
-    nvars, degree = phi.ctx.nvars, phi.total_degree()
-    norm = sum(abs(x) for c in phi.terms.values() for x in c.num)
+    degree = max(mu.weight for mu in coords)
+    norm = math.factorial(nvars) * sum(abs(x) for c in coords.values() for x in c.num)
     return pack_width(norm * math.prod(nvars * degree + pos for pos in range(1, nvars + 1)))
 
 
-def suite_annihilation(max_degree: int = 4, max_nvars: int = 3) -> list[CheckResult]:
+def suite_annihilation(max_degree: int, max_nvars: int) -> list[CheckResult]:
     """Every leading D-string of the next cardinality kills phi_lam, checked
     on ints at b = 2^B with B from _annihilation_width.  N_k over (1..k) is
     one string and moves z_1 .. z_k only, so its image of phi_lam is
     symmetric in the other variables, and zero exactly when its part on
-    weakly decreasing tails, rodrigues._d_string at shift 0, is."""
+    weakly decreasing tails, rodrigues._d_string at shift 0, is.  The string
+    reads phi_lam's m-coordinates, so no polynomial is built."""
     from . import rodrigues
     from .fieldring import pack
 
     results = []
     for ctx, lam, label in _creation_cases(max_degree, max_nvars):
-        phi = rodrigues.rodrigues_raw(lam, ctx)
-        width = _annihilation_width(phi)
-        coords = {mu.pad(ctx.nvars): pack(c, width) for mu, c in phi.m_coordinates().items()}
+        phi = rodrigues._phi(ctx, lam)
+        width = _annihilation_width(phi, ctx.nvars)
+        coords = {mu.pad(ctx.nvars): pack(c, width) for mu, c in phi.items()}
         bad = ""
         for k in range(len(lam) + 1, ctx.nvars + 1):
             if rodrigues._d_string(coords, k, 0, 1 << width):
@@ -136,7 +140,7 @@ def suite_annihilation(max_degree: int = 4, max_nvars: int = 3) -> list[CheckRes
     return results
 
 
-def suite_orthogonality(max_degree: int = 4, max_nvars: int = 4) -> list[CheckResult]:
+def suite_orthogonality(max_degree: int, max_nvars: int) -> list[CheckResult]:
     """Distinct Jack polynomials are orthogonal under both pairings.
 
     Both pairings run on the integral phi_lam = c_lam J_lam, which carry no
@@ -189,16 +193,16 @@ def suite_orthogonality(max_degree: int = 4, max_nvars: int = 4) -> list[CheckRe
     return results
 
 
-def suite_spectrum_consistency(count: int = 50, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def suite_spectrum_consistency() -> list[CheckResult]:
     """Random spectra: additivity, ground state, exclusion spacing."""
     from . import spectrum
 
-    rng = random.Random(f"{seed}:spectrum")
+    rng = random.Random(f"{DEFAULT_SEED}:spectrum")
     bad_energy = ""
     bad_momentum = ""
     bad_spacing = ""
     bad_ground = ""
-    for _ in range(count):
+    for _ in range(SPECTRUM_COUNT):
         n = rng.randint(2, 5)
         beta = Fraction(rng.randint(1, 6), rng.randint(1, 4))
         q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -228,10 +232,10 @@ def suite_spectrum_consistency(count: int = 50, seed: int = DEFAULT_SEED) -> lis
             if 4 * rest_energy != spectrum.ground_energy(at_rest):
                 bad_ground = f"n={n} beta={beta}"
     return [
-        CheckResult("energy-boost-additivity", not bad_energy, bad_energy, count),
-        CheckResult("momentum-additivity", not bad_momentum, bad_momentum, count),
-        CheckResult("exclusion-spacing", not bad_spacing, bad_spacing, count),
-        CheckResult("ground-state-energy", not bad_ground, bad_ground, count),
+        CheckResult("energy-boost-additivity", not bad_energy, bad_energy, SPECTRUM_COUNT),
+        CheckResult("momentum-additivity", not bad_momentum, bad_momentum, SPECTRUM_COUNT),
+        CheckResult("exclusion-spacing", not bad_spacing, bad_spacing, SPECTRUM_COUNT),
+        CheckResult("ground-state-energy", not bad_ground, bad_ground, SPECTRUM_COUNT),
     ]
 
 

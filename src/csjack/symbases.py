@@ -5,7 +5,6 @@ symmetric homogeneous polynomial into either basis, the coupling-weighted
 power-sum pairing, the torus constant-term pairing for integer coupling, and
 Schur polynomials by bialternant division.
 
-from_m_coordinates is the one way from m-coordinates back to a polynomial.
 solve_linear is the one exact linear solver, kept here off the jack path.
 The power-sum coordinates of every m_rho of one degree come from one exact
 solve of the integer transition system, whose entries are counts of maps
@@ -42,31 +41,10 @@ from .errors import (
 )
 from .fieldring import ONE, ZERO, FieldElement
 from .partitions import Partition, Record, partitions_of, z_factor
-from .polyring import LaurentPoly, VarContext, _merge, divide_by_vardiff
+from .polyring import LaurentPoly, VarContext, _merge, divide_by_vardiff, from_m_coordinates
 
 MONOMIAL = "m"
 POWER_SUM = "p"
-
-
-def from_m_coordinates(coords, ctx: VarContext) -> LaurentPoly:
-    """Sum of c m_mu over the items (mu, c) of coords, a mapping from
-    Partition to anything the field coerces; zero coordinates are skipped.
-    Orbits of distinct partitions are disjoint, so each exponent is written
-    once and nothing merges."""
-    terms = {}
-    for mu, c in coords.items():
-        if len(mu) > ctx.nvars:
-            raise TooManyParts(f"l({mu}) = {len(mu)} > {ctx.nvars} variables")
-        c = fieldring.field(c)
-        if c:
-            # insert the parts one at a time into every slot, so the cost
-            # follows the size of the orbit, not N!
-            orbit = {(0,) * (ctx.nvars - len(mu))}
-            for part in mu:
-                orbit = {e[:k] + (part,) + e[k:] for e in orbit for k in range(len(e) + 1)}
-            for e in orbit:
-                terms[e] = c
-    return LaurentPoly._raw(ctx, terms)
 
 
 def monomial_sym(lam: Partition, ctx: VarContext) -> LaurentPoly:

@@ -33,7 +33,8 @@ from csjack.operators import (
 from csjack.partitions import Partition, dominates, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
 from csjack.rodrigues import eigenvalue_epsilon, jack
-from csjack.symbases import from_m_coordinates, monomial_sym, schur
+from csjack.polyring import from_m_coordinates
+from csjack.symbases import monomial_sym, schur
 
 
 def sweep(max_weight, nvars_list):
@@ -118,7 +119,7 @@ def test_criterion_05_leading_coefficient():
 
 
 def test_criterion_06_commutators():
-    results = suites.suite_commutators(max_degree=5, max_nvars=4, count=200)
+    results = suites.suite_commutators(max_degree=5, max_nvars=4)
     assert sum(r.cases for r in results) >= 200
     failed = [r for r in results if not r.passed]
     assert not failed, [(r.name, r.detail) for r in failed]
@@ -175,7 +176,7 @@ def test_criterion_10_nonsym_route():
 
 
 def test_criterion_11_spectrum_consistency():
-    results = suites.suite_spectrum_consistency(count=50)
+    results = suites.suite_spectrum_consistency()
     failed = [r for r in results if not r.passed]
     assert not failed, [(r.name, r.detail) for r in failed]
 

@@ -107,7 +107,7 @@ def test_proven_strings_match_every_pair_strings(nvars):
                 assert got == weakly_decreasing_tails(expected, k)
         for lam in partitions_of(degree, nvars - 1):
             phi = rodrigues.rodrigues_raw(lam, ctx)
-            width = suites._annihilation_width(phi)
+            width = suites._annihilation_width(rodrigues._phi(ctx, lam), nvars)
             packed = LaurentPoly._raw(ctx, {e: pack(c, width) for e, c in phi.terms.items()})
             coords = {mu.pad(nvars): pack(c, width) for mu, c in phi.m_coordinates().items()}
             for k in range(1, nvars + 1):

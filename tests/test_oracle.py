@@ -7,7 +7,6 @@ import pytest
 from csjack.errors import (
     DegenerateLeadingTerm,
     DegreeExceedsVariables,
-    InconsistentSystem,
     TooManyParts,
 )
 from csjack.fieldring import BETA, ONE, FieldElement
@@ -104,31 +103,6 @@ def test_cached_system_is_read_only():
 def test_gram_schmidt_matches():
     for lam in [(1,), (2,), (1, 1), (2, 1)]:
         assert jack_by_gram_schmidt(Partition(lam), CTX3) == jack(Partition(lam), CTX3).monic
-
-
-def test_gram_schmidt_ordering_independent():
-    # any linear extension of dominance must give the same answer
-    lam = Partition((3, 1))
-    default = jack_by_gram_schmidt(lam, CTX4)
-    alt = sorted(partitions_of(4, 4), key=lambda p: (len(p), tuple(-x for x in p)))
-    assert jack_by_gram_schmidt(lam, CTX4, ordering=alt) == default
-    assert default == jack(lam, CTX4).monic
-
-
-@pytest.mark.parametrize(
-    "ordering",
-    [
-        list(reversed(partitions_of(4, 4))),  # most dominant last
-        [(2, 1, 1)],  # misses every other partition
-        partitions_of(4, 4) + [(2, 1, 1)],  # lists one twice
-        partitions_of(4, 3),  # misses (1, 1, 1, 1)
-        partitions_of(3, 4),  # a valid ordering of another degree
-    ],
-    ids=["reversed", "single", "duplicate", "incomplete", "other-degree"],
-)
-def test_gram_schmidt_rejects_a_bad_ordering(ordering):
-    with pytest.raises(InconsistentSystem):
-        jack_by_gram_schmidt(Partition((2, 1, 1)), CTX4, ordering=ordering)
 
 
 def test_gram_schmidt_callers_cannot_corrupt_cached_values():

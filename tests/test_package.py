@@ -1,19 +1,21 @@
 """The package surface loads each layer on first use: every exported name
 resolves, a `jack` request imports only the creation-product layers, a
 verify request only the layers its suite runs, no module imports the
-command line module back, and only requests that read or write JSON import
-json."""
+command line module back, only requests that read or write JSON import
+json, and every cached value is read-only."""
 
 import ast
 import importlib
 import json
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from cli_helper import run_child, run_cli
 
 import csjack
-from csjack.partitions import Partition
+from csjack.fieldring import FieldElement
+from csjack.partitions import Partition, Record
 from csjack.polyring import VarContext
 from csjack.rodrigues import jack
 from csjack.symbases import expand_in_basis
@@ -200,6 +202,44 @@ def test_no_function_has_a_private_parameter():
         if isinstance(node, ast.arg) and node.arg.startswith("_")
     ]
     assert not private, sorted(private)
+
+
+# sample arguments of every function of src/ under functools.cache
+CACHED = {
+    ("rodrigues", "_phi"): (VarContext(4), (2, 1)),
+    ("symbases", "_power_sum_columns"): (3,),
+    ("symbases", "_circle_weight"): (2, 1),
+    ("oracle", "triangular_system"): (3, VarContext(3)),
+    ("oracle", "_gram_schmidt"): (3, VarContext(3)),
+}
+
+
+def _read_only(value) -> bool:
+    """Whether neither value nor anything it holds takes a write: read-only
+    mappings, tuples and records of such values, ints and field elements."""
+    if isinstance(value, MappingProxyType):
+        return all(map(_read_only, value.values()))
+    if isinstance(value, Record):
+        value = value._values()
+    if isinstance(value, tuple):
+        return all(map(_read_only, value))
+    return isinstance(value, (int, FieldElement))
+
+
+def test_every_cached_value_is_read_only():
+    """functools.cache hands one value to every caller, so that value must
+    refuse the writes of any one of them, as a read-only mapping does."""
+    cached = {
+        (path.stem, node.name)
+        for path in sorted(Path(csjack.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(ast.unparse(d) == "functools.cache" for d in node.decorator_list)
+    }
+    assert cached == set(CACHED)
+    for (module, name), args in CACHED.items():
+        value = getattr(importlib.import_module(f"csjack.{module}"), name)(*args)
+        assert _read_only(value), (module, name)
 
 
 def test_every_method_is_used():

@@ -39,16 +39,16 @@ def norm(p: LaurentPoly) -> int:
     return sum(abs(x) for c in p.terms.values() for x in c.num)
 
 
-def symbolic_commutators(monkeypatch, max_degree, max_nvars, count=200, seed=suites.DEFAULT_SEED):
+def symbolic_commutators(monkeypatch, max_degree, max_nvars):
     """suite_commutators' loop with field input at the symbolic coupling."""
     draw = commutators._random_poly
     identities = commutators._commutator_identities(max_degree, max_nvars, BETA)
-    per = max(1, -(-count // len(identities)))
+    per = max(1, -(-suites.COMMUTATOR_COUNT // len(identities)))
     results = []
     with monkeypatch.context() as m:
         m.setattr(commutators, "_random_poly", lambda *args: LaurentPoly(args[1], draw(*args).terms))
         for name, body in identities:
-            rng = random.Random(f"{seed}:{name}")
+            rng = random.Random(f"{suites.DEFAULT_SEED}:{name}")
             detail, runs = "", 0
             for _ in range(per):
                 runs += 1
@@ -116,7 +116,7 @@ def test_annihilation_width_covers_every_string_step(cell):
         for degree in range(max_degree + 1):
             for lam in partitions_of(degree, nvars - 1):
                 phi = rodrigues.rodrigues_raw(lam, ctx)
-                limit = 1 << (suites._annihilation_width(phi) - 2)
+                limit = 1 << (suites._annihilation_width(rodrigues._phi(ctx, lam), nvars) - 2)
                 assert norm(phi) < limit
                 for upto in range(len(lam), nvars):
                     q = phi
@@ -129,6 +129,17 @@ def dunkl_without_last_difference(i, p, beta=BETA):
     """A broken Dunkl operator: no divided difference against z_N."""
     differences = (divided_difference(p, i, j) for j in range(1, p.ctx.nvars) if j != i)
     return partial_derivative(p, i) + LaurentPoly.sum(p.ctx, differences).scale(beta)
+
+
+def test_annihilation_suite_builds_no_polynomial(monkeypatch):
+    # every phi is cached first, so only the suite's own reads are counted
+    suites.suite_annihilation(5, 4)
+    calls = []
+    raw, m_coordinates = rodrigues.rodrigues_raw, LaurentPoly.m_coordinates
+    monkeypatch.setattr(rodrigues, "rodrigues_raw", lambda *args: calls.append("rodrigues_raw") or raw(*args))
+    monkeypatch.setattr(LaurentPoly, "m_coordinates", lambda self: calls.append("m_coordinates") or m_coordinates(self))
+    assert all(r.passed for r in suites.suite_annihilation(5, 4))
+    assert calls == []
 
 
 def test_broken_operator_fails_both_commutator_routes(monkeypatch):

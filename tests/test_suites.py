@@ -11,6 +11,7 @@ from csjack.partitions import partitions_of, z_factor
 from csjack.polyring import VarContext
 from csjack.rodrigues import jack
 from csjack.suites import (
+    COMMUTATOR_COUNT,
     SUITES,
     CheckResult,
     suite_commutators,
@@ -30,25 +31,25 @@ def test_suite_names():
 
 
 def test_commutators_small():
-    results = suite_commutators(max_degree=3, max_nvars=3, count=30)
+    results = suite_commutators(max_degree=3, max_nvars=3)
     assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
     names = [r.name for r in results]
     assert "dunkl-commute" in names
     assert "shifted-family-swap" in names
-    # corpus meets the requested size
-    assert sum(r.cases for r in results) >= 30
+    # the corpus reaches its fixed size
+    assert sum(r.cases for r in results) >= COMMUTATOR_COUNT
 
 
 def test_commutators_deterministic():
-    a = suite_commutators(max_degree=3, max_nvars=3, count=18, seed=7)
-    b = suite_commutators(max_degree=3, max_nvars=3, count=18, seed=7)
+    a = suite_commutators(max_degree=3, max_nvars=3)
+    b = suite_commutators(max_degree=3, max_nvars=3)
     assert [(r.name, r.passed, r.detail) for r in a] == [
         (r.name, r.passed, r.detail) for r in b
     ]
 
 
 def test_spectrum_consistency_small():
-    results = suite_spectrum_consistency(count=10)
+    results = suite_spectrum_consistency()
     assert all(r.passed for r in results)
 
 

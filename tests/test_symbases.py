@@ -19,7 +19,7 @@ from csjack.errors import (
 )
 from csjack.fieldring import BETA, ONE, ZERO, FieldElement
 from csjack.partitions import Partition, partitions_of
-from csjack.polyring import LaurentPoly, VarContext
+from csjack.polyring import LaurentPoly, VarContext, from_m_coordinates
 from csjack.rodrigues import jack
 from csjack.symbases import (
     BasisExpansion,
@@ -28,7 +28,6 @@ from csjack.symbases import (
     _circle_weight,
     circle_inner_product,
     expand_in_basis,
-    from_m_coordinates,
     monomial_sym,
     power_sum,
     power_sum_columns,
