@@ -156,10 +156,13 @@ def _divide(a: BetaPoly, lc) -> BetaPoly:
     return tuple(q.numerator if q.denominator == 1 else q for q in (c * inv for c in a))
 
 
-def poly_eval(a: BetaPoly, x: Fraction) -> Fraction:
-    out = 0
+def _homogeneous(a: BetaPoly, p: int, q: int, m: int) -> int:
+    """m q^deg(a) a(p/q) = sum_i m a_i p^i q^(deg - i), by Horner in ints;
+    m is a common multiple of the denominators of a."""
+    out, qk = 0, 1
     for c in reversed(a):
-        out = out * x + c
+        out = out * p + c.numerator * (m // c.denominator) * qk
+        qk *= q
     return out
 
 
@@ -398,12 +401,20 @@ class FieldElement:
         return Fraction(self.num[0])
 
     def specialize(self, beta_value) -> Fraction:
-        """Evaluate at a rational coupling value; poles raise PoleAtValue."""
+        """Evaluate at a rational coupling value p/q; poles raise PoleAtValue.
+        num and den are evaluated homogeneously in ints, with their
+        denominators cleared by one common multiple, and their quotient
+        makes one Fraction."""
         x = Fraction(beta_value)
-        d = poly_eval(self.den, x)
-        if d == 0:
+        p, q = x.numerator, x.denominator
+        m = math.lcm(*(c.denominator for c in self.num + self.den))
+        den = _homogeneous(self.den, p, q, m)
+        if not den:
             raise PoleAtValue(f"pole at coupling value {x}")
-        return poly_eval(self.num, x) / d
+        num = _homogeneous(self.num, p, q, m)
+        # num / den = q^(deg den - deg num) times the value at p/q
+        shift = len(self.den) - len(self.num)
+        return Fraction(num * q**shift, den) if shift >= 0 else Fraction(num, den * q**-shift)
 
     # -- serialization -----------------------------------------------------
 

@@ -11,6 +11,12 @@ Three routes, none of which touches the creation operators:
   nvars only), one pass per degree in m- and p-coordinates, cached,
 * the non-symmetric route: joint eigenvector of the commuting shifted
   family with leading monomial z^lam, then symmetrization.
+
+Each of the first two routes is the unique solution of a system with no
+division in it, so `csjack verify` solves neither: is_triangular_solution
+and is_pairing_solution check the integral phi_lam = c_lam J_lam against
+those systems in Z[b].  The solvers stay the exported routes that the
+acceptance tests and the benchmark's self-test compare with.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .rodrigues import eigenvalue_epsilon
 from .symbases import (
     POWER_SUM,
     BasisExpansion,
+    _integral_pairing,
     power_sum_columns,
     scalar_product_p,
     solve_linear,
@@ -94,16 +101,22 @@ def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
     for mu in down:
         if mu == lam:
             continue
-        acc = ZERO
-        for nu, v in coeffs.items():
-            entry = system.matrix.get((mu, nu))
-            if entry is not None:
-                acc = acc + entry * v
         # eps(lam) - eps(mu) has b-coefficient 2(n(mu) - n(lam)) > 0 (Macdonald I (1.11))
-        value = acc / (eps - system.matrix.get((mu, mu), ZERO))
+        value = _row(system, mu, coeffs) / (eps - system.matrix.get((mu, mu), ZERO))
         if value:
             coeffs[mu] = value
     return from_m_coordinates(coeffs, ctx)
+
+
+def _row(system: TriangularSystem, mu: Partition, coords) -> FieldElement:
+    """sum_nu H_{mu nu} coords[nu]: the coefficient of m_mu in H applied to
+    the function with m-coordinates coords."""
+    acc = ZERO
+    for nu, v in coords.items():
+        entry = system.matrix.get((mu, nu))
+        if entry is not None:
+            acc = acc + entry * v
+    return acc
 
 
 def jack_by_gram_schmidt(lam: Partition, ctx: VarContext) -> LaurentPoly:
@@ -138,6 +151,42 @@ def _gram_schmidt(degree: int, ctx: VarContext) -> MappingProxyType:
         out[mu] = MappingProxyType(mcoords)
         built.append((mcoords, ex, scalar_product_p(ex, ex)))
     return MappingProxyType(out)
+
+
+def is_triangular_solution(coords, c: FieldElement, lam: Partition, ctx: VarContext) -> bool:
+    """Whether the m-coordinates coords solve the system that
+    jack_by_triangular_H solves, scaled by c: coords[lam] = c, supp coords
+    lies in the dominance down-set of lam, and sum_nu H_{mu nu} coords[nu] =
+    eps(lam) coords[mu] on it (H m_nu reaches only mu below nu, so the other
+    equations hold).  No division; unique as suite_rodrigues_vs_oracle says."""
+    lam = Partition(lam)
+    if len(lam) > ctx.nvars:
+        raise TooManyParts(f"l({lam}) = {len(lam)} > {ctx.nvars}")
+    system = triangular_system(lam.weight, ctx)
+    down = [mu for mu in system.ordered_basis if dominates(lam, mu)]
+    eps = eigenvalue_epsilon(lam, ctx.nvars)
+    return (
+        coords.get(lam) == c
+        and set(coords) <= set(down)
+        and all(_row(system, mu, coords) == eps * coords.get(mu, ZERO) for mu in down)
+    )
+
+
+def is_pairing_solution(coords, c: FieldElement, lam: Partition, ctx: VarContext) -> bool:
+    """Whether the m-coordinates coords solve the system that
+    jack_by_gram_schmidt solves (degree <= nvars), scaled by c: coords[lam]
+    = c, supp coords lies in lam and its lexicographic predecessors, and
+    symbases._integral_pairing with m_mu is 0 for each predecessor mu.  No
+    division; unique as suite_rodrigues_vs_oracle says."""
+    lam = Partition(lam)
+    if lam.weight > ctx.nvars:
+        raise DegreeExceedsVariables(f"pairing route needs degree <= {ctx.nvars}, got {lam.weight}")
+    before = [mu for mu in partitions_of(lam.weight, ctx.nvars) if mu < lam]
+    return (
+        coords.get(lam) == c
+        and all(mu <= lam for mu in coords)
+        and not any(_integral_pairing(coords, {mu: ONE}, lam.weight) for mu in before)
+    )
 
 
 def nonsym_eigenvalues(lam: Partition, ctx: VarContext) -> list[FieldElement]:

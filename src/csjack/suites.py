@@ -8,13 +8,16 @@ lie in Z[b][z], so those two suites run on plain ints at b = 2^B (Kronecker
 substitution), with B computed at run time from a bound proved in
 commutators._commutator_width and _annihilation_width: with every
 coefficient of lhs - rhs below 2^(B-2), the two sides agree at 2^B only
-when they agree in Z[b].  The orthogonality suite pairs the integral
-phi_lam = c_lam J_lam, which carry no b-denominators, and the other suites
-run in Q(b).  Each suite imports what it runs (commutators, rodrigues,
-oracle, symbases, spectrum, and fieldring and polyring) when it runs, so
-importing this module loads only partitions and errors, only the
-commutator suite loads operators, and the spectrum suite loads neither
-polynomials nor their coefficient field.
+when they agree in Z[b].  The rodrigues-vs-oracle and orthogonality
+suites read the cached m-coordinates of the integral phi_lam = c_lam J_lam,
+which lie in Z[b], and check equations with no division in them: the
+oracles' defining systems and the power-sum pairing scaled into Z[b].  Only
+the torus pairing (N <= 3) builds polynomials, specialized at b = 1 and 2,
+and the spectrum suite runs in Q.  Each suite imports what it runs
+(commutators, rodrigues, oracle, symbases, spectrum, and fieldring and
+polyring) when it runs, so importing this module loads only partitions and
+errors, only the commutator suite loads operators, and the spectrum suite
+loads neither polynomials nor their coefficient field.
 """
 
 from __future__ import annotations
@@ -76,17 +79,28 @@ def suite_commutators(max_degree: int, max_nvars: int) -> list[CheckResult]:
 
 
 def suite_rodrigues_vs_oracle(max_degree: int, max_nvars: int) -> list[CheckResult]:
-    """Creation-operator output against the triangular solve (and against
-    Gram-Schmidt whenever the degree allows the pairing route)."""
+    """Creation-operator output against the triangular oracle (and the
+    pairing oracle whenever the degree allows it), checked on the equations
+    each oracle solves, in Z[b] on the m-coordinates a of the integral
+    phi_lam = c_lam J_lam: no division, no gcd.
+
+    Each system has one solution, so a passes exactly when phi_lam / c_lam
+    is the oracle's J_lam.  Triangular: a_lam = c_lam fixes the rest, since
+    eps(lam) - eps(mu) has b-coefficient 2(n(mu) - n(lam)) > 0 for mu below
+    lam (Macdonald I (1.11)).  Pairing: two solutions differ by a vector in
+    the span of lam's predecessors that is orthogonal to it, hence to
+    itself, and the pairing is positive definite for b > 0, so anisotropic
+    over Q(b) (Macdonald VI.10)."""
     from . import oracle, rodrigues
 
     results = []
     for ctx, lam, label in _creation_cases(max_degree, max_nvars):
-        monic = rodrigues.jack(lam, ctx).monic
-        ok = monic == oracle.jack_by_triangular_H(lam, ctx)
+        coords = rodrigues._phi(ctx, tuple(lam))
+        c = rodrigues.c_coefficient(lam, ctx)
+        ok = oracle.is_triangular_solution(coords, c, lam, ctx)
         detail = "" if ok else "triangular solve disagrees"
         if ok and lam.weight <= ctx.nvars:
-            ok = monic == oracle.jack_by_gram_schmidt(lam, ctx)
+            ok = oracle.is_pairing_solution(coords, c, lam, ctx)
             detail = "" if ok else "pairing route disagrees"
         results.append(CheckResult(f"jack-match-{label}", ok, detail, 1))
     return results
@@ -146,33 +160,41 @@ def suite_orthogonality(max_degree: int, max_nvars: int) -> list[CheckResult]:
     Both pairings run on the integral phi_lam = c_lam J_lam, which carry no
     b-denominators.  c_lam is a product of rising factorials with bases of
     at least b, so it is nonzero in Q(b) and positive at b = 1 and 2: every
-    zero test has the answer it has on the monic J_lam, and a nonzero value
-    is divided by c_a c_b (at the torus coupling) before it is printed."""
+    zero test has the answer it has on the monic J_lam.  The power-sum
+    pairing is symbases._integral_pairing, L^2 b^d <phi_a, phi_b>_p in Z[b],
+    read off phi's cached m-coordinates (rodrigues._phi, shifted by the
+    boost for (1^N)), so it builds no polynomial; the torus pairing (N <= 3)
+    pairs the polynomials.  A nonzero value is divided by its scale and by
+    c_a c_b (at the torus coupling) before it is printed."""
     from . import rodrigues, symbases
     from .polyring import VarContext
 
-    def first_nonzero_pairing(jacks: dict, pairing) -> str:
-        # jacks maps lam to (phi_lam or its expansion, c_lam in the pairing's field)
+    def first_nonzero_pairing(jacks: dict, pairing, scale) -> str:
+        # jacks maps lam to (phi_lam in the pairing's terms, c_lam in its field)
         for a, b in itertools.combinations(jacks, 2):
             (f, c_a), (g, c_b) = jacks[a], jacks[b]
             value = pairing(f, g)
             if value:
-                return f"<J_{a}, J_{b}> = {value / (c_a * c_b)}"
+                return f"<J_{a}, J_{b}> = {value / (scale * c_a * c_b)}"
         return ""
 
-    def phi(lam, ctx):
-        result = rodrigues.jack(lam, ctx, "raw")
-        return result.raw, result.c
+    def phi_coords(lam, ctx):
+        shift = lam[-1] if len(lam) == ctx.nvars else 0
+        reduced = Partition(x - shift for x in lam)
+        coords = rodrigues._phi(ctx, tuple(reduced))
+        if shift:
+            coords = {Partition(x + shift for x in mu.pad(ctx.nvars)): c for mu, c in coords.items()}
+        return coords, rodrigues.c_coefficient(reduced, ctx)
 
     results = []
     for nvars in range(2, max_nvars + 1):
         ctx = VarContext(nvars)
         for degree in range(1, min(max_degree, nvars) + 1):
-            expansions = {}
-            for lam in partitions_of(degree, nvars):
-                raw, c = phi(lam, ctx)
-                expansions[lam] = symbases.expand_in_basis(raw, "p"), c
-            bad = first_nonzero_pairing(expansions, symbases.scalar_product_p)
+            jacks = {lam: phi_coords(lam, ctx) for lam in partitions_of(degree, nvars)}
+            scale = symbases._integral_power_sums(degree)[0]
+            bad = first_nonzero_pairing(
+                jacks, lambda f, g: symbases._integral_pairing(f, g, degree), scale
+            )
             results.append(CheckResult(f"power-sum-orthogonal-n{nvars}-d{degree}", not bad, bad, 1))
     for nvars in range(2, min(max_nvars, 3) + 1):
         ctx = VarContext(nvars)
@@ -181,10 +203,10 @@ def suite_orthogonality(max_degree: int, max_nvars: int) -> list[CheckResult]:
             for degree in range(1, min(max_degree, 4) + 1):
                 polys = {}
                 for lam in partitions_of(degree, nvars):
-                    raw, c = phi(lam, ctx)
-                    polys[lam] = raw, c.specialize(beta_int)
+                    result = rodrigues.jack(lam, ctx, "raw")
+                    polys[lam] = result.raw, result.c.specialize(beta_int)
                 bad = first_nonzero_pairing(
-                    polys, lambda f, g: symbases.circle_inner_product(f, g, beta_int)
+                    polys, lambda f, g: symbases.circle_inner_product(f, g, beta_int), 1
                 )
                 if bad:
                     bad = f"degree {degree}: {bad}"

@@ -11,7 +11,9 @@ solve of the integer transition system, whose entries are counts of maps
 between parts (Macdonald I.6), so no power sums are multiplied; for degree
 <= nvars the table does not depend on nvars and is cached per degree by
 power_sum_columns.  A conversion to the p basis then sums the columns of its
-m-coordinates.  The power-sum pairing makes one quotient product per length.
+m-coordinates.  The power-sum pairing makes one quotient product per length;
+its integral form, _integral_pairing, pairs m-coordinates in Z[b] through
+the table scaled once per degree by the lcm of its denominators.
 The torus pairing reads a cached, read-only table of integer weights, sums
 them per pair of distinct coefficients, and specializes each distinct
 coefficient once.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from operator import sub
 from types import MappingProxyType
@@ -254,6 +257,43 @@ def scalar_product_p(f: BasisExpansion, g: BasisExpansion) -> FieldElement:
     out = ZERO
     for length, total in by_length.items():
         out = out + total * FieldElement.beta(-length)
+    return out
+
+
+@functools.cache
+def _integral_power_sums(degree: int) -> tuple:
+    """(scale, columns, weights) with L the lcm of the denominators of the
+    degree's power-sum table: scale = L^2 b^degree, columns {rho: ((mu, L
+    times the coefficient of p_mu in m_rho), ...)} in ints, and weights
+    {mu: z_mu b^(degree - l(mu))}; read-only, because every caller shares
+    the cached value."""
+    table = {rho: [(mu, c.as_fraction()) for mu, c in col] for rho, col in _power_sum_columns(degree).items()}
+    lcm = math.lcm(*(c.denominator for col in table.values() for _, c in col))
+    columns = {rho: tuple((mu, int(c * lcm)) for mu, c in col) for rho, col in table.items()}
+    weights = {mu: FieldElement.beta(degree - len(mu)) * z_factor(mu) for mu in table}
+    return FieldElement.beta(degree) * lcm**2, MappingProxyType(columns), MappingProxyType(weights)
+
+
+def _integral_pairing(f, g, degree: int) -> FieldElement:
+    """L^2 b^degree <f, g>_p (the scale of _integral_power_sums) for the
+    symmetric functions of the degree whose m-coordinates are f and g
+    ({mu: coefficient}).  Each side's L-scaled power-sum coordinates are
+    int combinations of its m-coordinates, and l(mu) <= degree, so the
+    value is in Z[b] when f and g are: no division and no gcd."""
+    _, columns, weights = _integral_power_sums(degree)
+
+    def scaled_p(coords) -> dict:
+        out: dict[Partition, FieldElement] = {}
+        for rho, c in coords.items():
+            _merge(out, ((mu, c * t) for mu, t in columns[rho]))
+        return out
+
+    fp, gp = scaled_p(f), scaled_p(g)
+    out = ZERO
+    for mu, a in fp.items():
+        c = gp.get(mu)
+        if c is not None:
+            out = out + a * c * weights[mu]
     return out
 
 

@@ -21,6 +21,7 @@ from csjack.fieldring import (  # noqa: E402
     _canonical,
     pack,
     pack_width,
+    poly,
     poly_add,
     poly_divmod,
     poly_gcd,
@@ -106,6 +107,36 @@ def test_arithmetic_commutes_with_specialize(a, b, x):
     for value in (a, b, a + b, a * b):
         assert type(value.specialize(x)) is Fraction
         assert "." not in str(value)
+
+
+def fraction_horner(a, x: Fraction) -> Fraction:
+    out = Fraction(0)
+    for c in reversed(a):
+        out = out * x + c
+    return out
+
+
+# int and Fraction coefficients side by side, as canonical elements hold them
+MIXED_POLY = st.lists(st.one_of(st.integers(-9, 9), COEFF), max_size=4)
+
+
+@SETTINGS
+@given(MIXED_POLY, MIXED_POLY.filter(any), RATIONAL, st.booleans())
+def test_specialize_is_fraction_horner(num, den, x, pole):
+    """The homogeneous integer evaluation against Horner in Fractions,
+    poles included: with pole set, den gets the factor b - x, which only a
+    matching factor of num cancels."""
+    if pole:
+        den = poly_mul(poly(den), poly((-x, 1)))
+    a = FieldElement(num, den)
+    d = fraction_horner(a.den, x)
+    for value in (x, int(x)) if x.denominator == 1 else (x,):
+        if d:
+            got = a.specialize(value)
+            assert type(got) is Fraction and got == fraction_horner(a.num, x) / d
+        else:
+            with pytest.raises(PoleAtValue, match=f"^pole at coupling value {x}$"):
+                a.specialize(value)
 
 
 def to_sympy(sympy, b, a: FieldElement):

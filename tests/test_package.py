@@ -208,6 +208,7 @@ def test_no_function_has_a_private_parameter():
 CACHED = {
     ("rodrigues", "_phi"): (VarContext(4), (2, 1)),
     ("symbases", "_power_sum_columns"): (3,),
+    ("symbases", "_integral_power_sums"): (3,),
     ("symbases", "_circle_weight"): (2, 1),
     ("oracle", "triangular_system"): (3, VarContext(3)),
     ("oracle", "_gram_schmidt"): (3, VarContext(3)),
