@@ -15,6 +15,7 @@ convert modules build their payloads and never import cli, which
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -56,6 +57,8 @@ SUITE_CHOICES = (
     "annihilation", "commutators", "orthogonality", "rodrigues-vs-oracle", "spectrum-consistency", "all"
 )
 BASIS_CHOICES = ("m", "p")
+# argparse reads a separate negative fraction as a flag, not as a value
+NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
 
 
 def _emit(args, payload: str):
@@ -210,6 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # "--beta -1/2" means "--beta=-1/2"
+    for i in range(len(argv) - 1, 0, -1):
+        if NEGATIVE_FRACTION.fullmatch(argv[i]) and argv[i - 1].startswith("--") and "=" not in argv[i - 1]:
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

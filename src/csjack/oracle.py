@@ -6,17 +6,17 @@ Three routes, none of which touches the creation operators:
 * triangular solve of the Hamiltonian eigenproblem over the dominance
   down-set in the monomial basis, its matrix read off the partitions in
   closed form (Sutherland 1972; Macdonald VI.3-4), cached,
-* Gram-Schmidt under the power-sum pairing up the partitions of a degree
-  in increasing lexicographic order, which extends dominance (degree <=
-  nvars only), one pass per degree in m- and p-coordinates, cached,
+* orthogonalization under the power-sum pairing (degree <= nvars only):
+  one solve of rows of the cached integral Gram matrix of the degree,
 * the non-symmetric route: joint eigenvector of the commuting shifted
   family with leading monomial z^lam, then symmetrization.
 
 Each of the first two routes is the unique solution of a system with no
 division in it, so `csjack verify` solves neither: is_triangular_solution
 and is_pairing_solution check the integral phi_lam = c_lam J_lam against
-those systems in Z[b].  The solvers stay the exported routes that the
-acceptance tests and the benchmark's self-test compare with.
+those systems in Z[b], reading the same rows as the solvers.  The solvers
+stay the exported routes that the acceptance tests and the benchmark's
+self-test compare with.
 """
 
 from __future__ import annotations
@@ -29,16 +29,9 @@ from types import MappingProxyType
 from .errors import DegenerateLeadingTerm, DegreeExceedsVariables, InconsistentSystem, TooManyParts
 from .fieldring import ONE, ZERO, FieldElement
 from .partitions import Partition, Record, dominates, partitions_of
-from .polyring import LaurentPoly, VarContext, _merge, from_m_coordinates
+from .polyring import LaurentPoly, VarContext, from_m_coordinates
 from .rodrigues import eigenvalue_epsilon
-from .symbases import (
-    POWER_SUM,
-    BasisExpansion,
-    _integral_pairing,
-    power_sum_columns,
-    scalar_product_p,
-    solve_linear,
-)
+from .symbases import _integral_power_sums, _row, solve_linear
 
 
 class TriangularSystem(Record):
@@ -88,69 +81,51 @@ def triangular_system(degree: int, ctx: VarContext) -> TriangularSystem:
     return TriangularSystem(degree, n, tuple(basis), MappingProxyType(matrix))
 
 
+def _triangular_rows(lam: Partition, ctx: VarContext) -> tuple[Mapping, list[Partition]]:
+    """(H matrix of lam's degree, the dominance down-set of lam, lam first)."""
+    if len(lam) > ctx.nvars:
+        raise TooManyParts(f"l({lam}) = {len(lam)} > {ctx.nvars}")
+    system = triangular_system(lam.weight, ctx)
+    return system.matrix, [mu for mu in system.ordered_basis if dominates(lam, mu)]
+
+
+def _pairing_rows(lam: Partition, ctx: VarContext) -> tuple[Mapping, list[Partition]]:
+    """(integral Gram matrix of lam's degree, lam's lexicographic
+    predecessors); the power sums of the degree stay independent, and
+    l(lam) fits, only while degree <= nvars."""
+    if lam.weight > ctx.nvars:
+        raise DegreeExceedsVariables(f"pairing route needs degree <= {ctx.nvars}, got {lam.weight}")
+    return _integral_power_sums(lam.weight)[1], [mu for mu in partitions_of(lam.weight) if mu < lam]
+
+
 def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
     """Monic Jack polynomial by back-substitution of (H - eps(lam)) phi = 0
     over the dominance down-set of lam."""
     lam = Partition(lam)
-    if len(lam) > ctx.nvars:
-        raise TooManyParts(f"l({lam}) = {len(lam)} > {ctx.nvars}")
-    system = triangular_system(lam.weight, ctx)
-    down = [mu for mu in system.ordered_basis if dominates(lam, mu)]
+    matrix, down = _triangular_rows(lam, ctx)
     eps = eigenvalue_epsilon(lam, ctx.nvars)
     coeffs: dict[Partition, FieldElement] = {lam: ONE}
-    for mu in down:
-        if mu == lam:
-            continue
+    for mu in down[1:]:
         # eps(lam) - eps(mu) has b-coefficient 2(n(mu) - n(lam)) > 0 (Macdonald I (1.11))
-        value = _row(system, mu, coeffs) / (eps - system.matrix.get((mu, mu), ZERO))
+        value = _row(matrix, mu, coeffs) / (eps - matrix.get((mu, mu), ZERO))
         if value:
             coeffs[mu] = value
     return from_m_coordinates(coeffs, ctx)
 
 
-def _row(system: TriangularSystem, mu: Partition, coords) -> FieldElement:
-    """sum_nu H_{mu nu} coords[nu]: the coefficient of m_mu in H applied to
-    the function with m-coordinates coords."""
-    acc = ZERO
-    for nu, v in coords.items():
-        entry = system.matrix.get((mu, nu))
-        if entry is not None:
-            acc = acc + entry * v
-    return acc
-
-
 def jack_by_gram_schmidt(lam: Partition, ctx: VarContext) -> LaurentPoly:
-    """Monic Jack polynomial by orthogonalizing monomial symmetric functions
-    under the power-sum pairing.  Only valid while the power sums of the
-    degree stay independent, i.e. degree <= nvars, which also bounds the
-    length of lam."""
+    """Monic Jack polynomial as m_lam plus the combination of its
+    lexicographic predecessors (an order that extends dominance) orthogonal
+    to each of them: one solve of the Gram rows is_pairing_solution checks."""
     lam = Partition(lam)
-    if lam.weight > ctx.nvars:
-        raise DegreeExceedsVariables(f"pairing route needs degree <= {ctx.nvars}, got {lam.weight}")
-    return from_m_coordinates(_gram_schmidt(lam.weight, ctx)[lam], ctx)
-
-
-@functools.cache
-def _gram_schmidt(degree: int, ctx: VarContext) -> MappingProxyType:
-    """{mu: read-only m-coordinates of the orthogonalized m_mu} for every
-    partition mu of degree with at most nvars parts, from one Gram-Schmidt
-    pass that carries each element as m- and p-coordinates.  The pass works
-    up from the least dominant partition in increasing lexicographic order,
-    which extends dominance."""
-    columns = power_sum_columns(degree, ctx)
-    built: list[tuple[dict, BasisExpansion, FieldElement]] = []
-    out = {}
-    for mu in reversed(partitions_of(degree, ctx.nvars)):
-        mcoords = {mu: ONE}
-        ex = BasisExpansion(POWER_SUM, degree, ctx, dict(columns[mu]))
-        for ucoords, uex, unorm in built:
-            c = scalar_product_p(ex, uex) / unorm
-            if c:
-                _merge(mcoords, ((key, val * -c) for key, val in ucoords.items()))
-                _merge(ex.coords, ((key, val * -c) for key, val in uex.coords.items()))
-        out[mu] = MappingProxyType(mcoords)
-        built.append((mcoords, ex, scalar_product_p(ex, ex)))
-    return MappingProxyType(out)
+    gram, before = _pairing_rows(lam, ctx)
+    rows = [
+        ({t: gram[mu, nu] for t, nu in enumerate(before) if (mu, nu) in gram}, -gram.get((mu, lam), ZERO))
+        for mu in before
+    ]
+    coeffs = {lam: ONE}
+    coeffs.update((nu, a) for nu, a in zip(before, solve_linear(rows, len(before))) if a)
+    return from_m_coordinates(coeffs, ctx)
 
 
 def is_triangular_solution(coords, c: FieldElement, lam: Partition, ctx: VarContext) -> bool:
@@ -160,15 +135,12 @@ def is_triangular_solution(coords, c: FieldElement, lam: Partition, ctx: VarCont
     eps(lam) coords[mu] on it (H m_nu reaches only mu below nu, so the other
     equations hold).  No division; unique as suite_rodrigues_vs_oracle says."""
     lam = Partition(lam)
-    if len(lam) > ctx.nvars:
-        raise TooManyParts(f"l({lam}) = {len(lam)} > {ctx.nvars}")
-    system = triangular_system(lam.weight, ctx)
-    down = [mu for mu in system.ordered_basis if dominates(lam, mu)]
+    matrix, down = _triangular_rows(lam, ctx)
     eps = eigenvalue_epsilon(lam, ctx.nvars)
     return (
         coords.get(lam) == c
         and set(coords) <= set(down)
-        and all(_row(system, mu, coords) == eps * coords.get(mu, ZERO) for mu in down)
+        and all(_row(matrix, mu, coords) == eps * coords.get(mu, ZERO) for mu in down)
     )
 
 
@@ -176,16 +148,14 @@ def is_pairing_solution(coords, c: FieldElement, lam: Partition, ctx: VarContext
     """Whether the m-coordinates coords solve the system that
     jack_by_gram_schmidt solves (degree <= nvars), scaled by c: coords[lam]
     = c, supp coords lies in lam and its lexicographic predecessors, and
-    symbases._integral_pairing with m_mu is 0 for each predecessor mu.  No
+    the Gram row of each predecessor mu pairs to 0 with coords.  No
     division; unique as suite_rodrigues_vs_oracle says."""
     lam = Partition(lam)
-    if lam.weight > ctx.nvars:
-        raise DegreeExceedsVariables(f"pairing route needs degree <= {ctx.nvars}, got {lam.weight}")
-    before = [mu for mu in partitions_of(lam.weight, ctx.nvars) if mu < lam]
+    gram, before = _pairing_rows(lam, ctx)
     return (
         coords.get(lam) == c
-        and all(mu <= lam for mu in coords)
-        and not any(_integral_pairing(coords, {mu: ONE}, lam.weight) for mu in before)
+        and set(coords) <= {lam, *before}
+        and not any(_row(gram, mu, coords) for mu in before)
     )
 
 

@@ -10,8 +10,8 @@ commutators._commutator_width and _annihilation_width: with every
 coefficient of lhs - rhs below 2^(B-2), the two sides agree at 2^B only
 when they agree in Z[b].  The rodrigues-vs-oracle and orthogonality
 suites read the cached m-coordinates of the integral phi_lam = c_lam J_lam,
-which lie in Z[b], and check equations with no division in them: the
-oracles' defining systems and the power-sum pairing scaled into Z[b].  Only
+which lie in Z[b], and check equations with no division in them: rows of
+the Hamiltonian's matrix and of the power-sum Gram matrix in Z[b].  Only
 the torus pairing (N <= 3) builds polynomials, specialized at b = 1 and 2,
 and the spectrum suite runs in Q.  Each suite imports what it runs
 (commutators, rodrigues, oracle, symbases, spectrum, and fieldring and

@@ -5,15 +5,18 @@ symmetric homogeneous polynomial into either basis, the coupling-weighted
 power-sum pairing, the torus constant-term pairing for integer coupling, and
 Schur polynomials by bialternant division.
 
-solve_linear is the one exact linear solver, kept here off the jack path.
-The power-sum coordinates of every m_rho of one degree come from one exact
-solve of the integer transition system, whose entries are counts of maps
-between parts (Macdonald I.6), so no power sums are multiplied; for degree
-<= nvars the table does not depend on nvars and is cached per degree by
+solve_linear is the one exact linear solver, and _row the one reader of a
+row of a sparse matrix, kept here off the jack path.  The power-sum
+coordinates of every m_rho of one degree come from one exact solve of the
+integer transition system, whose entries are counts of maps between parts
+(Macdonald I.6), so no power sums are multiplied; for degree <= nvars the
+table does not depend on nvars and is cached per degree by
 power_sum_columns.  A conversion to the p basis then sums the columns of its
 m-coordinates.  The power-sum pairing makes one quotient product per length;
 its integral form, _integral_pairing, pairs m-coordinates in Z[b] through
-the table scaled once per degree by the lcm of its denominators.
+the Gram matrix of the m_rho, built once per degree in Z[b] from the table
+scaled to ints by the lcm of its denominators; the pairing oracle solves
+and checks rows of the same matrix.
 The torus pairing reads a cached, read-only table of integer weights, sums
 them per pair of distinct coefficients, and specializes each distinct
 coefficient once.
@@ -177,6 +180,17 @@ def solve_linear(
     return out
 
 
+def _row(matrix, mu, coords) -> FieldElement:
+    """sum_nu matrix[mu, nu] coords[nu] for a sparse matrix {(mu, nu):
+    entry} and a sparse vector {nu: coordinate}."""
+    acc = ZERO
+    for nu, v in coords.items():
+        entry = matrix.get((mu, nu))
+        if entry is not None:
+            acc = acc + entry * v
+    return acc
+
+
 def power_sum_columns(degree: int, ctx: VarContext) -> MappingProxyType:
     """{rho: ((mu, coefficient of p_mu in m_rho), ...)} over the partitions
     rho of degree, which must be <= nvars for the p_mu to stay independent.
@@ -262,38 +276,36 @@ def scalar_product_p(f: BasisExpansion, g: BasisExpansion) -> FieldElement:
 
 @functools.cache
 def _integral_power_sums(degree: int) -> tuple:
-    """(scale, columns, weights) with L the lcm of the denominators of the
-    degree's power-sum table: scale = L^2 b^degree, columns {rho: ((mu, L
-    times the coefficient of p_mu in m_rho), ...)} in ints, and weights
-    {mu: z_mu b^(degree - l(mu))}; read-only, because every caller shares
-    the cached value."""
+    """(scale, gram) with L the lcm of the denominators of the degree's
+    power-sum table: scale = L^2 b^degree and gram the nonzero entries of
+    {(rho, sigma): scale <m_rho, m_sigma>_p}, each an int sum per power of
+    b, in Z[b] as <p_mu, p_mu>_p = z_mu b^(-l(mu)) and l(mu) <= degree;
+    read-only, because every caller shares the cached value."""
     table = {rho: [(mu, c.as_fraction()) for mu, c in col] for rho, col in _power_sum_columns(degree).items()}
     lcm = math.lcm(*(c.denominator for col in table.values() for _, c in col))
-    columns = {rho: tuple((mu, int(c * lcm)) for mu, c in col) for rho, col in table.items()}
-    weights = {mu: FieldElement.beta(degree - len(mu)) * z_factor(mu) for mu in table}
-    return FieldElement.beta(degree) * lcm**2, MappingProxyType(columns), MappingProxyType(weights)
+    columns = {rho: {mu: int(c * lcm) for mu, c in col} for rho, col in table.items()}
+    z = {mu: z_factor(mu) for mu in table}
+    gram = {}
+    for rho, sigma in itertools.combinations_with_replacement(table, 2):
+        by_power = [0] * (degree + 1)
+        for mu, a in columns[rho].items():
+            by_power[degree - len(mu)] += a * columns[sigma].get(mu, 0) * z[mu]
+        if any(by_power):
+            gram[rho, sigma] = gram[sigma, rho] = FieldElement(by_power)
+    return FieldElement.beta(degree) * lcm**2, MappingProxyType(gram)
 
 
 def _integral_pairing(f, g, degree: int) -> FieldElement:
     """L^2 b^degree <f, g>_p (the scale of _integral_power_sums) for the
     symmetric functions of the degree whose m-coordinates are f and g
-    ({mu: coefficient}).  Each side's L-scaled power-sum coordinates are
-    int combinations of its m-coordinates, and l(mu) <= degree, so the
-    value is in Z[b] when f and g are: no division and no gcd."""
-    _, columns, weights = _integral_power_sums(degree)
-
-    def scaled_p(coords) -> dict:
-        out: dict[Partition, FieldElement] = {}
-        for rho, c in coords.items():
-            _merge(out, ((mu, c * t) for mu, t in columns[rho]))
-        return out
-
-    fp, gp = scaled_p(f), scaled_p(g)
+    ({mu: coefficient}), read off the cached Gram matrix: in Z[b] when f
+    and g are, with no division and no gcd."""
+    gram = _integral_power_sums(degree)[1]
     out = ZERO
-    for mu, a in fp.items():
-        c = gp.get(mu)
-        if c is not None:
-            out = out + a * c * weights[mu]
+    for rho, a in f.items():
+        row = _row(gram, rho, g)
+        if row:
+            out = out + a * row
     return out
 
 

@@ -74,6 +74,27 @@ def test_bad_flag_is_usage_error():
     assert r.returncode == 2
 
 
+# a separate negative fraction after its flag, and the --flag=value form
+NEGATIVE_FRACTIONS = {
+    "jack-beta": (("jack", "--lambda", "2", "--nvars", "2", "--format", "text"), "--beta", "-1/3"),
+    "jack-beta-pole": (("jack", "--lambda", "2,1", "--nvars", "3"), "--beta", "-1/2"),
+    "spectrum-q": (("spectrum", "--lambda", "2,1", "--nparticles", "3", "--beta", "2"), "--q", "-1/2"),
+    "spectrum-beta-usage": (("spectrum", "--nparticles", "3"), "--beta", "-1/2"),
+}
+
+
+@pytest.mark.parametrize("args, flag, value", NEGATIVE_FRACTIONS.values(), ids=NEGATIVE_FRACTIONS.keys())
+def test_negative_fraction_is_the_flags_value(args, flag, value):
+    separate = run_cli(*args, flag, value)
+    joined = run_cli(*args, f"{flag}={value}")
+    assert (separate.returncode, separate.stdout, separate.stderr) == (
+        joined.returncode,
+        joined.stdout,
+        joined.stderr,
+    )
+    assert "expected one argument" not in separate.stderr
+
+
 def test_parser_choices_match_their_modules():
     """cli copies these choices so that parsing imports none of their modules."""
     from csjack import cli, rodrigues, suites, symbases

@@ -105,6 +105,16 @@ def test_gram_schmidt_matches():
         assert jack_by_gram_schmidt(Partition(lam), CTX3) == jack(Partition(lam), CTX3).monic
 
 
+@pytest.mark.parametrize("nvars", [5, 6])
+def test_gram_schmidt_matches_every_degree_up_to_nvars(nvars):
+    """Criterion 02 stops at four variables; here the pairing route's solve
+    meets every lam with |lam| <= N, full-length ones included."""
+    ctx = VarContext(nvars)
+    for degree in range(nvars + 1):
+        for lam in partitions_of(degree, nvars):
+            assert jack_by_gram_schmidt(lam, ctx) == jack(lam, ctx).monic, lam
+
+
 def test_gram_schmidt_callers_cannot_corrupt_cached_values():
     lam = Partition((2, 1, 1))
     first = jack_by_gram_schmidt(lam, CTX4)

@@ -211,7 +211,6 @@ CACHED = {
     ("symbases", "_integral_power_sums"): (3,),
     ("symbases", "_circle_weight"): (2, 1),
     ("oracle", "triangular_system"): (3, VarContext(3)),
-    ("oracle", "_gram_schmidt"): (3, VarContext(3)),
 }
 
 
