@@ -1,16 +1,18 @@
 """The operator exchange identities behind the verify suite `commutators`.
 
-Each identity draws small random int polynomials (_random_poly) in 2 to
-max_nvars variables and compares both sides at one coupling: the symbol b,
-or the int 2^B with B from _commutator_width, where the two sides agree
-only when they agree in Z[b].  suites.suite_commutators imports this module
-when it runs, so no other suite compiles it, and _commutator_identities
-looks the operators up in `operators` when it is called, so a wrapped or
-replaced operator is the one the identities run.
+Each case draws nvars in 2 to max_nvars, a small random int polynomial
+(_random_poly) and then the identity's own indices, and compares both sides
+at one coupling: the symbol b, or the int 2^B with B from _commutator_width,
+where the two sides agree only when they agree in Z[b].
+suites.suite_commutators imports this module when it runs, so no other
+suite compiles it, and _commutator_identities looks the operators up in
+`operators` when it is called, so a wrapped or replaced operator is the
+one the identities run.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .fieldring import pack_width
@@ -28,10 +30,6 @@ def _random_poly(rng: random.Random, ctx: VarContext, max_degree: int) -> Lauren
             exps[rng.randrange(ctx.nvars)] += 1
         terms[tuple(exps)] = rng.randint(-4, 4)
     return LaurentPoly._raw(ctx, {e: c for e, c in terms.items() if c})
-
-
-def _case_ctx(rng: random.Random, max_nvars: int) -> VarContext:
-    return VarContext(rng.randint(2, max_nvars))
 
 
 def _commutator_width(max_nvars: int, max_degree: int) -> int:
@@ -61,128 +59,110 @@ def _commutator_width(max_nvars: int, max_degree: int) -> int:
 
 def _commutator_identities(max_degree: int, max_nvars: int, beta) -> list[tuple]:
     """(name, body) of each identity of suite_commutators at the coupling
-    beta; a body draws one case from its rng and returns "" or a detail."""
+    beta; body(rng) draws one case and returns "" or a detail.  case draws
+    nvars and p for every identity, which then makes its own draws;
+    pair_case also draws i != j and writes the detail for the four pair
+    identities."""
     from .operators import _times_z, apply_D, apply_dunkl, apply_hatD
 
-    def dunkl_commute(rng) -> str:
-        ctx = _case_ctx(rng, max_nvars)
-        p = _random_poly(rng, ctx, max_degree)
-        i, j = rng.sample(range(1, ctx.nvars + 1), 2)
-        lhs = apply_dunkl(i, apply_dunkl(j, p, beta=beta), beta=beta)
-        rhs = apply_dunkl(j, apply_dunkl(i, p, beta=beta), beta=beta)
-        return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} p={p}"
+    dunkl, D, hatD = (functools.partial(op, beta=beta) for op in (apply_dunkl, apply_D, apply_hatD))
 
-    def dunkl_swap(rng) -> str:
-        ctx = _case_ctx(rng, max_nvars)
-        p = _random_poly(rng, ctx, max_degree)
-        i, j = rng.sample(range(1, ctx.nvars + 1), 2)
-        lhs = apply_dunkl(j, p, beta=beta).swap_vars(i, j)
-        rhs = apply_dunkl(i, p.swap_vars(i, j), beta=beta)
-        return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} p={p}"
+    def case(check):
+        def body(rng) -> str:
+            ctx = VarContext(rng.randint(2, max_nvars))
+            return check(rng, ctx, _random_poly(rng, ctx, max_degree))
 
-    def dunkl_z_commutator(rng) -> str:
-        ctx = _case_ctx(rng, max_nvars)
-        p = _random_poly(rng, ctx, max_degree)
+        return body
+
+    def pair_case(holds):
+        def check(rng, ctx, p) -> str:
+            i, j = rng.sample(range(1, ctx.nvars + 1), 2)
+            return "" if holds(p, i, j) else f"nvars={ctx.nvars} i={i} j={j} p={p}"
+
+        return case(check)
+
+    def dunkl_commute(p, i, j) -> bool:
+        return dunkl(i, dunkl(j, p)) == dunkl(j, dunkl(i, p))
+
+    def dunkl_swap(p, i, j) -> bool:
+        return dunkl(j, p).swap_vars(i, j) == dunkl(i, p.swap_vars(i, j))
+
+    def dunkl_z_commutator(rng, ctx, p) -> str:
         i = rng.randint(1, ctx.nvars)
         j = rng.randint(1, ctx.nvars)
-        lhs = apply_dunkl(i, p.shift_var(j, 1), beta=beta)
-        lhs = lhs - apply_dunkl(i, p, beta=beta).shift_var(j, 1)
+        lhs = dunkl(i, p.shift_var(j, 1)) - dunkl(i, p).shift_var(j, 1)
         rhs = -p.swap_vars(i, j).scale(beta)
         if i == j:
             swapped = LaurentPoly.sum(ctx, (p.swap_vars(i, l) for l in range(1, ctx.nvars + 1)))
             rhs = rhs + p + swapped.scale(beta)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} p={p}"
 
-    def degree_exchange(rng) -> str:
-        ctx = _case_ctx(rng, max_nvars)
-        p = _random_poly(rng, ctx, max_degree)
-        i, j = rng.sample(range(1, ctx.nvars + 1), 2)
-        lhs = apply_D(i, apply_D(j, p, beta=beta), beta=beta)
-        lhs = lhs - apply_D(j, apply_D(i, p, beta=beta), beta=beta)
+    def degree_exchange(p, i, j) -> bool:
+        lhs = D(i, D(j, p)) - D(j, D(i, p))
         swapped = p.swap_vars(i, j)
-        rhs = (apply_D(j, swapped, beta=beta) - apply_D(i, swapped, beta=beta)).scale(beta)
-        return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} p={p}"
+        return lhs == (D(j, swapped) - D(i, swapped)).scale(beta)
 
-    def power_exchange(rng) -> str:
-        ctx = _case_ctx(rng, max_nvars)
-        p = _random_poly(rng, ctx, max_degree)
+    def power_exchange(rng, ctx, p) -> str:
         i, j = rng.sample(range(1, ctx.nvars + 1), 2)
         ell = rng.randint(1, 3)
 
         def dpow(k, q, times):
             for _ in range(times):
-                q = apply_D(k, q, beta=beta)
+                q = D(k, q)
             return q
 
-        lhs = dpow(i, apply_D(j, p, beta=beta), ell) - apply_D(j, dpow(i, p, ell), beta=beta)
+        lhs = dpow(i, D(j, p), ell) - D(j, dpow(i, p, ell))
         swapped = p.swap_vars(i, j)
         rhs = (dpow(j, swapped, ell) - dpow(i, swapped, ell)).scale(beta)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} l={ell} p={p}"
 
-    def restricted_swap(rng) -> str:
-        ctx = _case_ctx(rng, max_nvars)
-        base = _random_poly(rng, ctx, max_degree)
+    def restricted_swap(rng, ctx, base) -> str:
         i, j = sorted(rng.sample(range(1, ctx.nvars + 1), 2))
         p = base + base.swap_vars(i, j)
         m = rng.randint(0, 3)
         # each side applies D + m b to the other index's string factor D + (m + 1) b
-        f_i, f_j = (apply_D(k, p, beta=beta) + p.scale(beta * (m + 1)) for k in (i, j))
-        lhs = apply_D(i, f_j, beta=beta) + f_j.scale(beta * m)
-        rhs = apply_D(j, f_i, beta=beta) + f_i.scale(beta * m)
+        f_i, f_j = (D(k, p) + p.scale(beta * (m + 1)) for k in (i, j))
+        lhs = D(i, f_j) + f_j.scale(beta * m)
+        rhs = D(j, f_i) + f_i.scale(beta * m)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} m={m} p={p}"
 
-    def shifted_commute(rng) -> str:
-        ctx = _case_ctx(rng, max_nvars)
-        p = _random_poly(rng, ctx, max_degree)
-        i, j = rng.sample(range(1, ctx.nvars + 1), 2)
-        lhs = apply_hatD(i, apply_hatD(j, p, beta=beta), beta=beta)
-        rhs = apply_hatD(j, apply_hatD(i, p, beta=beta), beta=beta)
-        return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} j={j} p={p}"
+    def shifted_commute(p, i, j) -> bool:
+        return hatD(i, hatD(j, p)) == hatD(j, hatD(i, p))
 
-    def shifted_swap(rng) -> str:
-        ctx = _case_ctx(rng, max_nvars)
-        p = _random_poly(rng, ctx, max_degree)
+    def shifted_swap(rng, ctx, p) -> str:
         i = rng.randint(1, ctx.nvars - 1)
         swapped = p.swap_vars(i, i + 1)
-        lhs = apply_hatD(i + 1, swapped, beta=beta)
-        lhs = lhs - apply_hatD(i, p, beta=beta).swap_vars(i, i + 1)
-        if lhs != p.scale(beta):
+        if hatD(i + 1, swapped) - hatD(i, p).swap_vars(i, i + 1) != p.scale(beta):
             return f"adjacent swap: nvars={ctx.nvars} i={i} p={p}"
         for k in range(1, ctx.nvars + 1):
             if k in (i, i + 1):
                 continue
-            if apply_hatD(k, p, beta=beta).swap_vars(i, i + 1) != apply_hatD(k, swapped, beta=beta):
+            if hatD(k, p).swap_vars(i, i + 1) != hatD(k, swapped):
                 return f"distant swap: nvars={ctx.nvars} i={i} k={k} p={p}"
         return ""
 
-    def z_set_commutator(rng) -> str:
-        ctx = _case_ctx(rng, max_nvars)
-        p = _random_poly(rng, ctx, max_degree)
+    def z_set_commutator(rng, ctx, p) -> str:
         size = rng.randint(1, ctx.nvars - 1)
         J = tuple(sorted(rng.sample(range(1, ctx.nvars + 1), size)))
         i = rng.randint(1, ctx.nvars)
-
-        lhs = apply_D(i, _times_z(p, J), beta=beta) - _times_z(apply_D(i, p, beta=beta), J)
+        lhs = D(i, _times_z(p, J)) - _times_z(D(i, p), J)
         if i in J:
             outside = (j for j in range(1, ctx.nvars + 1) if j not in J)
             swapped = LaurentPoly.sum(ctx, (_times_z(p.swap_vars(i, j), J) for j in outside))
             rhs = _times_z(p, J) + swapped.scale(beta)
         else:
-            terms = [
-                _times_z(p.swap_vars(i, j), tuple(v for v in J if v != j)).shift_var(i, 1)
-                for j in J
-            ]
+            terms = [_times_z(p.swap_vars(i, j), tuple(v for v in J if v != j)).shift_var(i, 1) for j in J]
             rhs = -LaurentPoly.sum(ctx, terms).scale(beta)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} J={J} p={p}"
 
     return [
-        ("dunkl-commute", dunkl_commute),
-        ("dunkl-swap-intertwine", dunkl_swap),
-        ("dunkl-z-commutator", dunkl_z_commutator),
-        ("degree-op-exchange", degree_exchange),
-        ("degree-op-power-exchange", power_exchange),
-        ("string-factor-swap-on-symmetric", restricted_swap),
-        ("shifted-family-commute", shifted_commute),
-        ("shifted-family-swap", shifted_swap),
-        ("z-set-commutator", z_set_commutator),
+        ("dunkl-commute", pair_case(dunkl_commute)),
+        ("dunkl-swap-intertwine", pair_case(dunkl_swap)),
+        ("dunkl-z-commutator", case(dunkl_z_commutator)),
+        ("degree-op-exchange", pair_case(degree_exchange)),
+        ("degree-op-power-exchange", case(power_exchange)),
+        ("string-factor-swap-on-symmetric", case(restricted_swap)),
+        ("shifted-family-commute", pair_case(shifted_commute)),
+        ("shifted-family-swap", case(shifted_swap)),
+        ("z-set-commutator", case(z_set_commutator)),
     ]

@@ -5,25 +5,25 @@ sweep case.  All randomness is seeded, so two runs produce identical output.
 
 The commutator and annihilation identities are Z[b]-linear and their inputs
 lie in Z[b][z], so those two suites run on plain ints at b = 2^B (Kronecker
-substitution), with B computed at run time from a bound proved in
-commutators._commutator_width and _annihilation_width: with every
-coefficient of lhs - rhs below 2^(B-2), the two sides agree at 2^B only
-when they agree in Z[b].  The rodrigues-vs-oracle and orthogonality
-suites read the cached m-coordinates of the integral phi_lam = c_lam J_lam,
-which lie in Z[b], and check equations with no division in them: rows of
-the Hamiltonian's matrix and of the power-sum Gram matrix in Z[b].  Only
-the torus pairing (N <= 3) builds polynomials, specialized at b = 1 and 2,
-and the spectrum suite runs in Q.  Each suite imports what it runs
-(commutators, rodrigues, oracle, symbases, spectrum, and fieldring and
-polyring) when it runs, so importing this module loads only partitions and
-errors, only the commutator suite loads operators, and the spectrum suite
-loads neither polynomials nor their coefficient field.
+substitution), with B computed at run time from a proved bound,
+commutators._commutator_width or, as for every symmetric D-string,
+rodrigues._digit_width: with every coefficient of lhs - rhs below 2^(B-2),
+the two sides agree at 2^B only when they agree in Z[b].  The
+rodrigues-vs-oracle and orthogonality suites read the cached m-coordinates
+of the integral phi_lam = c_lam J_lam, which lie in Z[b], and check
+equations with no division in them: rows of the Hamiltonian's matrix and of
+the power-sum Gram matrix in Z[b].  Only the torus pairing (N <= 3) builds
+polynomials, specialized at b = 1 and 2, and the spectrum suite runs in Q.
+Each suite imports what it runs (commutators, rodrigues, oracle, symbases,
+spectrum, and fieldring and polyring) when it runs, so importing this
+module loads only partitions and errors, only the commutator suite loads
+operators, and the spectrum suite loads neither polynomials nor their
+coefficient field.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -67,10 +67,7 @@ def suite_commutators(max_degree: int, max_nvars: int) -> list[CheckResult]:
     results = []
     for name, body in identities:
         rng = random.Random(f"{DEFAULT_SEED}:{name}")
-        detail = ""
-        runs = 0
-        for _ in range(per):
-            runs += 1
+        for runs in range(1, per + 1):
             detail = body(rng)
             if detail:
                 break
@@ -106,44 +103,27 @@ def suite_rodrigues_vs_oracle(max_degree: int, max_nvars: int) -> list[CheckResu
     return results
 
 
-def _annihilation_width(coords, nvars: int) -> int:
-    """Bits B such that phi and N_{k+1} phi over J = (1..k+1), for every
-    k < N, have every b-coefficient below 2^(B-2), where coords maps each
-    mu to the coefficient of m_mu in phi, all in Z[b].
-
-    With |q| as in commutators._commutator_width and d the degree of phi:
-    an orbit has at most N! exponents, so |phi| <= N! sum_mu |coords[mu]|,
-    where |coords[mu]| sums the numerator coefficients (pack raises on a
-    coefficient outside Z[b]).  N_{k+1} over k + 1 indices is one string of
-    factors D_j + pos b, pos = 0..k, each multiplying |q| by at most
-    N d + pos (rodrigues._digit_width at shift 0).
-    So |N_{k+1} phi| <= |phi| prod_{pos = 0..k} (N d + pos)
-    <= |phi| prod_{pos = 1..N} (N d + pos): raising each factor by one, and
-    adding factors of at least 1, only grows the product, which is then at
-    least 1.  A packed image, or any part of it, with coefficients below
-    2^(B-2) is zero at 2^B exactly when it is zero in Z[b].
-    """
-    from .fieldring import pack_width
-
-    degree = max(mu.weight for mu in coords)
-    norm = math.factorial(nvars) * sum(abs(x) for c in coords.values() for x in c.num)
-    return pack_width(norm * math.prod(nvars * degree + pos for pos in range(1, nvars + 1)))
-
-
 def suite_annihilation(max_degree: int, max_nvars: int) -> list[CheckResult]:
     """Every leading D-string of the next cardinality kills phi_lam, checked
-    on ints at b = 2^B with B from _annihilation_width.  N_k over (1..k) is
-    one string and moves z_1 .. z_k only, so its image of phi_lam is
-    symmetric in the other variables, and zero exactly when its part on
-    weakly decreasing tails, rodrigues._d_string at shift 0, is.  The string
-    reads phi_lam's m-coordinates, so no polynomial is built."""
+    on ints at b = 2^B.  N_k over (1..k) is one string and moves z_1 .. z_k
+    only, so its image of phi_lam is symmetric in the other variables, and
+    zero exactly when its part on weakly decreasing tails, rodrigues._d_string
+    at shift 0, is.  The string reads phi_lam's m-coordinates, so no
+    polynomial is built.
+
+    B is rodrigues._digit_width of lam's creation steps and one more step of
+    cardinality N: with |q| as there, that step is one string with shifts
+    1..N, so 2^(B-2) > |phi_lam| prod_{s=1..N} (N |lam| + s).  Each factor
+    D_j + pos b of N_k (pos = 0..k-1, k <= N) multiplies |q| by at most
+    N |lam| + pos + 1, so the image's b-coefficients are below 2^(B-2), and
+    it, or any part of it, is zero at 2^B only when it is zero in Z[b]."""
     from . import rodrigues
     from .fieldring import pack
 
     results = []
     for ctx, lam, label in _creation_cases(max_degree, max_nvars):
         phi = rodrigues._phi(ctx, lam)
-        width = _annihilation_width(phi, ctx.nvars)
+        width = rodrigues._digit_width(ctx.nvars, rodrigues._creation_steps(lam) + [ctx.nvars])
         coords = {mu.pad(ctx.nvars): pack(c, width) for mu, c in phi.items()}
         bad = ""
         for k in range(len(lam) + 1, ctx.nvars + 1):

@@ -21,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from csjack import rodrigues, suites  # noqa: E402
+from csjack import rodrigues  # noqa: E402
 from csjack.fieldring import BETA, FieldElement, pack  # noqa: E402
 from csjack.operators import apply_D_string, apply_dunkl, apply_N  # noqa: E402
 from csjack.partitions import partitions_of  # noqa: E402
@@ -107,7 +107,7 @@ def test_proven_strings_match_every_pair_strings(nvars):
                 assert got == weakly_decreasing_tails(expected, k)
         for lam in partitions_of(degree, nvars - 1):
             phi = rodrigues.rodrigues_raw(lam, ctx)
-            width = suites._annihilation_width(rodrigues._phi(ctx, lam), nvars)
+            width = rodrigues._digit_width(nvars, rodrigues._creation_steps(lam) + [nvars])
             packed = LaurentPoly._raw(ctx, {e: pack(c, width) for e, c in phi.terms.items()})
             coords = {mu.pad(nvars): pack(c, width) for mu, c in phi.m_coordinates().items()}
             for k in range(1, nvars + 1):

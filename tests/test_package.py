@@ -191,6 +191,24 @@ def test_every_module_level_definition_is_used_or_exported():
     assert not unused, sorted(unused)
 
 
+def test_every_top_level_import_is_used():
+    """A name that a module of src/ imports at top level and never mentions
+    is a left-over import, which costs load time on every request that loads
+    the module."""
+    unused = []
+    for path in sorted(Path(csjack.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        mentioned = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.stem}: {alias.asname or alias.name.split('.')[0]}"
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in mentioned
+        ]
+    assert not unused, unused
+
+
 def test_no_function_has_a_private_parameter():
     """A `_`-prefixed parameter is a knob for one caller that the public
     signature hides; the caller should run its own code instead."""

@@ -116,7 +116,7 @@ def test_annihilation_width_covers_every_string_step(cell):
         for degree in range(max_degree + 1):
             for lam in partitions_of(degree, nvars - 1):
                 phi = rodrigues.rodrigues_raw(lam, ctx)
-                limit = 1 << (suites._annihilation_width(rodrigues._phi(ctx, lam), nvars) - 2)
+                limit = 1 << (rodrigues._digit_width(nvars, rodrigues._creation_steps(lam) + [nvars]) - 2)
                 assert norm(phi) < limit
                 for upto in range(len(lam), nvars):
                     q = phi
@@ -150,6 +150,28 @@ def test_broken_operator_fails_both_commutator_routes(monkeypatch):
     assert outcome(packed) == outcome(symbolic)
     failed = [r.name for r in packed if not r.passed]
     assert "dunkl-commute" in failed and "shifted-family-commute" in failed
+
+
+def test_broken_operator_pins_the_commutator_corpus(monkeypatch):
+    # each identity stops at its first failing case, so the details name the
+    # cases its seeded draws reach: a change to the draws shows up here
+    monkeypatch.setattr(operators, "apply_dunkl", dunkl_without_last_difference)
+    assert outcome(suites.suite_commutators(4, 4)) == [
+        ("dunkl-commute", False, 2, "nvars=2 i=1 j=2 p=z1*z2 + (2)*z2"),
+        ("dunkl-swap-intertwine", False, 1, "nvars=2 i=2 j=1 p=(2)*z1^3 + 2"),
+        ("dunkl-z-commutator", False, 6, "nvars=2 i=1 j=2 p=(-1)*z1^2*z2^2 + (2)*z1*z2"),
+        ("degree-op-exchange", False, 1, "nvars=4 i=4 j=2 p=(-1)*z1^2*z2 + (-2)*z1^2*z3 + (-1)*z2*z4^2"),
+        ("degree-op-power-exchange", False, 2, "nvars=4 i=2 j=4 l=2 p=(-2)*z2^2*z3^2 + (3)*z2^2 + -4"),
+        (
+            "string-factor-swap-on-symmetric",
+            False,
+            1,
+            "nvars=4 i=1 j=4 m=3 p=(3)*z1*z2*z3 + (-8)*z1*z4 + (3)*z2*z3*z4",
+        ),
+        ("shifted-family-commute", False, 4, "nvars=3 i=1 j=3 p=(-4)*z1^2*z2 + (-2)*z1*z3 + (4)*z2"),
+        ("shifted-family-swap", False, 1, "adjacent swap: nvars=2 i=1 p=(-3)*z1^2*z2 + (4)*z1*z2"),
+        ("z-set-commutator", False, 1, "nvars=2 i=1 J=(1,) p=1"),
+    ]
 
 
 def test_broken_kernel_string_fails_the_packed_annihilation_suite(monkeypatch):
