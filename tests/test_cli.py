@@ -2,10 +2,17 @@
 must give byte-identical output, and the exit code contract is part of the
 interface."""
 
+import ast
+import gc
 import json
+from pathlib import Path
 
 import pytest
-from cli_helper import run_cli
+from cli_helper import run_child, run_cli
+
+from csjack import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_jack_json():
@@ -57,6 +64,63 @@ def test_jack_pole_is_domain_error():
     r = run_cli("jack", "--lambda", "3,1", "--nvars", "3", "--beta", "-1", "--format", "text")
     assert r.returncode == 1
     assert "pole" in r.stderr
+
+
+# jack --lambda 3,1 --nvars 3 --format text at couplings beta <= 0, which no
+# digest covers: c_lambda(0) = 0 with finite monic coordinates, and a pole at -1
+NON_POSITIVE_COUPLING = {
+    "0": (0, "c = 0\nm[3,1]    1\nm[2,2]    0\nm[2,1,1]  0\n", ""),
+    "-1/2": (0, "c = 1/8\nm[3,1]    1\nm[2,2]    -2\nm[2,1,1]  -1\n", ""),
+    "-1": (1, "", "error: pole at coupling value -1\n"),
+    "-2": (0, "c = 8\nm[3,1]    1\nm[2,2]    4\nm[2,1,1]  14\n", ""),
+}
+
+
+@pytest.mark.parametrize("beta", NON_POSITIVE_COUPLING)
+def test_jack_bytes_at_non_positive_coupling(beta):
+    code, body, stderr = NON_POSITIVE_COUPLING[beta]
+    r = run_cli("jack", "--lambda", "3,1", "--nvars", "3", "--format", "text", "--beta", beta)
+    head = "jack lambda=[3, 1] nvars=3 normalization=monic\n" if body else ""
+    assert (r.returncode, r.stdout, r.stderr) == (code, head + body, stderr)
+
+
+def _main_block_call() -> str:
+    """Name of the function that cli's `if __name__ == "__main__":` block calls."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = (node for node in tree.body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test))
+    (statement,) = block.body
+    return ast.unparse(statement.value.func)
+
+
+def test_request_exits_with_a_frozen_heap():
+    """Run as __main__, a request freezes the collector's heap before it exits,
+    and atexit hooks and the exit code still run as before."""
+    r = run_child(
+        "-c",
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.argv = ['csjack', 'jack', '--lambda', '2,1', '--nvars', '3', '--format', 'text', '--beta', '1']\n"
+        "runpy.run_module('csjack.cli', run_name='__main__')\n",
+    )
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[1] == "c = 3"
+    assert int(r.stderr) > 0
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    assert gc.get_freeze_count() == 0
+    assert cli.main(["jack", "--lambda", "2,1", "--nvars", "3"]) == 0
+    assert capsys.readouterr().out
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+def test_script_entry_point_is_the_main_block_exit():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    name = _main_block_call()
+    assert scripts == {"csjack": f"csjack.cli:{name}"}
+    assert callable(getattr(cli, name))
 
 
 def test_jack_bad_partition():

@@ -8,14 +8,20 @@ uses and run in a couple of seconds.  The jack requests with N >= 5 and
 |lambda| <= 4, plus the five fixed cases as both jack workloads ask for
 them, cover the creation product relabelled over many subsets.  Every
 verify sweep of the table also replays, since verify is the workload whose
-checks run in the coefficient field.
+checks run in the coefficient field.  The set-up request, the fixed cases
+and the small verify sweeps also replay through `python -m csjack.cli`, so
+the bytes a child writes before it exits are checked too.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+from cli_helper import child_env
 
 from csjack import cli
 
@@ -74,12 +80,22 @@ def _wide(argv) -> bool:
     return int(_flag(argv, "--nvars")) >= 5 and weight <= 4
 
 
-def test_wide_and_pinned_requests_match_benchmark_digests():
-    table = json.loads(DIGESTS.read_text())
+# the request the benchmark times as setup_s (perfbench/workloads.py SETUP_ARGV)
+SETUP = "jack --lambda 1 --nvars 2"
+
+
+def _pinned_requests() -> list[str]:
+    """The fixed cases as jack-sym and jack-beta request them."""
     pinned = []
     for lam, nvars in PINNED:
         head = f"jack --lambda {lam} --nvars {nvars} --normalization monic --format"
         pinned += [f"{head} json", f"{head} text --beta 1"]
+    return pinned
+
+
+def test_wide_and_pinned_requests_match_benchmark_digests():
+    table = json.loads(DIGESTS.read_text())
+    pinned = _pinned_requests()
     requests = [key for key in table if _wide(key.split())]
     assert len(requests) == 432
     assert set(pinned) <= table.keys()
@@ -89,5 +105,26 @@ def test_wide_and_pinned_requests_match_benchmark_digests():
         with contextlib.redirect_stdout(buffer):
             code = cli.main(key.split())
         if code != 0 or hashlib.sha256(buffer.getvalue().encode()).hexdigest() != table[key]:
+            drifted.append(key)
+    assert drifted == []
+
+
+def test_child_requests_match_benchmark_digests():
+    """A request run as `python -m csjack.cli` writes the digest's bytes to
+    stdout, nothing to stderr, and exits 0."""
+    # block-buffered stdout, as on a user's pipe, so that output still
+    # buffered at exit must be flushed to count
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    table = json.loads(DIGESTS.read_text())
+    small_verify = [key for key in table if key.startswith("verify ") and _small(key.split())]
+    requests = [SETUP] + _pinned_requests() + small_verify
+    assert len(requests) == 17
+    drifted = []
+    for key in requests:
+        r = subprocess.run(
+            [sys.executable, "-m", "csjack.cli", *key.split()], capture_output=True, env=env
+        )
+        if (r.returncode, r.stderr, hashlib.sha256(r.stdout).hexdigest()) != (0, b"", table[key]):
             drifted.append(key)
     assert drifted == []
