@@ -5,7 +5,8 @@ Three routes, none of which touches the creation operators:
 
 * triangular solve of the Hamiltonian eigenproblem over the dominance
   down-set in the monomial basis, its matrix read off the partitions in
-  closed form (Sutherland 1972; Macdonald VI.3-4), cached,
+  closed form (Sutherland 1972; Macdonald VI.3-4); triangular_system
+  caches it with its basis as one read-only pair per degree and N,
 * orthogonalization under the power-sum pairing (degree <= nvars only):
   one solve of rows of the cached integral Gram matrix of the degree,
 * the non-symmetric route: joint eigenvector of the commuting shifted
@@ -28,37 +29,23 @@ from types import MappingProxyType
 
 from .errors import DegenerateLeadingTerm, DegreeExceedsVariables, InconsistentSystem, TooManyParts
 from .fieldring import ONE, ZERO, FieldElement
-from .partitions import Partition, Record, dominates, partitions_of
+from .partitions import Partition, dominates, partitions_of
 from .polyring import LaurentPoly, VarContext, from_m_coordinates
 from .rodrigues import eigenvalue_epsilon
 from .symbases import _integral_power_sums, _row, solve_linear
 
 
-class TriangularSystem(Record):
-    """Matrix of the Hamiltonian over monomial symmetric functions of one
-    degree, columns indexed by the partition whose m it acts on.  Read-only,
-    because triangular_system hands the cached value to every caller."""
-
-    __slots__ = ("degree", "nvars", "ordered_basis", "matrix")
-
-    def __init__(
-        self,
-        degree: int,
-        nvars: int,
-        ordered_basis: tuple[Partition, ...],
-        matrix: Mapping[tuple[Partition, Partition], FieldElement],
-    ):
-        self._init(degree, nvars, ordered_basis, matrix)
-
-
 @functools.cache
-def triangular_system(degree: int, ctx: VarContext) -> TriangularSystem:
-    """The coefficient of m_mu in H m_nu, read off the partitions: eps(mu)
-    on the diagonal; off it, each pair of slots of the padded mu with values
-    x >= y and each p in (x, x + y], q = x + y - p, adds 2 b (p - q) at nu =
-    mu with (p, q) in that pair, sorted.  For p > q the pair term of H
-    sends z_j^p z_k^q + z_j^q z_k^p to p - q times itself (summing to the b
-    part of eps) plus 2 (p - q) z_j^x z_k^(p+q-x) for every q < x < p."""
+def triangular_system(degree: int, ctx: VarContext) -> tuple:
+    """(basis, matrix): the partitions of degree in nvars parts, most
+    dominant first, and {(mu, nu): coefficient of m_mu in H m_nu}; read-only,
+    because every caller shares the cached value.  The coefficient is read
+    off the partitions: eps(mu) on the diagonal; off it, each pair of slots
+    of the padded mu with values x >= y and each p in (x, x + y], q = x + y
+    - p, adds 2 b (p - q) at nu = mu with (p, q) in that pair, sorted.  For
+    p > q the pair term of H sends z_j^p z_k^q + z_j^q z_k^p to p - q times
+    itself (summing to the b part of eps) plus 2 (p - q) z_j^x z_k^(p+q-x)
+    for every q < x < p."""
     n = ctx.nvars
     basis = partitions_of(degree, n)
     matrix: dict[tuple[Partition, Partition], FieldElement] = {}
@@ -78,15 +65,15 @@ def triangular_system(degree: int, ctx: VarContext) -> TriangularSystem:
                 off[key] = off.get(key, 0) + 2 * (p - q)
     for key, v in off.items():
         matrix[key] = FieldElement((0, v))
-    return TriangularSystem(degree, n, tuple(basis), MappingProxyType(matrix))
+    return tuple(basis), MappingProxyType(matrix)
 
 
 def _triangular_rows(lam: Partition, ctx: VarContext) -> tuple[Mapping, list[Partition]]:
     """(H matrix of lam's degree, the dominance down-set of lam, lam first)."""
     if len(lam) > ctx.nvars:
         raise TooManyParts(f"l({lam}) = {len(lam)} > {ctx.nvars}")
-    system = triangular_system(lam.weight, ctx)
-    return system.matrix, [mu for mu in system.ordered_basis if dominates(lam, mu)]
+    basis, matrix = triangular_system(lam.weight, ctx)
+    return matrix, [mu for mu in basis if dominates(lam, mu)]
 
 
 def _pairing_rows(lam: Partition, ctx: VarContext) -> tuple[Mapping, list[Partition]]:

@@ -13,7 +13,8 @@ rodrigues-vs-oracle and orthogonality suites read the cached m-coordinates
 of the integral phi_lam = c_lam J_lam, which lie in Z[b], and check
 equations with no division in them: rows of the Hamiltonian's matrix and of
 the power-sum Gram matrix in Z[b].  Only the torus pairing (N <= 3) builds
-polynomials, specialized at b = 1 and 2, and the spectrum suite runs in Q.
+polynomials, specialized at b = 1 and 2, and the spectrum suite runs in Q
+on states drawn within the same sweep bounds as the others.
 Each suite imports what it runs (commutators, rodrigues, oracle, symbases,
 spectrum, and fieldring and polyring) when it runs, so importing this
 module loads only partitions and errors, only the commutator suite loads
@@ -195,22 +196,28 @@ def suite_orthogonality(max_degree: int, max_nvars: int) -> list[CheckResult]:
     return results
 
 
-def suite_spectrum_consistency() -> list[CheckResult]:
-    """Random spectra: additivity, ground state, exclusion spacing."""
+def suite_spectrum_consistency(max_degree: int, max_nvars: int) -> list[CheckResult]:
+    """Random spectra: additivity, ground state, exclusion spacing, each
+    state (n, lam) drawn from n = 2..max_nvars particles and |lam| <=
+    max_degree, l(lam) <= n."""
     from . import spectrum
 
+    states = [
+        (n, lam)
+        for degree in range(max_degree + 1)
+        for lam in partitions_of(degree, max_nvars)
+        for n in range(max(2, len(lam)), max_nvars + 1)
+    ]
+    vacuum = Partition()
     rng = random.Random(f"{DEFAULT_SEED}:spectrum")
     bad_energy = ""
     bad_momentum = ""
     bad_spacing = ""
     bad_ground = ""
     for _ in range(SPECTRUM_COUNT):
-        n = rng.randint(2, 5)
+        n, lam = rng.choice(states)
         beta = Fraction(rng.randint(1, 6), rng.randint(1, 4))
         q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        lam = Partition(
-            sorted((rng.randint(0, 5) for _ in range(rng.randint(0, n))), reverse=True)
-        )
         params = spectrum.ModelParams(nparticles=n, beta=beta, q=q)
         at_rest = spectrum.ModelParams(nparticles=n, beta=beta)
         kappa = spectrum.quasi_momenta(lam, params)
@@ -230,7 +237,7 @@ def suite_spectrum_consistency() -> list[CheckResult]:
                     bad_spacing = f"lam={lam} n={n} beta={beta} q={q} i={i + 1}"
                     break
         if not bad_ground:
-            rest_energy = spectrum.total_energy(Partition(), at_rest)
+            rest_energy = spectrum.total_energy(vacuum, at_rest)
             if 4 * rest_energy != spectrum.ground_energy(at_rest):
                 bad_ground = f"n={n} beta={beta}"
     return [
@@ -246,7 +253,7 @@ SUITES = {
     "rodrigues-vs-oracle": suite_rodrigues_vs_oracle,
     "annihilation": suite_annihilation,
     "orthogonality": suite_orthogonality,
-    "spectrum-consistency": lambda deg, nv: suite_spectrum_consistency(),
+    "spectrum-consistency": suite_spectrum_consistency,
 }
 
 

@@ -356,23 +356,6 @@ def circle_inner_product(f: LaurentPoly, g: LaurentPoly, beta_int: int) -> Fract
     return total
 
 
-def _parity(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def schur(lam: Partition, ctx: VarContext) -> LaurentPoly:
     """Schur polynomial via the bialternant: alternant of z^(lam + staircase)
     divided exactly by the Vandermonde determinant, one synthetic division per
@@ -386,7 +369,8 @@ def schur(lam: Partition, ctx: VarContext) -> LaurentPoly:
     terms = {}
     for perm in itertools.permutations(range(n)):
         exps = tuple(delta[perm[i]] for i in range(n))
-        terms[exps] = fieldring.field(_parity(perm))
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        terms[exps] = fieldring.field((-1) ** inversions)
     alternant = LaurentPoly(ctx, terms)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -176,7 +176,7 @@ def test_criterion_10_nonsym_route():
 
 
 def test_criterion_11_spectrum_consistency():
-    results = suites.suite_spectrum_consistency()
+    results = suites.suite_spectrum_consistency(6, 5)
     failed = [r for r in results if not r.passed]
     assert not failed, [(r.name, r.detail) for r in failed]
 

@@ -6,6 +6,7 @@ json, and every cached value is read-only."""
 
 import ast
 import importlib
+import inspect
 import json
 from pathlib import Path
 from types import MappingProxyType
@@ -88,6 +89,15 @@ def test_verify_request_loads_only_its_suites_layers(suite):
         f"csjack.{layer}" for layer in VERIFY_LAYERS[suite]
     }
     assert "dataclasses" not in loaded
+
+
+def test_every_suite_takes_the_sweep_bounds():
+    """A suite is its own function of (max_degree, max_nvars), so none can
+    drop the bounds the command line passes through a wrapper."""
+    from csjack import suites
+
+    signatures = {name: list(inspect.signature(fn).parameters) for name, fn in suites.SUITES.items()}
+    assert all(params == ["max_degree", "max_nvars"] for params in signatures.values()), signatures
 
 
 def test_spectrum_request_loads_no_polynomials():

@@ -6,7 +6,7 @@ import sys
 import pytest
 from criteria_helpers import SWEEP, case_id, specialize_beta
 
-from csjack import oracle, rodrigues, symbases
+from csjack import oracle, rodrigues, spectrum, symbases
 from csjack.fieldring import BETA, ONE, ZERO, FieldElement
 from csjack.partitions import Partition, partitions_of, z_factor
 from csjack.polyring import VarContext, from_m_coordinates
@@ -15,6 +15,7 @@ from csjack.suites import (
     COMMUTATOR_COUNT,
     SUITES,
     CheckResult,
+    run_suite,
     suite_commutators,
     suite_orthogonality,
     suite_rodrigues_vs_oracle,
@@ -51,8 +52,26 @@ def test_commutators_deterministic():
 
 
 def test_spectrum_consistency_small():
-    results = suite_spectrum_consistency()
+    results = suite_spectrum_consistency(max_degree=3, max_nvars=3)
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("max_degree, max_nvars", [(0, 2), (3, 3), (6, 5)])
+def test_spectrum_consistency_draws_within_its_flags(monkeypatch, max_degree, max_nvars):
+    """Every state the suite draws has 2 <= n <= max_nvars particles and a
+    lam with |lam| <= max_degree and l(lam) <= n."""
+    drawn = []
+    quasi_momenta = spectrum.quasi_momenta
+
+    def recording(lam, params):
+        drawn.append((params.nparticles, lam))
+        return quasi_momenta(lam, params)
+
+    monkeypatch.setattr(spectrum, "quasi_momenta", recording)
+    results = run_suite("spectrum-consistency", max_degree, max_nvars)
+    assert all(r.passed for r in results)
+    assert drawn
+    assert all(2 <= n <= max_nvars and lam.weight <= max_degree and len(lam) <= n for n, lam in drawn), drawn
 
 
 def test_check_result_is_a_frozen_record():
