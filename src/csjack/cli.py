@@ -5,11 +5,23 @@ spectrum (quasi-momenta and energies), convert (basis conversion of a
 polynomial read from a file or stdin).  Output is byte deterministic for
 fixed inputs.  Exit codes: 0 success, 1 domain error or unreadable input,
 2 usage error (bad flags or flag values), 3 a verification suite reported a
-failure.  Each handler imports the layers it runs when it runs: json only
+failure.  A usage error or a domain error prints one `error:` line on
+stderr.  Each handler imports the layers it runs when it runs: json only
 where JSON is read or written, fieldring and polyring only for jack,
 convert and the verify suites that build polynomials.  The spectrum and
 convert modules build their payloads and never import cli, which
 `python -m csjack.cli` would compile a second time.
+
+The command line is read from one table, COMMANDS: each command's flags,
+each with its dest, converter, default (or REQUIRED) and help text.
+`parse` reads argv against it as argparse did: `--flag value` or
+`--flag=value`, a unique prefix of a long flag, the last of a repeated flag
+wins, a negative number (and after a long flag, a negative fraction) as a
+value, and a converter or a choice that rejects its text ends the parse.
+`--help`, for the tool and for each command, is rendered from the same
+table in argparse's layout at 80 columns, so help and parsing cannot drift
+apart.  A request never imports argparse, nor the gettext and locale
+modules that argparse loads.
 
 A request from the command line (`python -m csjack.cli` or the `csjack`
 script) enters through `run`, which freezes the collector's heap after
@@ -22,14 +34,18 @@ is never collected, and tests call `main` in-process many times.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import AlgebraError
 from .partitions import Partition
+
+
+class UsageError(Exception):
+    """A command line that does not parse: `main` prints it as one line and
+    returns 2 before anything is built."""
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -39,8 +55,8 @@ def _parse_partition(text: str) -> tuple[int, ...]:
 
 
 def _checked(parse, expected: str, valid=lambda value: True):
-    """argparse type: a flag value that does not parse or is out of range is
-    a usage error, reported before anything is built."""
+    """Flag converter: a value that does not parse or is out of range is a
+    usage error, reported before anything is built."""
 
     def convert(text: str):
         try:
@@ -49,7 +65,7 @@ def _checked(parse, expected: str, valid=lambda value: True):
                 return value
         except (ValueError, ZeroDivisionError):
             pass
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        raise UsageError(f"expected {expected}, got {text!r}")
 
     return convert
 
@@ -57,17 +73,6 @@ def _checked(parse, expected: str, valid=lambda value: True):
 PARTITION_ARG = _checked(_parse_partition, "comma separated integers")
 COUNT_ARG = _checked(int, "an integer >= 1", lambda v: v >= 1)
 DEGREE_ARG = _checked(int, "an integer >= 0", lambda v: v >= 0)
-
-# choices of jack --normalization, verify --suite and convert --to, copied so
-# that building the parser imports none of rodrigues, suites and symbases; a
-# test pins them to their source
-NORMALIZATION_CHOICES = ("monic", "stanley", "raw")
-SUITE_CHOICES = (
-    "annihilation", "commutators", "orthogonality", "rodrigues-vs-oracle", "spectrum-consistency", "all"
-)
-BASIS_CHOICES = ("m", "p")
-# argparse reads a separate negative fraction as a flag, not as a value
-NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
 
 
 def _emit(args, payload: str):
@@ -151,86 +156,269 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="csjack",
-        description="Exact Jack polynomials, operator verification, and model spectra.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _show_help(command) -> int:
+    sys.stdout.write(_help(command))
+    return 0
 
-    p_jack = sub.add_parser("jack", help="build one Jack polynomial")
-    p_jack.add_argument(
-        "--lambda", dest="lam", type=PARTITION_ARG, required=True, help="comma separated parts, 0 for empty"
-    )
-    p_jack.add_argument("--nvars", type=COUNT_ARG, required=True)
-    p_jack.add_argument("--normalization", choices=NORMALIZATION_CHOICES, default="monic")
-    p_jack.add_argument("--format", choices=("json", "text"), default="json")
-    p_jack.add_argument(
-        "--beta",
-        type=_checked(lambda t: None if t == "sym" else Fraction(t), '"sym", an integer or p/q'),
-        default="sym",
-        help='"sym", an integer, or p/q',
-    )
-    p_jack.add_argument("--allow-shift", action="store_true", help="accept l(lambda) = N via the boost")
-    p_jack.add_argument("--output", default=None)
-    p_jack.set_defaults(func=cmd_jack)
 
-    p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument(
-        "--suite",
-        choices=SUITE_CHOICES,
-        default="all",
-    )
-    p_verify.add_argument("--max-degree", type=DEGREE_ARG, default=4)
-    p_verify.add_argument("--max-nvars", type=_checked(int, "an integer >= 2", lambda v: v >= 2), default=3)
-    p_verify.add_argument("--output", default=None)
-    p_verify.set_defaults(func=cmd_verify)
+REQUIRED = object()
+HELP = ("help", None, False, "show this help message and exit")
+HELP_FLAGS = {"-h": HELP, "--help": HELP}
 
-    p_spec = sub.add_parser("spectrum", help="quasi-momenta and energies")
-    states = p_spec.add_mutually_exclusive_group()
-    states.add_argument("--lambda", dest="lam", type=PARTITION_ARG, default="0")
-    states.add_argument(
-        "--all-degree", type=DEGREE_ARG, default=None, help="list every state up to this degree"
-    )
-    p_spec.add_argument("--nparticles", type=COUNT_ARG, required=True)
-    p_spec.add_argument(
-        "--beta", type=_checked(Fraction, "a positive integer or p/q", lambda v: v > 0), required=True
-    )
-    p_spec.add_argument("--q", type=_checked(Fraction, "an integer or p/q"), default="0")
-    p_spec.add_argument(
-        "--length",
-        type=_checked(
-            lambda t: t if t == "2pi" else Fraction(t),
-            '"2pi" or a positive rational',
-            lambda v: v == "2pi" or v > 0,
-        ),
-        default="2pi",
-        help='"2pi" or a rational circumference',
-    )
-    p_spec.add_argument("--format", choices=("json", "text"), default="text")
-    p_spec.add_argument("--output", default=None)
-    p_spec.set_defaults(func=cmd_spectrum)
+# command: (help, handler, {flag: (dest, converter, default, help)}, flags
+# that exclude each other).  A converter is a function of the flag's text, a
+# tuple of the words it accepts, or None for a switch that takes no value.
+# The words of jack --normalization, verify --suite and convert --to are
+# copied, so that parsing imports none of rodrigues, suites and symbases; a
+# test pins them to their source.
+COMMANDS = {
+    "jack": (
+        "build one Jack polynomial",
+        cmd_jack,
+        {
+            **HELP_FLAGS,
+            "--lambda": ("lam", PARTITION_ARG, REQUIRED, "comma separated parts, 0 for empty"),
+            "--nvars": ("nvars", COUNT_ARG, REQUIRED, None),
+            "--normalization": ("normalization", ("monic", "stanley", "raw"), "monic", None),
+            "--format": ("format", ("json", "text"), "json", None),
+            "--beta": (
+                "beta",
+                _checked(lambda t: None if t == "sym" else Fraction(t), '"sym", an integer or p/q'),
+                None,
+                '"sym", an integer, or p/q',
+            ),
+            "--allow-shift": ("allow_shift", None, False, "accept l(lambda) = N via the boost"),
+            "--output": ("output", str, None, None),
+        },
+        (),
+    ),
+    "verify": (
+        "run a property suite",
+        cmd_verify,
+        {
+            **HELP_FLAGS,
+            "--suite": (
+                "suite",
+                ("annihilation", "commutators", "orthogonality", "rodrigues-vs-oracle", "spectrum-consistency", "all"),
+                "all",
+                None,
+            ),
+            "--max-degree": ("max_degree", DEGREE_ARG, 4, None),
+            "--max-nvars": ("max_nvars", _checked(int, "an integer >= 2", lambda v: v >= 2), 3, None),
+            "--output": ("output", str, None, None),
+        },
+        (),
+    ),
+    "spectrum": (
+        "quasi-momenta and energies",
+        cmd_spectrum,
+        {
+            **HELP_FLAGS,
+            "--lambda": ("lam", PARTITION_ARG, (), None),
+            "--all-degree": ("all_degree", DEGREE_ARG, None, "list every state up to this degree"),
+            "--nparticles": ("nparticles", COUNT_ARG, REQUIRED, None),
+            "--beta": ("beta", _checked(Fraction, "a positive integer or p/q", lambda v: v > 0), REQUIRED, None),
+            "--q": ("q", _checked(Fraction, "an integer or p/q"), Fraction(0), None),
+            "--length": (
+                "length",
+                _checked(
+                    lambda t: t if t == "2pi" else Fraction(t),
+                    '"2pi" or a positive rational',
+                    lambda v: v == "2pi" or v > 0,
+                ),
+                "2pi",
+                '"2pi" or a rational circumference',
+            ),
+            "--format": ("format", ("json", "text"), "text", None),
+            "--output": ("output", str, None, None),
+        },
+        ("--lambda", "--all-degree"),
+    ),
+    "convert": (
+        "expand a polynomial in the m or p basis",
+        cmd_convert,
+        {
+            **HELP_FLAGS,
+            "--to": ("to", ("m", "p"), REQUIRED, None),
+            "--input": ("input", str, None, "JSON file; stdin when omitted"),
+            "--nvars": ("nvars", COUNT_ARG, None, None),
+            "--output": ("output", str, None, None),
+        },
+        (),
+    ),
+}
 
-    p_conv = sub.add_parser("convert", help="expand a polynomial in the m or p basis")
-    p_conv.add_argument("--to", choices=BASIS_CHOICES, required=True)
-    p_conv.add_argument("--input", default=None, help="JSON file; stdin when omitted")
-    p_conv.add_argument("--nvars", type=COUNT_ARG, default=None)
-    p_conv.add_argument("--output", default=None)
-    p_conv.set_defaults(func=cmd_convert)
 
-    return parser
+def _is_number(token: str) -> bool:
+    """argparse's negative number, -\\d+ or -\\d*\\.\\d+ (a final newline allowed)."""
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    return whole.isdecimal() and not dot or bool(dot) and (not whole or whole.isdecimal()) and fraction.isdecimal()
+
+
+def _is_fraction(token: str) -> bool:
+    """-p/q, which a long flag takes as its value although it reads as an option."""
+    numerator, slash, denominator = token[1:].partition("/")
+    return token[:1] == "-" and bool(slash) and numerator.isdecimal() and denominator.isdecimal()
+
+
+def _classify(token: str, flags: dict):
+    """How argparse reads token against flags: None for a value, else
+    (flag, the value attached to it or None), flag None for an unknown option."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token in flags:
+        return token, None
+    name, eq, attached = token.partition("=")
+    if eq and name in flags:
+        return name, attached
+    if token[1] == "-":  # a unique prefix of a long flag
+        matches = [flag for flag in flags if flag.startswith(name)]
+        attached = attached if eq else None
+    else:  # a short flag with text run on: -hh
+        matches = [token[:2]] if token[:2] in flags else []
+        attached = token[2:]
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {token!r} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], attached
+    return None if _is_number(token) or " " in token else (None, None)
+
+
+def _convert(flag: str, convert, text: str):
+    if isinstance(convert, tuple):
+        if text in convert:
+            return text
+        raise UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, convert))})")
+    try:
+        return convert(text)
+    except UsageError as exc:
+        raise UsageError(f"argument {flag}: {exc}") from None
+
+
+def _read(tokens: list[str], flags: dict, exclusive=(), command=False):
+    """Read tokens against flags from the left, as argparse does.
+
+    Returns (values by dest, tokens no flag takes, index where the walk
+    stopped), or None where a help flag comes before any error.  With
+    command, the walk stops at the first token no flag takes (the command
+    name); otherwise such tokens, "--" and all after it are unknown.  Every
+    token is classified first, so an ambiguous prefix fails even after -h.
+    """
+    end = len(tokens) if command or "--" not in tokens else tokens.index("--")
+    kinds = [_classify(token, flags) for token in tokens[:end]]
+    values, unknown, i = {}, [], 0
+    while i < end:
+        token, kind = tokens[i], kinds[i]
+        if kind is None and command:
+            return values, unknown, i
+        i += 1
+        if kind is None or kind[0] is None:
+            unknown.append(token)
+            continue
+        flag, attached = kind
+        dest, convert, _, _ = entry = flags[flag]
+        # a negative fraction after a long flag is its value: --beta -1/2
+        if attached is None and token[1] == "-" and i < end and _is_fraction(tokens[i]):
+            attached, i = tokens[i], i + 1
+        if convert is None:
+            # -hh repeats -h
+            if attached is not None and not (flag == "-h" and attached and not attached.strip("h")):
+                raise UsageError(f"argument {flag}: ignored explicit argument {attached!r}")
+            if entry is HELP:
+                return None
+            values[dest] = True
+            continue
+        if attached is None:
+            if i == end or kinds[i] is not None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            attached, i = tokens[i], i + 1
+        values[dest] = _convert(flag, convert, attached)
+        if flag in exclusive:
+            for other in exclusive:
+                if other != flag and flags[other][0] in values:
+                    raise UsageError(f"argument {flag}: not allowed with argument {other}")
+    return values, unknown + tokens[end:], end
+
+
+def parse(argv: list[str]):
+    """(handler, namespace) of the request argv asks for; --help is a request
+    too.  Raises UsageError where argv does not parse."""
+    top = _read(argv, HELP_FLAGS, command=True)
+    if top is None:
+        return _show_help, None
+    _, unknown, at = top
+    if at == len(argv):
+        raise UsageError("the following arguments are required: command")
+    name = argv[at]
+    if name not in COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {name!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    _, handler, flags, exclusive = COMMANDS[name]
+    read = _read(argv[at + 1 :], flags, exclusive)
+    if read is None:
+        return _show_help, name
+    values, more, _ = read
+    missing = [flag for flag, (dest, _, default, _) in flags.items() if default is REQUIRED and dest not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown + more:
+        raise UsageError(f"unrecognized arguments: {', '.join(map(repr, unknown + more))}")
+    defaults = {dest: default for dest, _, default, _ in flags.values() if dest != "help"}
+    return handler, SimpleNamespace(**{**defaults, **values})
+
+
+def _help(command=None) -> str:
+    """--help of the tool, or of one command, in argparse's layout at 80 columns."""
+    flags, exclusive = COMMANDS[command][2:] if command else (HELP_FLAGS, ())
+    usage, rows, group = ["[-h]"], [("  -h, --help", HELP[3])], []
+    for flag, entry in flags.items():
+        if entry is HELP:
+            continue
+        dest, convert, default, text = entry
+        metavar = "{" + ",".join(convert) + "}" if isinstance(convert, tuple) else dest.upper() if convert else ""
+        shown = f"{flag} {metavar}".rstrip()
+        rows.append(("  " + shown, text))
+        if flag in exclusive:
+            group.append(shown)
+            if len(group) == len(exclusive):
+                usage.append(f"[{' | '.join(group)}]")
+        else:
+            usage += shown.split() if default is REQUIRED else [f"[{shown}]"]
+    lines, head, sections = [f"usage: csjack {command}"], [], {"options": rows}
+    if not command:
+        names = "{" + ",".join(COMMANDS) + "}"
+        usage += [names, "..."]
+        lines, head = ["usage: csjack"], ["", "Exact Jack polynomials, operator verification, and model spectra."]
+        commands = [("    " + name, spec[0]) for name, spec in COMMANDS.items()]
+        sections = {"positional arguments": [("  " + names, None)] + commands, **sections}
+    # the usage wraps at 78 columns, continued under the first part
+    indent = " " * (len(lines[0]) + 1)
+    for part in usage:
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(indent + part)
+        else:
+            lines[-1] += " " + part
+    lines += head
+    position = min(24, 2 + max(len(header) for rows in sections.values() for header, _ in rows))
+    for title, rows in sections.items():
+        lines += ["", f"{title}:"]
+        for header, text in rows:
+            if not text:
+                lines.append(header)
+            elif len(header) <= position - 2:
+                lines.append(f"{header:<{position - 2}}  {text}")
+            else:
+                lines += [header, " " * position + text]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # "--beta -1/2" means "--beta=-1/2"
-    for i in range(len(argv) - 1, 0, -1):
-        if NEGATIVE_FRACTION.fullmatch(argv[i]) and argv[i - 1].startswith("--") and "=" not in argv[i - 1]:
-            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        handler, args = parse(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return handler(args)
     except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

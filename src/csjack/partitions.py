@@ -60,10 +60,13 @@ class Partition(tuple):
     """Weakly decreasing tuple of non-negative integers, trailing zeros stripped.
 
     Instances are ordinary tuples, so they hash, compare lexicographically and
-    serialize as plain int sequences.
+    serialize as plain int sequences.  They are checked once, when built:
+    Partition(p) of a Partition p is p itself.
     """
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        if parts.__class__ is cls:
+            return parts
         items = tuple(checked_type(x, (int,), "partition part") for x in parts)
         for x in items:
             if x < 0:

@@ -4,6 +4,8 @@ interface."""
 
 import ast
 import gc
+import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -163,14 +165,113 @@ def test_parser_choices_match_their_modules():
     """cli copies these choices so that parsing imports none of their modules."""
     from csjack import cli, rodrigues, suites, symbases
 
-    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
-
     def choices(command, dest):
-        return next(a for a in subcommands[command]._actions if a.dest == dest).choices
+        _, _, flags, _ = cli.COMMANDS[command]
+        (words,) = {convert for name, convert, _, _ in flags.values() if name == dest}
+        return words
 
     assert list(choices("verify", "suite")) == sorted(suites.SUITES) + ["all"]
     assert tuple(choices("convert", "to")) == (symbases.MONOMIAL, symbases.POWER_SUM)
     assert tuple(choices("jack", "normalization")) == rodrigues.NORMALIZATIONS
+
+
+JACK_TEXT = ("jack", "--lambda", "3,1", "--nvars", "3", "--format", "text")
+# z1 + z2, read by the convert request below
+CONVERT_STDIN = json.dumps(
+    {"nvars": 2, "terms": [{"exp": exp, "coeff": {"num": ["1"], "den": ["1"]}} for exp in ([1, 0], [0, 1])]}
+)
+
+# argv accepted by the argparse parser that the flag table replaced: the exit
+# code and the first 16 hex digits of the sha256 of stdout, both recorded with
+# that parser; the help pages are its layout at 80 columns
+ACCEPTED_ARGV = {
+    "jack": (JACK_TEXT, 0, "657ae230cd3dae4c"),
+    "jack-joined": (("jack", "--lambda=3,1", "--nvars=3", "--format=text"), 0, "657ae230cd3dae4c"),
+    "jack-prefixes": (("jack", "--lam", "3,1", "--nv", "3", "--form", "text", "--norm", "raw"), 0, "20e40628c3fa34e2"),
+    "jack-repeated": (("jack", "--lambda", "1", "--nvars", "2", "--format", "json", *JACK_TEXT[1:]), 0, "657ae230cd3dae4c"),
+    "jack-switch-prefix": (("jack", "--lambda", "1,1", "--nvars", "2", "--allow", "--format", "text"), 0, "db99abf1482c3e12"),
+    "jack-negative-fraction": ((*JACK_TEXT, "--beta", "-1/2"), 0, "38f9319d92e0bfb9"),
+    "jack-negative-fraction-joined": ((*JACK_TEXT, "--be=-1/3"), 0, "8e8576908872f69c"),
+    "jack-negative-integer": ((*JACK_TEXT, "--beta", "-2"), 0, "90cf74b4cc732807"),
+    "jack-negative-decimal": ((*JACK_TEXT, "--beta", "-.5"), 0, "38f9319d92e0bfb9"),
+    "jack-lambda-negative-part": (("jack", "--lambda", "-1", "--nvars", "2"), 1, "e3b0c44298fc1c14"),
+    "verify-prefixes": (("verify", "--su", "commutators", "--max-d", "2", "--max-n", "2"), 0, "4150c6ce9bd92baf"),
+    "verify-repeated": (
+        ("verify", "--suite", "all", "--suite", "spectrum-consistency", "--max-degree", "2"),
+        0,
+        "777eddedf28cc834",
+    ),
+    "spectrum-all-degree": (
+        ("spectrum", "--all-degree", "1", "--nparticles", "2", "--beta", "2", "--format", "json"),
+        0,
+        "b2f9ed3fc8e2cf81",
+    ),
+    "spectrum-negative-q": (
+        ("spectrum", "--lambda", "2,1", "--nparticles", "3", "--beta", "2", "--q", "-1/2"),
+        0,
+        "1f7a379ed259097b",
+    ),
+    "spectrum-negative-q-integer": (
+        ("spectrum", "--lambda", "1", "--nparticles", "2", "--beta", "1/2", "--q", "-3", "--length", "3/2"),
+        0,
+        "f526d4be6100758d",
+    ),
+    "spectrum-prefixes": (("spectrum", "--la", "1", "--np", "2", "--be", "1/2", "--len", "2"), 0, "a32e427fa623bf0d"),
+    "convert-prefix": (("convert", "--t", "p"), 0, "85e3aa6c952ac390"),
+    "help": (("-h",), 0, "b6c892fa996b358e"),
+    "help-long": (("--help",), 0, "b6c892fa996b358e"),
+    "help-prefix": (("--he",), 0, "b6c892fa996b358e"),
+    "jack-help": (("jack", "-h"), 0, "80b68cad7ca3e75d"),
+    "verify-help": (("verify", "--help"), 0, "ec28406a6f827467"),
+    "spectrum-help": (("spectrum", "-h"), 0, "3af5d508fcfd71f4"),
+    "convert-help-prefix": (("convert", "--h"), 0, "01ec04868eaae685"),
+    "help-before-bad-value": (("jack", "-h", "--lambda", "x"), 0, "80b68cad7ca3e75d"),
+    "help-after-unknown-flag": (("jack", "--frobnicate", "-h"), 0, "80b68cad7ca3e75d"),
+}
+
+
+@pytest.mark.parametrize("argv, code, digest", ACCEPTED_ARGV.values(), ids=ACCEPTED_ARGV.keys())
+def test_accepted_argv_prints_as_before(argv, code, digest, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(CONVERT_STDIN))
+    assert cli.main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+# argv the argparse parser rejected with exit 2, except the last, where it
+# stored an attached "--" as [] and the request ended in a traceback
+REJECTED_ARGV = {
+    "no-command": (),
+    "unknown-command": ("frobnicate",),
+    "flag-before-command": ("--frobnicate", "jack", "--lambda", "1", "--nvars", "2"),
+    "unknown-flag": ("jack", "--lambda", "1", "--nvars", "2", "--frobnicate"),
+    "stray-value": ("jack", "--lambda", "1", "--nvars", "2", "extra"),
+    "missing-flag": ("jack", "--nvars", "2"),
+    "missing-value": ("jack", "--nvars", "2", "--lambda"),
+    "flag-as-value": ("jack", "--lambda", "--nvars", "2"),
+    "unknown-option-as-value": ("jack", "--lambda", "1", "--nvars", "2", "--beta", "-x"),
+    "ambiguous-prefix": ("jack", "--lambda", "1", "--n", "2"),
+    "ambiguous-prefix-after-help": ("jack", "-h", "--n", "2"),
+    "bad-choice": ("jack", "--lambda", "1", "--nvars", "2", "--normalization", "shiny"),
+    "out-of-range": ("jack", "--lambda", "1", "--nvars", "0"),
+    "bad-value-before-help": ("jack", "--lambda", "x", "-h"),
+    "switch-with-value": ("jack", "--lambda", "1", "--nvars", "2", "--allow-shift=yes"),
+    "help-with-fraction": ("jack", "--help", "-1/2"),
+    "after-double-dash": ("jack", "--nvars", "2", "--", "--lambda", "1"),
+    "negative-degree": ("verify", "--max-degree", "-1"),
+    "exclusive-flags": ("spectrum", "--lambda", "2,1", "--all-degree", "1", "--nparticles", "2", "--beta", "1"),
+    "missing-beta": ("spectrum", "--nparticles", "2"),
+    "zero-beta": ("spectrum", "--nparticles", "2", "--beta", "0"),
+    "bad-basis": ("convert", "--to", "q"),
+    "double-dash-value": ("jack", "--lambda", "1", "--nvars", "2", "--beta=--"),
+}
+
+
+@pytest.mark.parametrize("argv", REJECTED_ARGV.values(), ids=REJECTED_ARGV.keys())
+def test_rejected_argv_is_one_usage_line(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_verify_passes():
@@ -370,13 +471,12 @@ def test_out_of_memory_is_one_line(args):
 
 @pytest.mark.parametrize("args, stdin, code", BAD_INPUT.values(), ids=BAD_INPUT.keys())
 def test_bad_input_exit_codes(args, stdin, code):
-    """Usage errors exit 2 before anything is built, domain errors exit 1
-    with a one-line message, and neither prints a traceback."""
+    """Usage errors exit 2 before anything is built, domain errors exit 1,
+    each with a one-line message, and neither prints a traceback."""
     r = run_cli(*args, stdin=stdin)
     assert r.returncode == code
     assert r.stdout == ""
     assert "Traceback" not in r.stderr
-    if code == 1:
-        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
     if code == 1 and args[0] == "convert":
         assert r.stderr.startswith("error: malformed polynomial payload (")

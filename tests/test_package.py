@@ -2,7 +2,7 @@
 resolves, a `jack` request imports only the creation-product layers, a
 verify request only the layers its suite runs, no module imports the
 command line module back, only requests that read or write JSON import
-json, and every cached value is read-only."""
+json, no request imports argparse, and every cached value is read-only."""
 
 import ast
 import importlib
@@ -22,6 +22,8 @@ from csjack.rodrigues import jack
 from csjack.symbases import expand_in_basis
 
 LAYERS = {"errors", "fieldring", "polyring", "partitions", "rodrigues"}
+# argparse, and the modules its import and its first message load
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("name", csjack.__all__)
@@ -68,6 +70,7 @@ def test_jack_request_imports_only_the_creation_product():
         f"csjack.{layer}" for layer in LAYERS
     }
     assert "dataclasses" not in loaded
+    assert not PARSER_MODULES & loaded
 
 
 VERIFY_LAYERS = {
@@ -89,6 +92,7 @@ def test_verify_request_loads_only_its_suites_layers(suite):
         f"csjack.{layer}" for layer in VERIFY_LAYERS[suite]
     }
     assert "dataclasses" not in loaded
+    assert not PARSER_MODULES & loaded
 
 
 def test_every_suite_takes_the_sweep_bounds():

@@ -35,6 +35,15 @@ def test_construction_rejects():
         Partition((2, -1))
 
 
+def test_a_partition_is_checked_once():
+    """Partition(p) of a Partition is p itself; a plain tuple is still checked."""
+    p = Partition((3, 1, 0))
+    assert Partition(p) is p
+    assert Partition(tuple(p)) == p and Partition(tuple(p)) is not p
+    with pytest.raises(NotWeaklyDecreasing):
+        Partition(tuple(reversed(p)))
+
+
 def test_construction_rejects_non_int_parts():
     for parts in ([1.7, True], [2, 1.0], ["2"]):
         with pytest.raises(TypeError, match="partition part: expected int"):
