@@ -6,11 +6,12 @@ polynomial read from a file or stdin).  Output is byte deterministic for
 fixed inputs.  Exit codes: 0 success, 1 domain error or unreadable input,
 2 usage error (bad flags or flag values), 3 a verification suite reported a
 failure.  A usage error or a domain error prints one `error:` line on
-stderr.  Each handler imports the layers it runs when it runs: json only
-where JSON is read or written, fieldring and polyring only for jack,
-convert and the verify suites that build polynomials.  The spectrum and
-convert modules build their payloads and never import cli, which
-`python -m csjack.cli` would compile a second time.
+stderr.  Each handler imports the layers it runs when it runs: fieldring
+and polyring only for jack, convert and the verify suites that build
+polynomials, fractions only in the converters of flags that read a
+rational, json only where convert reads its payload: _json writes all JSON
+output.  The spectrum and convert modules build their payloads and never
+import cli, which `python -m csjack.cli` would compile a second time.
 
 The command line is read from one table, COMMANDS: each command's flags,
 each with its dest, converter, default (or REQUIRED) and help text.
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import gc
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import AlgebraError
@@ -70,12 +70,40 @@ def _checked(parse, expected: str, valid=lambda value: True):
     return convert
 
 
+def _fraction(text: str):
+    # fractions loads only for a flag that reads a rational
+    from fractions import Fraction
+
+    return Fraction(text)
+
+
 PARTITION_ARG = _checked(_parse_partition, "comma separated integers")
 COUNT_ARG = _checked(int, "an integer >= 1", lambda v: v >= 1)
 DEGREE_ARG = _checked(int, "an integer >= 0", lambda v: v >= 0)
 
 
-def _emit(args, payload: str):
+def _json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2) for the str-keyed dicts, lists, ints and
+    strings of a payload, without importing json.  A string that json would
+    escape (a quote, a backslash, a control or non-ASCII character) raises."""
+    if isinstance(value, str) and value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+        return f'"{value}"'
+    if type(value) is int:
+        return str(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        items, brackets = [f"{inner}{_json(key)}: {_json(item, inner)}" for key, item in value.items()], "{}"
+    elif isinstance(value, list):
+        items, brackets = [inner + _json(item, inner) for item in value], "[]"
+    else:
+        raise ValueError(f"no JSON writer for {value!r}")
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}" if items else brackets
+
+
+def _emit(args, payload):
+    """Write payload, text or an object written as JSON, to --output or stdout."""
+    if not isinstance(payload, str):
+        payload = _json(payload) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(payload)
@@ -103,15 +131,12 @@ def cmd_jack(args) -> int:
         return str(c if args.beta is None else c.specialize(args.beta))
 
     if args.format == "json":
-        import json
-
-        obj = result.to_json()
-        obj["beta"] = "sym" if args.beta is None else str(args.beta)
+        payload = result.to_json()
+        payload["beta"] = "sym" if args.beta is None else str(args.beta)
         if args.beta is not None:
-            obj["c"] = show(result.c)
-            for entry, (_, coeff) in zip(obj["monomial_expansion"], result.m_coordinates):
+            payload["c"] = show(result.c)
+            for entry, (_, coeff) in zip(payload["monomial_expansion"], result.m_coordinates):
                 entry["coeff"] = show(coeff)
-        payload = json.dumps(obj, indent=2) + "\n"
     else:
         lines = [
             f"jack lambda={list(lam)} nvars={ctx.nvars} normalization={args.normalization}",
@@ -183,7 +208,7 @@ COMMANDS = {
             "--format": ("format", ("json", "text"), "json", None),
             "--beta": (
                 "beta",
-                _checked(lambda t: None if t == "sym" else Fraction(t), '"sym", an integer or p/q'),
+                _checked(lambda t: None if t == "sym" else _fraction(t), '"sym", an integer or p/q'),
                 None,
                 '"sym", an integer, or p/q',
             ),
@@ -217,12 +242,12 @@ COMMANDS = {
             "--lambda": ("lam", PARTITION_ARG, (), None),
             "--all-degree": ("all_degree", DEGREE_ARG, None, "list every state up to this degree"),
             "--nparticles": ("nparticles", COUNT_ARG, REQUIRED, None),
-            "--beta": ("beta", _checked(Fraction, "a positive integer or p/q", lambda v: v > 0), REQUIRED, None),
-            "--q": ("q", _checked(Fraction, "an integer or p/q"), Fraction(0), None),
+            "--beta": ("beta", _checked(_fraction, "a positive integer or p/q", lambda v: v > 0), REQUIRED, None),
+            "--q": ("q", _checked(_fraction, "an integer or p/q"), 0, None),
             "--length": (
                 "length",
                 _checked(
-                    lambda t: t if t == "2pi" else Fraction(t),
+                    lambda t: t if t == "2pi" else _fraction(t),
                     '"2pi" or a positive rational',
                     lambda v: v == "2pi" or v > 0,
                 ),

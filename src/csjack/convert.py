@@ -1,7 +1,8 @@
 """`csjack convert`: read a polynomial payload and expand it in a basis.
 
 A payload is a jack result, a LaurentPoly or a basis expansion, as JSON
-from a file or stdin.  Anything that does not decode raises BadPayload,
+from a file or stdin; json serves only to read it, and the command line
+writes the expansion.  Anything that does not decode raises BadPayload,
 which the command line reports as a domain error.
 """
 
@@ -44,8 +45,8 @@ def _decode_polynomial(obj):
     return None
 
 
-def convert_payload(args) -> str:
-    """stdout of `csjack convert` for the parsed flags args."""
+def convert_payload(args) -> dict:
+    """The expansion `csjack convert` writes as JSON for the parsed flags args."""
     try:
         if args.input:
             with open(args.input) as fh:
@@ -60,6 +61,4 @@ def convert_payload(args) -> str:
         raise BadPayload("unrecognized polynomial payload")
     if args.nvars and args.nvars != poly.ctx.nvars:
         raise BadPayload(f"input declares {poly.ctx.nvars} variables, flags say {args.nvars}")
-    obj = symbases.expand_in_basis(poly, args.to).to_json()
-    obj["nvars"] = poly.ctx.nvars
-    return json.dumps(obj, indent=2) + "\n"
+    return {**symbases.expand_in_basis(poly, args.to).to_json(), "nvars": poly.ctx.nvars}

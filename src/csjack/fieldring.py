@@ -7,9 +7,13 @@ only where it has a denominator, so Fraction arithmetic runs only where a
 denominator exists: coefficients in Z[b] are the norm, division by a monic
 polynomial stays in Z, and _divide, the one monic step, keeps integral
 quotients as ints.  Fraction(n) == n and both hash alike, so an integral
-Fraction left by arithmetic needs no normalising.  A FieldElement is a
-canonical quotient num/den of two BetaPolys: gcd(num, den) = 1, den monic;
-this makes equality and hashing structural, as serialization requires.
+Fraction left by arithmetic needs no normalising.  fractions is imported
+only by the steps that build a Fraction (a non-integral coefficient, the
+monic step, division by a non-monic polynomial, as_fraction and
+specialize), so a request whose arithmetic stays in Z[b] never loads it.
+A FieldElement is a canonical quotient num/den of two BetaPolys:
+gcd(num, den) = 1, den monic; this makes equality and hashing structural,
+as serialization requires.
 
 Arithmetic special-cases den == 1, the overwhelmingly common shape while
 operator pipelines run, so the hot path never takes a gcd.  A sum of two
@@ -29,22 +33,25 @@ use it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DivisionByZero, PoleAtValue, checked_type
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 BetaPoly = tuple  # tuple[int | Fraction, ...], ascending powers, trimmed
 
-_F1 = Fraction(1)  # numerator of every inverse, so 1/c is exact
 _PZERO: BetaPoly = ()
 _PONE: BetaPoly = (1,)
 
 
-def _coeff(c) -> Union[int, Fraction]:
+def _coeff(c) -> int | Fraction:
     """An int, Fraction or string as an exact coefficient, int when integral."""
     if type(c) is int:
         return c
+    from fractions import Fraction
+
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -99,7 +106,7 @@ def poly_divmod(a: BetaPoly, b: BetaPoly) -> tuple[BetaPoly, BetaPoly]:
     q = [0] * (len(a) - len(b) + 1)
     lead = b[-1]
     # a monic divisor (every canonical denominator) keeps integral input in Z
-    inv = None if lead == 1 else _F1 / lead
+    inv = None if lead == 1 else _reciprocal(lead)
     for k in range(len(a) - len(b), -1, -1):
         top = r[k + len(b) - 1]
         if top:
@@ -149,10 +156,17 @@ def _primitive(a: BetaPoly) -> list[int]:
     return a if g < 2 else [c // g for c in a]
 
 
+def _reciprocal(c) -> Fraction:
+    """1/c as an exact Fraction, for the steps that divide by a constant."""
+    from fractions import Fraction
+
+    return Fraction(1) / c
+
+
 def _divide(a: BetaPoly, lc) -> BetaPoly:
     """a divided by a nonzero constant lc (the leading coefficient that makes
     a denominator monic), every integral quotient kept as an int."""
-    inv = _F1 / lc
+    inv = _reciprocal(lc)
     return tuple(q.numerator if q.denominator == 1 else q for q in (c * inv for c in a))
 
 
@@ -220,9 +234,6 @@ def poly_str(a: BetaPoly) -> str:
         else:
             pieces.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(pieces)
-
-
-FieldLike = Union["FieldElement", int, Fraction]
 
 
 def _canonical(num: BetaPoly, den: BetaPoly) -> tuple[BetaPoly, BetaPoly]:
@@ -394,6 +405,8 @@ class FieldElement:
         return len(self.num) <= 1 and self.den == _PONE
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if not self.num:
             return Fraction(0)
         if not self.is_constant():
@@ -405,6 +418,8 @@ class FieldElement:
         num and den are evaluated homogeneously in ints, with their
         denominators cleared by one common multiple, and their quotient
         makes one Fraction."""
+        from fractions import Fraction
+
         x = Fraction(beta_value)
         p, q = x.numerator, x.denominator
         m = math.lcm(*(c.denominator for c in self.num + self.den))
@@ -453,9 +468,11 @@ class FieldElement:
 def _as_field(x) -> "FieldElement":
     if isinstance(x, FieldElement):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return FieldElement.from_fraction(x)
-    return NotImplemented
+    from fractions import Fraction
+
+    return FieldElement.from_fraction(x) if isinstance(x, Fraction) else NotImplemented
 
 
 ZERO = FieldElement._raw(_PZERO, _PONE)
@@ -471,7 +488,7 @@ def field(x) -> FieldElement:
     return out
 
 
-def pochhammer(x: FieldLike, n: int) -> FieldElement:
+def pochhammer(x: FieldElement | int | Fraction, n: int) -> FieldElement:
     """Rising factorial x (x+1) ... (x+n-1); empty product for n = 0."""
     if n < 0:
         raise DivisionByZero(f"pochhammer index {n} < 0")

@@ -10,7 +10,8 @@ the unique choice consistent with the ground-state energy, the excitation
 eigenvalues, and the exclusion spacing at once.  The quasi-momenta, their
 sum and their squared sum are computed on integer numerators over one
 common denominator, 2 den(b) den(q), and each becomes one Fraction.
-spectrum_payload renders a `csjack spectrum` request as text or JSON.
+spectrum_payload renders a `csjack spectrum` request as text, or as the
+object that the command line writes as JSON.
 """
 
 from __future__ import annotations
@@ -150,12 +151,13 @@ def _length_scale(length) -> float | None:
     return 2 * math.pi / float(length)
 
 
-def spectrum_payload(args) -> str:
-    """stdout of `csjack spectrum` for the parsed flags args."""
+def spectrum_payload(args) -> str | dict:
+    """stdout of `csjack spectrum` for the parsed flags args: text, or the
+    object the command line writes as JSON."""
     params = ModelParams(
         nparticles=args.nparticles,
         beta=args.beta,
-        q=args.q,
+        q=Fraction(args.q),
         length=args.length,
     )
     if args.all_degree is not None:
@@ -169,9 +171,7 @@ def spectrum_payload(args) -> str:
     records = [spectrum_record(lam, params) for lam in lams]
     ground = ground_energy(params)
     if args.format == "json":
-        import json
-
-        obj = {
+        return {
             "params": {
                 "nparticles": params.nparticles,
                 "beta": str(params.beta),
@@ -186,7 +186,6 @@ def spectrum_payload(args) -> str:
             "ground_energy": str(ground),
             "states": [r.to_json() for r in records],
         }
-        return json.dumps(obj, indent=2) + "\n"
     lines = [
         f"spectrum nparticles={params.nparticles} beta={params.beta} "
         f"q={params.q} length={params.length}",

@@ -16,17 +16,17 @@ the power-sum Gram matrix in Z[b].  Only the torus pairing (N <= 3) builds
 polynomials, specialized at b = 1 and 2, and the spectrum suite runs in Q
 on states drawn within the same sweep bounds as the others.
 Each suite imports what it runs (commutators, rodrigues, oracle, symbases,
-spectrum, and fieldring and polyring) when it runs, so importing this
-module loads only partitions and errors, only the commutator suite loads
-operators, and the spectrum suite loads neither polynomials nor their
-coefficient field.
+spectrum, fractions, and fieldring and polyring) when it runs, so importing
+this module loads only partitions and errors, only the commutator suite
+loads operators, the spectrum suite loads neither polynomials nor their
+coefficient field, and the commutator and annihilation suites, which stay
+in Z[b], load no fractions.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from .partitions import Partition, Record, partitions_of
 
@@ -200,6 +200,8 @@ def suite_spectrum_consistency(max_degree: int, max_nvars: int) -> list[CheckRes
     """Random spectra: additivity, ground state, exclusion spacing, each
     state (n, lam) drawn from n = 2..max_nvars particles and |lam| <=
     max_degree, l(lam) <= n."""
+    from fractions import Fraction
+
     from . import spectrum
 
     states = [

@@ -292,6 +292,89 @@ def test_spectrum_text_frozen():
     )
 
 
+def test_spectrum_defaults_print_as_before():
+    """Without --q the request reads q = 0, and importing cli builds no
+    Fraction for that default."""
+    text = run_cli("spectrum", "--nparticles", "2", "--beta", "1")
+    assert (text.returncode, text.stdout) == (
+        0,
+        "spectrum nparticles=2 beta=1 q=0 length=2pi\n"
+        "ground energy = 2 * (pi/L)^2\n"
+        "lambda=[] kappa=[1/2, -1/2] momentum=0 energy=1/2\n",
+    )
+    obj = {
+        "params": {"nparticles": 2, "beta": "1", "q": "0", "length": "2pi"},
+        "units": {"momentum": "2*pi/L", "energy": "(2*pi/L)^2", "ground_energy": "(pi/L)^2"},
+        "ground_energy": "2",
+        "states": [{"lambda": [], "kappa": ["1/2", "-1/2"], "momentum": "0", "energy": "1/2"}],
+    }
+    r = run_cli("spectrum", "--nparticles", "2", "--beta", "1", "--format", "json")
+    assert (r.returncode, r.stdout) == (0, json.dumps(obj, indent=2) + "\n")
+    r = run_child("-c", "import sys\nfrom csjack import cli\nprint('fractions' in sys.modules)")
+    assert r.stdout == "False\n"
+
+
+# values of the shapes a payload holds, for the JSON writer
+JSON_VALUES = {
+    "empty-lambda": {"lambda": [], "nvars": 2, "beta": "sym"},
+    "empty-containers": [[], {}, [[]], {"a": {}}, [{}]],
+    "nested": {"a": [{"b": [1, -2, [3, []]]}, "p/q"], "c": {"d": {"e": "-3/7"}}},
+    "negative-int": -12,
+    "rational": "-1/2",
+    "spaces": "(2*pi/L)^2 ~ {x}",
+    "empty-string": "",
+}
+
+
+@pytest.mark.parametrize("value", JSON_VALUES.values(), ids=JSON_VALUES.keys())
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_writes_no_string_raw_that_json_escapes():
+    """Each string is written as json.dumps writes it, or rejected; it is
+    rejected only where json would escape it."""
+    for text in [chr(i) for i in range(256)] + ['say "hi"', "a\\b", "line\n", "\U0001f600", "caf\u00e9"]:
+        try:
+            written = cli._json(text)
+        except ValueError:
+            assert json.dumps(text) != f'"{text}"', repr(text)
+        else:
+            assert written == json.dumps(text), repr(text)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, (1, 2), True, None, 1.5, ["ok", b"bytes"]], ids=repr)
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(ValueError):
+        cli._json(value)
+
+
+def test_json_writer_matches_json_dumps_on_every_payload():
+    """Every to_json the command line writes, with each value type it emits."""
+    from fractions import Fraction
+    from types import SimpleNamespace
+
+    from csjack.partitions import Partition
+    from csjack.polyring import VarContext
+    from csjack.rodrigues import jack
+    from csjack.spectrum import ModelParams, spectrum_payload, spectrum_record, wavefunction_descriptor
+    from csjack.symbases import expand_in_basis
+
+    result = jack(Partition((2, 1)), VarContext(3))
+    params = ModelParams(3, Fraction(1, 2), Fraction(-1, 3), Fraction(5, 2))
+    flags = SimpleNamespace(nparticles=3, beta=Fraction(1, 2), q=Fraction(-1, 3), length="2pi", all_degree=2, format="json")
+    payloads = [
+        {**result.to_json(), "beta": "sym"},
+        result.raw.to_json(),
+        expand_in_basis(result.monic, "p").to_json(),
+        spectrum_payload(flags),
+        spectrum_record(Partition((2, 1)), params).to_json(),
+        wavefunction_descriptor(Partition((1,)), params).to_json(),
+    ]
+    for payload in payloads:
+        assert cli._json(payload) == json.dumps(payload, indent=2)
+
+
 def test_spectrum_json_all_degree():
     r = run_cli(
         "spectrum",

@@ -1,8 +1,9 @@
 """The package surface loads each layer on first use: every exported name
 resolves, a `jack` request imports only the creation-product layers, a
 verify request only the layers its suite runs, no module imports the
-command line module back, only requests that read or write JSON import
-json, no request imports argparse, and every cached value is read-only."""
+command line module back, only `convert`, which reads JSON, imports json,
+a request whose arithmetic stays in Z[b] imports no fractions, no request
+imports argparse, and every cached value is read-only."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import pytest
 from cli_helper import run_child, run_cli
 
 import csjack
+from csjack import cli
 from csjack.fieldring import FieldElement
 from csjack.partitions import Partition, Record
 from csjack.polyring import VarContext
@@ -299,6 +301,54 @@ def test_every_method_is_used():
     ids=["verify", "jack-text"],
 )
 def test_requests_without_json_output_load_no_json(argv):
+    loaded = _loaded_after(f"from csjack import cli\nassert cli.main({argv!r}) == 0")
+    assert "json" not in loaded
+
+
+# raw and stanley stay in Z[b], and so does monic where lc(c_lam) = 1, as for
+# the benchmark's set-up request jack --lambda 1 --nvars 2
+INTEGRAL_JACK = {
+    "setup": ["jack", "--lambda", "1", "--nvars", "2"],
+    "raw": ["jack", "--lambda", "3,2,1", "--nvars", "4", "--normalization", "raw"],
+    "stanley": ["jack", "--lambda", "3,1", "--nvars", "3", "--normalization", "stanley", "--format", "text"],
+}
+FRACTION_MODULES = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("argv", INTEGRAL_JACK.values(), ids=INTEGRAL_JACK.keys())
+def test_integral_jack_requests_load_no_fractions_or_json(argv):
+    loaded = _loaded_after(f"from csjack import cli\nassert cli.main({argv!r}) == 0")
+    assert not (FRACTION_MODULES | {"json"}) & loaded
+
+
+@pytest.mark.parametrize("suite", ["commutators", "annihilation"])
+def test_packed_verify_requests_load_no_fractions(suite):
+    loaded = _loaded_after(
+        "from csjack import cli\n"
+        f"assert cli.main(['verify', '--suite', '{suite}', '--max-degree', '3']) == 0"
+    )
+    assert not FRACTION_MODULES & loaded
+
+
+# requests that build a Fraction: a monic form with lc(c_lam) = 2 and every
+# flag that reads a rational
+FRACTION_REQUESTS = {
+    "monic": ["jack", "--lambda", "2,1", "--nvars", "3"],
+    "jack-beta-json": ["jack", "--lambda", "2,1", "--nvars", "3", "--beta", "1/2"],
+    "jack-beta-text": ["jack", "--lambda", "3,1", "--nvars", "3", "--beta", "-2", "--format", "text"],
+    "spectrum-text": ["spectrum", "--lambda", "2,1", "--nparticles", "3", "--beta", "2/3", "--q", "1/2"],
+    "spectrum-json": ["spectrum", "--all-degree", "2", "--nparticles", "2", "--beta", "3", "--length", "5/2", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", FRACTION_REQUESTS.values(), ids=FRACTION_REQUESTS.keys())
+def test_requests_that_build_fractions_still_run(argv, capsys):
+    """fractions loads where these requests first build a Fraction; a child
+    interpreter, which has not loaded it before, prints what main prints here."""
+    r = run_cli(*argv)
+    assert r.returncode == 0, r.stderr
+    assert cli.main(argv) == 0
+    assert r.stdout == capsys.readouterr().out
     loaded = _loaded_after(f"from csjack import cli\nassert cli.main({argv!r}) == 0")
     assert "json" not in loaded
 
