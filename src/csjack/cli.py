@@ -39,7 +39,7 @@ import gc
 import sys
 from types import SimpleNamespace
 
-from .errors import AlgebraError
+from .errors import AlgebraError, TooManyParts
 from .partitions import Partition
 
 
@@ -117,12 +117,10 @@ def cmd_jack(args) -> int:
     lam = Partition(args.lam)
     ctx = VarContext(args.nvars)
     if len(lam) == ctx.nvars and not args.allow_shift:
-        print(
-            f"error: l(lambda) = {len(lam)} requires l(lambda) <= N-1 = {ctx.nvars - 1} "
-            "(pass --allow-shift for the boost reduction)",
-            file=sys.stderr,
+        raise TooManyParts(
+            f"l(lambda) = {len(lam)} requires l(lambda) <= N-1 = {ctx.nvars - 1} "
+            "(pass --allow-shift for the boost reduction)"
         )
-        return 1
     from . import rodrigues
 
     result = rodrigues.jack(lam, ctx, args.normalization)

@@ -111,3 +111,9 @@ class DegenerateLeadingTerm(AlgebraError):
 
 class InconsistentSystem(AlgebraError):
     pass
+
+
+# float output
+
+class OutOfFloatRange(AlgebraError):
+    pass

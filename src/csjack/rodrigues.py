@@ -2,8 +2,8 @@
 
 The unnormalized eigenfunction phi_lam is built by applying creation
 operators right to left: cardinality-1 strings first, each cardinality k
-applied (lam_k - lam_{k+1}) times, each on the m-coordinates of its
-symmetric input as plain ints at b = 2^B (Kronecker substitution).
+applied (lam_k - lam_{k+1}) times, the last lam_N of them B_N+ = z_1 ... z_N,
+each on the m-coordinates of its input as plain ints at b = 2^B (Kronecker).
 Dividing by the closed-form constant c_lam makes the result monic on m_lam.
 The m-coordinates of phi_lam are memoized per (nvars, lam), read-only; the
 cache only ever stores final values, which keeps repeated sweeps
@@ -20,7 +20,7 @@ from types import MappingProxyType
 from .errors import TooManyParts
 from .fieldring import BETA, ONE, FieldElement, pack_width, pochhammer, unpack
 from .partitions import Partition
-from .polyring import LaurentPoly, VarContext, from_m_coordinates, galilei_boost
+from .polyring import LaurentPoly, VarContext, from_m_coordinates
 
 
 def _creation_steps(parts: tuple[int, ...]) -> list[int]:
@@ -126,27 +126,31 @@ def _phi(ctx: VarContext, parts: tuple[int, ...]) -> MappingProxyType:
     Each creation step is Z[b]-linear on Z[b][z] (integer derivative factors,
     synthetic division by the monic z_i - z_j, shifts (1+pos) b), so it
     commutes with b -> 2^B.  Step B_k+ adds at most k to the b-degree, so a
-    coefficient has at most |parts| + 1 digits, unique by _digit_width.
+    coefficient has at most |parts| + 1 digits, unique by _digit_width.  The
+    steps of cardinality N are B_N+ = z_1 ... z_N: they add parts[-1] to mu.
     """
-    steps = _creation_steps(parts)
+    shift = parts[-1] if len(parts) == ctx.nvars else 0
+    steps = [k for k in _creation_steps(parts) if k < ctx.nvars]
     width = _digit_width(ctx.nvars, steps)
     coords = {(0,) * ctx.nvars: 1}
     for k in steps:
         coords = _creation_step(ctx.nvars, k, coords, 1 << width)
-    return MappingProxyType({Partition(mu): unpack(c, width, sum(steps) + 1) for mu, c in coords.items()})
+    return MappingProxyType(
+        {Partition(x + shift for x in mu): unpack(c, width, sum(steps) + 1) for mu, c in coords.items()}
+    )
 
 
-def _creation_partition(lam: Partition, ctx: VarContext) -> Partition:
-    """lam as a Partition, checked to have at most nvars - 1 parts."""
+def _creation_partition(lam: Partition, nvars: int) -> Partition:
+    """lam as a Partition, checked to have at most nvars parts."""
     lam = Partition(lam)
-    if len(lam) > ctx.nvars - 1:
-        raise TooManyParts(f"creation product needs l(lambda) <= {ctx.nvars - 1}, got {len(lam)}")
+    if len(lam) > nvars:
+        raise TooManyParts(f"l({lam}) = {len(lam)} > {nvars} variables")
     return lam
 
 
 def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:
-    """Unnormalized eigenfunction phi_lam; needs l(lam) <= nvars - 1."""
-    return from_m_coordinates(_phi(ctx, tuple(_creation_partition(lam, ctx))), ctx)
+    """Unnormalized eigenfunction phi_lam; needs l(lam) <= nvars."""
+    return from_m_coordinates(_phi(ctx, tuple(_creation_partition(lam, ctx.nvars))), ctx)
 
 
 def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:
@@ -155,7 +159,7 @@ def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:
     Product over cardinalities k of rising factorials
     (m b + lam_{k+1-m} - lam_k)_{lam_k - lam_{k+1}} for m = 1..k.
     """
-    lam = _creation_partition(lam, ctx)
+    lam = _creation_partition(lam, ctx.nvars)
     n = ctx.nvars
     padded = lam.pad(n)
     out = ONE
@@ -171,17 +175,15 @@ def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:
 
 def eigenvalue_epsilon(lam: Partition, nvars: int) -> FieldElement:
     """Hamiltonian eigenvalue: sum of lam_j^2 + b (N + 1 - 2j) lam_j."""
-    lam = Partition(lam)
-    if len(lam) > nvars:
-        raise TooManyParts(f"l({lam}) = {len(lam)} > {nvars}")
+    lam = _creation_partition(lam, nvars)
     const = sum(x * x for x in lam)
     linear = sum((nvars + 1 - 2 * j) * x for j, x in enumerate(lam, start=1))
     return FieldElement((const, linear))
 
 
 class JackResult:
-    """raw = phi_lam = c * J_lam, boosted by shift for a full-length lam.  The
-    printed m-coordinates scale raw's, one product per distinct value; monic
+    """raw = phi_lam = c * J_lam; shift = lam_N for a full-length lam, else 0.
+    The printed m-coordinates scale raw's, one product per distinct value; monic
     and stanley rescale all of raw once, on first use (known_monic seeds monic)."""
 
     def __init__(
@@ -244,22 +246,10 @@ NORMALIZATIONS = ("monic", "stanley", "raw")
 
 
 def jack(lam: Partition, ctx: VarContext, normalization: str = "monic") -> JackResult:
-    """Jack polynomial for any l(lam) <= nvars.
-
-    Full-length partitions are reduced by the boost: subtract the last part
-    from every part, build the shorter product, multiply back by
-    (z_1 ... z_N)^(last part).  The reported constant c is the one actually
-    used, i.e. the constant of the reduced partition.
-    """
+    """Jack polynomial for any l(lam) <= nvars; shift is lam_N for a
+    full-length lam, else 0, and c = c_lam = c_{lam - (lam_N^N)}."""
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    lam = Partition(lam)
-    n = ctx.nvars
-    if len(lam) > n:
-        raise TooManyParts(f"l({lam}) = {len(lam)} > {n} variables")
-    shift = lam[-1] if len(lam) == n else 0
-    reduced = Partition(x - shift for x in lam)
-    raw = rodrigues_raw(reduced, ctx)
-    if shift:
-        raw = galilei_boost(raw, shift)
-    return JackResult(lam, ctx, normalization, raw, c_coefficient(reduced, ctx), shift=shift)
+    lam = _creation_partition(lam, ctx.nvars)
+    shift = lam[-1] if len(lam) == ctx.nvars else 0
+    return JackResult(lam, ctx, normalization, rodrigues_raw(lam, ctx), c_coefficient(lam, ctx), shift=shift)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import TooManyParts
+from .errors import OutOfFloatRange, TooManyParts
 from .partitions import Partition, Record, partitions_of
 
 MOMENTUM_UNIT = "2*pi/L"
@@ -144,10 +144,20 @@ def wavefunction_descriptor(lam: Partition, params: ModelParams) -> Wavefunction
     )
 
 
+def _float(x: Fraction, what: str) -> float:
+    """x as a float; a domain error when it is too large for one."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise OutOfFloatRange(f"{what} is too large for a float") from None
+
+
 def _length_scale(length) -> float | None:
     """Numeric value of 2*pi/L when L is a plain rational, else None."""
     if length == "2pi":
         return None
+    if not _float(length, "length"):
+        raise OutOfFloatRange("length is too small for a float")
     return 2 * math.pi / float(length)
 
 
@@ -199,6 +209,6 @@ def spectrum_payload(args) -> str | dict:
             f"energy={r.energy}"
         )
         if scale is not None:
-            line += f" energy_value={float(r.energy) * scale * scale:.12g}"
+            line += f" energy_value={_float(r.energy, 'energy') * scale * scale:.12g}"
         lines.append(line)
     return "\n".join(lines) + "\n"

@@ -47,7 +47,7 @@ class CheckResult(Record):
 
 def _creation_cases(max_degree: int, max_nvars: int):
     """(ctx, lam, label) for nvars = 2..max_nvars and every lam of degree at
-    most max_degree that the creation product builds in nvars variables."""
+    most max_degree and l(lam) < nvars: a longer lam adds only z_1 ... z_N."""
     from .polyring import VarContext
 
     for nvars in range(2, max_nvars + 1):
@@ -143,10 +143,10 @@ def suite_orthogonality(max_degree: int, max_nvars: int) -> list[CheckResult]:
     at least b, so it is nonzero in Q(b) and positive at b = 1 and 2: every
     zero test has the answer it has on the monic J_lam.  The power-sum
     pairing is symbases._integral_pairing, L^2 b^d <phi_a, phi_b>_p in Z[b],
-    read off phi's cached m-coordinates (rodrigues._phi, shifted by the
-    boost for (1^N)), so it builds no polynomial; the torus pairing (N <= 3)
-    pairs the polynomials.  A nonzero value is divided by its scale and by
-    c_a c_b (at the torus coupling) before it is printed."""
+    read off phi's cached m-coordinates (rodrigues._phi, (1^N) included), so
+    it builds no polynomial; the torus pairing (N <= 3) pairs the
+    polynomials.  A nonzero value is divided by its scale and by c_a c_b (at
+    the torus coupling) before it is printed."""
     from . import rodrigues, symbases
     from .polyring import VarContext
 
@@ -159,19 +159,12 @@ def suite_orthogonality(max_degree: int, max_nvars: int) -> list[CheckResult]:
                 return f"<J_{a}, J_{b}> = {value / (scale * c_a * c_b)}"
         return ""
 
-    def phi_coords(lam, ctx):
-        shift = lam[-1] if len(lam) == ctx.nvars else 0
-        reduced = Partition(x - shift for x in lam)
-        coords = rodrigues._phi(ctx, tuple(reduced))
-        if shift:
-            coords = {Partition(x + shift for x in mu.pad(ctx.nvars)): c for mu, c in coords.items()}
-        return coords, rodrigues.c_coefficient(reduced, ctx)
-
     results = []
     for nvars in range(2, max_nvars + 1):
         ctx = VarContext(nvars)
         for degree in range(1, min(max_degree, nvars) + 1):
-            jacks = {lam: phi_coords(lam, ctx) for lam in partitions_of(degree, nvars)}
+            lams = partitions_of(degree, nvars)
+            jacks = {lam: (rodrigues._phi(ctx, lam), rodrigues.c_coefficient(lam, ctx)) for lam in lams}
             scale = symbases._integral_power_sums(degree)[0]
             bad = first_nonzero_pairing(
                 jacks, lambda f, g: symbases._integral_pairing(f, g, degree), scale

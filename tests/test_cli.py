@@ -401,6 +401,13 @@ def test_spectrum_numeric_length():
     assert "energy_value=" in r.stdout
 
 
+def test_spectrum_energy_value_may_be_infinite():
+    # 2 pi / L is a float, and its square overflows to inf
+    r = run_cli("spectrum", "--nparticles", "2", "--beta", "1", "--length", "1e-200")
+    assert r.returncode == 0
+    assert r.stdout.endswith(" energy=1/2 energy_value=inf\n")
+
+
 def test_convert_round_trip(tmp_path):
     r = run_cli("jack", "--lambda", "2,1", "--nvars", "3")
     src = tmp_path / "jack.json"
@@ -533,6 +540,18 @@ BAD_INPUT = {
         ("spectrum", "--lambda", "2,1", "--all-degree", "1", "--nparticles", "2", "--beta", "1"),
         None,
         2,
+    ),
+    # energy_value needs L and the energy as floats
+    "spectrum-length-underflows": (("spectrum", "--nparticles", "2", "--beta", "1", "--length", "1e-400"), None, 1),
+    "spectrum-length-overflows": (
+        ("spectrum", "--nparticles", "2", "--beta", "1", "--length", "1e400", "--lambda", "1"),
+        None,
+        1,
+    ),
+    "spectrum-energy-overflows": (
+        ("spectrum", "--nparticles", "2", "--beta", "1e200", "--length", "1", "--lambda", "1"),
+        None,
+        1,
     ),
 }
 

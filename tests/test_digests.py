@@ -7,10 +7,12 @@ draw.  The requests with N <= 4 and |lambda| <= 4, plus the verify sweeps at
 uses and run in a couple of seconds.  The jack requests with N >= 5 and
 |lambda| <= 4, plus the five fixed cases as both jack workloads ask for
 them, cover the creation product relabelled over many subsets.  Every
-verify sweep of the table also replays, since verify is the workload whose
-checks run in the coefficient field.  The set-up request, the fixed cases
-and the small verify sweeps also replay through `python -m csjack.cli`, so
-the bytes a child writes before it exits are checked too.
+full-length (--allow-shift) jack request replays, since its last creation
+steps are z_1 ... z_N.  Every verify sweep of the table also replays, since
+verify is the workload whose checks run in the coefficient field.  The
+set-up request, the fixed cases and the small verify sweeps also replay
+through `python -m csjack.cli`, so the bytes a child writes before it exits
+are checked too.
 """
 
 import contextlib
@@ -40,10 +42,8 @@ def _small(argv) -> bool:
     return int(_flag(argv, "--nvars")) <= 4 and weight <= 4
 
 
-def test_small_requests_match_benchmark_digests():
-    table = json.loads(DIGESTS.read_text())
-    requests = [key for key in table if _small(key.split())]
-    assert len(requests) == 421
+def _drifted(table, requests) -> list[str]:
+    """The requests whose in-process stdout misses its digest or that fail."""
     drifted = []
     for key in requests:
         buffer = io.StringIO()
@@ -51,21 +51,21 @@ def test_small_requests_match_benchmark_digests():
             code = cli.main(key.split())
         if code != 0 or hashlib.sha256(buffer.getvalue().encode()).hexdigest() != table[key]:
             drifted.append(key)
-    assert drifted == []
+    return drifted
+
+
+def test_small_requests_match_benchmark_digests():
+    table = json.loads(DIGESTS.read_text())
+    requests = [key for key in table if _small(key.split())]
+    assert len(requests) == 421
+    assert _drifted(table, requests) == []
 
 
 def test_verify_requests_match_benchmark_digests():
     table = json.loads(DIGESTS.read_text())
     requests = [key for key in table if key.startswith("verify ")]
     assert len(requests) == 40
-    drifted = []
-    for key in requests:
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            code = cli.main(key.split())
-        if code != 0 or hashlib.sha256(buffer.getvalue().encode()).hexdigest() != table[key]:
-            drifted.append(key)
-    assert drifted == []
+    assert _drifted(table, requests) == []
 
 
 # the fixed cases of the benchmark: (lambda, N)
@@ -99,14 +99,14 @@ def test_wide_and_pinned_requests_match_benchmark_digests():
     requests = [key for key in table if _wide(key.split())]
     assert len(requests) == 432
     assert set(pinned) <= table.keys()
-    drifted = []
-    for key in requests + pinned:
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            code = cli.main(key.split())
-        if code != 0 or hashlib.sha256(buffer.getvalue().encode()).hexdigest() != table[key]:
-            drifted.append(key)
-    assert drifted == []
+    assert _drifted(table, requests + pinned) == []
+
+
+def test_full_length_requests_match_benchmark_digests():
+    table = json.loads(DIGESTS.read_text())
+    requests = [key for key in table if key.endswith(" --allow-shift")]
+    assert len(requests) == 2448
+    assert _drifted(table, requests) == []
 
 
 def test_child_requests_match_benchmark_digests():

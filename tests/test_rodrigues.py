@@ -3,17 +3,17 @@ from fractions import Fraction
 import pytest
 from criteria_helpers import specialize_beta
 
+from csjack import rodrigues
 from csjack.errors import TooManyParts
 from csjack.fieldring import BETA, ONE, ZERO, FieldElement
 from csjack.operators import apply_H
 from csjack.partitions import Partition, partitions_of
-from csjack.polyring import LaurentPoly, VarContext
+from csjack.polyring import LaurentPoly, VarContext, galilei_boost
 from csjack.rodrigues import (
     NORMALIZATIONS,
     JackResult,
     c_coefficient,
     eigenvalue_epsilon,
-    galilei_boost,
     jack,
     rodrigues_raw,
 )
@@ -142,10 +142,57 @@ def test_full_length_boost():
 
 
 def test_too_many_parts():
-    with pytest.raises(TooManyParts):
-        jack(Partition((1, 1, 1)), CTX2)
-    with pytest.raises(TooManyParts):
-        rodrigues_raw(Partition((1, 1)), CTX2)  # raw route needs l <= N-1
+    # l = N builds (its last lam_N steps are z_1 ... z_N); l = N + 1 does not
+    assert rodrigues_raw(Partition((1, 1)), CTX2) == LaurentPoly.monomial(CTX2, (1, 1))
+    for build in (jack, rodrigues_raw, c_coefficient):
+        with pytest.raises(TooManyParts, match=r"l\(\(1, 1, 1\)\) = 3 > 2 variables"):
+            build(Partition((1, 1, 1)), CTX2)
+
+
+# every lam with l(lam) = N, |lam| <= 8, N <= 5
+FULL_LENGTH = tuple(
+    (lam, nvars)
+    for nvars in range(1, 6)
+    for degree in range(nvars, 9)
+    for lam in partitions_of(degree, nvars)
+    if len(lam) == nvars
+)
+
+
+@pytest.fixture
+def packed_cardinalities(monkeypatch):
+    """(nvars, cardinalities) of every _creation_step and _digit_width call
+    that _phi makes, on a cold cache."""
+    calls = []
+    step, width = rodrigues._creation_step, rodrigues._digit_width
+
+    def recorded_step(nvars, k, coords, beta):
+        calls.append((nvars, [k]))
+        return step(nvars, k, coords, beta)
+
+    def recorded_width(nvars, steps):
+        calls.append((nvars, list(steps)))
+        return width(nvars, steps)
+
+    monkeypatch.setattr(rodrigues, "_creation_step", recorded_step)
+    monkeypatch.setattr(rodrigues, "_digit_width", recorded_width)
+    rodrigues._phi.cache_clear()
+    yield calls
+    rodrigues._phi.cache_clear()
+
+
+def test_full_length_ends_with_the_boost(packed_cardinalities):
+    """phi_lam = (z_1 ... z_N)^(lam_N) phi_(lam - lam_N) and c_lam =
+    c_(lam - lam_N) for l(lam) = N, and the packed kernel never runs the
+    cardinality-N steps: they are B_N+ = z_1 ... z_N."""
+    assert len(FULL_LENGTH) == 59
+    for lam, nvars in FULL_LENGTH:
+        ctx, shift = VarContext(nvars), lam[-1]
+        reduced = Partition(x - shift for x in lam)
+        assert rodrigues_raw(lam, ctx) == galilei_boost(rodrigues_raw(reduced, ctx), shift)
+        assert c_coefficient(lam, ctx) == c_coefficient(reduced, ctx)
+    assert packed_cardinalities
+    assert all(nvars not in ks for nvars, ks in packed_cardinalities)
 
 
 def test_galilei_boost():
