@@ -8,9 +8,9 @@ fixed inputs.  Exit codes: 0 success, 1 domain error or unreadable input,
 failure.  A usage error or a domain error prints one `error:` line on
 stderr.  Each handler imports the layers it runs when it runs: fieldring
 and polyring only for jack, convert and the verify suites that build
-polynomials, fractions only in the converters of flags that read a
-rational, json only where convert reads its payload: _json writes all JSON
-output.  The spectrum and convert modules build their payloads and never
+polynomials, fractions only in the converters of spectrum's rational flags
+(jack's --beta is read in ints, as the Fraction(text) grammar reads it),
+json only where convert reads its payload: _json writes all JSON output.  The spectrum and convert modules build their payloads and never
 import cli, which `python -m csjack.cli` would compile a second time.
 
 The command line is read from one table, COMMANDS: each command's flags,
@@ -71,10 +71,35 @@ def _checked(parse, expected: str, valid=lambda value: True):
 
 
 def _fraction(text: str):
-    # fractions loads only for a flag that reads a rational
     from fractions import Fraction
 
     return Fraction(text)
+
+
+def _digits(text: str) -> int:
+    """int(text) for digits with no sign or whitespace; int() checks the underscores."""
+    if not text.replace("_", "").isdecimal():
+        raise ValueError(f"not digits: {text!r}")
+    return int(text)
+
+
+def _rational(text: str):
+    """Fraction(text)'s value as a constant FieldElement built from ints: [sign] p/q
+    or [sign] p[.d][e[sign]k] with a digit next to the point, whitespace around."""
+    from .fieldring import FieldElement
+
+    body = text.strip()
+    sign, body = -1 if body[:1] == "-" else 1, body[1:] if body[:1] in ("+", "-") else body
+    whole, slash, den = body.partition("/")
+    if slash:
+        return FieldElement((sign * _digits(whole),), (_digits(den),))
+    mantissa, e, exp = body.replace("E", "e").partition("e")
+    whole, _, decimal = mantissa.partition(".")
+    scale = 10 ** len(decimal.replace("_", ""))
+    # a digit before the point or after it: "" raises where both are empty
+    num = sign * (_digits(whole or ("0" if decimal else "")) * scale + _digits(decimal or "0"))
+    k = (-1 if exp[:1] == "-" else 1) * _digits(exp[1:] if exp[:1] in ("+", "-") else exp) if e else 0
+    return FieldElement((num * 10 ** max(k, 0),), (scale * 10 ** max(-k, 0),))
 
 
 PARTITION_ARG = _checked(_parse_partition, "comma separated integers")
@@ -206,7 +231,7 @@ COMMANDS = {
             "--format": ("format", ("json", "text"), "json", None),
             "--beta": (
                 "beta",
-                _checked(lambda t: None if t == "sym" else _fraction(t), '"sym", an integer or p/q'),
+                _checked(lambda t: None if t == "sym" else _rational(t), '"sym", an integer or p/q'),
                 None,
                 '"sym", an integer, or p/q',
             ),

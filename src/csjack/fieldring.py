@@ -1,27 +1,26 @@
 """Exact coefficient field: rational functions of the coupling over Q.
 
-A BetaPoly is a dense tuple of rational coefficients in ascending powers of
-the coupling b, with no trailing zeros; the zero polynomial is the empty
-tuple.  A coefficient is a plain int wherever it is integral and a Fraction
-only where it has a denominator, so Fraction arithmetic runs only where a
-denominator exists: coefficients in Z[b] are the norm, division by a monic
-polynomial stays in Z, and _divide, the one monic step, keeps integral
-quotients as ints.  Fraction(n) == n and both hash alike, so an integral
-Fraction left by arithmetic needs no normalising.  fractions is imported
-only by the steps that build a Fraction (a non-integral coefficient, the
-monic step, division by a non-monic polynomial, as_fraction and
-specialize), so a request whose arithmetic stays in Z[b] never loads it.
-A FieldElement is a canonical quotient num/den of two BetaPolys:
-gcd(num, den) = 1, den monic; this makes equality and hashing structural,
-as serialization requires.
+A BetaPoly is a dense tuple of coefficients in ascending powers of the
+coupling b, with no trailing zeros; the zero polynomial is the empty tuple.
+A FieldElement is a quotient num/den of two BetaPolys in Z[b] in canonical
+form: num and den coprime over Q[b], the integer content of all their
+coefficients together 1, and lc(den) > 0 (zero is 0/1).  Each element of
+Q(b) has one such form, so equality and hashing are structural, as
+serialization requires, and the arithmetic is fraction-free (Knuth, TAOCP
+vol. 2, 4.6.1): it runs on ints and builds no Fraction.  fractions is
+imported only to read input given as strings or Fractions (poly, field)
+and by as_fraction, so a request that reads no rational never loads it.
+to_json and str print the monic form over Q, num/lc(den) over den/lc(den),
+with every coefficient reduced by one integer gcd.
 
 Arithmetic special-cases den == 1, the overwhelmingly common shape while
 operator pipelines run, so the hot path never takes a gcd.  A sum of two
 quotients follows Henrici: one gcd of the two denominators (none when they
 are equal or one is 1), then one gcd of the numerator with that common
-factor, the only one that can cancel.  poly_gcd, the one gcd, runs a
-pseudo-remainder sequence over Z on integer primitive parts, so it builds
-no Fraction before its final monic step.
+factor, the only one that can cancel, then one gcd of the integer content.
+poly_gcd, the one gcd, runs a primitive pseudo-remainder sequence over Z
+and returns a primitive gcd; poly_exquo, the one division, divides by it
+exactly in Z[b], as Gauss's lemma guarantees for a primitive divisor.
 
 pack, unpack and pack_width are the one Kronecker codec: an element of
 Z[b] becomes the int it takes at b = 2^B and is read back as balanced
@@ -35,12 +34,13 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import DivisionByZero, PoleAtValue, checked_type
+from .errors import DivisionByZero, NonzeroRemainder, PoleAtValue, checked_type
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-BetaPoly = tuple  # tuple[int | Fraction, ...], ascending powers, trimmed
+# tuple[int, ...], ascending powers, trimmed; poly() may hold the Fractions of input
+BetaPoly = tuple
 
 _PZERO: BetaPoly = ()
 _PONE: BetaPoly = (1,)
@@ -97,36 +97,26 @@ def poly_mul(a: BetaPoly, b: BetaPoly) -> BetaPoly:
     return tuple(out)
 
 
-def poly_divmod(a: BetaPoly, b: BetaPoly) -> tuple[BetaPoly, BetaPoly]:
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    if len(a) < len(b):
-        return _PZERO, a
-    r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    # a monic divisor (every canonical denominator) keeps integral input in Z
-    inv = None if lead == 1 else _reciprocal(lead)
-    for k in range(len(a) - len(b), -1, -1):
-        top = r[k + len(b) - 1]
-        if top:
-            c = top if inv is None else top * inv
-            q[k] = c
+def poly_exquo(a: BetaPoly, b: BetaPoly) -> BetaPoly:
+    """a / b in Z[b], else NonzeroRemainder; a primitive b that divides a over Q
+    divides it in Z[b] (Gauss's lemma), as in every reduction by a gcd."""
+    n, lead = len(b), b[-1]
+    r, q = list(a), [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + n - 1] // lead
+        if c:
             for i, bc in enumerate(b):
-                if bc:
-                    r[k + i] -= c * bc
-    while q and q[-1] == 0:
-        q.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(q), tuple(r)
+                r[k + i] -= c * bc
+    if any(r):
+        raise NonzeroRemainder(f"{poly_str(b)} does not divide {poly_str(a)} in Z[b]")
+    return tuple(q)
 
 
 def poly_gcd(a: BetaPoly, b: BetaPoly) -> BetaPoly:
-    """Monic greatest common divisor; a zero input gives the other one made
-    monic.  Runs the primitive pseudo-remainder sequence over Z (Knuth, TAOCP
-    vol. 2, 4.6.1): every step is exact integer arithmetic on primitive parts,
-    and only the final monic step may build a Fraction."""
+    """Primitive greatest common divisor in Z[b], leading coefficient
+    positive; a zero input gives the primitive part of the other one.  Runs
+    the primitive pseudo-remainder sequence over Z (Knuth, TAOCP vol. 2,
+    4.6.1): every step is exact integer arithmetic on primitive parts."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
@@ -143,39 +133,20 @@ def poly_gcd(a: BetaPoly, b: BetaPoly) -> BetaPoly:
             while a and not a[-1]:
                 a.pop()
         a, b = b, _primitive(a)
-    if b:
-        return _PONE  # a nonzero constant remainder: coprime
-    return _divide(a, a[-1]) if a and a[-1] != 1 else tuple(a)
+    return _PONE if b else tuple(a)  # a nonzero constant remainder: coprime
 
 
 def _primitive(a: BetaPoly) -> list[int]:
-    """a * lcm(denominators) / content: the primitive integer polynomial of a."""
-    m = math.lcm(*[c.denominator for c in a])
-    a = [c.numerator * (m // c.denominator) for c in a]
-    g = math.gcd(*a)
-    return a if g < 2 else [c // g for c in a]
+    """a divided by its content, signed so that its leading coefficient is positive."""
+    g = -math.gcd(*a) if a and a[-1] < 0 else math.gcd(*a)
+    return list(a) if g in (0, 1) else [c // g for c in a]
 
 
-def _reciprocal(c) -> Fraction:
-    """1/c as an exact Fraction, for the steps that divide by a constant."""
-    from fractions import Fraction
-
-    return Fraction(1) / c
-
-
-def _divide(a: BetaPoly, lc) -> BetaPoly:
-    """a divided by a nonzero constant lc (the leading coefficient that makes
-    a denominator monic), every integral quotient kept as an int."""
-    inv = _reciprocal(lc)
-    return tuple(q.numerator if q.denominator == 1 else q for q in (c * inv for c in a))
-
-
-def _homogeneous(a: BetaPoly, p: int, q: int, m: int) -> int:
-    """m q^deg(a) a(p/q) = sum_i m a_i p^i q^(deg - i), by Horner in ints;
-    m is a common multiple of the denominators of a."""
+def _homogeneous(a: BetaPoly, p: int, q: int) -> int:
+    """q^deg(a) a(p/q) = sum_i a_i p^i q^(deg - i), by Horner in ints."""
     out, qk = 0, 1
     for c in reversed(a):
-        out = out * p + c.numerator * (m // c.denominator) * qk
+        out = out * p + c * qk
         qk *= q
     return out
 
@@ -191,7 +162,7 @@ def pack(a: "FieldElement", width: int) -> int:
 
     A denominator, or a coefficient outside the balanced digit range
     |c| < 2^(width-1), raises: unpack reads the result back only then."""
-    if a.den != _PONE or not all(type(c) is int for c in a.num):
+    if a.den != _PONE:
         raise ValueError(f"{a} is not in Z[b]")
     out = 0
     for c in reversed(a.num):
@@ -215,7 +186,14 @@ def unpack(x: int, width: int, ndigits: int) -> "FieldElement":
     raise OverflowError(f"coefficient needs more than {ndigits} digits of {width} bits")
 
 
-def poly_str(a: BetaPoly) -> str:
+def _ratio(c: int, d: int) -> str:
+    """c/d in lowest terms as str(Fraction(c, d)) prints it, for d > 0."""
+    g = math.gcd(c, d)
+    return str(c // g) if g == d else f"{c // g}/{d // g}"
+
+
+def poly_str(a: BetaPoly, lc: int = 1) -> str:
+    """a / lc, each coefficient printed in lowest terms; lc > 0."""
     if not a:
         return "0"
     pieces = []
@@ -223,11 +201,11 @@ def poly_str(a: BetaPoly) -> str:
         c = a[power]
         if not c:
             continue
+        mag = _ratio(abs(c), lc)
         if power == 0:
-            body = str(abs(c))
+            body = mag
         else:
-            mag = abs(c)
-            head = "" if mag == 1 else f"{mag}*"
+            head = "" if mag == "1" else f"{mag}*"
             body = f"{head}b" if power == 1 else f"{head}b^{power}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
@@ -237,6 +215,7 @@ def poly_str(a: BetaPoly) -> str:
 
 
 def _canonical(num: BetaPoly, den: BetaPoly) -> tuple[BetaPoly, BetaPoly]:
+    """The canonical form of the quotient num/den of two polynomials in Z[b]."""
     if not den:
         raise DivisionByZero("zero denominator")
     if not num:
@@ -245,12 +224,15 @@ def _canonical(num: BetaPoly, den: BetaPoly) -> tuple[BetaPoly, BetaPoly]:
         return num, den
     g = poly_gcd(num, den)
     if len(g) > 1:
-        num = poly_divmod(num, g)[0]
-        den = poly_divmod(den, g)[0]
-    lc = den[-1]
-    if lc != 1:
-        num, den = _divide(num, lc), _divide(den, lc)
-    return num, den
+        num, den = poly_exquo(num, g), poly_exquo(den, g)
+    return _content_free(num, den)
+
+
+def _content_free(num: BetaPoly, den: BetaPoly) -> tuple[BetaPoly, BetaPoly]:
+    """num and den divided by the content of all their coefficients, signed
+    so that lc(den) > 0: the canonical form when they are coprime over Q."""
+    g = -math.gcd(*num, *den) if den[-1] < 0 else math.gcd(*num, *den)
+    return (num, den) if g == 1 else (tuple(c // g for c in num), tuple(c // g for c in den))
 
 
 class FieldElement:
@@ -259,7 +241,11 @@ class FieldElement:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_PONE):
-        self.num, self.den = _canonical(poly(num), poly(den) if den is not _PONE else _PONE)
+        num, den = poly(num), poly(den) if den is not _PONE else _PONE
+        if not all(type(c) is int for c in num + den):  # Fraction input: clear its denominators
+            m = math.lcm(*(c.denominator for c in num + den))
+            num, den = (tuple(c.numerator * (m // c.denominator) for c in p) for p in (num, den))
+        self.num, self.den = _canonical(num, den)
 
     # -- construction helpers -------------------------------------------
 
@@ -274,9 +260,7 @@ class FieldElement:
     @classmethod
     def from_fraction(cls, value) -> "FieldElement":
         value = _coeff(value)
-        if not value:
-            return ZERO
-        return cls._raw((value,), _PONE)
+        return cls._raw((value.numerator,), (value.denominator,)) if value else ZERO
 
     @classmethod
     def beta(cls, power: int = 1) -> "FieldElement":
@@ -295,16 +279,17 @@ class FieldElement:
         n2, d2 = other.num, other.den
         if d1 == _PONE and d2 == _PONE:
             return FieldElement._raw(poly_add(n1, n2), _PONE)
-        # Henrici (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(d1, d2) and
-        # e_k = d_k / g, n1 e2 + n2 e1 shares no factor with e1 e2, so only
-        # gcd(num, g) can cancel; every factor is monic, hence so is den
+        # Henrici (Knuth, TAOCP vol. 2, 4.5.1) over Q[b]: with g = gcd(d1, d2)
+        # and e_k = d_k / g, n1 e2 + n2 e1 shares no factor with e1 e2, so only
+        # h = gcd(num, g) can cancel; both gcds are primitive with lc > 0, so
+        # e_k and den stay in Z[b] with lc > 0, and one content gcd is left
         if d1 == d2:
             g, e1, e2 = d1, _PONE, _PONE
         elif d1 == _PONE or d2 == _PONE:
             g, e1, e2 = _PONE, d1, d2
         else:
             g = poly_gcd(d1, d2)
-            e1, e2 = (d1, d2) if g == _PONE else (poly_divmod(d1, g)[0], poly_divmod(d2, g)[0])
+            e1, e2 = (d1, d2) if g == _PONE else (poly_exquo(d1, g), poly_exquo(d2, g))
         num = poly_add(poly_mul(n1, e2), poly_mul(n2, e1))
         if not num:
             return ZERO
@@ -312,8 +297,8 @@ class FieldElement:
         if len(g) > 1 and len(num) > 1:
             h = poly_gcd(num, g)
             if len(h) > 1:
-                num, den = poly_divmod(num, h)[0], poly_divmod(den, h)[0]
-        return FieldElement._raw(num, den)
+                num, den = poly_exquo(num, h), poly_exquo(den, h)
+        return FieldElement._raw(*_content_free(num, den))
 
     __radd__ = __add__
 
@@ -346,22 +331,21 @@ class FieldElement:
         if len(n1) > 1 and len(d2) > 1:
             g1 = poly_gcd(n1, d2)
             if len(g1) > 1:
-                n1 = poly_divmod(n1, g1)[0]
-                d2 = poly_divmod(d2, g1)[0]
+                n1, d2 = poly_exquo(n1, g1), poly_exquo(d2, g1)
         if len(n2) > 1 and len(d1) > 1:
             g2 = poly_gcd(n2, d1)
             if len(g2) > 1:
-                n2 = poly_divmod(n2, g2)[0]
-                d1 = poly_divmod(d1, g2)[0]
-        # d1, d2 and every gcd are monic, so the product's denominator is too
-        return FieldElement._raw(poly_mul(n1, n2), poly_mul(d1, d2))
+                n2, d1 = poly_exquo(n2, g2), poly_exquo(d1, g2)
+        # every factor has lc > 0, so den has too; one content gcd is left
+        return FieldElement._raw(*_content_free(poly_mul(n1, n2), poly_mul(d1, d2)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if not self.num:
             raise DivisionByZero("inverse of zero")
-        return FieldElement._raw(*_canonical(self.den, self.num))
+        sign = 1 if self.num[-1] > 0 else -1
+        return FieldElement._raw(tuple(sign * c for c in self.den), tuple(sign * c for c in self.num))
 
     def __truediv__(self, other) -> "FieldElement":
         other = _as_field(other)
@@ -402,42 +386,36 @@ class FieldElement:
         return hash((self.num, self.den))
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == _PONE
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def as_fraction(self) -> Fraction:
         from fractions import Fraction
 
-        if not self.num:
-            return Fraction(0)
         if not self.is_constant():
             raise PoleAtValue(f"{self} is not a constant")
-        return Fraction(self.num[0])
+        return Fraction(self.num[0] if self.num else 0, self.den[0])
 
-    def specialize(self, beta_value) -> Fraction:
-        """Evaluate at a rational coupling value p/q; poles raise PoleAtValue.
-        num and den are evaluated homogeneously in ints, with their
-        denominators cleared by one common multiple, and their quotient
-        makes one Fraction."""
-        from fractions import Fraction
-
-        x = Fraction(beta_value)
-        p, q = x.numerator, x.denominator
-        m = math.lcm(*(c.denominator for c in self.num + self.den))
-        den = _homogeneous(self.den, p, q, m)
+    def specialize(self, beta_value) -> "FieldElement":
+        """The constant value at a rational coupling value p/q (an int, a
+        Fraction or a constant FieldElement); poles raise PoleAtValue.  num
+        and den are evaluated homogeneously by Horner in ints."""
+        x = field(beta_value)
+        if not x.is_constant():
+            raise TypeError(f"coupling value {x} is not a constant")
+        p, q = x.num[0] if x.num else 0, x.den[0]
+        den = _homogeneous(self.den, p, q)
         if not den:
             raise PoleAtValue(f"pole at coupling value {x}")
-        num = _homogeneous(self.num, p, q, m)
+        num = _homogeneous(self.num, p, q)
         # num / den = q^(deg den - deg num) times the value at p/q
         shift = len(self.den) - len(self.num)
-        return Fraction(num * q**shift, den) if shift >= 0 else Fraction(num, den * q**-shift)
+        return FieldElement((num * q**shift,), (den,)) if shift >= 0 else FieldElement((num,), (den * q**-shift,))
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "num": [str(c) for c in self.num],
-            "den": [str(c) for c in self.den],
-        }
+        lc = self.den[-1]
+        return {"num": [_ratio(c, lc) for c in self.num], "den": [_ratio(c, lc) for c in self.den]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldElement":
@@ -447,20 +425,13 @@ class FieldElement:
         return cls(poly(num), poly(den))
 
     def __str__(self) -> str:
-        if self.den == _PONE:
-            return poly_str(self.num)
-        # display with cleared denominators; den is monic, so clearing by the
-        # least common denominator already leaves num/den integer primitive
-        mult = math.lcm(*(c.denominator for c in self.num + self.den))
-        n = [c * mult for c in self.num]
-        d = [c * mult for c in self.den]
-        num = poly_str(tuple(n))
-        den = poly_str(tuple(d))
-        if len(n) > 1 or (n and n[0] < 0):
+        if len(self.den) == 1:
+            return poly_str(self.num, self.den[0])
+        # num/den is already the monic form with cleared denominators
+        num = poly_str(self.num)
+        if len(self.num) > 1 or (self.num and self.num[0] < 0):
             num = f"({num})"
-        if len(d) > 1:
-            den = f"({den})"
-        return f"{num}/{den}"
+        return f"{num}/({poly_str(self.den)})"
 
     __repr__ = __str__
 

@@ -209,6 +209,10 @@ def spectrum_payload(args) -> str | dict:
             f"energy={r.energy}"
         )
         if scale is not None:
-            line += f" energy_value={_float(r.energy, 'energy') * scale * scale:.12g}"
+            # only an exact zero prints as zero, and no energy prints as inf
+            value = _float(r.energy, "energy") * scale * scale if r.energy else 0.0
+            if value in (0, math.inf) and r.energy:
+                raise OutOfFloatRange(f"energy value of lambda={list(r.lam)} is out of float range")
+            line += f" energy_value={value:.12g}"
         lines.append(line)
     return "\n".join(lines) + "\n"

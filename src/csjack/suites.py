@@ -178,7 +178,7 @@ def suite_orthogonality(max_degree: int, max_nvars: int) -> list[CheckResult]:
                 polys = {}
                 for lam in partitions_of(degree, nvars):
                     result = rodrigues.jack(lam, ctx, "raw")
-                    polys[lam] = result.raw, result.c.specialize(beta_int)
+                    polys[lam] = result.raw, result.c.specialize(beta_int).as_fraction()
                 bad = first_nonzero_pairing(
                     polys, lambda f, g: symbases.circle_inner_product(f, g, beta_int), 1
                 )

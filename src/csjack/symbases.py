@@ -340,8 +340,8 @@ def circle_inner_product(f: LaurentPoly, g: LaurentPoly, beta_int: int) -> Fract
     gindex: dict[FieldElement, int] = {}
     fterms = [(a, findex.setdefault(c, len(findex))) for a, c in f.terms.items()]
     gterms = [(e, gindex.setdefault(c, len(gindex))) for e, c in g.terms.items()]
-    fvals = [c.specialize(beta_int) for c in findex]
-    gvals = [c.specialize(beta_int) for c in gindex]
+    fvals = [c.specialize(beta_int).as_fraction() for c in findex]
+    gvals = [c.specialize(beta_int).as_fraction() for c in gindex]
     pairs: dict[tuple, int] = {}
     # z^a * bar(z^e) * z^w is constant exactly when w = e - a
     for e, jg in gterms:

@@ -7,6 +7,8 @@ import gc
 import hashlib
 import io
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -401,11 +403,19 @@ def test_spectrum_numeric_length():
     assert "energy_value=" in r.stdout
 
 
-def test_spectrum_energy_value_may_be_infinite():
+def test_spectrum_energy_value_is_finite_or_an_error():
     # 2 pi / L is a float, and its square overflows to inf
     r = run_cli("spectrum", "--nparticles", "2", "--beta", "1", "--length", "1e-200")
-    assert r.returncode == 0
-    assert r.stdout.endswith(" energy=1/2 energy_value=inf\n")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: energy value of lambda=[] is out of float range\n"
+    # a nonzero energy that underflows to 0.0
+    r = run_cli("spectrum", "--nparticles", "1", "--beta", "1", "--q", "1e-400", "--length", "1")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: energy value of lambda=[] is out of float range\n"
+    # an exact zero energy still prints as 0, even where (2 pi / L)^2 overflows
+    for length in ("1", "1e-200"):
+        r = run_cli("spectrum", "--nparticles", "1", "--beta", "1", "--length", length)
+        assert r.returncode == 0 and r.stdout.endswith(" energy=0 energy_value=0\n")
 
 
 def test_convert_round_trip(tmp_path):
@@ -553,6 +563,12 @@ BAD_INPUT = {
         None,
         1,
     ),
+    "spectrum-energy-value-overflows": (("spectrum", "--nparticles", "2", "--beta", "1", "--length", "1e-200"), None, 1),
+    "spectrum-energy-value-underflows": (
+        ("spectrum", "--nparticles", "1", "--beta", "1", "--q", "1e-400", "--length", "1"),
+        None,
+        1,
+    ),
 }
 
 
@@ -582,3 +598,45 @@ def test_bad_input_exit_codes(args, stdin, code):
     assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
     if code == 1 and args[0] == "convert":
         assert r.stderr.startswith("error: malformed polynomial payload (")
+
+
+# texts for --beta that Fraction(text) reads or rejects at an edge of its
+# grammar, and a corpus drawn from its alphabet; "-1/2" is the value that
+# follows --beta as its own token
+BETA_TEXTS = ["1e400", "1.5", " 3/2 ", "+2", "1_0/4", "2/4", "-0", "-1/2", "1/0", "nan", "inf", "3 /2", "/2", "1/-2"]
+BETA_TEXTS += ["1.5/2", "--", "sym", ".5", "1.", ".", "-.5e1", "1E+2", "1e-3", "1__0", "_1", "1_", "1.d", "1e", "e5"]
+BETA_TEXTS += ["+-1", "\u0661\u0662/3", "\u30001/3\t", "1.5_0e0_1", "0/5", "00/10", "1/0_0", "2/ 3", "1e+", "+.5"]
+
+
+def _beta_corpus(count: int) -> list[str]:
+    rng = random.Random(33)
+    alphabet = "0123456789" * 3 + "_./+-eE d\t\u0663"
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 5))) for _ in range(count)]
+
+
+def _reads_as_fraction(text: str):
+    """The --beta converter that Fraction(text) is the reference for."""
+    return None if text == "sym" else Fraction(text)
+
+
+@pytest.mark.parametrize("text", BETA_TEXTS + _beta_corpus(300))
+def test_beta_reader_matches_fraction(text, capsys, monkeypatch):
+    """--beta reads a rational in ints, no Fraction built: an accepted text
+    gives Fraction(text)'s value and prints it alike, and a rejected one the
+    same single usage line and exit 2, as a converter calling Fraction would."""
+    argv = ["jack", "--lambda", "2", "--nvars", "2", "--format", "json", "--beta", text]
+    code, out, err = cli.main(argv), *capsys.readouterr()
+    dest, _, default, help_text = cli.COMMANDS["jack"][2]["--beta"]
+    reference = cli._checked(_reads_as_fraction, '"sym", an integer or p/q')
+    monkeypatch.setitem(cli.COMMANDS["jack"][2], "--beta", (dest, reference, default, help_text))
+    assert (cli.main(argv), *capsys.readouterr()) == (code, out, err)
+    try:
+        expected = _reads_as_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        assert (code, out) == (2, "") and err.startswith("error: ") and len(err.splitlines()) == 1
+        return
+    if code == 0:
+        assert json.loads(out)["beta"] == ("sym" if expected is None else str(expected))
+    if expected is not None:
+        value = cli._rational(text)
+        assert value == expected and str(value) == str(expected)

@@ -1,12 +1,15 @@
 """Property tests of the coefficient field Q(b): the field axioms, the
-uniqueness of the canonical form, the JSON round trip, a differential
+uniqueness of the canonical form, the JSON round trip, str and to_json
+against a renderer of the monic form over Q in Fractions, a differential
 check of +, * and / against sympy and against specialization, and the gcd
 over Z against sympy and against Euclid over Q."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from criteria_helpers import assert_canonical, euclid_gcd, primitive, rational_divmod
 
 pytest.importorskip("hypothesis")
 
@@ -23,7 +26,7 @@ from csjack.fieldring import (  # noqa: E402
     pack_width,
     poly,
     poly_add,
-    poly_divmod,
+    poly_exquo,
     poly_gcd,
     poly_mul,
     unpack,
@@ -36,15 +39,6 @@ FIELD = st.builds(FieldElement, BETA_POLY, NONZERO_POLY)
 NONZERO = st.builds(FieldElement, NONZERO_POLY, NONZERO_POLY)
 RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 SETTINGS = settings(max_examples=80, deadline=None)
-
-
-def assert_canonical(a: FieldElement):
-    assert not a.num or a.num[-1] != 0
-    assert a.den and a.den[-1] == 1
-    if a.num:
-        assert poly_gcd(a.num, a.den) == (Fraction(1),)
-    else:
-        assert a.den == (Fraction(1),)
 
 
 def assert_same(a: FieldElement, b: FieldElement):
@@ -76,12 +70,15 @@ def test_division_axioms(a, b):
 
 
 @SETTINGS
-@given(FIELD, FIELD, NONZERO, NONZERO_POLY)
-def test_canonical_form_is_unique(a, b, c, k):
-    for value in (a + b, a - b, a * b, a / c, c.inverse()):
+@given(FIELD, FIELD, NONZERO, NONZERO_POLY, st.integers(-9, 9).filter(bool))
+def test_canonical_form_is_unique(a, b, c, k, scale):
+    for value in (a, b, c, a + b, a - b, a * b, a / c, c.inverse()):
         assert_canonical(value)
-    # the same quotient written with a common factor in num and den
+    # the same quotient written with a common factor in num and den: a
+    # polynomial, an integer of either sign, or both
     assert_same(FieldElement(poly_mul(a.num, k), poly_mul(a.den, k)), a)
+    assert_same(FieldElement([scale * x for x in a.num], [scale * x for x in a.den]), a)
+    assert_same(FieldElement(poly_mul(a.num, (scale, *k)), poly_mul(a.den, (scale, *k))), a)
     assert_same((a + b) - b, a)
     assert_same((a * c) / c, a)
 
@@ -96,16 +93,18 @@ def test_json_round_trip(a):
 @given(FIELD, FIELD, RATIONAL)
 def test_arithmetic_commutes_with_specialize(a, b, x):
     try:
-        va, vb = a.specialize(x), b.specialize(x)
+        va, vb = a.specialize(x).as_fraction(), b.specialize(x).as_fraction()
     except PoleAtValue:
         assume(False)
-    assert (a + b).specialize(x) == va + vb
-    assert (a - b).specialize(x) == va - vb
-    assert (a * b).specialize(x) == va * vb
+    assert (a + b).specialize(x).as_fraction() == va + vb
+    assert (a - b).specialize(x).as_fraction() == va - vb
+    assert (a * b).specialize(x).as_fraction() == va * vb
     if vb:
-        assert (a / b).specialize(x) == va / vb
+        assert (a / b).specialize(x).as_fraction() == va / vb
     for value in (a, b, a + b, a * b):
-        assert type(value.specialize(x)) is Fraction
+        at_x = value.specialize(x)
+        assert_canonical(at_x)
+        assert at_x.is_constant() and str(at_x) == str(at_x.as_fraction())
         assert "." not in str(value)
 
 
@@ -133,7 +132,8 @@ def test_specialize_is_fraction_horner(num, den, x, pole):
     for value in (x, int(x)) if x.denominator == 1 else (x,):
         if d:
             got = a.specialize(value)
-            assert type(got) is Fraction and got == fraction_horner(a.num, x) / d
+            expected = fraction_horner(a.num, x) / d
+            assert got.is_constant() and got.as_fraction() == expected and str(got) == str(expected)
         else:
             with pytest.raises(PoleAtValue, match=f"^pole at coupling value {x}$"):
                 a.specialize(value)
@@ -147,16 +147,15 @@ def to_sympy(sympy, b, a: FieldElement):
 
 
 def from_sympy(sympy, b, expr) -> tuple:
-    """(num, den) of sympy's cancelled form, den made monic, ascending."""
+    """(num, den) of sympy's cancelled form, ascending, scaled to integer
+    coefficients with joint content 1 and lc(den) > 0."""
     num, den = (
         [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(part, b).all_coeffs())]
         for part in sympy.fraction(sympy.cancel(expr))
     )
-    lc = den[-1]
-    num = [c / lc for c in num]
     while num and num[-1] == 0:
         num.pop()
-    return tuple(num), tuple(c / lc for c in den)
+    return primitive(num, den) if num else ((), (1,))
 
 
 @SETTINGS
@@ -194,13 +193,6 @@ MIXED_POLY = st.lists(st.one_of(st.integers(-9, 9), COEFF), max_size=4).map(
 )
 
 
-def euclid_gcd(a: tuple, b: tuple) -> tuple:
-    """The monic gcd by Euclid over Q: the reference for poly_gcd."""
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return tuple(Fraction(c) / a[-1] for c in a) if a else a
-
-
 def sympy_gcd(sympy, a: tuple, b: tuple) -> tuple:
     """sympy's gcd over QQ made monic, ascending."""
     x = sympy.Symbol("b")
@@ -214,24 +206,36 @@ def sympy_gcd(sympy, a: tuple, b: tuple) -> tuple:
     return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs()))
 
 
+def integral(a: tuple) -> tuple:
+    """a times the least common denominator of its coefficients."""
+    m = math.lcm(*(Fraction(c).denominator for c in a))
+    return tuple(int(c * m) for c in a)
+
+
 @SETTINGS
-@given(MIXED_POLY, MIXED_POLY, MIXED_POLY.filter(any), st.one_of(st.integers(1, 9), COEFF.filter(bool)))
-def test_gcd_over_z(x, y, planted, constant):
+@given(
+    MIXED_POLY, MIXED_POLY, MIXED_POLY.filter(any), st.one_of(st.integers(1, 9), COEFF.filter(bool)), st.integers(-6, 6)
+)
+def test_gcd_over_z(x, y, planted, constant, scale):
     sympy = pytest.importorskip("sympy")
     a, b = poly_mul(x, planted), poly_mul(y, planted)
+    b = tuple(scale * c for c in b) if scale else b
     for u, v in ((a, b), (x, y), (b, a), (a, ()), ((), b), ((), ()), ((constant,), a), (b, (constant,))):
+        u, v = integral(u), integral(v)
         g = poly_gcd(u, v)
-        assert g == euclid_gcd(u, v) == sympy_gcd(sympy, u, v)
-        assert all(type(c) is int for c in g if c.denominator == 1)
+        assert all(type(c) is int for c in g)
         if not (u or v):
-            assert g == ()
+            assert g == () == euclid_gcd(u, v) == sympy_gcd(sympy, u, v)
             continue
-        assert g[-1] == 1
-        (qu, ru), (qv, rv) = poly_divmod(u, g), poly_divmod(v, g)
-        assert ru == () and rv == ()
-        assert poly_gcd(qu, qv) == (1,)
+        # the primitive gcd, lc > 0, of the monic gcd over Q
+        assert (g,) == primitive(euclid_gcd(u, v)) == primitive(sympy_gcd(sympy, u, v))
+        assert g[-1] > 0 and math.gcd(*g) == 1
+        # a primitive divisor divides exactly in Z[b] (Gauss's lemma)
+        qu, qv = poly_exquo(u, g), poly_exquo(v, g)
+        assert poly_mul(qu, g) == u and poly_mul(qv, g) == v
+        assert euclid_gcd(qu, qv) in ((1,), ())
     if a and b:
-        assert poly_divmod(poly_gcd(a, b), poly_gcd(planted, planted))[1] == ()
+        assert rational_divmod(poly_gcd(integral(a), integral(b)), poly_gcd(integral(planted), ()))[1] == ()
 
 
 def _factor_product(multiplicities) -> tuple:
@@ -284,3 +288,45 @@ def test_pooled_sums_match_sympy(a, b):
     x, y = to_sympy(sympy, sym_b, a), to_sympy(sympy, sym_b, b)
     for ours, theirs in ((a + b, x + y), (a - b, x - y)):
         assert (ours.num, ours.den) == from_sympy(sympy, sym_b, theirs)
+
+
+def reference_poly_str(coeffs) -> str:
+    """The printer of the monic form over Q: each coefficient an int or a
+    Fraction, printed by str."""
+    pieces = []
+    for power in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[power]
+        if not c:
+            continue
+        mag = abs(c)
+        body = str(mag) if power == 0 else f"{'' if mag == 1 else f'{mag}*'}b" + (f"^{power}" if power > 1 else "")
+        pieces.append((body if c > 0 else f"-{body}") if not pieces else (f"+ {body}" if c > 0 else f"- {body}"))
+    return " ".join(pieces) or "0"
+
+
+def reference_render(a: FieldElement) -> tuple[str, dict]:
+    """str and to_json of a, rendered from its monic form over Q in
+    Fractions: num/den divided by lc(den), shown with cleared denominators
+    when den is not constant."""
+    lc = a.den[-1]
+    num, den = [Fraction(c, lc) for c in a.num], [Fraction(c, lc) for c in a.den]
+    as_json = {"num": [str(c) for c in num], "den": [str(c) for c in den]}
+    if den == [1]:
+        return reference_poly_str(num), as_json
+    m = math.lcm(*(c.denominator for c in num + den))
+    n, d = [int(c * m) for c in num], [int(c * m) for c in den]
+    text = reference_poly_str(n)
+    if len(n) > 1 or (n and n[0] < 0):
+        text = f"({text})"
+    return f"{text}/({reference_poly_str(d)})", as_json
+
+
+WIDE_COEFF = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+WIDE_POLY = st.lists(st.one_of(st.integers(-30, 30), WIDE_COEFF), max_size=5)
+
+
+@SETTINGS
+@given(WIDE_POLY, WIDE_POLY.filter(any), FIELD, NONZERO)
+def test_str_and_json_print_the_monic_form(num, den, a, b):
+    for value in (FieldElement(num, den), FieldElement(num), a, b, a + b, a * b, a / b, -a, b.inverse()):
+        assert (str(value), value.to_json()) == reference_render(value)

@@ -4,10 +4,10 @@ never floating point."""
 from fractions import Fraction
 
 import pytest
-from criteria_helpers import is_integer_in_inverse_beta
+from criteria_helpers import assert_canonical, is_integer_in_inverse_beta
 
 from csjack import fieldring
-from csjack.errors import DivisionByZero, PoleAtValue
+from csjack.errors import DivisionByZero, NonzeroRemainder, PoleAtValue
 from csjack.fieldring import (
     BETA,
     ONE,
@@ -16,7 +16,7 @@ from csjack.fieldring import (
     field,
     pochhammer,
     poly,
-    poly_divmod,
+    poly_exquo,
     poly_gcd,
     poly_mul,
 )
@@ -28,20 +28,29 @@ def test_poly_helpers():
     assert poly(["1/2", 3]) == (Fraction(1, 2), Fraction(3))
     a = poly([1, 1])
     assert poly_mul(a, a) == poly([1, 2, 1])
-    q, r = poly_divmod(poly([1, 2, 1]), a)
-    assert q == a and r == ()
-    q, r = poly_divmod(poly([1, 0, 1]), a)
-    assert r != ()
+    assert poly_exquo(poly([1, 2, 1]), a) == a
+    with pytest.raises(NonzeroRemainder):
+        poly_exquo(poly([1, 0, 1]), a)
     assert poly_gcd(poly([1, 2, 1]), poly([1, 1])) == poly([1, 1])
 
 
 def test_constructor_canonicalizes():
     assert FieldElement((0, 0)) == ZERO
+    assert (ZERO.num, ZERO.den) == ((), (1,))
     assert FieldElement([2, 2], [2]) == BETA + ONE
-    # gcd cancellation and monic denominator
+    # gcd cancellation, joint content 1 and lc(den) > 0
     x = FieldElement([0, 1, 1], [0, 2])  # b(b+1) / 2b
     assert x == (BETA + ONE) / 2
-    assert x.den == (Fraction(1),)
+    assert (x.num, x.den) == ((1, 1), (2,))
+    y = FieldElement([0, -6], [-4, -2])  # -6b / -(2b + 4)
+    assert (y.num, y.den) == ((0, 3), (2, 1))
+    # one representation and one hash under scaling by +-k and by a polynomial
+    for value in (x, y, BETA, FieldElement([3], [0, 0, 5]), FieldElement(["1/2", "-2/3"], [5, "1/7"])):
+        assert_canonical(value)
+        for factor in ([2], [-3], [-1], [0, 7], [1, 1], [-2, 0, 5], ["2/3"], ["-1/2", 1]):
+            scaled = FieldElement(poly_mul(value.num, poly(factor)), poly_mul(value.den, poly(factor)))
+            assert (scaled.num, scaled.den) == (value.num, value.den)
+            assert scaled == value and hash(scaled) == hash(value)
     with pytest.raises(DivisionByZero):
         FieldElement([1], [])
 
@@ -138,45 +147,61 @@ def test_integer_in_inverse_beta():
 def test_integral_values_are_stored_as_int():
     built = [FieldElement.from_fraction(v) for v in (2, Fraction(2), "2", "4/2")]
     built += [FieldElement([v]) for v in (2, Fraction(2), "2", "4/2")]
+    built += [FieldElement([v], [k]) for v, k in ((4, 2), (-6, -3), (Fraction(8, 3), Fraction(4, 3)))]
     for x in built:
         assert x.num == (2,) and type(x.num[0]) is int
-        assert type(x.den[0]) is int
+        assert x.den == (1,) and type(x.den[0]) is int
         assert x == built[0] and hash(x) == hash(built[0])
         assert str(x) == "2" and x.to_json() == {"num": ["2"], "den": ["1"]}
     assert all(type(c) is int for c in poly([3, "6/3", Fraction(-4)]))
     assert all(type(c) is int for c in (BETA**3).num + FieldElement.beta(-2).den)
-    # an integral Fraction is equal to its int and hashes alike
-    assert FieldElement._raw((Fraction(2),), (1,)) == built[0]
-    assert hash(FieldElement._raw((Fraction(2),), (1,))) == hash(built[0])
-    # making a denominator monic keeps every integral quotient an int
-    for x in (FieldElement([0, 2], [2]), FieldElement([2], [2, 4]).inverse()):
-        assert all(type(c) is int for c in x.num + x.den), x
+    # cancelling a content or a polynomial factor keeps every coefficient an int
+    for x in (FieldElement([0, 2], [2]), FieldElement([2], [2, 4]).inverse(), FieldElement([6], [-4, 4]).inverse()):
+        assert_canonical(x)
     assert FieldElement([0, 2], [2]) == BETA and FieldElement([2], [2, 4]).inverse() == BETA * 2 + 1
+    assert (FieldElement([6], [-4, 4]).inverse().num, FieldElement([6], [-4, 4]).inverse().den) == ((-2, 2), (3,))
     g = poly_gcd((2, 2), (4, 4))
     assert g == (1, 1) and all(type(c) is int for c in g)
+    # the gcd is primitive with a positive leading coefficient, never monic over Q
+    assert poly_gcd((6, -4), (-3, 2)) == (-3, 2) and poly_gcd((0, 4, 6), (0, -2, -3)) == (0, 2, 3)
 
 
 def test_non_integral_coefficients_stay_fractions():
+    # a fraction held exactly as num/den in ints, not as a Fraction
     x = FieldElement.from_fraction("3/2")
-    assert x.num == (Fraction(3, 2),) and type(x.num[0]) is Fraction
+    assert (x.num, x.den) == ((3,), (2,)) and all(type(c) is int for c in x.num + x.den)
+    assert FieldElement([Fraction(-3, 2)], [Fraction(-1, 3)]) == FieldElement([9], [2])
+    assert str(x) == "3/2" and x.to_json() == {"num": ["3/2"], "den": ["1"]}
     assert type(x.as_fraction()) is Fraction and x.as_fraction() == Fraction(3, 2)
     assert type(field(2).as_fraction()) is Fraction and field(2).as_fraction() == 2
-    assert type(ZERO.as_fraction()) is Fraction
-    assert type(field(2).specialize(3)) is Fraction
-    assert type((BETA * 2 + 1).specialize(1)) is Fraction
+    assert type(ZERO.as_fraction()) is Fraction and ZERO.as_fraction() == 0
+    # a specialized value is a constant that prints as its Fraction does
+    for value, at, expected in (
+        (field(2), 3, Fraction(2)),
+        (BETA * 2 + 1, 1, Fraction(3)),
+        ((BETA**2 + 1) / (BETA - 1), Fraction(1, 2), Fraction(-5, 2)),
+        ((BETA**2 + 1) / (BETA * 4 - 1), field(Fraction(-1, 3)), Fraction(-10, 21)),
+        (BETA / 3, 0, Fraction(0)),
+    ):
+        got = value.specialize(at)
+        assert_canonical(got)
+        assert got.is_constant() and got.as_fraction() == expected and str(got) == str(expected)
+    with pytest.raises(TypeError):
+        field(2).specialize(BETA)
 
 
 def test_integer_arithmetic_stays_in_z():
     a, b = BETA * 3 + 2, BETA**2 - BETA * 5 + 7
-    for x in (a + b, a - b, a * b, (a * b) / b, -a):
-        assert all(type(c) is int for c in x.num + x.den)
-    # division by a monic divisor never builds a Fraction
-    q, r = poly_divmod(poly([7, -3, 0, 2]), poly([-1, 1]))
-    assert all(type(c) is int for c in q + r)
-    assert poly_mul(q, poly([-1, 1])) == poly([7 - r[0], -3, 0, 2])
-    # a non-monic divisor still divides exactly over Q
-    q, r = poly_divmod(poly([1, 0, 1]), poly([0, 2]))
-    assert q == (0, Fraction(1, 2)) and r == (1,)
+    c = (BETA * 2 - 3) / (BETA * 4 + 6)
+    for x in (a + b, a - b, a * b, (a * b) / b, -a, a / b, c + a / b, c * c, c - c / 2, c.inverse(), (-c) ** -3):
+        assert_canonical(x)
+    # exact division in Z[b], by monic and by non-monic primitive divisors
+    for q, d in (((7, -3, 0, 2), (-1, 1)), ((1, 0, 1), (0, 2)), ((-5, 4), (3, -2, 6))):
+        assert poly_exquo(poly_mul(q, d), d) == q
+    # a remainder, or a leading coefficient that does not divide, raises
+    for a_, d in (((7, -3, 0, 2), (-1, 1)), ((1, 0, 1), (0, 2)), ((1, 3), (1, 2))):
+        with pytest.raises(NonzeroRemainder):
+            poly_exquo(a_, d)
 
 
 def test_product_skips_gcds_that_cannot_reduce(monkeypatch):

@@ -2,7 +2,8 @@
 resolves, a `jack` request imports only the creation-product layers, a
 verify request only the layers its suite runs, no module imports the
 command line module back, only `convert`, which reads JSON, imports json,
-a request whose arithmetic stays in Z[b] imports no fractions, no request
+no `jack` request imports fractions (the field's arithmetic runs in Z[b]),
+only the functions named in FRACTION_IMPORTERS import it, no request
 imports argparse, and every cached value is read-only."""
 
 import ast
@@ -14,6 +15,7 @@ from types import MappingProxyType
 
 import pytest
 from cli_helper import run_child, run_cli
+from criteria_helpers import PINNED, case_id
 
 import csjack
 from csjack import cli
@@ -305,20 +307,87 @@ def test_requests_without_json_output_load_no_json(argv):
     assert "json" not in loaded
 
 
-# raw and stanley stay in Z[b], and so does monic where lc(c_lam) = 1, as for
-# the benchmark's set-up request jack --lambda 1 --nvars 2
-INTEGRAL_JACK = {
-    "setup": ["jack", "--lambda", "1", "--nvars", "2"],
-    "raw": ["jack", "--lambda", "3,2,1", "--nvars", "4", "--normalization", "raw"],
-    "stanley": ["jack", "--lambda", "3,1", "--nvars", "3", "--normalization", "stanley", "--format", "text"],
+def _jack(lam, nvars, *flags) -> list[str]:
+    return ["jack", "--lambda", ",".join(map(str, lam)), "--nvars", str(nvars), *flags]
+
+
+# every kind of jack request, each with its exit code: the benchmark's set-up
+# request and its pinned cases, symbolic in JSON and at beta = 1 in text;
+# raw, stanley, and monic where lc(c_lam) != 1 (2 for (2,1)/3, 4 for (4,2)/3);
+# each normalization at the benchmark's couplings and at couplings <= 0
+# (stanley at 0 is a pole); a full-length lambda
+JACK_REQUESTS = {
+    "setup": (["jack", "--lambda", "1", "--nvars", "2"], 0),
+    **{f"pinned-{case_id(case)}": (_jack(*case, "--normalization", "monic", "--format", "json"), 0) for case in PINNED},
+    **{
+        f"pinned-beta-{case_id(case)}": (_jack(*case, "--normalization", "monic", "--format", "text", "--beta", "1"), 0)
+        for case in PINNED
+    },
+    "raw": (_jack((3, 2, 1), 4, "--normalization", "raw"), 0),
+    "stanley": (_jack((3, 1), 3, "--normalization", "stanley", "--format", "text"), 0),
+    "monic": (_jack((2, 1), 3), 0),
+    "monic-text": (_jack((4, 2), 3, "--format", "text"), 0),
+    "jack-beta-json": (_jack((2, 1), 3, "--beta", "1/2"), 0),
+    "jack-beta-text": (_jack((3, 1), 3, "--beta", "-2", "--format", "text"), 0),
+    **{
+        f"{normalization}-beta={beta}": (
+            _jack((3, 1), 3, "--normalization", normalization, "--beta", beta),
+            int((normalization, beta) == ("stanley", "0")),
+        )
+        for normalization in ("monic", "stanley", "raw")
+        for beta in ("1/2", "1", "3/2", "2", "0", "-1/2", "-2")
+    },
+    "allow-shift": (_jack((3, 2, 1), 3, "--allow-shift", "--beta", "3/2", "--format", "text"), 0),
 }
 FRACTION_MODULES = {"fractions", "decimal", "numbers"}
 
 
-@pytest.mark.parametrize("argv", INTEGRAL_JACK.values(), ids=INTEGRAL_JACK.keys())
-def test_integral_jack_requests_load_no_fractions_or_json(argv):
-    loaded = _loaded_after(f"from csjack import cli\nassert cli.main({argv!r}) == 0")
+@pytest.mark.parametrize("argv, code", JACK_REQUESTS.values(), ids=JACK_REQUESTS.keys())
+def test_integral_jack_requests_load_no_fractions_or_json(argv, code):
+    loaded = _loaded_after(f"from csjack import cli\nassert cli.main({argv!r}) == {code}")
     assert not (FRACTION_MODULES | {"json"}) & loaded
+
+
+# the only places of src/ that import fractions, (module, function) with
+# None for the module level: the readers of rational input, as_fraction, the
+# spectrum and the verify code that computes in Fractions
+FRACTION_IMPORTERS = {
+    ("cli", "_fraction"),
+    ("fieldring", "_coeff"),
+    ("fieldring", "FieldElement.as_fraction"),
+    ("fieldring", "_as_field"),
+    ("spectrum", None),
+    ("suites", "suite_spectrum_consistency"),
+    ("symbases", None),
+}
+
+
+def _fraction_imports(node, module: str, owner=None):
+    """(module, function) of every import of fractions under node; imports
+    under `if TYPE_CHECKING:` never run and are skipped."""
+    if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+        return
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [node.module] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
+        if "fractions" in names:
+            yield module, owner
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _fraction_imports(child, module, child.name if owner is None else f"{owner}.{child.name}")
+        else:
+            yield from _fraction_imports(child, module, owner)
+
+
+def test_only_the_named_functions_import_fractions():
+    """A module-level import of fractions, or one in a function that a jack
+    request runs, would load it (with decimal and numbers) on requests that
+    never build a Fraction."""
+    found = {
+        hit
+        for path in sorted(Path(csjack.__file__).parent.glob("*.py"))
+        for hit in _fraction_imports(ast.parse(path.read_text()), path.stem)
+    }
+    assert found == FRACTION_IMPORTERS
 
 
 @pytest.mark.parametrize("suite", ["commutators", "annihilation"])
@@ -330,12 +399,8 @@ def test_packed_verify_requests_load_no_fractions(suite):
     assert not FRACTION_MODULES & loaded
 
 
-# requests that build a Fraction: a monic form with lc(c_lam) = 2 and every
-# flag that reads a rational
+# requests that build a Fraction: every spectrum flag that reads a rational
 FRACTION_REQUESTS = {
-    "monic": ["jack", "--lambda", "2,1", "--nvars", "3"],
-    "jack-beta-json": ["jack", "--lambda", "2,1", "--nvars", "3", "--beta", "1/2"],
-    "jack-beta-text": ["jack", "--lambda", "3,1", "--nvars", "3", "--beta", "-2", "--format", "text"],
     "spectrum-text": ["spectrum", "--lambda", "2,1", "--nparticles", "3", "--beta", "2/3", "--q", "1/2"],
     "spectrum-json": ["spectrum", "--all-degree", "2", "--nparticles", "2", "--beta", "3", "--length", "5/2", "--format", "json"],
 }

@@ -114,7 +114,7 @@ def test_integral_pairings_are_the_monic_pairings_times_c(nvars):
             scaled = symbases._integral_pairing(phi_a.m_coordinates(), phi_b.m_coordinates(), degree)
             assert scaled == symbases._integral_power_sums(degree)[0] * integral
             for beta_int in (1, 2):
-                c = c_a.specialize(beta_int) * c_b.specialize(beta_int)
+                c = c_a.specialize(beta_int).as_fraction() * c_b.specialize(beta_int).as_fraction()
                 assert c > 0
                 integral = symbases.circle_inner_product(phi_a, phi_b, beta_int)
                 assert integral == c * symbases.circle_inner_product(j_a, j_b, beta_int)
