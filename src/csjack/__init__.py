@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("AlgebraError",),
     "fieldring": ("BETA", "ONE", "ZERO", "FieldElement", "pochhammer"),
-    "partitions": ("Partition", "dominance_compare", "dominates", "partitions_of"),
+    "partitions": ("Partition", "dominates", "partitions_of"),
     "polyring": ("LaurentPoly", "VarContext", "divide_by_vardiff"),
     "symbases": (
         "BasisExpansion",

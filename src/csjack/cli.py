@@ -3,14 +3,14 @@
 Subcommands: jack (build one polynomial), verify (run property suites),
 spectrum (quasi-momenta and energies), convert (basis conversion of a
 polynomial read from a file or stdin).  Output is byte deterministic for
-fixed inputs.  Exit codes: 0 success, 1 domain error or unreadable input,
-2 usage error (bad flags or flag values), 3 a verification suite reported a
-failure.  A usage error or a domain error prints one `error:` line on
-stderr.  Each handler imports the layers it runs when it runs: fieldring
-and polyring only for jack, convert and the verify suites that build
-polynomials, fractions only in the converters of spectrum's rational flags
-(jack's --beta is read in ints, as the Fraction(text) grammar reads it),
-json only where convert reads its payload: _json writes all JSON output.  The spectrum and convert modules build their payloads and never
+fixed inputs.  Exit codes: 0 success, 1 domain error, unreadable input or
+a number too long to print, 2 usage error (bad flags or flag values), 3 a
+verification suite reported a failure.  A usage error or a domain error
+prints one `error:` line on stderr.  Each handler imports the layers it
+runs when it runs: fieldring and polyring only for jack, convert and the
+verify suites that build polynomials, fractions only in the converters of
+spectrum's rational flags (jack's --beta is read in ints, as the
+Fraction(text) grammar reads it), json only where convert reads its payload: _json writes all JSON output.  The spectrum and convert modules build their payloads and never
 import cli, which `python -m csjack.cli` would compile a second time.
 
 The command line is read from one table, COMMANDS: each command's flags,
@@ -39,7 +39,7 @@ import gc
 import sys
 from types import SimpleNamespace
 
-from .errors import AlgebraError, TooManyParts
+from .errors import TooManyParts
 from .partitions import Partition
 
 
@@ -144,7 +144,7 @@ def cmd_jack(args) -> int:
     if len(lam) == ctx.nvars and not args.allow_shift:
         raise TooManyParts(
             f"l(lambda) = {len(lam)} requires l(lambda) <= N-1 = {ctx.nvars - 1} "
-            "(pass --allow-shift for the boost reduction)"
+            "(pass --allow-shift to accept l(lambda) = N)"
         )
     from . import rodrigues
 
@@ -467,7 +467,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return handler(args)
-    except (AlgebraError, OSError) as exc:
+    # AlgebraError is a ValueError, as is an int past the int-to-str digit limit
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -33,10 +33,6 @@ class WeightMismatch(AlgebraError):
     pass
 
 
-class LengthTooSmall(AlgebraError):
-    pass
-
-
 class TooManyParts(AlgebraError):
     pass
 

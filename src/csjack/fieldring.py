@@ -258,11 +258,6 @@ class FieldElement:
         return fe
 
     @classmethod
-    def from_fraction(cls, value) -> "FieldElement":
-        value = _coeff(value)
-        return cls._raw((value.numerator,), (value.denominator,)) if value else ZERO
-
-    @classmethod
     def beta(cls, power: int = 1) -> "FieldElement":
         """The coupling raised to an integer power (negative allowed)."""
         if power >= 0:
@@ -439,11 +434,13 @@ class FieldElement:
 def _as_field(x) -> "FieldElement":
     if isinstance(x, FieldElement):
         return x
-    if isinstance(x, int):
-        return FieldElement.from_fraction(x)
-    from fractions import Fraction
+    if not isinstance(x, int):
+        from fractions import Fraction
 
-    return FieldElement.from_fraction(x) if isinstance(x, Fraction) else NotImplemented
+        if not isinstance(x, Fraction):
+            return NotImplemented
+    x = _coeff(x)
+    return FieldElement._raw((x.numerator,), (x.denominator,)) if x else ZERO
 
 
 ZERO = FieldElement._raw(_PZERO, _PONE)

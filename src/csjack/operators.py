@@ -32,7 +32,7 @@ from .errors import (
     NotSymmetric,
 )
 from .fieldring import BETA, field
-from .polyring import LaurentPoly, _check_var, divide_by_vardiff, galilei_boost
+from .polyring import LaurentPoly, _check_var, divide_by_vardiff
 
 
 def _check_ordinary(p: LaurentPoly):
@@ -109,7 +109,7 @@ def apply_B_plus(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
 
     Sum over i-element subsets J' of J of z_{J'} D-strings started at shift 1.
     The full-cardinality case i = N degenerates to multiplication by
-    z_1 ... z_N (the boost).
+    z_1 ... z_N (the boost): J is then all of 1..N.
     """
     nvars = p.ctx.nvars
     J = _check_index_set(J, nvars)
@@ -118,7 +118,7 @@ def apply_B_plus(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     if i > len(J):
         raise BadCardinality(f"cardinality {i} exceeds |J| = {len(J)}")
     if i == nvars:
-        return galilei_boost(p)
+        return _times_z(p, J)
     subsets = itertools.combinations(J, i)
     terms = (_times_z(apply_D_string(1, s, p, beta), s) for s in subsets)
     return LaurentPoly.sum(p.ctx, terms)

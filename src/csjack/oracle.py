@@ -27,7 +27,7 @@ import itertools
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .errors import DegenerateLeadingTerm, DegreeExceedsVariables, InconsistentSystem, TooManyParts
+from .errors import DegenerateLeadingTerm, DegreeExceedsVariables, InconsistentSystem
 from .fieldring import ONE, ZERO, FieldElement
 from .partitions import Partition, dominates, partitions_of
 from .polyring import LaurentPoly, VarContext, from_m_coordinates
@@ -69,9 +69,8 @@ def triangular_system(degree: int, ctx: VarContext) -> tuple:
 
 
 def _triangular_rows(lam: Partition, ctx: VarContext) -> tuple[Mapping, list[Partition]]:
-    """(H matrix of lam's degree, the dominance down-set of lam, lam first)."""
-    if len(lam) > ctx.nvars:
-        raise TooManyParts(f"l({lam}) = {len(lam)} > {ctx.nvars}")
+    """(H matrix of lam's degree, the dominance down-set of lam, lam first);
+    the callers check l(lam) <= N first, in eigenvalue_epsilon."""
     basis, matrix = triangular_system(lam.weight, ctx)
     return matrix, [mu for mu in basis if dominates(lam, mu)]
 
@@ -89,8 +88,8 @@ def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
     """Monic Jack polynomial by back-substitution of (H - eps(lam)) phi = 0
     over the dominance down-set of lam."""
     lam = Partition(lam)
-    matrix, down = _triangular_rows(lam, ctx)
     eps = eigenvalue_epsilon(lam, ctx.nvars)
+    matrix, down = _triangular_rows(lam, ctx)
     coeffs: dict[Partition, FieldElement] = {lam: ONE}
     for mu in down[1:]:
         # eps(lam) - eps(mu) has b-coefficient 2(n(mu) - n(lam)) > 0 (Macdonald I (1.11))
@@ -122,8 +121,8 @@ def is_triangular_solution(coords, c: FieldElement, lam: Partition, ctx: VarCont
     eps(lam) coords[mu] on it (H m_nu reaches only mu below nu, so the other
     equations hold).  No division; unique as suite_rodrigues_vs_oracle says."""
     lam = Partition(lam)
-    matrix, down = _triangular_rows(lam, ctx)
     eps = eigenvalue_epsilon(lam, ctx.nvars)
+    matrix, down = _triangular_rows(lam, ctx)
     return (
         coords.get(lam) == c
         and set(coords) <= set(down)
@@ -168,8 +167,6 @@ def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
 
     lam = Partition(lam)
     n = ctx.nvars
-    if len(lam) > n:
-        raise TooManyParts(f"l({lam}) = {len(lam)} > {n}")
     if lam.weight == 0:
         return LaurentPoly.one(ctx)
     padded = lam.pad(n)

@@ -1,5 +1,8 @@
 """Integer partitions, the dominance order, and small combinatorial factors.
 
+Each question about a partition has one answer here: Partition.pad is the
+one check that l(lam) <= N, and dominates the one dominance test.
+
 Record, the one base of the package's frozen value classes (Partition, a
 tuple, aside), lives here because every request loads this module, so the
 spectrum records and the verify results derive from it without loading
@@ -8,13 +11,12 @@ polyring."""
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import (
-    LengthTooSmall,
     NegativePart,
     NotWeaklyDecreasing,
+    TooManyParts,
     WeightMismatch,
     checked_type,
 )
@@ -82,15 +84,12 @@ class Partition(tuple):
     def weight(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
-    def pad(self, length: int) -> tuple[int, ...]:
-        """Exponent vector of the given length, zero filled on the right."""
-        if length < len(self):
-            raise LengthTooSmall(f"cannot pad {self} to length {length}")
-        return tuple(self) + (0,) * (length - len(self))
+    def pad(self, nvars: int) -> tuple[int, ...]:
+        """Exponent vector in nvars variables, zero filled on the right: the
+        one check that l(self) <= nvars."""
+        if nvars < len(self):
+            raise TooManyParts(f"l({self}) = {len(self)} > {nvars} variables")
+        return tuple(self) + (0,) * (nvars - len(self))
 
     def multiplicities(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -99,49 +98,22 @@ class Partition(tuple):
         return out
 
 
-class Dominance(Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-def dominance_compare(mu: Partition, lam: Partition) -> Dominance:
-    """Compare two partitions of the same weight in the dominance order.
-
-    Returns how `mu` relates to `lam` (LESS means every prefix sum of mu is at
-    most the matching prefix sum of lam, with the partitions distinct).
-    """
-    mu = Partition(mu)
+def dominates(lam: Partition, mu: Partition) -> bool:
+    """True when lam is greater than or equal to mu in the dominance order:
+    each prefix sum of lam is at least the matching one of mu."""
     lam = Partition(lam)
+    mu = Partition(mu)
     if mu.weight != lam.weight:
         raise WeightMismatch(f"|{mu}| = {mu.weight} != {lam.weight} = |{lam}|")
-    if mu == lam:
-        return Dominance.EQUAL
-    n = max(len(mu), len(lam))
-    mp = mu.pad(n)
-    lp = lam.pad(n)
-    le = True
-    ge = True
-    sm = 0
-    sl = 0
-    for a, b in zip(mp, lp):
-        sm += a
-        sl += b
-        if sm > sl:
-            le = False
-        if sm < sl:
-            ge = False
-    if le:
-        return Dominance.LESS
-    if ge:
-        return Dominance.GREATER
-    return Dominance.INCOMPARABLE
-
-
-def dominates(lam: Partition, mu: Partition) -> bool:
-    """True when lam is greater than or equal to mu in dominance."""
-    return dominance_compare(mu, lam) in (Dominance.LESS, Dominance.EQUAL)
+    # past the shorter partition one prefix sum is the weight: a longer lam
+    # dominates there, and a longer mu fails by its last part
+    sl = sm = 0
+    for a, b in zip(lam, mu):
+        sl += a
+        sm += b
+        if sl < sm:
+            return False
+    return True
 
 
 def z_factor(lam: Partition) -> int:

@@ -7,7 +7,8 @@ allowed) to nonzero FieldElement coefficients; the ring operations, moves
 and derivatives also run on plain int coefficients, which only _raw builds.
 Sums merge through _merge, scalings go through scale (one field product per
 distinct coefficient), m_coordinates lists the m-basis coordinates, and
-from_m_coordinates, the one full-orbit builder, goes back.
+from_m_coordinates, the one full-orbit builder, goes back (Partition.pad
+checks that each mu fits in N variables).
 divide_by_vardiff, the one exact division by z_i - z_j, divides line by
 line on partial sums of coefficients.
 Polynomials are immutable by convention: every operation returns a fresh
@@ -23,7 +24,6 @@ from .errors import (
     ContextMismatch,
     IndexOutOfRange,
     NonzeroRemainder,
-    TooManyParts,
     checked_type,
 )
 from .fieldring import ONE, ZERO, FieldElement
@@ -342,24 +342,17 @@ def from_m_coordinates(coords, ctx: VarContext) -> LaurentPoly:
     once and nothing merges."""
     terms = {}
     for mu, c in coords.items():
-        if len(mu) > ctx.nvars:
-            raise TooManyParts(f"l({mu}) = {len(mu)} > {ctx.nvars} variables")
+        zeros = Partition(mu).pad(ctx.nvars)[len(mu) :]
         c = fieldring.field(c)
         if c:
             # insert the parts one at a time into every slot, so the cost
             # follows the size of the orbit, not N!
-            orbit = {(0,) * (ctx.nvars - len(mu))}
+            orbit = {zeros}
             for part in mu:
                 orbit = {e[:k] + (part,) + e[k:] for e in orbit for k in range(len(e) + 1)}
             for e in orbit:
                 terms[e] = c
     return LaurentPoly._raw(ctx, terms)
-
-
-def galilei_boost(p: LaurentPoly, power: int = 1) -> LaurentPoly:
-    """Multiply by (z_1 ... z_N)^power: a uniform exponent shift."""
-    out = {tuple(x + power for x in e): c for e, c in p.terms.items()}
-    return LaurentPoly._raw(p.ctx, out)
 
 
 def divide_by_vardiff(p: LaurentPoly, i: int, j: int) -> LaurentPoly:

@@ -17,7 +17,6 @@ import itertools
 import math
 from types import MappingProxyType
 
-from .errors import TooManyParts
 from .fieldring import BETA, ONE, FieldElement, pack_width, pochhammer, unpack
 from .partitions import Partition
 from .polyring import LaurentPoly, VarContext, from_m_coordinates
@@ -127,9 +126,10 @@ def _phi(ctx: VarContext, parts: tuple[int, ...]) -> MappingProxyType:
     synthetic division by the monic z_i - z_j, shifts (1+pos) b), so it
     commutes with b -> 2^B.  Step B_k+ adds at most k to the b-degree, so a
     coefficient has at most |parts| + 1 digits, unique by _digit_width.  The
-    steps of cardinality N are B_N+ = z_1 ... z_N: they add parts[-1] to mu.
+    steps of cardinality N are B_N+ = z_1 ... z_N: they add lam_N, the last
+    entry of parts padded to N variables, to mu.
     """
-    shift = parts[-1] if len(parts) == ctx.nvars else 0
+    shift = Partition(parts).pad(ctx.nvars)[-1]
     steps = [k for k in _creation_steps(parts) if k < ctx.nvars]
     width = _digit_width(ctx.nvars, steps)
     coords = {(0,) * ctx.nvars: 1}
@@ -140,17 +140,9 @@ def _phi(ctx: VarContext, parts: tuple[int, ...]) -> MappingProxyType:
     )
 
 
-def _creation_partition(lam: Partition, nvars: int) -> Partition:
-    """lam as a Partition, checked to have at most nvars parts."""
-    lam = Partition(lam)
-    if len(lam) > nvars:
-        raise TooManyParts(f"l({lam}) = {len(lam)} > {nvars} variables")
-    return lam
-
-
 def rodrigues_raw(lam: Partition, ctx: VarContext) -> LaurentPoly:
     """Unnormalized eigenfunction phi_lam; needs l(lam) <= nvars."""
-    return from_m_coordinates(_phi(ctx, tuple(_creation_partition(lam, ctx.nvars))), ctx)
+    return from_m_coordinates(_phi(ctx, Partition(lam)), ctx)
 
 
 def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:
@@ -159,9 +151,8 @@ def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:
     Product over cardinalities k of rising factorials
     (m b + lam_{k+1-m} - lam_k)_{lam_k - lam_{k+1}} for m = 1..k.
     """
-    lam = _creation_partition(lam, ctx.nvars)
     n = ctx.nvars
-    padded = lam.pad(n)
+    padded = Partition(lam).pad(n)
     out = ONE
     for k in range(1, n):
         steps = padded[k - 1] - padded[k]
@@ -175,9 +166,9 @@ def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:
 
 def eigenvalue_epsilon(lam: Partition, nvars: int) -> FieldElement:
     """Hamiltonian eigenvalue: sum of lam_j^2 + b (N + 1 - 2j) lam_j."""
-    lam = _creation_partition(lam, nvars)
-    const = sum(x * x for x in lam)
-    linear = sum((nvars + 1 - 2 * j) * x for j, x in enumerate(lam, start=1))
+    padded = Partition(lam).pad(nvars)
+    const = sum(x * x for x in padded)
+    linear = sum((nvars + 1 - 2 * j) * x for j, x in enumerate(padded, start=1))
     return FieldElement((const, linear))
 
 
@@ -250,6 +241,6 @@ def jack(lam: Partition, ctx: VarContext, normalization: str = "monic") -> JackR
     full-length lam, else 0, and c = c_lam = c_{lam - (lam_N^N)}."""
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    lam = _creation_partition(lam, ctx.nvars)
-    shift = lam[-1] if len(lam) == ctx.nvars else 0
+    lam = Partition(lam)
+    shift = lam.pad(ctx.nvars)[-1]
     return JackResult(lam, ctx, normalization, rodrigues_raw(lam, ctx), c_coefficient(lam, ctx), shift=shift)

@@ -49,8 +49,6 @@ def _numerators(lam: Partition, params: ModelParams) -> tuple[list[int], int]:
     denominator 2 den(b) den(q), and that denominator."""
     lam = Partition(lam)
     n = params.nparticles
-    if len(lam) > n:
-        raise TooManyParts(f"l({lam}) = {len(lam)} > {n} particles")
     beta, q = params.beta, params.q
     den = 2 * beta.denominator * q.denominator
     # den * b / 2 and den * q, both integers

@@ -42,7 +42,6 @@ from .errors import (
     NonIntegerBeta,
     NotHomogeneous,
     NotSymmetric,
-    TooManyParts,
     checked_type,
 )
 from .fieldring import ONE, ZERO, FieldElement
@@ -362,8 +361,6 @@ def schur(lam: Partition, ctx: VarContext) -> LaurentPoly:
     variable pair."""
     lam = Partition(lam)
     n = ctx.nvars
-    if len(lam) > n:
-        raise TooManyParts(f"l({lam}) = {len(lam)} > {n} variables")
     padded = lam.pad(n)
     delta = tuple(padded[j] + n - 1 - j for j in range(n))
     terms = {}

@@ -569,7 +569,27 @@ BAD_INPUT = {
         None,
         1,
     ),
+    # values whose printed form passes Python's int-to-str digit limit
+    "jack-text-beta-too-long-to-print": (
+        ("jack", "--lambda", "2,1", "--nvars", "3", "--beta", "1e5000", "--format", "text"),
+        None,
+        1,
+    ),
+    "jack-json-beta-too-long-to-print": (("jack", "--lambda", "1", "--nvars", "2", "--beta", "1e5000"), None, 1),
+    "spectrum-beta-too-long-to-print": (("spectrum", "--nparticles", "2", "--beta", "1e5000"), None, 1),
+    "spectrum-q-too-long-to-print": (("spectrum", "--nparticles", "2", "--beta", "1", "--q", "1e5000"), None, 1),
+    "spectrum-length-too-long-to-print": (
+        ("spectrum", "--nparticles", "2", "--beta", "1", "--length", "1e5000"),
+        None,
+        1,
+    ),
 }
+
+
+def test_a_huge_beta_that_is_never_printed_is_accepted():
+    r = run_cli("jack", "--lambda", "0", "--nvars", "2", "--beta", "1e5000", "--format", "text")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[1] == "c = 1"
 
 
 # sizes whose first allocation fails at once, before anything is built

@@ -145,7 +145,7 @@ def test_integer_in_inverse_beta():
 
 
 def test_integral_values_are_stored_as_int():
-    built = [FieldElement.from_fraction(v) for v in (2, Fraction(2), "2", "4/2")]
+    built = [field(v) for v in (2, Fraction(2))]
     built += [FieldElement([v]) for v in (2, Fraction(2), "2", "4/2")]
     built += [FieldElement([v], [k]) for v, k in ((4, 2), (-6, -3), (Fraction(8, 3), Fraction(4, 3)))]
     for x in built:
@@ -168,7 +168,8 @@ def test_integral_values_are_stored_as_int():
 
 def test_non_integral_coefficients_stay_fractions():
     # a fraction held exactly as num/den in ints, not as a Fraction
-    x = FieldElement.from_fraction("3/2")
+    x = field(Fraction(3, 2))
+    assert x == FieldElement(["3/2"])
     assert (x.num, x.den) == ((3,), (2,)) and all(type(c) is int for c in x.num + x.den)
     assert FieldElement([Fraction(-3, 2)], [Fraction(-1, 3)]) == FieldElement([9], [2])
     assert str(x) == "3/2" and x.to_json() == {"num": ["3/2"], "den": ["1"]}

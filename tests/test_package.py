@@ -3,8 +3,9 @@ resolves, a `jack` request imports only the creation-product layers, a
 verify request only the layers its suite runs, no module imports the
 command line module back, only `convert`, which reads JSON, imports json,
 no `jack` request imports fractions (the field's arithmetic runs in Z[b]),
-only the functions named in FRACTION_IMPORTERS import it, no request
-imports argparse, and every cached value is read-only."""
+only the functions named in FRACTION_IMPORTERS import it, only those in
+TOO_MANY_PARTS_RAISERS raise TooManyParts, no request imports argparse,
+and every cached value is read-only."""
 
 import ast
 import importlib
@@ -362,32 +363,63 @@ FRACTION_IMPORTERS = {
 }
 
 
-def _fraction_imports(node, module: str, owner=None):
-    """(module, function) of every import of fractions under node; imports
-    under `if TYPE_CHECKING:` never run and are skipped."""
+def _owners(is_hit, node, module: str, owner=None):
+    """(module, function) of every node under node that is_hit accepts;
+    code under `if TYPE_CHECKING:` never runs and is skipped."""
     if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
         return
-    if isinstance(node, (ast.Import, ast.ImportFrom)):
-        names = [node.module] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
-        if "fractions" in names:
-            yield module, owner
+    if is_hit(node):
+        yield module, owner
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield from _fraction_imports(child, module, child.name if owner is None else f"{owner}.{child.name}")
+            yield from _owners(is_hit, child, module, child.name if owner is None else f"{owner}.{child.name}")
         else:
-            yield from _fraction_imports(child, module, owner)
+            yield from _owners(is_hit, child, module, owner)
+
+
+def _found_in_src(is_hit) -> set:
+    return {
+        hit
+        for path in sorted(Path(csjack.__file__).parent.glob("*.py"))
+        for hit in _owners(is_hit, ast.parse(path.read_text()), path.stem)
+    }
+
+
+def _imports_fractions(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "fractions"
+    return isinstance(node, ast.Import) and "fractions" in [alias.name for alias in node.names]
 
 
 def test_only_the_named_functions_import_fractions():
     """A module-level import of fractions, or one in a function that a jack
     request runs, would load it (with decimal and numbers) on requests that
     never build a Fraction."""
-    found = {
-        hit
-        for path in sorted(Path(csjack.__file__).parent.glob("*.py"))
-        for hit in _fraction_imports(ast.parse(path.read_text()), path.stem)
-    }
-    assert found == FRACTION_IMPORTERS
+    assert _found_in_src(_imports_fractions) == FRACTION_IMPORTERS
+
+
+# the only places of src/ that raise TooManyParts: Partition.pad, the one
+# check of l(lambda) <= N, and three other facts: jack's l(lambda) = N
+# refusal, N >= 1, and the descriptor's l(lambda) <= N - 1
+TOO_MANY_PARTS_RAISERS = {
+    ("partitions", "Partition.pad"),
+    ("cli", "cmd_jack"),
+    ("spectrum", "ModelParams.__init__"),
+    ("spectrum", "wavefunction_descriptor"),
+}
+
+
+def _raises_too_many_parts(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return ast.unparse(exc).rsplit(".", 1)[-1] == "TooManyParts"
+
+
+def test_only_pad_checks_that_a_partition_fits():
+    """A hand-written l(lambda) <= N check elsewhere would be a second answer
+    to the question pad answers, free to drift from its message."""
+    assert _found_in_src(_raises_too_many_parts) == TOO_MANY_PARTS_RAISERS
 
 
 @pytest.mark.parametrize("suite", ["commutators", "annihilation"])

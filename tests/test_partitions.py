@@ -1,29 +1,51 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
+from csjack import oracle, rodrigues
 from csjack.errors import (
-    LengthTooSmall,
     NegativePart,
     NotWeaklyDecreasing,
+    TooManyParts,
     WeightMismatch,
 )
+from csjack.fieldring import ONE
 from csjack.partitions import (
-    Dominance,
     Partition,
-    dominance_compare,
     dominates,
     partitions_of,
     z_factor,
 )
+from csjack.polyring import VarContext, from_m_coordinates
+from csjack.spectrum import ModelParams, quasi_momenta
+from csjack.symbases import schur
+
+LAM, CTX2 = Partition((1, 1, 1)), VarContext(2)
+# every entry point that needs l(lam) <= N, at l(lam) = 3 > N = 2
+TOO_LONG = {
+    "jack": lambda: rodrigues.jack(LAM, CTX2),
+    "rodrigues_raw": lambda: rodrigues.rodrigues_raw(LAM, CTX2),
+    "c_coefficient": lambda: rodrigues.c_coefficient(LAM, CTX2),
+    "eigenvalue_epsilon": lambda: rodrigues.eigenvalue_epsilon(LAM, 2),
+    "jack_by_triangular_H": lambda: oracle.jack_by_triangular_H(LAM, CTX2),
+    "is_triangular_solution": lambda: oracle.is_triangular_solution({LAM: ONE}, ONE, LAM, CTX2),
+    "nonsym_eigenfunction": lambda: oracle.nonsym_eigenfunction(LAM, CTX2),
+    "schur": lambda: schur(LAM, CTX2),
+    "from_m_coordinates": lambda: from_m_coordinates({LAM: 1}, CTX2),
+    "quasi_momenta": lambda: quasi_momenta(LAM, ModelParams(2, Fraction(1))),
+    "pad": lambda: LAM.pad(2),
+}
 
 
 def test_construction():
     assert Partition((3, 1)) == (3, 1)
     assert Partition([4, 4, 2, 1]).weight == 11
     assert Partition(()).weight == 0
-    assert Partition(()).length == 0
+    assert len(Partition(())) == 0
     # trailing zeros are stripped, interior zeros are not a thing
     assert Partition((3, 1, 0, 0)) == (3, 1)
-    assert Partition((3, 1, 0)).length == 2
+    assert len(Partition((3, 1, 0))) == 2
 
 
 def test_construction_rejects():
@@ -53,8 +75,16 @@ def test_construction_rejects_non_int_parts():
 def test_pad():
     assert Partition((2, 1)).pad(4) == (2, 1, 0, 0)
     assert Partition((2, 1)).pad(2) == (2, 1)
-    with pytest.raises(LengthTooSmall):
+    with pytest.raises(TooManyParts, match=r"^l\(\(2, 1\)\) = 2 > 1 variables$"):
         Partition((2, 1)).pad(1)
+
+
+@pytest.mark.parametrize("build", TOO_LONG.values(), ids=TOO_LONG.keys())
+def test_one_fact_one_message(build):
+    """Every layer asks pad whether lam fits in N variables, so each says so
+    in the same words."""
+    with pytest.raises(TooManyParts, match=r"^l\(\(1, 1, 1\)\) = 3 > 2 variables$"):
+        build()
 
 
 def test_multiplicities():
@@ -65,9 +95,7 @@ def test_multiplicities():
 def test_dominance_basics():
     lam = Partition((3, 1))
     mu = Partition((2, 2))
-    assert dominance_compare(mu, lam) is Dominance.LESS
-    assert dominance_compare(lam, mu) is Dominance.GREATER
-    assert dominance_compare(lam, lam) is Dominance.EQUAL
+    # mu is below lam: one direction only; lam against itself: both
     assert dominates(lam, mu)
     assert not dominates(mu, lam)
     assert dominates(lam, lam)
@@ -77,14 +105,30 @@ def test_dominance_incomparable():
     # classic pair at weight 6
     a = Partition((3, 1, 1, 1))
     b = Partition((2, 2, 2))
-    assert dominance_compare(a, b) is Dominance.INCOMPARABLE
     assert not dominates(a, b)
     assert not dominates(b, a)
 
 
 def test_dominance_weight_mismatch():
     with pytest.raises(WeightMismatch):
-        dominance_compare(Partition((2,)), Partition((2, 1)))
+        dominates(Partition((2,)), Partition((2, 1)))
+    with pytest.raises(WeightMismatch):
+        dominates(Partition((2, 1)), Partition((2,)))
+
+
+def _dominates_by_definition(lam, mu) -> bool:
+    n = max(len(lam), len(mu))
+    lam, mu = tuple(lam) + (0,) * (n - len(lam)), tuple(mu) + (0,) * (n - len(mu))
+    return all(sum(lam[:k]) >= sum(mu[:k]) for k in range(1, n + 1))
+
+
+def test_dominates_matches_its_definition():
+    """Every ordered pair of partitions of n <= 8 against prefix sums of the
+    padded tuples; dominance is antisymmetric."""
+    for n in range(9):
+        for lam, mu in itertools.product(partitions_of(n), repeat=2):
+            assert dominates(lam, mu) == _dominates_by_definition(lam, mu), (lam, mu)
+            assert (dominates(lam, mu) and dominates(mu, lam)) == (lam == mu), (lam, mu)
 
 
 def test_partitions_of_order():

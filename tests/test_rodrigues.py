@@ -8,7 +8,7 @@ from csjack.errors import TooManyParts
 from csjack.fieldring import BETA, ONE, ZERO, FieldElement
 from csjack.operators import apply_H
 from csjack.partitions import Partition, partitions_of
-from csjack.polyring import LaurentPoly, VarContext, galilei_boost
+from csjack.polyring import LaurentPoly, VarContext
 from csjack.rodrigues import (
     NORMALIZATIONS,
     JackResult,
@@ -189,19 +189,11 @@ def test_full_length_ends_with_the_boost(packed_cardinalities):
     for lam, nvars in FULL_LENGTH:
         ctx, shift = VarContext(nvars), lam[-1]
         reduced = Partition(x - shift for x in lam)
-        assert rodrigues_raw(lam, ctx) == galilei_boost(rodrigues_raw(reduced, ctx), shift)
+        boost = LaurentPoly.monomial(ctx, (shift,) * nvars)
+        assert rodrigues_raw(lam, ctx) == boost * rodrigues_raw(reduced, ctx)
         assert c_coefficient(lam, ctx) == c_coefficient(reduced, ctx)
     assert packed_cardinalities
     assert all(nvars not in ks for nvars, ks in packed_cardinalities)
-
-
-def test_galilei_boost():
-    p = monomial_sym(Partition((1,)), CTX2)
-    assert galilei_boost(p) == LaurentPoly.monomial(CTX2, (2, 1)) + LaurentPoly.monomial(
-        CTX2, (1, 2)
-    )
-    assert galilei_boost(p, 0) == p
-    assert galilei_boost(galilei_boost(p, 2), -2) == p
 
 
 def test_json_shape():
