@@ -301,16 +301,10 @@ class FieldElement:
         return FieldElement._raw(poly_neg(self.num), self.den)
 
     def __sub__(self, other) -> "FieldElement":
-        other = _as_field(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.__add__(other.__neg__())
+        return self + -other
 
     def __rsub__(self, other) -> "FieldElement":
-        other = _as_field(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__sub__(self)
+        return -self + other
 
     def __mul__(self, other) -> "FieldElement":
         other = _as_field(other)
@@ -346,13 +340,10 @@ class FieldElement:
         other = _as_field(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.__mul__(other.inverse())
+        return self * other.inverse()
 
     def __rtruediv__(self, other) -> "FieldElement":
-        other = _as_field(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__mul__(self.inverse())
+        return self.inverse() * other
 
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:

@@ -68,11 +68,12 @@ def triangular_system(degree: int, ctx: VarContext) -> tuple:
     return tuple(basis), MappingProxyType(matrix)
 
 
-def _triangular_rows(lam: Partition, ctx: VarContext) -> tuple[Mapping, list[Partition]]:
-    """(H matrix of lam's degree, the dominance down-set of lam, lam first);
-    the callers check l(lam) <= N first, in eigenvalue_epsilon."""
+def _triangular_rows(lam: Partition, ctx: VarContext) -> tuple[FieldElement, Mapping, list[Partition]]:
+    """(eps(lam), H matrix of lam's degree, the dominance down-set of lam,
+    lam first); eigenvalue_epsilon checks l(lam) <= N first."""
+    eps = eigenvalue_epsilon(lam, ctx.nvars)
     basis, matrix = triangular_system(lam.weight, ctx)
-    return matrix, [mu for mu in basis if dominates(lam, mu)]
+    return eps, matrix, [mu for mu in basis if dominates(lam, mu)]
 
 
 def _pairing_rows(lam: Partition, ctx: VarContext) -> tuple[Mapping, list[Partition]]:
@@ -88,8 +89,7 @@ def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
     """Monic Jack polynomial by back-substitution of (H - eps(lam)) phi = 0
     over the dominance down-set of lam."""
     lam = Partition(lam)
-    eps = eigenvalue_epsilon(lam, ctx.nvars)
-    matrix, down = _triangular_rows(lam, ctx)
+    eps, matrix, down = _triangular_rows(lam, ctx)
     coeffs: dict[Partition, FieldElement] = {lam: ONE}
     for mu in down[1:]:
         # eps(lam) - eps(mu) has b-coefficient 2(n(mu) - n(lam)) > 0 (Macdonald I (1.11))
@@ -121,8 +121,7 @@ def is_triangular_solution(coords, c: FieldElement, lam: Partition, ctx: VarCont
     eps(lam) coords[mu] on it (H m_nu reaches only mu below nu, so the other
     equations hold).  No division; unique as suite_rodrigues_vs_oracle says."""
     lam = Partition(lam)
-    eps = eigenvalue_epsilon(lam, ctx.nvars)
-    matrix, down = _triangular_rows(lam, ctx)
+    eps, matrix, down = _triangular_rows(lam, ctx)
     return (
         coords.get(lam) == c
         and set(coords) <= set(down)
@@ -175,46 +174,26 @@ def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
             f"padded parts of {lam} are not strictly decreasing in {n} variables"
         )
 
-    # deterministic closure of the leading monomial under the family
-    images: dict[tuple, list[LaurentPoly]] = {}
-    order: list[tuple] = []
-    queue = [padded]
-    seen = {padded}
-    while queue:
-        e = queue.pop(0)
-        order.append(e)
-        row = []
-        for i in range(1, n + 1):
-            img = apply_hatD(i, LaurentPoly.monomial(ctx, e))
-            row.append(img)
+    # one system over the closure of z^lam under the family, walked breadth
+    # first with each image's terms descending: the row "coefficient of z^lam
+    # is 1" (the pivot of column 0), then per i a row per monomial of
+    # (hatD_i - delta_i) chi = 0
+    deltas = nonsym_eigenvalues(lam, ctx)
+    order, seen = [padded], {padded}
+    residuals: list[dict[tuple, dict[int, FieldElement]]] = [{} for _ in range(n)]
+    for t, e in enumerate(order):
+        for i, residual in enumerate(residuals):
+            img = apply_hatD(i + 1, LaurentPoly.monomial(ctx, e))
             for new in sorted(img.terms, reverse=True):
                 if new not in seen:
                     seen.add(new)
-                    queue.append(new)
-        images[e] = row
-
-    deltas = nonsym_eigenvalues(lam, ctx)
-    cols = [e for e in order if e != padded]
-    col_index = {e: t for t, e in enumerate(cols)}
-
-    rows: list[tuple[dict[int, FieldElement], FieldElement]] = []
-    for i in range(n):
-        # residual of (hatD_i - delta_i) on the ansatz, row per monomial
-        residual_rows: dict[tuple, dict[int, FieldElement]] = {}
-        rhs_terms = (images[padded][i] - LaurentPoly.monomial(ctx, padded, deltas[i])).terms
-        for col in cols:
-            contrib = images[col][i] - LaurentPoly.monomial(ctx, col, deltas[i])
-            for e, c in contrib.terms.items():
-                residual_rows.setdefault(e, {})[col_index[col]] = c
-        for e in sorted(set(residual_rows) | set(rhs_terms), reverse=True):
-            rows.append((residual_rows.get(e, {}), -rhs_terms.get(e, ZERO)))
-
-    solution = solve_linear(rows, len(cols))
-    terms = {padded: ONE}
-    for e, t in col_index.items():
-        if solution[t]:
-            terms[e] = solution[t]
-    chi = LaurentPoly(ctx, terms)
+                    order.append(new)
+            for m, c in (img - LaurentPoly.monomial(ctx, e, deltas[i])).terms.items():
+                residual.setdefault(m, {})[t] = c
+    rows = [({0: ONE}, ONE)]
+    for residual in residuals:
+        rows += [(residual[m], ZERO) for m in sorted(residual, reverse=True)]
+    chi = LaurentPoly(ctx, dict(zip(order, solve_linear(rows, len(order)))))
     for i in range(1, n + 1):
         if apply_hatD(i, chi) != chi.scale(deltas[i - 1]):
             raise InconsistentSystem(f"solved vector fails the family at index {i}")

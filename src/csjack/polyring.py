@@ -75,10 +75,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, ctx: VarContext, c) -> "LaurentPoly":
-        c = fieldring.field(c)
-        if not c:
-            return cls.zero(ctx)
-        return cls._raw(ctx, {(0,) * ctx.nvars: c})
+        return cls(ctx, {(0,) * ctx.nvars: c})
 
     @classmethod
     def one(cls, ctx: VarContext) -> "LaurentPoly":
@@ -86,13 +83,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, ctx: VarContext, exps, c=1) -> "LaurentPoly":
-        c = fieldring.field(c)
-        exps = _exponents(exps)
-        if len(exps) != ctx.nvars:
-            raise ContextMismatch(f"exponent tuple {exps} vs {ctx.nvars} variables")
-        if not c:
-            return cls.zero(ctx)
-        return cls._raw(ctx, {exps: c})
+        return cls(ctx, {tuple(exps): c})
 
     @classmethod
     def variable(cls, ctx: VarContext, i: int) -> "LaurentPoly":

@@ -13,7 +13,6 @@ deterministic.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from types import MappingProxyType
 
@@ -96,24 +95,28 @@ def _d_string(coords: dict, k: int, start: int, beta: int) -> dict:
     return p
 
 
-def _creation_step(nvars: int, k: int, coords: dict, beta: int) -> dict:
-    """m-coordinates {nu: int} of B_k+ p (1 <= k < nvars) from those of a
+def _creation_step(k: int, coords: dict, beta: int) -> dict:
+    """m-coordinates {nu: int} of B_k+ p (1 <= k < N) from those of a
     symmetric p, at the int coupling beta.
 
     B_k+ p sums z_S (D_{s_1} + b) ... (D_{s_k} + k b) p over the k-subsets S.
     Dunkl operators are S_N-equivariant (Dunkl 1989), so on symmetric p the
     term of S is the term q of (1..k) with slot t moved to s_t and the rest R
     kept in order, and the coefficient of m_nu is the sum over S of
-    q[nu_S, nu_R]; q is _d_string at start 1, and z_S raises nu_S by one.
+    q[nu_S - 1, nu_R]; q is _d_string at start 1.  Read along an increasing
+    S, nu_S is weakly decreasing, so a term q[e] is read only if its head h =
+    e[:k] + 1 is, and then by the S that pick, for each value v, m_v(h) of
+    the m_v(nu) slots of nu holding v, where nu sorts h and e[k:] together.
     """
-    p = _d_string(coords, k, 1, beta)
-    subsets = [(s, [v for v in range(nvars) if v not in s]) for s in itertools.combinations(range(nvars), k)]
-    coords = {}
-    for e in p:
-        nu = tuple(sorted([x + 1 for x in e[:k]] + list(e[k:]), reverse=True))
-        if nu not in coords:
-            coords[nu] = sum(p.get(tuple([nu[v] - 1 for v in s] + [nu[v] for v in r]), 0) for s, r in subsets)
-    return {nu: c for nu, c in coords.items() if c}
+    out = {}
+    for e, c in _d_string(coords, k, 1, beta).items():
+        head = [x + 1 for x in e[:k]]
+        if head == sorted(head, reverse=True):
+            nu = tuple(sorted(head + list(e[k:]), reverse=True))
+            for v in set(head):
+                c *= math.comb(nu.count(v), head.count(v))
+            out[nu] = out.get(nu, 0) + c
+    return {nu: c for nu, c in out.items() if c}
 
 
 @functools.cache
@@ -134,7 +137,7 @@ def _phi(ctx: VarContext, parts: tuple[int, ...]) -> MappingProxyType:
     width = _digit_width(ctx.nvars, steps)
     coords = {(0,) * ctx.nvars: 1}
     for k in steps:
-        coords = _creation_step(ctx.nvars, k, coords, 1 << width)
+        coords = _creation_step(k, coords, 1 << width)
     return MappingProxyType(
         {Partition(x + shift for x in mu): unpack(c, width, sum(steps) + 1) for mu, c in coords.items()}
     )

@@ -12,9 +12,9 @@ integer transition system, whose entries are counts of maps between parts
 (Macdonald I.6), so no power sums are multiplied; for degree <= nvars the
 table does not depend on nvars and is cached per degree by
 power_sum_columns.  A conversion to the p basis then sums the columns of its
-m-coordinates.  The power-sum pairing makes one quotient product per length;
-its integral form, _integral_pairing, pairs m-coordinates in Z[b] through
-the Gram matrix of the m_rho, built once per degree in Z[b] from the table
+m-coordinates.  The power-sum pairing sums its definition term by term; its
+integral form, _integral_pairing, pairs m-coordinates in Z[b] through the
+Gram matrix of the m_rho, built once per degree in Z[b] from the table
 scaled to ints by the lcm of its denominators; the pairing oracle solves
 and checks rows of the same matrix.
 The torus pairing reads a cached, read-only table of integer weights, sums
@@ -261,15 +261,11 @@ def scalar_product_p(f: BasisExpansion, g: BasisExpansion) -> FieldElement:
         raise BasisMismatch("scalar product needs power-sum coordinates")
     if f.coords and g.coords and f.degree != g.degree:
         raise DegreeMismatch(f"degrees {f.degree} != {g.degree}")
-    # sum a c z_lam per length l, then one quotient product by b^(-l) per length
-    by_length: dict[int, FieldElement] = {}
+    out = ZERO
     for lam, a in f.coords.items():
         c = g.coords.get(lam)
         if c is not None:
-            by_length[len(lam)] = by_length.get(len(lam), ZERO) + a * c * z_factor(lam)
-    out = ZERO
-    for length, total in by_length.items():
-        out = out + total * FieldElement.beta(-length)
+            out = out + a * c * z_factor(lam) * FieldElement.beta(-len(lam))
     return out
 
 

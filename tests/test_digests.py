@@ -1,18 +1,12 @@
-"""Output drift guard: replay the small requests of the benchmark's digest
-table in-process and compare the SHA-256 of each stdout.
+"""Output drift guard: replay every request of the benchmark's digest table
+in-process and compare the SHA-256 of each stdout.
 
 perfbench/digests.json pins the stdout of every request the benchmark can
-draw.  The requests with N <= 4 and |lambda| <= 4, plus the verify sweeps at
---max-nvars 3 --max-degree 4, cover every subcommand path the benchmark
-uses and run in a couple of seconds.  The jack requests with N >= 5 and
-|lambda| <= 4, plus the five fixed cases as both jack workloads ask for
-them, cover the creation product relabelled over many subsets.  Every
-full-length (--allow-shift) jack request replays, since its last creation
-steps are z_1 ... z_N.  Every verify sweep of the table also replays, since
-verify is the workload whose checks run in the coefficient field.  The
-set-up request, the fixed cases and the small verify sweeps also replay
-through `python -m csjack.cli`, so the bytes a child writes before it exits
-are checked too.
+draw: every jack request, as both jack workloads ask for it, and every
+verify sweep.  The whole table replays in a few seconds, so no subset is
+chosen.  The set-up request, the fixed cases and the small verify sweeps
+also replay through `python -m csjack.cli`, so the bytes a child writes
+before it exits are checked too.
 """
 
 import contextlib
@@ -34,12 +28,8 @@ def _flag(argv, name):
     return argv[argv.index(name) + 1] if name in argv else None
 
 
-def _small(argv) -> bool:
-    if argv[0] == "verify":
-        return _flag(argv, "--max-nvars") == "3" and _flag(argv, "--max-degree") == "4"
-    lam = _flag(argv, "--lambda")
-    weight = 0 if lam == "0" else sum(int(x) for x in lam.split(","))
-    return int(_flag(argv, "--nvars")) <= 4 and weight <= 4
+def _small_verify(argv) -> bool:
+    return argv[0] == "verify" and _flag(argv, "--max-nvars") == "3" and _flag(argv, "--max-degree") == "4"
 
 
 def _drifted(table, requests) -> list[str]:
@@ -54,31 +44,8 @@ def _drifted(table, requests) -> list[str]:
     return drifted
 
 
-def test_small_requests_match_benchmark_digests():
-    table = json.loads(DIGESTS.read_text())
-    requests = [key for key in table if _small(key.split())]
-    assert len(requests) == 421
-    assert _drifted(table, requests) == []
-
-
-def test_verify_requests_match_benchmark_digests():
-    table = json.loads(DIGESTS.read_text())
-    requests = [key for key in table if key.startswith("verify ")]
-    assert len(requests) == 40
-    assert _drifted(table, requests) == []
-
-
 # the fixed cases of the benchmark: (lambda, N)
 PINNED = (("3,1", 3), ("4,2,1", 4), ("6,4,2", 4), ("5,3,2,1", 5), ("3,2,1", 6))
-
-
-def _wide(argv) -> bool:
-    if argv[0] != "jack":
-        return False
-    lam = _flag(argv, "--lambda")
-    weight = 0 if lam == "0" else sum(int(x) for x in lam.split(","))
-    return int(_flag(argv, "--nvars")) >= 5 and weight <= 4
-
 
 # the request the benchmark times as setup_s (perfbench/workloads.py SETUP_ARGV)
 SETUP = "jack --lambda 1 --nvars 2"
@@ -93,20 +60,11 @@ def _pinned_requests() -> list[str]:
     return pinned
 
 
-def test_wide_and_pinned_requests_match_benchmark_digests():
+def test_every_request_matches_benchmark_digests():
     table = json.loads(DIGESTS.read_text())
-    pinned = _pinned_requests()
-    requests = [key for key in table if _wide(key.split())]
-    assert len(requests) == 432
-    assert set(pinned) <= table.keys()
-    assert _drifted(table, requests + pinned) == []
-
-
-def test_full_length_requests_match_benchmark_digests():
-    table = json.loads(DIGESTS.read_text())
-    requests = [key for key in table if key.endswith(" --allow-shift")]
-    assert len(requests) == 2448
-    assert _drifted(table, requests) == []
+    assert len(table) == 4943
+    assert set(_pinned_requests()) <= table.keys()
+    assert _drifted(table, table) == []
 
 
 def test_child_requests_match_benchmark_digests():
@@ -117,7 +75,7 @@ def test_child_requests_match_benchmark_digests():
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     table = json.loads(DIGESTS.read_text())
-    small_verify = [key for key in table if key.startswith("verify ") and _small(key.split())]
+    small_verify = [key for key in table if _small_verify(key.split())]
     requests = [SETUP] + _pinned_requests() + small_verify
     assert len(requests) == 17
     drifted = []

@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(b).  Everything here must be structural equality,
 never floating point."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,38 @@ def test_arithmetic():
         x / ZERO
     with pytest.raises(DivisionByZero):
         ZERO.inverse()
+
+
+# x = (1 + 2b) / (3 + b^2) against each operand type, on each side:
+# (operand, x - operand, operand - x, x / operand, operand / x)
+X = FieldElement([1, 2], [3, 0, 1])
+OPERANDS = (
+    (2, FieldElement([-5, 2, -2], [3, 0, 1]), FieldElement([5, -2, 2], [3, 0, 1]),
+     FieldElement([1, 2], [6, 0, 2]), FieldElement([6, 0, 2], [1, 2])),
+    (Fraction(1, 2), FieldElement(["-1/2", 2, "-1/2"], [3, 0, 1]), FieldElement(["1/2", -2, "1/2"], [3, 0, 1]),
+     FieldElement([2, 4], [3, 0, 1]), FieldElement([3, 0, 1], [2, 4])),
+    (BETA, FieldElement([1, -1, 0, -1], [3, 0, 1]), FieldElement([-1, 1, 0, 1], [3, 0, 1]),
+     FieldElement([1, 2], [0, 3, 0, 1]), FieldElement([0, 3, 0, 1], [1, 2])),
+)
+
+
+def test_subtraction_and_division_on_both_sides():
+    for operand, difference, reversed_difference, quotient, reversed_quotient in OPERANDS:
+        assert X - operand == difference
+        assert operand - X == reversed_difference
+        assert X / operand == quotient
+        assert operand / X == reversed_quotient
+    for zero in (0, Fraction(0), ZERO):
+        with pytest.raises(DivisionByZero):
+            X / zero
+    for numerator in (1, Fraction(1, 2), X):
+        with pytest.raises(DivisionByZero):
+            numerator / ZERO
+    for op in (operator.sub, operator.truediv):
+        with pytest.raises(TypeError):
+            op(X, "1")
+        with pytest.raises(TypeError):
+            op("1", X)
 
 
 def test_negative_beta_power():

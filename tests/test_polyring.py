@@ -65,8 +65,18 @@ def test_constructors():
     assert z(CTX2, 1) == LaurentPoly.monomial(CTX2, (1, 0))
     with pytest.raises(IndexOutOfRange):
         LaurentPoly.variable(CTX2, 3)
-    with pytest.raises(ContextMismatch):
-        LaurentPoly.monomial(CTX2, (1, 0, 0))
+    # the shortcut constructors check what LaurentPoly(...) checks
+    for exps in ((1, 0, 0), (1,)):
+        with pytest.raises(ContextMismatch):
+            LaurentPoly(CTX2, {exps: 1})
+        with pytest.raises(ContextMismatch):
+            LaurentPoly.monomial(CTX2, exps)
+    for zero in (0, Fraction(0), FieldElement([0])):
+        assert not LaurentPoly(CTX2, {(2, 1): zero})
+        assert LaurentPoly.monomial(CTX2, (2, 1), zero) == LaurentPoly.constant(CTX2, zero) == LaurentPoly.zero(CTX2)
+    assert LaurentPoly.monomial(CTX2, [2, 1], 3) == p
+    with pytest.raises(TypeError):
+        LaurentPoly.constant(CTX2, "1")
 
 
 def test_zero_coefficients_dropped():
@@ -193,11 +203,13 @@ def test_context_rejects_non_int():
 
 
 def test_constructors_reject_non_int_exponents():
-    for exps in ((1.5, 0), (True, 0), ("1", 0)):
+    for exps in ((1.5, 0), (True, 0), ("1", 0), (0, 2.0), (0, False)):
         with pytest.raises(TypeError, match="exponent: expected int"):
             LaurentPoly(CTX2, {exps: 1})
-    with pytest.raises(TypeError, match="exponent: expected int"):
-        LaurentPoly.monomial(CTX2, (2.9, 0))
+        with pytest.raises(TypeError, match="exponent: expected int"):
+            LaurentPoly.monomial(CTX2, exps)
+        with pytest.raises(TypeError, match="exponent: expected int"):
+            LaurentPoly.monomial(CTX2, list(exps))
 
 
 def test_swap_and_permute():

@@ -166,9 +166,10 @@ def packed_cardinalities(monkeypatch):
     calls = []
     step, width = rodrigues._creation_step, rodrigues._digit_width
 
-    def recorded_step(nvars, k, coords, beta):
-        calls.append((nvars, [k]))
-        return step(nvars, k, coords, beta)
+    def recorded_step(k, coords, beta):
+        # every key of the input m-coordinates has one entry per variable
+        calls.append((len(next(iter(coords))), [k]))
+        return step(k, coords, beta)
 
     def recorded_width(nvars, steps):
         calls.append((nvars, list(steps)))

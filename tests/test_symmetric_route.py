@@ -1,10 +1,14 @@
 """The creation kernel and the normalization against their definitions.
 
 rodrigues._creation_step takes a symmetric polynomial's m-coordinates
-through one creation step B_k+: one D-string over (1..k), then C(N, k)
-lookups per new m-coordinate.  The reference below is the defining sum over
-subsets, operators.apply_B_plus, on every m_mu input and step by step along
-each creation chain; a jack request calls no operator.
+through one creation step B_k+: one D-string over (1..k), each term read
+once and weighted by the number of subsets that read it.  The reference
+below is the defining sum over subsets, operators.apply_B_plus, on every
+m_mu input and step by step along each creation chain.  The weights are
+also checked against one lookup per subset for N <= 7, and against the
+triangular oracle where a part 1 repeats up to 10 times; monic J_lam at
+N = 40 and 300 matches it at N = l(lam) + 2.  A jack request calls no
+operator.
 LaurentPoly.scale, which the normalized forms use, multiplies once per
 distinct coefficient (at most once per m-coordinate when the polynomial is
 symmetric) and equals a term-by-term scaling on any input.  The kernel
@@ -16,7 +20,7 @@ import itertools
 import pytest
 from criteria_helpers import PINNED, SWEEP, case_id
 
-from csjack import operators, rodrigues
+from csjack import operators, oracle, rodrigues
 from csjack.fieldring import BETA, FieldElement
 from csjack.operators import apply_B_plus, apply_D_string
 from csjack.partitions import Partition, partitions_of
@@ -75,7 +79,7 @@ def test_symmetric_route_matches_subset_sum(nvars):
             for k in range(1, nvars):
                 expected = apply_B_plus(k, J, p, PACKED_BETA)
                 assert expected.is_symmetric()
-                assert rodrigues._creation_step(nvars, k, coords, PACKED_BETA) == m_coordinates(expected)
+                assert rodrigues._creation_step(k, coords, PACKED_BETA) == m_coordinates(expected)
 
 
 @pytest.mark.parametrize("lam, nvars", CHAIN, ids=map(case_id, CHAIN))
@@ -87,10 +91,64 @@ def test_kernel_follows_the_subset_sum_chain(lam, nvars):
     coords = {(0,) * nvars: 1}
     p = int_poly(ctx, coords)
     for k in steps:
-        coords = rodrigues._creation_step(nvars, k, coords, beta)
+        coords = rodrigues._creation_step(k, coords, beta)
         p = apply_B_plus(k, tuple(range(1, nvars + 1)), p, beta)
         assert coords == m_coordinates(p)
         assert p == int_poly(ctx, coords)
+
+
+# partitions with a part 1 repeated 8 to 10 times, and N beyond their length
+LONG_COLUMNS = (((2,) + (1,) * 10, 12), ((2, 2) + (1,) * 8, 11), ((3,) + (1,) * 9, 40))
+
+
+def lookup_sum(nvars, k, q):
+    """{nu: sum over k-subsets S of q[nu_S - 1, nu_R]} for every nu that a
+    term of the D-string q reaches, one lookup per subset."""
+    subsets = [(s, [v for v in range(nvars) if v not in s]) for s in itertools.combinations(range(nvars), k)]
+    out = {}
+    for e in q:
+        nu = tuple(sorted([x + 1 for x in e[:k]] + list(e[k:]), reverse=True))
+        out[nu] = sum(q.get(tuple([nu[v] - 1 for v in s] + [nu[v] for v in r]), 0) for s, r in subsets)
+    return {nu: c for nu, c in out.items() if c}
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4, 5, 6, 7])
+def test_multiplicity_count_matches_the_subset_lookups(nvars):
+    """The binomials of part multiplicities count the subsets that read each
+    term of the D-string."""
+    for n in range(5):
+        for lam in partitions_of(n, nvars):
+            coords = {lam.pad(nvars): 1}
+            for k in range(1, nvars):
+                q = rodrigues._d_string(coords, k, 1, PACKED_BETA)
+                assert rodrigues._creation_step(k, coords, PACKED_BETA) == lookup_sum(nvars, k, q)
+
+
+@pytest.mark.parametrize("lam", [(1,), (2, 1), (2, 2, 1), (3, 1, 1)], ids=lambda lam: ",".join(map(str, lam)))
+def test_monic_coordinates_do_not_depend_on_many_zero_parts(lam):
+    """Monic J_lam is stable in N (Macdonald VI.10), so its m-coordinates
+    at N = 40 and N = 300, where the zero part repeats hundreds of times,
+    are those at N = l(lam) + 2 on every mu with l(mu) <= l(lam) + 2."""
+    lam = Partition(lam)
+
+    def monic(nvars):
+        ctx = VarContext(nvars)
+        c = rodrigues.c_coefficient(lam, ctx)
+        return {mu: v / c for mu, v in rodrigues._phi(ctx, lam).items() if len(mu) <= len(lam) + 2}
+
+    few = monic(len(lam) + 2)
+    for nvars in (40, 300):
+        assert monic(nvars) == few
+
+
+@pytest.mark.parametrize("lam, nvars", LONG_COLUMNS, ids=map(case_id, LONG_COLUMNS))
+def test_long_columns_solve_the_triangular_system(lam, nvars):
+    """A nonzero part value that repeats past N = 7 weights its terms by
+    binomials no kernel test above reaches; the triangular oracle shares no
+    code with the kernel."""
+    ctx = VarContext(nvars)
+    lam = Partition(lam)
+    assert oracle.is_triangular_solution(rodrigues._phi(ctx, lam), rodrigues.c_coefficient(lam, ctx), lam, ctx)
 
 
 def test_nonsymmetric_input_takes_the_subset_loop(string_calls):
