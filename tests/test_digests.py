@@ -3,8 +3,14 @@ in-process and compare the SHA-256 of each stdout.
 
 perfbench/digests.json pins the stdout of every request the benchmark can
 draw: every jack request, as both jack workloads ask for it, and every
-verify sweep.  The whole table replays in a few seconds, so no subset is
-chosen.  The set-up request, the fixed cases and the small verify sweeps
+verify sweep.  The whole table replays in-process, in a few seconds, split
+into five tests: the requests with N <= 4 and |lambda| <= 4 plus the verify
+sweeps at --max-nvars 3 --max-degree 4 (every subcommand path the benchmark
+uses); every verify sweep (the workload whose checks run in the coefficient
+field); the jack requests with N >= 5 and |lambda| <= 4 plus the five fixed
+cases (the creation product over many subsets); every full-length
+(--allow-shift) jack request (its last creation steps are z_1 ... z_N); and
+the other requests, so that together they cover every key.  The set-up request, the fixed cases and the small verify sweeps
 also replay through `python -m csjack.cli`, so the bytes a child writes
 before it exits are checked too.
 """
@@ -28,8 +34,31 @@ def _flag(argv, name):
     return argv[argv.index(name) + 1] if name in argv else None
 
 
+def _weight(argv) -> int:
+    lam = _flag(argv, "--lambda")
+    return 0 if lam == "0" else sum(int(x) for x in lam.split(","))
+
+
 def _small_verify(argv) -> bool:
     return argv[0] == "verify" and _flag(argv, "--max-nvars") == "3" and _flag(argv, "--max-degree") == "4"
+
+
+def _small(argv) -> bool:
+    if argv[0] == "verify":
+        return _small_verify(argv)
+    return int(_flag(argv, "--nvars")) <= 4 and _weight(argv) <= 4
+
+
+def _verify(argv) -> bool:
+    return argv[0] == "verify"
+
+
+def _wide(argv) -> bool:
+    return argv[0] == "jack" and int(_flag(argv, "--nvars")) >= 5 and _weight(argv) <= 4
+
+
+def _full_length(argv) -> bool:
+    return argv[-1] == "--allow-shift"
 
 
 def _drifted(table, requests) -> list[str]:
@@ -60,11 +89,47 @@ def _pinned_requests() -> list[str]:
     return pinned
 
 
-def test_every_request_matches_benchmark_digests():
+def test_small_requests_match_benchmark_digests():
+    table = json.loads(DIGESTS.read_text())
+    requests = [key for key in table if _small(key.split())]
+    assert len(requests) == 421
+    assert _drifted(table, requests) == []
+
+
+def test_verify_requests_match_benchmark_digests():
+    table = json.loads(DIGESTS.read_text())
+    requests = [key for key in table if _verify(key.split())]
+    assert len(requests) == 40
+    assert _drifted(table, requests) == []
+
+
+def test_wide_and_pinned_requests_match_benchmark_digests():
+    table = json.loads(DIGESTS.read_text())
+    pinned = _pinned_requests()
+    requests = [key for key in table if _wide(key.split())]
+    assert len(requests) == 432
+    assert set(pinned) <= table.keys()
+    assert _drifted(table, requests + pinned) == []
+
+
+def test_full_length_requests_match_benchmark_digests():
+    table = json.loads(DIGESTS.read_text())
+    requests = [key for key in table if _full_length(key.split())]
+    assert len(requests) == 2448
+    assert _drifted(table, requests) == []
+
+
+def test_other_requests_match_benchmark_digests():
+    """The requests no test above replays, so that every key is replayed."""
     table = json.loads(DIGESTS.read_text())
     assert len(table) == 4943
-    assert set(_pinned_requests()) <= table.keys()
-    assert _drifted(table, table) == []
+    pinned = set(_pinned_requests())
+    covered = (_small, _verify, _wide, _full_length)
+    requests = [
+        key for key in table if key not in pinned and not any(f(key.split()) for f in covered)
+    ]
+    assert len(requests) == 1654
+    assert _drifted(table, requests) == []
 
 
 def test_child_requests_match_benchmark_digests():
