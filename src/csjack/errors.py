@@ -101,10 +101,6 @@ class BadCardinality(AlgebraError):
 
 # linear solvers
 
-class DegenerateLeadingTerm(AlgebraError):
-    pass
-
-
 class InconsistentSystem(AlgebraError):
     pass
 

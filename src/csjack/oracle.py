@@ -9,8 +9,10 @@ Three routes, none of which touches the creation operators:
   caches it with its basis as one read-only pair per degree and N,
 * orthogonalization under the power-sum pairing (degree <= nvars only):
   one solve of rows of the cached integral Gram matrix of the degree,
-* the non-symmetric route: joint eigenvector of the commuting shifted
-  family with leading monomial z^lam, then symmetrization.
+* the non-symmetric route: E_lam, the joint eigenvector of the commuting
+  shifted family with leading monomial z^lam, built by the Knop-Sahi
+  recursion (one chain of intertwiners and cyclic shifts down to E_0 = 1),
+  then symmetrized by orbit sums, for every lam.
 
 Each of the first two routes is the unique solution of a system with no
 division in it, so `csjack verify` solves neither: is_triangular_solution
@@ -24,11 +26,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .errors import DegenerateLeadingTerm, DegreeExceedsVariables, InconsistentSystem
-from .fieldring import ONE, ZERO, FieldElement
+from .errors import DegreeExceedsVariables, InconsistentSystem
+from .fieldring import BETA, ONE, ZERO, FieldElement
 from .partitions import Partition, dominates, partitions_of
 from .polyring import LaurentPoly, VarContext, from_m_coordinates
 from .rodrigues import eigenvalue_epsilon
@@ -144,69 +147,65 @@ def is_pairing_solution(coords, c: FieldElement, lam: Partition, ctx: VarContext
     )
 
 
-def nonsym_eigenvalues(lam: Partition, ctx: VarContext) -> list[FieldElement]:
-    """Joint eigenvalues of the shifted family on the strict leading monomial:
-    lam_i + b (N - i)."""
-    lam = Partition(lam)
-    padded = lam.pad(ctx.nvars)
+def _eigenvalues(eta: tuple[int, ...]) -> list[FieldElement]:
+    """Joint eigenvalues of the shifted family on E_eta: eta_i + b (N - 1 - r_i),
+    where r_i counts the j with eta_j > eta_i and the j > i with eta_j = eta_i."""
+    n = len(eta)
     return [
-        FieldElement((padded[i], ctx.nvars - 1 - i)) for i in range(ctx.nvars)
+        FieldElement((x, n - 1 - sum(y > x for y in eta) - eta[i + 1 :].count(x)))
+        for i, x in enumerate(eta)
     ]
 
 
-def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
-    """Joint eigenvector of the commuting shifted family with leading term
-    z^lam, solved exactly over the reachable monomial set.
+def _knop_sahi(eta: tuple[int, ...], ctx: VarContext) -> LaurentPoly:
+    """E_eta, the joint eigenvector of the shifted family with [z^eta] = 1,
+    from one predecessor (Knop & Sahi 1997): z_1 E_mu(z_2, .., z_N, z_1) with
+    mu = (eta_2, .., eta_N, eta_1 - 1) when eta_1 > 0; else, at the first i
+    with eta_{i+1} > 0, the intertwiner s_i + b / (d_i - d_{i+1}) applied to
+    E_{s_i eta}, with d the eigenvalues of s_i eta, rescaled."""
+    n = len(eta)
+    if not any(eta):
+        return LaurentPoly.monomial(ctx, eta)
+    if eta[0]:
+        p = _knop_sahi(eta[1:] + (eta[0] - 1,), ctx)
+        return p.permute_vars((*range(1, n), 0)).shift_var(1)
+    i = next(j for j in range(n - 1) if eta[j + 1])
+    src = eta[:i] + (eta[i + 1], eta[i]) + eta[i + 2 :]
+    d = _eigenvalues(src)
+    p = _knop_sahi(src, ctx)
+    out = p.swap_vars(i + 1, i + 2) + p.scale(BETA / (d[i] - d[i + 1]))
+    return out.scale(out.coefficient(eta).inverse())
 
-    Needs the padded parts strictly decreasing (distinct eigenvalue tuple);
-    the empty partition is the constant 1.
-    """
+
+def nonsym_eigenvalues(lam: Partition, ctx: VarContext) -> list[FieldElement]:
+    """Joint eigenvalues of the shifted family on E_lam, lam padded to N parts."""
+    return _eigenvalues(Partition(lam).pad(ctx.nvars))
+
+
+def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
+    """E_lam, the joint eigenvector of the commuting shifted family with
+    leading term z^lam, by the Knop-Sahi recursion, checked against the
+    family before it is returned."""
     # the only route here that runs an operator; the verify suites load none
     from .operators import apply_hatD
 
-    lam = Partition(lam)
-    n = ctx.nvars
-    if lam.weight == 0:
-        return LaurentPoly.one(ctx)
-    padded = lam.pad(n)
-    if len(set(padded)) < n:
-        raise DegenerateLeadingTerm(
-            f"padded parts of {lam} are not strictly decreasing in {n} variables"
-        )
-
-    # one system over the closure of z^lam under the family, walked breadth
-    # first with each image's terms descending: the row "coefficient of z^lam
-    # is 1" (the pivot of column 0), then per i a row per monomial of
-    # (hatD_i - delta_i) chi = 0
-    deltas = nonsym_eigenvalues(lam, ctx)
-    order, seen = [padded], {padded}
-    residuals: list[dict[tuple, dict[int, FieldElement]]] = [{} for _ in range(n)]
-    for t, e in enumerate(order):
-        for i, residual in enumerate(residuals):
-            img = apply_hatD(i + 1, LaurentPoly.monomial(ctx, e))
-            for new in sorted(img.terms, reverse=True):
-                if new not in seen:
-                    seen.add(new)
-                    order.append(new)
-            for m, c in (img - LaurentPoly.monomial(ctx, e, deltas[i])).terms.items():
-                residual.setdefault(m, {})[t] = c
-    rows = [({0: ONE}, ONE)]
-    for residual in residuals:
-        rows += [(residual[m], ZERO) for m in sorted(residual, reverse=True)]
-    chi = LaurentPoly(ctx, dict(zip(order, solve_linear(rows, len(order)))))
-    for i in range(1, n + 1):
-        if apply_hatD(i, chi) != chi.scale(deltas[i - 1]):
-            raise InconsistentSystem(f"solved vector fails the family at index {i}")
+    padded = Partition(lam).pad(ctx.nvars)
+    chi = _knop_sahi(padded, ctx)
+    for i, delta in enumerate(_eigenvalues(padded), start=1):
+        if apply_hatD(i, chi) != chi.scale(delta):
+            raise InconsistentSystem(f"E_{padded} fails the family at index {i}")
     return chi
 
 
 def jack_by_symmetrization(lam: Partition, ctx: VarContext) -> LaurentPoly:
-    """Sum the non-symmetric eigenfunction over all variable relabelings and
-    rescale so the coefficient on z^lam is one."""
+    """Symmetrize E_lam by orbit sums: the coefficient of m_mu is
+    |Stab mu| times the sum of E_lam over the orbit of mu, rescaled so the
+    coefficient of m_lam is one."""
     lam = Partition(lam)
-    chi = nonsym_eigenfunction(lam, ctx)
-    total = LaurentPoly.sum(ctx, map(chi.permute_vars, itertools.permutations(range(ctx.nvars))))
-    lead = total.coefficient(lam.pad(ctx.nvars))
-    if not lead:
-        raise DegenerateLeadingTerm(f"symmetrization of {lam} lost its leading term")
-    return total.scale(lead.inverse())
+    coords: dict[tuple, FieldElement] = {}
+    for e, c in nonsym_eigenfunction(lam, ctx).terms.items():
+        mu = tuple(sorted(e, reverse=True))
+        stab = math.prod(math.factorial(mu.count(x)) for x in set(mu))
+        coords[mu] = coords.get(mu, ZERO) + c * stab
+    lead = coords[lam.pad(ctx.nvars)].inverse()
+    return from_m_coordinates({Partition(mu): c * lead for mu, c in coords.items()}, ctx)

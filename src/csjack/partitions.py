@@ -76,9 +76,11 @@ class Partition(tuple):
         for a, b in zip(items, items[1:]):
             if a < b:
                 raise NotWeaklyDecreasing(f"{items} is not weakly decreasing")
-        while items and items[-1] == 0:
-            items = items[:-1]
-        return super().__new__(cls, items)
+        # one slice, not one per zero: a key of rodrigues._phi carries N - 1 zeros
+        end = len(items)
+        while end and not items[end - 1]:
+            end -= 1
+        return super().__new__(cls, items[:end])
 
     @property
     def weight(self) -> int:

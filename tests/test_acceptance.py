@@ -158,16 +158,16 @@ def test_criterion_09_schur_specialization():
 
 
 def test_criterion_10_nonsym_route():
-    for nvars in (2, 3):
+    for nvars in range(1, 6):
         ctx = VarContext(nvars)
-        for n in range(0, 6):
+        for n in range(0, 8):
             for lam in partitions_of(n, nvars):
                 padded = lam.pad(nvars)
-                if len(set(padded)) != nvars:
-                    continue
                 chi = oracle.nonsym_eigenfunction(lam, ctx)
-                for i in range(1, nvars + 1):
-                    expect = chi.scale(FieldElement((padded[i - 1], nvars - i)))
+                for i, x in enumerate(padded, start=1):
+                    # rank of slot i: the larger parts, then the equal parts to its right
+                    rank = sum(y > x for y in padded) + padded[i:].count(x)
+                    expect = chi.scale(FieldElement((x, nvars - 1 - rank)))
                     assert apply_hatD(i, chi) == expect, (lam, nvars, i)
                 assert oracle.jack_by_symmetrization(lam, ctx) == jack(lam, ctx).monic, (
                     lam,

@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
+from csjack import oracle
 from csjack.errors import (
-    DegenerateLeadingTerm,
     DegreeExceedsVariables,
     TooManyParts,
 )
@@ -133,6 +133,9 @@ def test_gram_schmidt_needs_enough_variables():
 def test_nonsym_eigenvalues():
     eig = nonsym_eigenvalues(Partition((2, 1)), CTX3)
     assert eig == [FieldElement([2, 2]), FieldElement([1, 1]), FieldElement([0])]
+    # tied zeros rank left to right: r = (0, 2, 1)
+    eig = nonsym_eigenvalues(Partition((1,)), CTX3)
+    assert eig == [FieldElement([1, 2]), FieldElement([0]), FieldElement([0, 1])]
 
 
 def test_nonsym_simplest():
@@ -141,8 +144,11 @@ def test_nonsym_simplest():
     assert nonsym_eigenfunction(Partition(()), CTX3) == LaurentPoly.one(CTX3)
 
 
+REPEATED = [(3, (1,)), (2, (1, 1)), (3, (2, 2, 1))]
+
+
 def test_nonsym_eigen_relations():
-    for nvars, lam in [(2, (2, 1)), (2, (3, 1)), (3, (2, 1)), (3, (3, 1))]:
+    for nvars, lam in [(2, (2, 1)), (2, (3, 1)), (3, (2, 1)), (3, (3, 1))] + REPEATED:
         ctx = VarContext(nvars)
         chi = nonsym_eigenfunction(Partition(lam), ctx)
         eig = nonsym_eigenvalues(Partition(lam), ctx)
@@ -152,17 +158,37 @@ def test_nonsym_eigen_relations():
             assert apply_hatD(i, chi) == chi.scale(eig[i - 1])
 
 
+def test_every_recursion_step_is_an_eigenvector(monkeypatch):
+    """Each E_eta on the chains that build E_lam for |lam| <= 7 and N <= 4,
+    recorded as the recursion calls itself, is a joint eigenvector with
+    [z^eta] = 1 and the eigenvalues eta_i + b (N - 1 - r_i)."""
+    built = {}
+
+    def record(eta, ctx):
+        built[eta] = build(eta, ctx)
+        return built[eta]
+
+    build = oracle._knop_sahi
+    monkeypatch.setattr(oracle, "_knop_sahi", record)
+    for nvars, weight in itertools.product(range(1, 5), range(8)):
+        for lam in partitions_of(weight, nvars):
+            record(lam.pad(nvars), VarContext(nvars))
+    assert {(0, 2, 1), (2, 0, 1, 1), (1, 0, 3)} <= set(built)
+    for eta, chi in built.items():
+        assert chi.coefficient(eta) == ONE, eta
+        for i, x in enumerate(eta, start=1):
+            rank = sum(y > x for y in eta) + eta[i:].count(x)
+            assert apply_hatD(i, chi) == chi.scale(FieldElement((x, len(eta) - 1 - rank))), (eta, i)
+
+
 def test_nonsym_rejects_repeated_parts():
-    with pytest.raises(DegenerateLeadingTerm):
-        nonsym_eigenfunction(Partition((1,)), CTX3)  # pads to (1, 0, 0)
-    with pytest.raises(DegenerateLeadingTerm):
-        nonsym_eigenfunction(Partition((2, 2, 1)), CTX3)
+    # repeated parts are built like distinct ones; only l(lambda) > N is refused
     with pytest.raises(TooManyParts):
         nonsym_eigenfunction(Partition((3, 2, 1)), CTX2)
 
 
 def test_symmetrization_matches():
-    for nvars, lam in [(2, (1,)), (2, (2, 1)), (3, (2, 1)), (3, (3, 1))]:
+    for nvars, lam in [(2, (1,)), (2, (2, 1)), (3, (2, 1)), (3, (3, 1))] + REPEATED:
         ctx = VarContext(nvars)
         got = jack_by_symmetrization(Partition(lam), ctx)
         assert got == jack(Partition(lam), ctx).monic
