@@ -99,7 +99,7 @@ class BadCardinality(AlgebraError):
     pass
 
 
-# linear solvers
+# oracle checks
 
 class InconsistentSystem(AlgebraError):
     pass

@@ -1,25 +1,27 @@
 """Independent constructions of Jack polynomials used to cross-check the
 creation-operator product.
 
-Three routes, none of which touches the creation operators:
+Three routes, none of which touches the creation operators, each a
+recursion:
 
-* triangular solve of the Hamiltonian eigenproblem over the dominance
+* back-substitution of the Hamiltonian eigenproblem over the dominance
   down-set in the monomial basis, its matrix read off the partitions in
   closed form (Sutherland 1972; Macdonald VI.3-4); triangular_system
   caches it with its basis as one read-only pair per degree and N,
-* orthogonalization under the power-sum pairing (degree <= nvars only):
-  one solve of rows of the cached integral Gram matrix of the degree,
+* Gram-Schmidt under the power-sum pairing in increasing lexicographic
+  order (degree <= nvars only), every pairing read off the cached integral
+  Gram matrix of the degree,
 * the non-symmetric route: E_lam, the joint eigenvector of the commuting
   shifted family with leading monomial z^lam, built by the Knop-Sahi
   recursion (one chain of intertwiners and cyclic shifts down to E_0 = 1),
   then symmetrized by orbit sums, for every lam.
 
 Each of the first two routes is the unique solution of a system with no
-division in it, so `csjack verify` solves neither: is_triangular_solution
+division in it, so `csjack verify` runs neither: is_triangular_solution
 and is_pairing_solution check the integral phi_lam = c_lam J_lam against
-those systems in Z[b], reading the same rows as the solvers.  The solvers
-stay the exported routes that the acceptance tests and the benchmark's
-self-test compare with.
+those systems in Z[b], reading the same rows as the recursions.  The
+recursions stay the exported routes that the acceptance tests and the
+benchmark's self-test compare with.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from types import MappingProxyType
 from .errors import DegreeExceedsVariables, InconsistentSystem
 from .fieldring import BETA, ONE, ZERO, FieldElement
 from .partitions import Partition, dominates, partitions_of
-from .polyring import LaurentPoly, VarContext, from_m_coordinates
+from .polyring import LaurentPoly, VarContext, _merge, from_m_coordinates
 from .rodrigues import eigenvalue_epsilon
-from .symbases import _integral_power_sums, _row, solve_linear
+from .symbases import _integral_pairing, _integral_power_sums, _row
 
 
 @functools.cache
@@ -103,18 +105,23 @@ def jack_by_triangular_H(lam: Partition, ctx: VarContext) -> LaurentPoly:
 
 
 def jack_by_gram_schmidt(lam: Partition, ctx: VarContext) -> LaurentPoly:
-    """Monic Jack polynomial as m_lam plus the combination of its
-    lexicographic predecessors (an order that extends dominance) orthogonal
-    to each of them: one solve of the Gram rows is_pairing_solution checks."""
+    """Monic Jack polynomial by Gram-Schmidt of the m_nu over lam's
+    lexicographic predecessors and lam, in increasing order (one that
+    extends dominance, Macdonald VI.10): each m_nu less its projections on
+    the earlier results, paired through the Gram rows is_pairing_solution
+    checks."""
     lam = Partition(lam)
     gram, before = _pairing_rows(lam, ctx)
-    rows = [
-        ({t: gram[mu, nu] for t, nu in enumerate(before) if (mu, nu) in gram}, -gram.get((mu, lam), ZERO))
-        for mu in before
-    ]
-    coeffs = {lam: ONE}
-    coeffs.update((nu, a) for nu, a in zip(before, solve_linear(rows, len(before))) if a)
-    return from_m_coordinates(coeffs, ctx)
+    done: list[tuple[dict, FieldElement]] = []
+    for nu in before[::-1] + [lam]:
+        q = {nu: ONE}
+        for p, norm in done:
+            a = _row(gram, nu, p)
+            if a:
+                f = -a / norm
+                _merge(q, ((mu, c * f) for mu, c in p.items()))
+        done.append((q, _integral_pairing(q, q, lam.weight)))
+    return from_m_coordinates(q, ctx)
 
 
 def is_triangular_solution(coords, c: FieldElement, lam: Partition, ctx: VarContext) -> bool:
@@ -133,8 +140,8 @@ def is_triangular_solution(coords, c: FieldElement, lam: Partition, ctx: VarCont
 
 
 def is_pairing_solution(coords, c: FieldElement, lam: Partition, ctx: VarContext) -> bool:
-    """Whether the m-coordinates coords solve the system that
-    jack_by_gram_schmidt solves (degree <= nvars), scaled by c: coords[lam]
+    """Whether the m-coordinates coords solve the system whose solution
+    jack_by_gram_schmidt builds (degree <= nvars), scaled by c: coords[lam]
     = c, supp coords lies in lam and its lexicographic predecessors, and
     the Gram row of each predecessor mu pairs to 0 with coords.  No
     division; unique as suite_rodrigues_vs_oracle says."""

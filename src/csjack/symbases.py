@@ -5,18 +5,18 @@ symmetric homogeneous polynomial into either basis, the coupling-weighted
 power-sum pairing, the torus constant-term pairing for integer coupling, and
 Schur polynomials by bialternant division.
 
-solve_linear is the one exact linear solver, and _row the one reader of a
-row of a sparse matrix, kept here off the jack path.  The power-sum
-coordinates of every m_rho of one degree come from one exact solve of the
-integer transition system, whose entries are counts of maps between parts
-(Macdonald I.6), so no power sums are multiplied; for degree <= nvars the
-table does not depend on nvars and is cached per degree by
-power_sum_columns.  A conversion to the p basis then sums the columns of its
-m-coordinates.  The power-sum pairing sums its definition term by term; its
-integral form, _integral_pairing, pairs m-coordinates in Z[b] through the
-Gram matrix of the m_rho, built once per degree in Z[b] from the table
-scaled to ints by the lcm of its denominators; the pairing oracle solves
-and checks rows of the same matrix.
+_row is the one reader of a row of a sparse matrix, kept here off the jack
+path.  The power-sum coordinates of every m_rho of one degree come by
+back-substitution in dominance order from the integer transition matrix,
+whose entries are counts of maps between parts (Macdonald I.6), so no power
+sums are multiplied; for degree <= nvars the table does not depend on
+nvars and is cached per degree by power_sum_columns.  A conversion to the p
+basis then sums the columns of its m-coordinates.  The power-sum pairing
+sums its definition term by term; its integral form, _integral_pairing,
+pairs m-coordinates in Z[b] through the Gram matrix of the m_rho, built
+once per degree in Z[b] from the table scaled to ints by the lcm of its
+denominators; the pairing oracle orthogonalizes with, and checks rows of,
+the same matrix.
 The torus pairing reads a cached, read-only table of integer weights, sums
 them per pair of distinct coefficients, and specializes each distinct
 coefficient once.
@@ -37,7 +37,6 @@ from .errors import (
     ContextMismatch,
     DegreeExceedsVariables,
     DegreeMismatch,
-    InconsistentSystem,
     LaurentInput,
     NonIntegerBeta,
     NotHomogeneous,
@@ -122,63 +121,6 @@ def _require_symmetric_homogeneous(p: LaurentPoly) -> int:
     return p.total_degree()
 
 
-def solve_linear(
-    rows: list[tuple[dict[int, FieldElement], FieldElement]], ncols: int
-) -> list[FieldElement]:
-    """Exact sparse Gaussian elimination.
-
-    Each row is ({column: coefficient}, right-hand side).  The rows may
-    outnumber the unknowns, but together they must determine every unknown
-    uniquely and consistently; otherwise InconsistentSystem is raised.
-    """
-    work = [(dict(r), b) for r, b in rows]
-    solved: list = [None] * ncols
-    for col in range(ncols):
-        pivot = None
-        for idx, (r, _) in enumerate(work):
-            if r.get(col):
-                pivot = idx
-                break
-        if pivot is None:
-            raise InconsistentSystem(f"unknown {col} is undetermined")
-        prow, pb = work.pop(pivot)
-        inv = prow[col].inverse()
-        prow = {k: v * inv for k, v in prow.items()}
-        pb = pb * inv
-        reduced = []
-        for r, b in work:
-            f = r.get(col)
-            if f:
-                nr = dict(r)
-                del nr[col]
-                for k, v in prow.items():
-                    if k == col:
-                        continue
-                    acc = nr.get(k, ZERO) - v * f
-                    if acc:
-                        nr[k] = acc
-                    else:
-                        nr.pop(k, None)
-                reduced.append((nr, b - pb * f))
-            else:
-                reduced.append((r, b))
-        work = reduced
-        del prow[col]
-        solved[col] = (prow, pb)  # back-substitute later
-    # rows left over must be trivial
-    for r, b in work:
-        if not r and b:
-            raise InconsistentSystem("stacked system is inconsistent")
-    out: list[FieldElement] = [ZERO] * ncols
-    for col in range(ncols - 1, -1, -1):
-        prow, pb = solved[col]
-        acc = pb
-        for k, v in prow.items():
-            acc = acc - v * out[k]
-        out[col] = acc
-    return out
-
-
 def _row(matrix, mu, coords) -> FieldElement:
     """sum_nu matrix[mu, nu] coords[nu] for a sparse matrix {(mu, nu):
     entry} and a sparse vector {nu: coordinate}."""
@@ -218,19 +160,20 @@ def _slot_maps(parts: tuple[int, ...], slots: tuple[int, ...]) -> int:
 
 @functools.cache
 def _power_sum_columns(degree: int) -> MappingProxyType:
-    """power_sum_columns of the degree, from one exact solve per rho of the
-    integer transition system p_mu = sum_rho <maps from mu to rho> m_rho."""
-    parts = partitions_of(degree, None)
-    rows: dict[Partition, dict[int, FieldElement]] = {rho: {} for rho in parts}
-    for col, mu in enumerate(parts):
-        for rho in parts:
-            count = _slot_maps(mu, rho)
+    """power_sum_columns of the degree by back-substitution along
+    partitions_of, most dominant first.  p_rho = sum_sigma <maps from rho to
+    sigma> m_sigma, and a map exists only when sigma dominates rho
+    (Macdonald I.6), so m_rho = (p_rho - sum_{sigma != rho} <maps> m_sigma) /
+    <maps from rho to rho> reads only columns built before it."""
+    columns: dict[Partition, tuple] = {}
+    for rho in partitions_of(degree, None):
+        coords = {rho: ONE}
+        for sigma, col in columns.items():
+            count = _slot_maps(rho, sigma)
             if count:
-                rows[rho][col] = FieldElement((count,))
-    columns = {}
-    for rho in parts:
-        coeffs = solve_linear([(rows[r], ONE if r == rho else ZERO) for r in parts], len(parts))
-        columns[rho] = tuple((mu, c) for mu, c in zip(parts, coeffs) if c)
+                _merge(coords, ((mu, c * -count) for mu, c in col))
+        diagonal = _slot_maps(rho, rho)
+        columns[rho] = tuple((mu, coords[mu] / diagonal) for mu in sorted(coords, reverse=True))
     return MappingProxyType(columns)
 
 

@@ -157,22 +157,34 @@ def test_criterion_09_schur_specialization():
                 assert got == schur(lam, ctx), (lam, nvars)
 
 
-def test_criterion_10_nonsym_route():
+def test_criterion_10_nonsym_route(monkeypatch):
+    """One build of each E_lam: the route symmetrizes the E_lam it builds
+    and checks against the family, and the test checks that same E_lam
+    against the family with r_i written here."""
+    built = []
+    build = oracle.nonsym_eigenfunction
+
+    def record(lam, ctx):
+        built.append(build(lam, ctx))
+        return built[-1]
+
+    monkeypatch.setattr(oracle, "nonsym_eigenfunction", record)
     for nvars in range(1, 6):
         ctx = VarContext(nvars)
         for n in range(0, 8):
             for lam in partitions_of(n, nvars):
+                assert oracle.jack_by_symmetrization(lam, ctx) == jack(lam, ctx).monic, (
+                    lam,
+                    nvars,
+                )
+                (chi,) = built
+                built.clear()
                 padded = lam.pad(nvars)
-                chi = oracle.nonsym_eigenfunction(lam, ctx)
                 for i, x in enumerate(padded, start=1):
                     # rank of slot i: the larger parts, then the equal parts to its right
                     rank = sum(y > x for y in padded) + padded[i:].count(x)
                     expect = chi.scale(FieldElement((x, nvars - 1 - rank)))
                     assert apply_hatD(i, chi) == expect, (lam, nvars, i)
-                assert oracle.jack_by_symmetrization(lam, ctx) == jack(lam, ctx).monic, (
-                    lam,
-                    nvars,
-                )
 
 
 def test_criterion_11_spectrum_consistency():

@@ -108,7 +108,7 @@ def test_gram_schmidt_matches():
 
 @pytest.mark.parametrize("nvars", [5, 6])
 def test_gram_schmidt_matches_every_degree_up_to_nvars(nvars):
-    """Criterion 02 stops at four variables; here the pairing route's solve
+    """Criterion 02 stops at four variables; here the pairing route's Gram-Schmidt
     meets every lam with |lam| <= N, full-length ones included."""
     ctx = VarContext(nvars)
     for degree in range(nvars + 1):

@@ -7,8 +7,9 @@ below is the defining sum over subsets, operators.apply_B_plus, on every
 m_mu input and step by step along each creation chain.  The weights are
 also checked against one lookup per subset for N <= 7, and against the
 triangular oracle where a part 1 repeats up to 10 times; monic J_lam at
-N = 40 and 300 matches it at N = l(lam) + 2.  A jack request calls no
-operator.
+N = 40 and 300 matches it at N = l(lam) + 2, and raw phi_lam and c_lam
+at N = |lam| + 2 ... |lam| + 4 match those at N = |lam| + 1.  A jack
+request calls no operator.
 LaurentPoly.scale, which the normalized forms use, multiplies once per
 distinct coefficient (at most once per m-coordinate when the polynomial is
 symmetric) and equals a term-by-term scaling on any input.  The kernel
@@ -139,6 +140,20 @@ def test_monic_coordinates_do_not_depend_on_many_zero_parts(lam):
     few = monic(len(lam) + 2)
     for nvars in (40, 300):
         assert monic(nvars) == few
+
+
+def test_raw_kernel_does_not_depend_on_nvars_past_the_weight():
+    """For l(lam) < N, phi_lam and c_lam are stable in N: every mu that lam
+    dominates has l(mu) <= |lam|, and the factors of c_coefficient with
+    k > l(lam) are empty.  So at N = |lam| + 2 ... |lam| + 4 both equal
+    their values at N = |lam| + 1, for every |lam| <= 6."""
+    for weight in range(7):
+        for lam in partitions_of(weight, None):
+            few = VarContext(weight + 1)
+            expected = (dict(rodrigues._phi(few, lam)), rodrigues.c_coefficient(lam, few))
+            for nvars in range(weight + 2, weight + 5):
+                ctx = VarContext(nvars)
+                assert (dict(rodrigues._phi(ctx, lam)), rodrigues.c_coefficient(lam, ctx)) == expected, (lam, nvars)
 
 
 @pytest.mark.parametrize("lam, nvars", LONG_COLUMNS, ids=map(case_id, LONG_COLUMNS))
