@@ -39,8 +39,9 @@ _EXPORTS = {
         "apply_hatD",
         "apply_hatH",
     ),
-    "rodrigues": ("jack", "JackResult", "rodrigues_raw", "c_coefficient", "eigenvalue_epsilon"),
+    "rodrigues": ("jack", "JackResult", "rodrigues_raw", "c_coefficient"),
     "oracle": (
+        "eigenvalue_epsilon",
         "jack_by_triangular_H",
         "jack_by_gram_schmidt",
         "jack_by_symmetrization",

@@ -22,11 +22,11 @@ poly_gcd, the one gcd, runs a primitive pseudo-remainder sequence over Z
 and returns a primitive gcd; poly_exquo, the one division, divides by it
 exactly in Z[b], as Gauss's lemma guarantees for a primitive divisor.
 
-pack, unpack and pack_width are the one Kronecker codec: an element of
-Z[b] becomes the int it takes at b = 2^B and is read back as balanced
-base-2^B digits, exact whenever a proven bound keeps every coefficient
-below 2^(B-2).  The packed creation product and the packed verify suites
-use it.
+unpack and pack_width are the one Kronecker codec: the packed creation
+product and the packed verify suites compute the ints that elements of
+Z[b] take at b = 2^B, B = pack_width of a proven bound on every
+coefficient, and unpack reads such an int back as balanced base-2^B
+digits, exact while every coefficient is below 2^(B-2).
 """
 
 from __future__ import annotations
@@ -155,21 +155,6 @@ def pack_width(bound: int) -> int:
     """Bits B per packed digit for integer coefficients of absolute value at
     most bound: bound < 2^(B-2), which leaves two spare bits."""
     return bound.bit_length() + 2
-
-
-def pack(a: "FieldElement", width: int) -> int:
-    """An element of Z[b] evaluated at b = 2^width (Kronecker substitution).
-
-    A denominator, or a coefficient outside the balanced digit range
-    |c| < 2^(width-1), raises: unpack reads the result back only then."""
-    if a.den != _PONE:
-        raise ValueError(f"{a} is not in Z[b]")
-    out = 0
-    for c in reversed(a.num):
-        if c.bit_length() >= width:
-            raise OverflowError(f"coefficient {c} needs more than {width} bits")
-        out = (out << width) + c
-    return out
 
 
 def unpack(x: int, width: int, ndigits: int) -> "FieldElement":

@@ -36,8 +36,16 @@ from .errors import DegreeExceedsVariables, InconsistentSystem
 from .fieldring import BETA, ONE, ZERO, FieldElement
 from .partitions import Partition, dominates, partitions_of
 from .polyring import LaurentPoly, VarContext, _merge, from_m_coordinates
-from .rodrigues import eigenvalue_epsilon
 from .symbases import _integral_pairing, _integral_power_sums, _row
+
+
+def eigenvalue_epsilon(lam: Partition, nvars: int) -> FieldElement:
+    """Hamiltonian eigenvalue, the diagonal of triangular_system: sum of
+    lam_j^2 + b (N + 1 - 2j) lam_j."""
+    padded = Partition(lam).pad(nvars)
+    const = sum(x * x for x in padded)
+    linear = sum((nvars + 1 - 2 * j) * x for j, x in enumerate(padded, start=1))
+    return FieldElement((const, linear))
 
 
 @functools.cache

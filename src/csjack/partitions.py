@@ -93,12 +93,6 @@ class Partition(tuple):
             raise TooManyParts(f"l({self}) = {len(self)} > {nvars} variables")
         return tuple(self) + (0,) * (nvars - len(self))
 
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for x in self:
-            out[x] = out.get(x, 0) + 1
-        return out
-
 
 def dominates(lam: Partition, mu: Partition) -> bool:
     """True when lam is greater than or equal to mu in the dominance order:
@@ -121,10 +115,8 @@ def dominates(lam: Partition, mu: Partition) -> bool:
 def z_factor(lam: Partition) -> int:
     """Product over part values i of i^m(i) * m(i)!, the symmetric-group
     centralizer size attached to the cycle type lam."""
-    out = 1
-    for value, mult in Partition(lam).multiplicities().items():
-        out *= value**mult * math.factorial(mult)
-    return out
+    lam = Partition(lam)
+    return math.prod(x ** lam.count(x) * math.factorial(lam.count(x)) for x in set(lam))
 
 
 def _gen(n: int, max_part: int, slots: int) -> Iterator[tuple[int, ...]]:

@@ -119,25 +119,36 @@ def _creation_step(k: int, coords: dict, beta: int) -> dict:
     return {nu: c for nu, c in out.items() if c}
 
 
-@functools.cache
-def _phi(ctx: VarContext, parts: tuple[int, ...]) -> MappingProxyType:
-    """{mu: coefficient of m_mu} of phi_parts, read-only, because every
-    caller shares the cached value; built on plain ints at b = 2^B, each
-    m-coordinate unpacked once.
+def _packed(nvars: int, steps: list[int], width: int) -> dict:
+    """{padded mu: int}: the m-coordinates at b = 2^width of the creation
+    steps (cardinalities below nvars, in the order they act) applied to 1.
 
     Each creation step is Z[b]-linear on Z[b][z] (integer derivative factors,
     synthetic division by the monic z_i - z_j, shifts (1+pos) b), so it
-    commutes with b -> 2^B.  Step B_k+ adds at most k to the b-degree, so a
-    coefficient has at most |parts| + 1 digits, unique by _digit_width.  The
-    steps of cardinality N are B_N+ = z_1 ... z_N: they add lam_N, the last
-    entry of parts padded to N variables, to mu.
+    commutes with b -> 2^width: each int is an m-coordinate in Z[b] at
+    2^width, which unpack reads back for any width >= _digit_width(nvars,
+    steps)."""
+    coords = {(0,) * nvars: 1}
+    for k in steps:
+        coords = _creation_step(k, coords, 1 << width)
+    return coords
+
+
+@functools.cache
+def _phi(ctx: VarContext, parts: tuple[int, ...]) -> MappingProxyType:
+    """{mu: coefficient of m_mu} of phi_parts, read-only, because every
+    caller shares the cached value; _packed at the width _digit_width
+    proves, each m-coordinate unpacked once.
+
+    Step B_k+ adds at most k to the b-degree, so a coefficient has at most
+    |parts| + 1 digits, unique by _digit_width.  The steps of cardinality N
+    are B_N+ = z_1 ... z_N: they add lam_N, the last entry of parts padded
+    to N variables, to mu.
     """
     shift = Partition(parts).pad(ctx.nvars)[-1]
     steps = [k for k in _creation_steps(parts) if k < ctx.nvars]
     width = _digit_width(ctx.nvars, steps)
-    coords = {(0,) * ctx.nvars: 1}
-    for k in steps:
-        coords = _creation_step(k, coords, 1 << width)
+    coords = _packed(ctx.nvars, steps, width)
     return MappingProxyType(
         {Partition(x + shift for x in mu): unpack(c, width, sum(steps) + 1) for mu, c in coords.items()}
     )
@@ -165,14 +176,6 @@ def c_coefficient(lam: Partition, ctx: VarContext) -> FieldElement:
             base = BETA * m + (padded[k - m] - padded[k - 1])
             out = out * pochhammer(base, steps)
     return out
-
-
-def eigenvalue_epsilon(lam: Partition, nvars: int) -> FieldElement:
-    """Hamiltonian eigenvalue: sum of lam_j^2 + b (N + 1 - 2j) lam_j."""
-    padded = Partition(lam).pad(nvars)
-    const = sum(x * x for x in padded)
-    linear = sum((nvars + 1 - 2 * j) * x for j, x in enumerate(padded, start=1))
-    return FieldElement((const, linear))
 
 
 class JackResult:

@@ -16,9 +16,9 @@ the power-sum Gram matrix in Z[b].  Only the torus pairing (N <= 3) builds
 polynomials, specialized at b = 1 and 2, and the spectrum suite runs in Q
 on states drawn within the same sweep bounds as the others.
 Each suite imports what it runs (commutators, rodrigues, oracle, symbases,
-spectrum, fractions, and fieldring and polyring) when it runs, so importing
-this module loads only partitions and errors, only the commutator suite
-loads operators, the spectrum suite loads neither polynomials nor their
+spectrum, fractions and polyring) when it runs, so importing this module
+loads only partitions and errors, only the commutator suite loads
+operators, the spectrum suite loads neither polynomials nor their
 coefficient field, and the commutator and annihilation suites, which stay
 in Z[b], load no fractions.
 """
@@ -78,9 +78,9 @@ def suite_commutators(max_degree: int, max_nvars: int) -> list[CheckResult]:
 
 def suite_rodrigues_vs_oracle(max_degree: int, max_nvars: int) -> list[CheckResult]:
     """Creation-operator output against the triangular oracle (and the
-    pairing oracle whenever the degree allows it), checked on the equations
-    each oracle solves, in Z[b] on the m-coordinates a of the integral
-    phi_lam = c_lam J_lam: no division, no gcd.
+    pairing oracle whenever the degree allows it), checked against the
+    system each oracle's recursion solves, in Z[b] on the m-coordinates a
+    of the integral phi_lam = c_lam J_lam: no division, no gcd.
 
     Each system has one solution, so a passes exactly when phi_lam / c_lam
     is the oracle's J_lam.  Triangular: a_lam = c_lam fixes the rest, since
@@ -109,7 +109,8 @@ def suite_annihilation(max_degree: int, max_nvars: int) -> list[CheckResult]:
     on ints at b = 2^B.  N_k over (1..k) is one string and moves z_1 .. z_k
     only, so its image of phi_lam is symmetric in the other variables, and
     zero exactly when its part on weakly decreasing tails, rodrigues._d_string
-    at shift 0, is.  The string reads phi_lam's m-coordinates, so no
+    at shift 0, is.  The string reads phi_lam's m-coordinates as
+    rodrigues._packed builds them at 2^B, so no coefficient is decoded and no
     polynomial is built.
 
     B is rodrigues._digit_width of lam's creation steps and one more step of
@@ -119,13 +120,12 @@ def suite_annihilation(max_degree: int, max_nvars: int) -> list[CheckResult]:
     N |lam| + pos + 1, so the image's b-coefficients are below 2^(B-2), and
     it, or any part of it, is zero at 2^B only when it is zero in Z[b]."""
     from . import rodrigues
-    from .fieldring import pack
 
     results = []
     for ctx, lam, label in _creation_cases(max_degree, max_nvars):
-        phi = rodrigues._phi(ctx, lam)
-        width = rodrigues._digit_width(ctx.nvars, rodrigues._creation_steps(lam) + [ctx.nvars])
-        coords = {mu.pad(ctx.nvars): pack(c, width) for mu, c in phi.items()}
+        steps = rodrigues._creation_steps(lam)
+        width = rodrigues._digit_width(ctx.nvars, steps + [ctx.nvars])
+        coords = rodrigues._packed(ctx.nvars, steps, width)
         bad = ""
         for k in range(len(lam) + 1, ctx.nvars + 1):
             if rodrigues._d_string(coords, k, 0, 1 << width):
@@ -145,8 +145,9 @@ def suite_orthogonality(max_degree: int, max_nvars: int) -> list[CheckResult]:
     pairing is symbases._integral_pairing, L^2 b^d <phi_a, phi_b>_p in Z[b],
     read off phi's cached m-coordinates (rodrigues._phi, (1^N) included), so
     it builds no polynomial; the torus pairing (N <= 3) pairs the
-    polynomials.  A nonzero value is divided by its scale and by c_a c_b (at
-    the torus coupling) before it is printed."""
+    polynomials rodrigues_raw builds from them, with the same c_lam.  A
+    nonzero value is divided by its scale and by c_a c_b (at the torus
+    coupling) before it is printed."""
     from . import rodrigues, symbases
     from .polyring import VarContext
 
@@ -177,8 +178,8 @@ def suite_orthogonality(max_degree: int, max_nvars: int) -> list[CheckResult]:
             for degree in range(1, min(max_degree, 4) + 1):
                 polys = {}
                 for lam in partitions_of(degree, nvars):
-                    result = rodrigues.jack(lam, ctx, "raw")
-                    polys[lam] = result.raw, result.c.specialize(beta_int).as_fraction()
+                    c = rodrigues.c_coefficient(lam, ctx).specialize(beta_int).as_fraction()
+                    polys[lam] = rodrigues.rodrigues_raw(lam, ctx), c
                 bad = first_nonzero_pairing(
                     polys, lambda f, g: symbases.circle_inner_product(f, g, beta_int), 1
                 )

@@ -30,9 +30,10 @@ from csjack.operators import (
     apply_hatH,
     apply_L,
 )
+from csjack.oracle import eigenvalue_epsilon
 from csjack.partitions import Partition, dominates, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
-from csjack.rodrigues import eigenvalue_epsilon, jack
+from csjack.rodrigues import jack
 from csjack.polyring import from_m_coordinates
 from csjack.symbases import monomial_sym, schur
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from csjack import rodrigues  # noqa: E402
-from csjack.fieldring import BETA, FieldElement, pack  # noqa: E402
+from csjack.fieldring import BETA, FieldElement  # noqa: E402
 from csjack.operators import apply_D_string, apply_dunkl, apply_N  # noqa: E402
 from csjack.partitions import partitions_of  # noqa: E402
 from csjack.polyring import LaurentPoly, VarContext  # noqa: E402
@@ -94,8 +94,8 @@ def test_proven_strings_match_every_pair_strings(nvars):
     """On every m_mu of weight <= 5, which span the symmetric inputs of
     those degrees, at the creation (start 1) and annihilation (start 0)
     shifts, k = nvars being reached only by annihilation; and on phi_lam,
-    packed as the annihilation suite packs it, where the kernel's part is
-    empty exactly when apply_N's whole image is zero."""
+    from rodrigues._packed at the annihilation suite's width, where the
+    kernel's part is empty exactly when apply_N's whole image is zero."""
     ctx = VarContext(nvars)
     for degree in range(6):
         for mu in partitions_of(degree, nvars):
@@ -106,10 +106,12 @@ def test_proven_strings_match_every_pair_strings(nvars):
                 got = rodrigues._d_string({e: 1}, k, start, PACKED_BETA)
                 assert got == weakly_decreasing_tails(expected, k)
         for lam in partitions_of(degree, nvars - 1):
-            phi = rodrigues.rodrigues_raw(lam, ctx)
-            width = rodrigues._digit_width(nvars, rodrigues._creation_steps(lam) + [nvars])
-            packed = LaurentPoly._raw(ctx, {e: pack(c, width) for e, c in phi.terms.items()})
-            coords = {mu.pad(nvars): pack(c, width) for mu, c in phi.m_coordinates().items()}
+            steps = rodrigues._creation_steps(lam)
+            width = rodrigues._digit_width(nvars, steps + [nvars])
+            coords = rodrigues._packed(nvars, steps, width)
+            # the int phi_lam: each m-coordinate spread over its orbit
+            orbits = {e: c for mu, c in coords.items() for e in set(itertools.permutations(mu))}
+            packed = LaurentPoly._raw(ctx, orbits)
             for k in range(1, nvars + 1):
                 image = apply_N(k, tuple(range(1, k + 1)), packed, 1 << width)
                 got = rodrigues._d_string(coords, k, 0, 1 << width)

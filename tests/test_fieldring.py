@@ -266,12 +266,3 @@ def test_product_skips_gcds_that_cannot_reduce(monkeypatch):
     # both cross pairs non-constant: both gcds run, and they cancel
     product, seen = gcds_of(inverse_ratio, ratio)
     assert product == ONE and len(seen) == 2
-
-
-def test_pack_rejects_a_denominator():
-    assert fieldring.pack(FieldElement([3, -1, 2]), 4) == 3 - 16 + 2 * 256
-    assert fieldring.pack(ZERO, 4) == 0
-    not_integral = (FieldElement([1], [0, 1]), FieldElement([Fraction(1, 2)]), FieldElement([1, Fraction(3, 2)]))
-    for a in not_integral:
-        with pytest.raises(ValueError):
-            fieldring.pack(a, 8)

@@ -12,6 +12,7 @@ from csjack.errors import (
 from csjack.fieldring import BETA, ONE, FieldElement
 from csjack.operators import apply_H, apply_hatD
 from csjack.oracle import (
+    eigenvalue_epsilon,
     jack_by_gram_schmidt,
     jack_by_symmetrization,
     jack_by_triangular_H,
@@ -21,7 +22,7 @@ from csjack.oracle import (
 )
 from csjack.partitions import Partition, dominates, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
-from csjack.rodrigues import eigenvalue_epsilon, jack
+from csjack.rodrigues import jack
 from csjack.symbases import expand_in_basis, monomial_sym
 
 CTX2 = VarContext(2)

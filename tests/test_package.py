@@ -157,6 +157,14 @@ def test_no_module_imports_cli():
     assert all("csjack.cli" not in _imported_modules(tree) for tree in _src_trees())
 
 
+@pytest.mark.parametrize("module", ["oracle", "symbases"])
+def test_independent_routes_import_nothing_of_the_creation_product(module):
+    """oracle and symbases check rodrigues, so neither may import it: a
+    fault of the product it shared would pass on both sides."""
+    tree = ast.parse((Path(csjack.__file__).parent / f"{module}.py").read_text())
+    assert not [name for name in _imported_modules(tree) if name.startswith("csjack.rodrigues")]
+
+
 @pytest.mark.parametrize("suite", ["rodrigues-vs-oracle", "orthogonality", "spectrum-consistency", "all"])
 def test_field_verify_request_loads_no_dataclasses(suite):
     loaded = _loaded_after(

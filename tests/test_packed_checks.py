@@ -132,7 +132,7 @@ def dunkl_without_last_difference(i, p, beta=BETA):
 
 
 def test_annihilation_suite_builds_no_polynomial(monkeypatch):
-    # every phi is cached first, so only the suite's own reads are counted
+    # a first run fills every cache, so only the suite's own reads are counted
     suites.suite_annihilation(5, 4)
     calls = []
     raw, m_coordinates = rodrigues.rodrigues_raw, LaurentPoly.m_coordinates

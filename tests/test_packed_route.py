@@ -13,7 +13,7 @@ from criteria_helpers import PINNED, SWEEP, case_id
 from csjack import fieldring, rodrigues
 from csjack.fieldring import BETA, FieldElement
 from csjack.operators import apply_B_plus
-from csjack.partitions import Partition
+from csjack.partitions import Partition, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
 
 CHAIN = tuple(dict.fromkeys(SWEEP + PINNED))
@@ -56,6 +56,21 @@ def test_documented_widths():
     assert rodrigues._creation_steps((3, 1)) == [1, 1, 2]
     assert rodrigues._digit_width(5, rodrigues._creation_steps((5, 3, 2, 1))) == 60
     assert rodrigues._digit_width(6, rodrigues._creation_steps((6, 5, 3, 2, 1))) == 107
+
+
+def test_annihilation_width_unpacks_to_phi():
+    """The ints the annihilation suite checks are the printed phi_lam: at
+    the width of lam's steps and one more of cardinality N, _packed unpacks
+    to _phi for every |lam| <= 6 and l(lam) < N <= 5."""
+    for nvars in range(1, 6):
+        ctx = VarContext(nvars)
+        for degree in range(7):
+            for lam in partitions_of(degree, nvars - 1):
+                steps = rodrigues._creation_steps(lam)
+                width = rodrigues._digit_width(nvars, steps + [nvars])
+                packed = rodrigues._packed(nvars, steps, width)
+                unpacked = {Partition(mu): fieldring.unpack(c, width, degree + 1) for mu, c in packed.items()}
+                assert unpacked == dict(rodrigues._phi(ctx, lam)), (lam, nvars)
 
 
 def test_too_small_width_raises(monkeypatch, cold_cache):

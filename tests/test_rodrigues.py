@@ -7,13 +7,13 @@ from csjack import rodrigues
 from csjack.errors import TooManyParts
 from csjack.fieldring import BETA, ONE, ZERO, FieldElement
 from csjack.operators import apply_H
+from csjack.oracle import eigenvalue_epsilon
 from csjack.partitions import Partition, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
 from csjack.rodrigues import (
     NORMALIZATIONS,
     JackResult,
     c_coefficient,
-    eigenvalue_epsilon,
     jack,
     rodrigues_raw,
 )

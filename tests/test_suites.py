@@ -6,7 +6,7 @@ import sys
 import pytest
 from criteria_helpers import SWEEP, case_id, specialize_beta
 
-from csjack import oracle, rodrigues, spectrum, symbases
+from csjack import cli, oracle, rodrigues, spectrum, symbases
 from csjack.fieldring import BETA, ONE, ZERO, FieldElement
 from csjack.partitions import Partition, partitions_of, z_factor
 from csjack.polyring import VarContext, from_m_coordinates
@@ -283,3 +283,18 @@ def test_oracle_suites_call_no_solver_expansion_or_field_pairing(monkeypatch):
     assert all(r.passed for r in suite_rodrigues_vs_oracle(5, 4) + suite_orthogonality(4, 4))
     assert calls == []
 
+
+@pytest.mark.parametrize("suite", ["orthogonality", "all"])
+def test_verify_builds_no_jack_result(suite, monkeypatch, capsys):
+    """The suites read phi_lam and c_lam from the creation product itself:
+    with rodrigues.jack raising, verify prints the same bytes."""
+    argv = ["verify", "--suite", suite, "--max-degree", "4", "--max-nvars", "3"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def no_jack(*args, **kwargs):
+        raise AssertionError("a verify suite called rodrigues.jack")
+
+    monkeypatch.setattr(rodrigues, "jack", no_jack)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
