@@ -51,34 +51,32 @@ def _digit_width(nvars: int, steps: list[int]) -> int:
     return pack_width(bound)
 
 
-def _arrangements(mu: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """The distinct rearrangements of the weakly decreasing mu whose entries
-    after the first k are still weakly decreasing: every distinct head of k
-    parts, followed by the other parts in order (k >= len(mu) - 1 gives all)."""
-    level = [((), mu)]
-    for _ in range(k):
-        level = [
-            (head + (x,), rest[:i] + rest[i + 1 :])
-            for head, rest in level
-            for i, x in enumerate(rest)
-            if not i or x != rest[i - 1]
-        ]
-    return [head + rest for head, rest in level]
-
-
 def _d_string(coords: dict, k: int, start: int, beta: int) -> dict:
     """The nonzero terms {e: int} with e[k:] weakly decreasing of
     (D_1 + start b) ... (D_k + (start+k-1) b) p, from the m-coordinates
     {mu: int} of a symmetric p, at the int coupling beta.
 
-    Dunkl operators are S_N-equivariant (Dunkl 1989), so the factor at t
-    acts on input symmetric outside t+1 .. k and takes only the divided
-    differences against t+1 .. k (operators.apply_dunkl's closed form, times
-    z_t); the string then moves z_1 .. z_k only, so p is expanded onto
-    weakly decreasing tails alone.
+    Dunkl operators are S_N-equivariant (Dunkl 1989), and the factors run
+    from t = k-1 down, each moving slots t .. k-1 only, so the input of the
+    factor at t is symmetric in its untouched block, slots 0 .. t and
+    k .. N-1: it takes only the divided differences against t+1 .. k
+    (operators.apply_dunkl's closed form, times z_t), and p is kept on the
+    keys whose untouched block is weakly decreasing, coords' own keys at
+    first.  Before the factor at t runs, each distinct value of the block
+    moves into slot t, the rest of the block staying sorted; these keys hold,
+    once each, the terms of p whose slots 0 .. t-1 and k .. N-1 are weakly
+    decreasing, and the factor leaves those slots as they are.
     """
-    p = {e: c for mu, c in coords.items() for e in _arrangements(mu, k)}
+    p = coords
     for t in range(k - 1, -1, -1):
+        unfolded = {}
+        for e, c in p.items():
+            block = e[: t + 1] + e[k:]
+            for i, v in enumerate(block):
+                if not i or v != block[i - 1]:
+                    rest = block[:i] + block[i + 1 :]
+                    unfolded[rest[:t] + (v,) + e[t + 1 : k] + rest[t:]] = c
+        p = unfolded
         # z_t d/dz_t and the shift keep each exponent, so they fill the dict first
         out = {e: c * (e[t] + (start + t) * beta) for e, c in p.items()}
         for e, c in p.items() if t < k - 1 else ():

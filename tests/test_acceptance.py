@@ -32,9 +32,8 @@ from csjack.operators import (
 )
 from csjack.oracle import eigenvalue_epsilon
 from csjack.partitions import Partition, dominates, partitions_of
-from csjack.polyring import LaurentPoly, VarContext
+from csjack.polyring import LaurentPoly, VarContext, from_m_coordinates
 from csjack.rodrigues import jack
-from csjack.polyring import from_m_coordinates
 from csjack.symbases import monomial_sym, schur
 
 

@@ -78,6 +78,13 @@ def test_phi_satisfies_every_invariant():
     assert not {case: names for case, names in failed.items() if names}
 
 
+def test_largest_case_satisfies_every_invariant():
+    """(8,6,4,3,2,1)/7, the creation product's largest pinned build, outside
+    CASES."""
+    lam, nvars = Partition((8, 6, 4, 3, 2, 1)), 7
+    assert not rejected_by(rodrigues._phi(VarContext(nvars), tuple(lam)), lam, nvars)
+
+
 def transfer(coords, nvars: int, mu, nu, x):
     """coords with orbit(nu) x added at mu and orbit(mu) x taken from nu,
     which keeps the principal specialization."""

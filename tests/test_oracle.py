@@ -9,7 +9,7 @@ from csjack.errors import (
     DegreeExceedsVariables,
     TooManyParts,
 )
-from csjack.fieldring import BETA, ONE, FieldElement
+from csjack.fieldring import ONE, FieldElement
 from csjack.operators import apply_H, apply_hatD
 from csjack.oracle import (
     eigenvalue_epsilon,

@@ -13,7 +13,9 @@ request calls no operator.
 LaurentPoly.scale, which the normalized forms use, multiplies once per
 distinct coefficient (at most once per m-coordinate when the polynomial is
 symmetric) and equals a term-by-term scaling on any input.  The kernel
-never tests its input's symmetry.
+never tests its input's symmetry.  Its D-string, rodrigues._d_string,
+unfolds one slot per factor and equals the string run on p expanded onto
+every distinct head of k parts first.
 """
 
 import itertools
@@ -123,6 +125,56 @@ def test_multiplicity_count_matches_the_subset_lookups(nvars):
             for k in range(1, nvars):
                 q = rodrigues._d_string(coords, k, 1, PACKED_BETA)
                 assert rodrigues._creation_step(k, coords, PACKED_BETA) == lookup_sum(nvars, k, q)
+
+
+def expanded_d_string(coords, k, start, beta):
+    """The D-string on p expanded onto every distinct ordered head of k parts
+    of each mu, the other parts following in order, then the same factors."""
+    p = {}
+    for mu, c in coords.items():
+        level = [((), mu)]
+        for _ in range(k):
+            level = [
+                (head + (x,), rest[:i] + rest[i + 1 :])
+                for head, rest in level
+                for i, x in enumerate(rest)
+                if not i or x != rest[i - 1]
+            ]
+        p.update(dict.fromkeys((head + rest for head, rest in level), c))
+    for t in range(k - 1, -1, -1):
+        out = {e: c * (e[t] + (start + t) * beta) for e, c in p.items()}
+        for e, c in p.items():
+            for j in range(t + 1, k):
+                a, b = e[t], e[j]
+                lo, hi, v = (b, a, beta * c) if a > b else (a, b, -beta * c)
+                for m in range(lo, hi):
+                    key = list(e)
+                    key[t], key[j] = m + 1, a + b - 1 - m
+                    out[tuple(key)] = out.get(tuple(key), 0) + v
+        p = {e: c for e, c in out.items() if c}
+    return p
+
+
+def test_unfolded_string_matches_the_expanded_string():
+    """_d_string unfolds one slot per factor; the reference expands p onto
+    every head first.  phi_lam at the annihilation width, full-length lam
+    shifted by lam_N as _phi does, for every k and both shifts."""
+    cases = 0
+    for nvars in range(1, 7):
+        for degree in range(8 if nvars <= 4 else 6):
+            for lam in partitions_of(degree, nvars):
+                padded = lam.pad(nvars)
+                steps = [k for k in rodrigues._creation_steps(lam) if k < nvars]
+                width = rodrigues._digit_width(nvars, steps + [nvars])
+                coords = {
+                    tuple(x + padded[-1] for x in mu): c
+                    for mu, c in rodrigues._packed(nvars, steps, width).items()
+                }
+                for k, start in itertools.product(range(1, nvars + 1), (0, 1)):
+                    expected = expanded_d_string(coords, k, start, 1 << width)
+                    assert rodrigues._d_string(coords, k, start, 1 << width) == expected, (lam, nvars, k, start)
+                    cases += 1
+    assert cases == 1004
 
 
 @pytest.mark.parametrize("lam", [(1,), (2, 1), (2, 2, 1), (3, 1, 1)], ids=lambda lam: ",".join(map(str, lam)))
