@@ -12,9 +12,9 @@ recursion:
   order (degree <= nvars only), every pairing read off the cached integral
   Gram matrix of the degree,
 * the non-symmetric route: E_lam, the joint eigenvector of the commuting
-  shifted family with leading monomial z^lam, built by the Knop-Sahi
-  recursion (one chain of intertwiners and cyclic shifts down to E_0 = 1),
-  then symmetrized by orbit sums, for every lam.
+  shifted family with leading monomial z^lam, built in Z[b] by the
+  Knop-Sahi recursion (one chain of intertwiners and cyclic shifts down to
+  E_0 = 1), scaled once, then symmetrized by orbit sums, for every lam.
 
 Each of the first two routes is the unique solution of a system with no
 division in it, so `csjack verify` runs neither: is_triangular_solution
@@ -173,11 +173,12 @@ def _eigenvalues(eta: tuple[int, ...]) -> list[FieldElement]:
 
 
 def _knop_sahi(eta: tuple[int, ...], ctx: VarContext) -> LaurentPoly:
-    """E_eta, the joint eigenvector of the shifted family with [z^eta] = 1,
-    from one predecessor (Knop & Sahi 1997): z_1 E_mu(z_2, .., z_N, z_1) with
-    mu = (eta_2, .., eta_N, eta_1 - 1) when eta_1 > 0; else, at the first i
-    with eta_{i+1} > 0, the intertwiner s_i + b / (d_i - d_{i+1}) applied to
-    E_{s_i eta}, with d the eigenvalues of s_i eta, rescaled."""
+    """The integral E_eta, a joint eigenvector of the shifted family in Z[b]
+    (Knop & Sahi 1997): z_1 E_mu(z_2, .., z_N, z_1), mu = (eta_2, .., eta_N,
+    eta_1 - 1), if eta_1 > 0; else (d_i - d_{i+1}) s_i + b on E_{s_i eta}, i
+    the first with eta_{i+1} > 0, d the eigenvalues of s_i eta.  Each step is
+    Z[b]-linear with coefficients in Z[b], so nothing divides; [z^eta] is the
+    product of the d_i - d_{i+1}, each with constant term eta_{i+1} > 0."""
     n = len(eta)
     if not any(eta):
         return LaurentPoly.monomial(ctx, eta)
@@ -188,8 +189,7 @@ def _knop_sahi(eta: tuple[int, ...], ctx: VarContext) -> LaurentPoly:
     src = eta[:i] + (eta[i + 1], eta[i]) + eta[i + 2 :]
     d = _eigenvalues(src)
     p = _knop_sahi(src, ctx)
-    out = p.swap_vars(i + 1, i + 2) + p.scale(BETA / (d[i] - d[i + 1]))
-    return out.scale(out.coefficient(eta).inverse())
+    return p.swap_vars(i + 1, i + 2).scale(d[i] - d[i + 1]) + p.scale(BETA)
 
 
 def nonsym_eigenvalues(lam: Partition, ctx: VarContext) -> list[FieldElement]:
@@ -198,9 +198,8 @@ def nonsym_eigenvalues(lam: Partition, ctx: VarContext) -> list[FieldElement]:
 
 
 def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
-    """E_lam, the joint eigenvector of the commuting shifted family with
-    leading term z^lam, by the Knop-Sahi recursion, checked against the
-    family before it is returned."""
+    """E_lam with [z^lam] = 1: the integral E_lam, checked against the
+    family in Z[b] (the relations are linear), scaled once by 1/[z^lam]."""
     # the only route here that runs an operator; the verify suites load none
     from .operators import apply_hatD
 
@@ -209,7 +208,7 @@ def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
     for i, delta in enumerate(_eigenvalues(padded), start=1):
         if apply_hatD(i, chi) != chi.scale(delta):
             raise InconsistentSystem(f"E_{padded} fails the family at index {i}")
-    return chi
+    return chi.scale(chi.coefficient(padded).inverse())
 
 
 def jack_by_symmetrization(lam: Partition, ctx: VarContext) -> LaurentPoly:

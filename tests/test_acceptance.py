@@ -158,17 +158,19 @@ def test_criterion_09_schur_specialization():
 
 
 def test_criterion_10_nonsym_route(monkeypatch):
-    """One build of each E_lam: the route symmetrizes the E_lam it builds
-    and checks against the family, and the test checks that same E_lam
-    against the family with r_i written here."""
+    """One build of each integral E_lam: the route checks it against the
+    family, scales and symmetrizes it, and the test checks that same
+    integral E_lam against the family with r_i written here."""
     built = []
-    build = oracle.nonsym_eigenfunction
+    build = oracle._knop_sahi
 
-    def record(lam, ctx):
-        built.append(build(lam, ctx))
-        return built[-1]
+    def record(eta, ctx):
+        chi = build(eta, ctx)
+        if eta == lam.pad(ctx.nvars):
+            built.append(chi)
+        return chi
 
-    monkeypatch.setattr(oracle, "nonsym_eigenfunction", record)
+    monkeypatch.setattr(oracle, "_knop_sahi", record)
     for nvars in range(1, 6):
         ctx = VarContext(nvars)
         for n in range(0, 8):

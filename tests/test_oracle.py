@@ -4,12 +4,12 @@ import itertools
 
 import pytest
 
-from csjack import oracle
+from csjack import fieldring, oracle
 from csjack.errors import (
     DegreeExceedsVariables,
     TooManyParts,
 )
-from csjack.fieldring import ONE, FieldElement
+from csjack.fieldring import ONE, FieldElement, poly_gcd
 from csjack.operators import apply_H, apply_hatD
 from csjack.oracle import (
     eigenvalue_epsilon,
@@ -160,29 +160,38 @@ def test_nonsym_eigen_relations():
 
 
 def test_every_recursion_step_is_an_eigenvector(monkeypatch):
-    """Each E_eta on the chains that build E_lam for |lam| <= 7 and N <= 4,
-    recorded as the recursion calls itself, is a joint eigenvector with
-    [z^eta] = 1 and the eigenvalues eta_i + b (N - 1 - r_i)."""
+    """Each integral E_eta on the chains that build E_lam for |lam| <= 7 and
+    N <= 4, recorded as the recursion calls itself, has coefficients in Z[b],
+    [z^eta] != 0, and is a joint eigenvector with the eigenvalues
+    eta_i + b (N - 1 - r_i); building and checking them runs no gcd."""
     built = {}
+    gcds = []
 
     def record(eta, ctx):
         built[eta] = build(eta, ctx)
         return built[eta]
 
+    def count_gcd(a, b):
+        gcds.append((a, b))
+        return poly_gcd(a, b)
+
     build = oracle._knop_sahi
     monkeypatch.setattr(oracle, "_knop_sahi", record)
+    monkeypatch.setattr(fieldring, "poly_gcd", count_gcd)
     for nvars, weight in itertools.product(range(1, 5), range(8)):
         for lam in partitions_of(weight, nvars):
             record(lam.pad(nvars), VarContext(nvars))
     assert {(0, 2, 1), (2, 0, 1, 1), (1, 0, 3)} <= set(built)
     for eta, chi in built.items():
-        assert chi.coefficient(eta) == ONE, eta
+        assert chi.coefficient(eta), eta
+        assert all(c.den == (1,) for c in chi.terms.values()), eta
         for i, x in enumerate(eta, start=1):
             rank = sum(y > x for y in eta) + eta[i:].count(x)
             assert apply_hatD(i, chi) == chi.scale(FieldElement((x, len(eta) - 1 - rank))), (eta, i)
+    assert not gcds
 
 
-def test_nonsym_rejects_repeated_parts():
+def test_nonsym_rejects_too_many_parts():
     # repeated parts are built like distinct ones; only l(lambda) > N is refused
     with pytest.raises(TooManyParts):
         nonsym_eigenfunction(Partition((3, 2, 1)), CTX2)
