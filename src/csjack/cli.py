@@ -70,10 +70,19 @@ def _checked(parse, expected: str, valid=lambda value: True):
     return convert
 
 
+def _bounded(text: str) -> str:
+    """text, unless its exponent has more than 6 digits past leading zeros: both
+    rational readers compute 10^k first, seconds' work at k = 10^7."""
+    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if len(digits) > 6 and digits.isdecimal():
+        raise UsageError(f"exponent of {text!r} has more than 6 digits")
+    return text
+
+
 def _fraction(text: str):
     from fractions import Fraction
 
-    return Fraction(text)
+    return Fraction(_bounded(text))
 
 
 def _digits(text: str) -> int:
@@ -88,7 +97,7 @@ def _rational(text: str):
     or [sign] p[.d][e[sign]k] with a digit next to the point, whitespace around."""
     from .fieldring import FieldElement
 
-    body = text.strip()
+    body = _bounded(text).strip()
     sign, body = -1 if body[:1] == "-" else 1, body[1:] if body[:1] in ("+", "-") else body
     whole, slash, den = body.partition("/")
     if slash:

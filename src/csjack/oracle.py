@@ -11,10 +11,10 @@ recursion:
 * Gram-Schmidt under the power-sum pairing in increasing lexicographic
   order (degree <= nvars only), every pairing read off the cached integral
   Gram matrix of the degree,
-* the non-symmetric route: E_lam, the joint eigenvector of the commuting
-  shifted family with leading monomial z^lam, built in Z[b] by the
-  Knop-Sahi recursion (one chain of intertwiners and cyclic shifts down to
-  E_0 = 1), scaled once, then symmetrized by orbit sums, for every lam.
+* the non-symmetric route: the integral E_lam, joint eigenvector of the
+  commuting shifted family with leading monomial z^lam, built in Z[b] by the
+  Knop-Sahi recursion down to E_0 = 1 and checked against the family; its
+  orbit sums stay in Z[b], and one division scales m_lam to 1, for every lam.
 
 Each of the first two routes is the unique solution of a system with no
 division in it, so `csjack verify` runs neither: is_triangular_solution
@@ -179,13 +179,12 @@ def _knop_sahi(eta: tuple[int, ...], ctx: VarContext) -> LaurentPoly:
     the first with eta_{i+1} > 0, d the eigenvalues of s_i eta.  Each step is
     Z[b]-linear with coefficients in Z[b], so nothing divides; [z^eta] is the
     product of the d_i - d_{i+1}, each with constant term eta_{i+1} > 0."""
-    n = len(eta)
     if not any(eta):
         return LaurentPoly.monomial(ctx, eta)
     if eta[0]:
         p = _knop_sahi(eta[1:] + (eta[0] - 1,), ctx)
-        return p.permute_vars((*range(1, n), 0)).shift_var(1)
-    i = next(j for j in range(n - 1) if eta[j + 1])
+        return LaurentPoly._raw(ctx, {(e[-1] + 1,) + e[:-1]: c for e, c in p.terms.items()})
+    i = next(j for j in range(len(eta) - 1) if eta[j + 1])
     src = eta[:i] + (eta[i + 1], eta[i]) + eta[i + 2 :]
     d = _eigenvalues(src)
     p = _knop_sahi(src, ctx)
@@ -197,29 +196,33 @@ def nonsym_eigenvalues(lam: Partition, ctx: VarContext) -> list[FieldElement]:
     return _eigenvalues(Partition(lam).pad(ctx.nvars))
 
 
-def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
-    """E_lam with [z^lam] = 1: the integral E_lam, checked against the
-    family in Z[b] (the relations are linear), scaled once by 1/[z^lam]."""
+def _checked_eigenfunction(padded: tuple[int, ...], ctx: VarContext) -> LaurentPoly:
+    """The integral E_padded of _knop_sahi, checked against the family in
+    Z[b] (the relations are linear): every coefficient has denominator 1."""
     # the only route here that runs an operator; the verify suites load none
     from .operators import apply_hatD
 
-    padded = Partition(lam).pad(ctx.nvars)
     chi = _knop_sahi(padded, ctx)
     for i, delta in enumerate(_eigenvalues(padded), start=1):
         if apply_hatD(i, chi) != chi.scale(delta):
             raise InconsistentSystem(f"E_{padded} fails the family at index {i}")
+    return chi
+
+
+def nonsym_eigenfunction(lam: Partition, ctx: VarContext) -> LaurentPoly:
+    """E_lam with [z^lam] = 1: the checked integral E_lam, scaled once."""
+    padded = Partition(lam).pad(ctx.nvars)
+    chi = _checked_eigenfunction(padded, ctx)
     return chi.scale(chi.coefficient(padded).inverse())
 
 
 def jack_by_symmetrization(lam: Partition, ctx: VarContext) -> LaurentPoly:
-    """Symmetrize E_lam by orbit sums: the coefficient of m_mu is
-    |Stab mu| times the sum of E_lam over the orbit of mu, rescaled so the
-    coefficient of m_lam is one."""
-    lam = Partition(lam)
-    coords: dict[tuple, FieldElement] = {}
-    for e, c in nonsym_eigenfunction(lam, ctx).terms.items():
-        mu = tuple(sorted(e, reverse=True))
-        stab = math.prod(math.factorial(mu.count(x)) for x in set(mu))
-        coords[mu] = coords.get(mu, ZERO) + c * stab
-    lead = coords[lam.pad(ctx.nvars)].inverse()
+    """Symmetrize the checked integral E_lam by orbit sums in Z[b]: the
+    coefficient of m_mu is |Stab mu| times the sum of E_lam over the orbit
+    of mu, divided once, at the end, by the coefficient of m_lam."""
+    padded = Partition(lam).pad(ctx.nvars)
+    chi = _checked_eigenfunction(padded, ctx)
+    sums = _merge({}, ((tuple(sorted(e, reverse=True)), c) for e, c in chi.terms.items()))
+    coords = {mu: c * math.prod(math.factorial(mu.count(x)) for x in set(mu)) for mu, c in sums.items()}
+    lead = coords[padded].inverse()
     return from_m_coordinates({Partition(mu): c * lead for mu, c in coords.items()}, ctx)

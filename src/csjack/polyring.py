@@ -214,19 +214,6 @@ class LaurentPoly:
             out[tuple(le)] = c
         return LaurentPoly._raw(self.ctx, out)
 
-    def permute_vars(self, perm) -> "LaurentPoly":
-        """Relabel variables: the exponent at slot k moves to slot perm[k] (0-based)."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.ctx.nvars)):
-            raise IndexOutOfRange(f"{perm} is not a permutation of 0..{self.ctx.nvars - 1}")
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(e)
-            for k, x in enumerate(e):
-                ne[perm[k]] = x
-            out[tuple(ne)] = c
-        return LaurentPoly._raw(self.ctx, out)
-
     def shift_var(self, i: int, amount: int = 1) -> "LaurentPoly":
         """Multiply by z_i^amount (exponent shift, no term merging needed)."""
         _check_var(self.ctx, i)

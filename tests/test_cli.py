@@ -583,6 +583,14 @@ BAD_INPUT = {
         None,
         1,
     ),
+    # 10^k is never computed for an exponent of more than six digits
+    "jack-beta-exponent-too-long": (("jack", "--lambda", "1", "--nvars", "2", "--beta", "1e99999999"), None, 2),
+    "jack-beta-zero-exponent-too-long": (("jack", "--lambda", "1", "--nvars", "2", "--beta", "0e99999999"), None, 2),
+    "spectrum-beta-exponent-too-long": (
+        ("spectrum", "--nparticles", "2", "--beta", "1e99999999", "--lambda", "1"),
+        None,
+        2,
+    ),
 }
 
 

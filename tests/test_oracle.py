@@ -204,6 +204,34 @@ def test_symmetrization_matches():
         assert got == jack(Partition(lam), ctx).monic
 
 
+def test_symmetrization_builds_once_and_divides_once(monkeypatch):
+    """On every lam with |lam| <= 6 and N <= 4, jack_by_symmetrization builds
+    the integral E_lam once and sums its orbits in Z[b], so its one division,
+    by the coefficient of m_lam, runs at most one gcd per m-coordinate."""
+    etas = []
+    gcds = []
+
+    def record(eta, ctx):
+        etas.append(eta)
+        return build(eta, ctx)
+
+    def count_gcd(a, b):
+        gcds.append((a, b))
+        return poly_gcd(a, b)
+
+    build = oracle._knop_sahi
+    monkeypatch.setattr(oracle, "_knop_sahi", record)
+    monkeypatch.setattr(fieldring, "poly_gcd", count_gcd)
+    for nvars, weight in itertools.product(range(1, 5), range(7)):
+        ctx = VarContext(nvars)
+        for lam in partitions_of(weight, nvars):
+            etas.clear()
+            gcds.clear()
+            got = jack_by_symmetrization(lam, ctx)
+            assert etas.count(lam.pad(nvars)) == 1, (lam, nvars)
+            assert len(gcds) <= len(got.m_coordinates()), (lam, nvars, len(gcds))
+
+
 def test_vacuum_everywhere():
     assert jack_by_triangular_H(Partition(()), CTX2) == LaurentPoly.one(CTX2)
     assert jack_by_gram_schmidt(Partition(()), CTX2) == LaurentPoly.one(CTX2)

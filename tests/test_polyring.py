@@ -212,15 +212,11 @@ def test_constructors_reject_non_int_exponents():
             LaurentPoly.monomial(CTX2, list(exps))
 
 
-def test_swap_and_permute():
+def test_swap_vars():
     z1, z2, z3 = (z(CTX3, i) for i in (1, 2, 3))
     p = z1**2 * z2 + z3
     assert p.swap_vars(1, 2) == z2**2 * z1 + z3
     assert p.swap_vars(1, 2).swap_vars(1, 2) == p
-    # cycle 1 -> 2 -> 3 -> 1
-    q = p.permute_vars((1, 2, 0))
-    assert q == z2**2 * z3 + z1
-    assert p.permute_vars((0, 1, 2)) == p
 
 
 def test_shift_var():
