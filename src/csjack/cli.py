@@ -9,8 +9,9 @@ verification suite reported a failure.  A usage error or a domain error
 prints one `error:` line on stderr.  Each handler imports the layers it
 runs when it runs: fieldring and polyring only for jack, convert and the
 verify suites that build polynomials, fractions only in the converters of
-spectrum's rational flags (jack's --beta is read in ints, as the
-Fraction(text) grammar reads it), json only where convert reads its payload: _json writes all JSON output.  The spectrum and convert modules build their payloads and never
+spectrum's rational flags (errors.read_rational reads every rational flag
+in ints), json only where convert reads its payload: _json writes all JSON
+output.  The spectrum and convert modules build their payloads and never
 import cli, which `python -m csjack.cli` would compile a second time.
 
 The command line is read from one table, COMMANDS: each command's flags,
@@ -39,7 +40,7 @@ import gc
 import sys
 from types import SimpleNamespace
 
-from .errors import TooManyParts
+from .errors import TooManyParts, read_rational
 from .partitions import Partition
 
 
@@ -70,45 +71,17 @@ def _checked(parse, expected: str, valid=lambda value: True):
     return convert
 
 
-def _bounded(text: str) -> str:
-    """text, unless its exponent has more than 6 digits past leading zeros: both
-    rational readers compute 10^k first, seconds' work at k = 10^7."""
-    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-    if len(digits) > 6 and digits.isdecimal():
-        raise UsageError(f"exponent of {text!r} has more than 6 digits")
-    return text
-
-
 def _fraction(text: str):
     from fractions import Fraction
 
-    return Fraction(_bounded(text))
-
-
-def _digits(text: str) -> int:
-    """int(text) for digits with no sign or whitespace; int() checks the underscores."""
-    if not text.replace("_", "").isdecimal():
-        raise ValueError(f"not digits: {text!r}")
-    return int(text)
+    return Fraction(*read_rational(text))
 
 
 def _rational(text: str):
-    """Fraction(text)'s value as a constant FieldElement built from ints: [sign] p/q
-    or [sign] p[.d][e[sign]k] with a digit next to the point, whitespace around."""
     from .fieldring import FieldElement
 
-    body = _bounded(text).strip()
-    sign, body = -1 if body[:1] == "-" else 1, body[1:] if body[:1] in ("+", "-") else body
-    whole, slash, den = body.partition("/")
-    if slash:
-        return FieldElement((sign * _digits(whole),), (_digits(den),))
-    mantissa, e, exp = body.replace("E", "e").partition("e")
-    whole, _, decimal = mantissa.partition(".")
-    scale = 10 ** len(decimal.replace("_", ""))
-    # a digit before the point or after it: "" raises where both are empty
-    num = sign * (_digits(whole or ("0" if decimal else "")) * scale + _digits(decimal or "0"))
-    k = (-1 if exp[:1] == "-" else 1) * _digits(exp[1:] if exp[:1] in ("+", "-") else exp) if e else 0
-    return FieldElement((num * 10 ** max(k, 0),), (scale * 10 ** max(-k, 0),))
+    num, den = read_rational(text)
+    return FieldElement((num,), (den,))
 
 
 PARTITION_ARG = _checked(_parse_partition, "comma separated integers")
@@ -163,12 +136,8 @@ def cmd_jack(args) -> int:
         return str(c if args.beta is None else c.specialize(args.beta))
 
     if args.format == "json":
-        payload = result.to_json()
+        payload = result.to_json() if args.beta is None else result.to_json(show)
         payload["beta"] = "sym" if args.beta is None else str(args.beta)
-        if args.beta is not None:
-            payload["c"] = show(result.c)
-            for entry, (_, coeff) in zip(payload["monomial_expansion"], result.m_coordinates):
-                entry["coeff"] = show(coeff)
     else:
         lines = [
             f"jack lambda={list(lam)} nvars={ctx.nvars} normalization={args.normalization}",
@@ -348,7 +317,7 @@ def _convert(flag: str, convert, text: str):
         raise UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, convert))})")
     try:
         return convert(text)
-    except UsageError as exc:
+    except (UsageError, OverflowError) as exc:
         raise UsageError(f"argument {flag}: {exc}") from None
 
 

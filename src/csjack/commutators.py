@@ -90,7 +90,7 @@ def _commutator_identities(max_degree: int, max_nvars: int, beta) -> list[tuple]
     def dunkl_z_commutator(rng, ctx, p) -> str:
         i = rng.randint(1, ctx.nvars)
         j = rng.randint(1, ctx.nvars)
-        lhs = dunkl(i, p.shift_var(j, 1)) - dunkl(i, p).shift_var(j, 1)
+        lhs = dunkl(i, p.shift_var(j)) - dunkl(i, p).shift_var(j)
         rhs = -p.swap_vars(i, j).scale(beta)
         if i == j:
             swapped = LaurentPoly.sum(ctx, (p.swap_vars(i, l) for l in range(1, ctx.nvars + 1)))
@@ -151,7 +151,7 @@ def _commutator_identities(max_degree: int, max_nvars: int, beta) -> list[tuple]
             swapped = LaurentPoly.sum(ctx, (_times_z(p.swap_vars(i, j), J) for j in outside))
             rhs = _times_z(p, J) + swapped.scale(beta)
         else:
-            terms = [_times_z(p.swap_vars(i, j), tuple(v for v in J if v != j)).shift_var(i, 1) for j in J]
+            terms = [_times_z(p.swap_vars(i, j), tuple(v for v in J if v != j)).shift_var(i) for j in J]
             rhs = -LaurentPoly.sum(ctx, terms).scale(beta)
         return "" if lhs == rhs else f"nvars={ctx.nvars} i={i} J={J} p={p}"
 

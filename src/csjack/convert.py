@@ -2,8 +2,9 @@
 
 A payload is a jack result, a LaurentPoly or a basis expansion, as JSON
 from a file or stdin; json serves only to read it, and the command line
-writes the expansion.  Anything that does not decode raises BadPayload,
-which the command line reports as a domain error.
+writes the expansion.  Anything that does not decode, such as a coefficient
+string with an exponent that errors.read_rational refuses, raises
+BadPayload, which the command line reports as a domain error.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ def convert_payload(args) -> dict:
         else:
             obj = json.load(sys.stdin)
         poly = _decode_polynomial(obj)
-    # json.load recurses once per nesting level
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError) as exc:
+    # json.load recurses once per nesting level; read_rational overflows on a long exponent
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, RecursionError) as exc:
         raise BadPayload(f"malformed polynomial payload ({type(exc).__name__}: {exc})")
     if poly is None:
         raise BadPayload("unrecognized polynomial payload")

@@ -8,8 +8,9 @@ coefficients together 1, and lc(den) > 0 (zero is 0/1).  Each element of
 Q(b) has one such form, so equality and hashing are structural, as
 serialization requires, and the arithmetic is fraction-free (Knuth, TAOCP
 vol. 2, 4.6.1): it runs on ints and builds no Fraction.  fractions is
-imported only to read input given as strings or Fractions (poly, field)
-and by as_fraction, so a request that reads no rational never loads it.
+imported only for input given as Fractions or as strings, which
+errors.read_rational reads (poly, field), and by as_fraction, so a request
+that reads no rational never loads it.
 to_json and str print the monic form over Q, num/lc(den) over den/lc(den),
 with every coefficient reduced by one integer gcd.
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import DivisionByZero, NonzeroRemainder, PoleAtValue, checked_type
+from .errors import DivisionByZero, NonzeroRemainder, PoleAtValue, checked_type, read_rational
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -47,12 +48,12 @@ _PONE: BetaPoly = (1,)
 
 
 def _coeff(c) -> int | Fraction:
-    """An int, Fraction or string as an exact coefficient, int when integral."""
+    """An int, Fraction or string (read_rational) as an exact coefficient, int when integral."""
     if type(c) is int:
         return c
     from fractions import Fraction
 
-    c = Fraction(c)
+    c = Fraction(*read_rational(c)) if isinstance(c, str) else Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

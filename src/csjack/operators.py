@@ -92,7 +92,7 @@ def apply_dunkl(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
 
 def apply_D(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     """Degree-preserving operator z_i * dunkl_i."""
-    return apply_dunkl(i, p, beta).shift_var(i, 1)
+    return apply_dunkl(i, p, beta).shift_var(i)
 
 
 def apply_D_string(k: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
@@ -127,7 +127,7 @@ def apply_B_plus(i: int, J, p: LaurentPoly, beta=BETA) -> LaurentPoly:
 def _times_z(p: LaurentPoly, subset) -> LaurentPoly:
     """Multiply by the product of z_v over v in subset."""
     for v in subset:
-        p = p.shift_var(v, 1)
+        p = p.shift_var(v)
     return p
 
 
@@ -156,7 +156,7 @@ def apply_H(p: LaurentPoly, beta=BETA) -> LaurentPoly:
 
     def pair_term(j: int, k: int) -> LaurentPoly:
         w = p.euler_derivative(j) - p.euler_derivative(k)
-        return divide_by_vardiff(w.shift_var(j, 1) + w.shift_var(k, 1), j, k)
+        return divide_by_vardiff(w.shift_var(j) + w.shift_var(k), j, k)
 
     squares = (p.euler_derivative(i).euler_derivative(i) for i in indices)
     pairs = (pair_term(j, k) for j, k in itertools.combinations(indices, 2))

@@ -214,13 +214,13 @@ class LaurentPoly:
             out[tuple(le)] = c
         return LaurentPoly._raw(self.ctx, out)
 
-    def shift_var(self, i: int, amount: int = 1) -> "LaurentPoly":
-        """Multiply by z_i^amount (exponent shift, no term merging needed)."""
+    def shift_var(self, i: int) -> "LaurentPoly":
+        """Multiply by z_i (exponent shift, no term merging needed)."""
         _check_var(self.ctx, i)
         ii = i - 1
         out = {}
         for e, c in self.terms.items():
-            out[e[:ii] + (e[ii] + amount,) + e[ii + 1 :]] = c
+            out[e[:ii] + (e[ii] + 1,) + e[ii + 1 :]] = c
         return LaurentPoly._raw(self.ctx, out)
 
     # -- calculus ---------------------------------------------------------------

@@ -225,15 +225,13 @@ class JackResult:
             coords = {mu: products[v] for mu, v in coords.items()}
         return tuple(sorted(coords.items(), reverse=True))
 
-    def to_json(self) -> dict:
+    def to_json(self, write=FieldElement.to_json) -> dict:
         return {
             "lambda": list(self.lam),
             "nvars": self.ctx.nvars,
             "normalization": self.normalization,
-            "c": self.c.to_json(),
-            "monomial_expansion": [
-                {"partition": list(mu), "coeff": c.to_json()} for mu, c in self.m_coordinates
-            ],
+            "c": write(self.c),
+            "monomial_expansion": [{"partition": list(mu), "coeff": write(c)} for mu, c in self.m_coordinates],
         }
 
 

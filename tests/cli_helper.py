@@ -18,11 +18,12 @@ def child_env() -> dict:
     return env
 
 
-def run_child(*argv, stdin=None):
+def run_child(*argv, stdin=None, timeout=None):
+    """The finished child; past timeout seconds it is killed and TimeoutExpired raised."""
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, input=stdin, env=child_env()
+        [sys.executable, *argv], capture_output=True, text=True, input=stdin, env=child_env(), timeout=timeout
     )
 
 
-def run_cli(*args, stdin=None):
-    return run_child("-m", "csjack.cli", *args, stdin=stdin)
+def run_cli(*args, stdin=None, timeout=None):
+    return run_child("-m", "csjack.cli", *args, stdin=stdin, timeout=timeout)

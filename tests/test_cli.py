@@ -668,3 +668,81 @@ def test_beta_reader_matches_fraction(text, capsys, monkeypatch):
     if expected is not None:
         value = cli._rational(text)
         assert value == expected and str(value) == str(expected)
+
+
+# spectrum's rational flags: (name in the JSON params, what a value must satisfy)
+SPECTRUM_RATIONALS = {
+    "--beta": ("beta", lambda v: v > 0),
+    "--q": ("q", lambda v: True),
+    "--length": ("length", lambda v: v > 0),
+}
+
+
+@pytest.mark.parametrize("text", BETA_TEXTS + _beta_corpus(300))
+def test_spectrum_rational_flags_read_as_fraction(text, capsys):
+    """spectrum's --beta, --q and --length read text as Fraction(text) does:
+    an accepted value in range prints as str(Fraction(text)), and anything
+    else is one usage line and exit 2.  The flag joins its value with =, so
+    that argv never reads the text as an option."""
+    for flag, (name, valid) in SPECTRUM_RATIONALS.items():
+        argv = ["spectrum", "--nparticles", "2", "--lambda", "1", "--format", "json", "--beta=1", f"{flag}={text}"]
+        code, out, err = cli.main(argv), *capsys.readouterr()
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        if expected is None or not valid(expected):
+            assert (code, out) == (2, "") and err.startswith(f"error: argument {flag}: ") and len(err.splitlines()) == 1
+        else:
+            assert (code, err) == (0, "") and json.loads(out)["params"][name] == str(expected)
+
+
+@pytest.mark.parametrize("text", BETA_TEXTS + _beta_corpus(300))
+def test_payload_coefficient_strings_read_as_fraction(text, capsys, monkeypatch):
+    """A coefficient string of a convert payload reads as Fraction(text): an
+    accepted one is that value, a rejected one a malformed payload (exit 1)."""
+    from csjack.fieldring import FieldElement, field
+
+    coeff = {"num": [text], "den": [1]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(_payload(monomial_expansion=[_entry("partition", [1], coeff)])))
+    code, out, err = cli.main(["convert", "--to", "m"]), *capsys.readouterr()
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        assert (code, out) == (1, "") and err.startswith("error: malformed polynomial payload (")
+        assert len(err.splitlines()) == 1
+        return
+    assert FieldElement.from_json(coeff) == field(expected)
+    coords = [_entry("partition", [1], field(expected).to_json())] if expected else []
+    assert (code, err) == (0, "") and json.loads(out)["coords"] == coords
+
+
+@pytest.mark.parametrize("coeff", [{"num": ["1e99999999"], "den": [1]}, "1e99999999"], ids=["symbolic", "fixed-beta"])
+def test_a_payload_exponent_too_long_is_refused_at_once(coeff):
+    """10^k is never computed for a payload coefficient whose exponent has
+    more than 6 digits; the timeout fails a reader that computes it."""
+    payload = _payload(monomial_expansion=[_entry("partition", [1], coeff)])
+    r = run_cli("convert", "--to", "p", stdin=payload, timeout=10)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == (
+        "error: malformed polynomial payload (OverflowError: exponent of '1e99999999' has more than 6 digits)\n"
+    )
+
+
+def test_no_reader_hands_text_to_fraction(capsys, monkeypatch):
+    """spectrum's flags and convert's coefficient strings are read in ints;
+    Fraction is only built from the ints read."""
+    new, calls = Fraction.__new__, []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    argv = ["spectrum", "--nparticles", "3", "--beta", "3/2", "--q=-1.5e0", "--length", "7.", "--lambda", "2,1"]
+    assert cli.main(argv) == 0
+    coeffs = [_entry("partition", [2], {"num": ["1.5e1", "-2/3"], "den": ["4"]}), _entry("partition", [1, 1])]
+    monkeypatch.setattr("sys.stdin", io.StringIO(_payload(monomial_expansion=coeffs)))
+    assert cli.main(["convert", "--to", "p"]) == 0
+    capsys.readouterr()
+    assert calls and not [args for args in calls if any(isinstance(a, str) for a in args)]

@@ -3,6 +3,7 @@ m-coordinates, scaled from the raw product's, and a request never rescales
 the whole raw product."""
 
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -42,6 +43,22 @@ def test_json_at_fixed_beta_is_the_specialized_symbolic_json(lam, nvars, extra, 
     expected["beta"] = beta
     got = _stdout(head + ["--format", "json", "--beta", beta])
     assert got == json.dumps(expected, indent=2) + "\n"
+
+
+# SHA-256 of what this request printed when its JSON coefficients were
+# first written symbolically and then overwritten with their values
+BETA_JSON = ["jack", "--lambda", "3,2,1", "--nvars", "4", "--beta", "1/2", "--format", "json"]
+BETA_JSON_SHA256 = "b5b6cc6d3b0f6fb3412f7501e3f4b2909980ffd787fa2ffc49cceaa368bda4af"
+
+
+def test_json_at_fixed_beta_writes_each_coefficient_once(monkeypatch):
+    """--beta JSON renders each coefficient once, at its value: no symbolic
+    FieldElement.to_json is written first."""
+    calls, original = [], FieldElement.to_json
+    monkeypatch.setattr(FieldElement, "to_json", lambda self: calls.append(self) or original(self))
+    got = _stdout(BETA_JSON)
+    assert calls == []
+    assert hashlib.sha256(got.encode()).hexdigest() == BETA_JSON_SHA256
 
 
 @pytest.fixture
