@@ -38,11 +38,12 @@ def _commutator_width(max_nvars: int, max_degree: int) -> int:
 
     Let |q| be the sum of the absolute integer coefficients of q over z- and
     b-monomials, N = max_nvars and d = max_degree.  On input of z-degree at
-    most e, z_i d/dz_i and each of the N - 1 divided differences multiply |q|
-    by at most e (rodrigues._digit_width) and the factor b by 1, so dunkl_i
-    and D_i multiply |q| by at most N e, hatD_i by at most N e + N - 1, and
-    D_i + s b by at most N e + s; swaps, shifts and z_J multiply it by 1 and
-    scaling by b m by |m|.  No intermediate has degree above d + N, so every
+    most e, z_i d/dz_i multiplies |q| by at most e, each of the N - 1
+    divided differences turns a term into at most e terms of coefficient
+    +-1, and the factor b multiplies |q| by 1, so dunkl_i and D_i multiply
+    |q| by at most N e, hatD_i by at most N e + N - 1, and D_i + s b by at
+    most N e + s; swaps, shifts and z_J multiply it by 1 and scaling by b m
+    by |m|.  No intermediate has degree above d + N, so every
     operator multiplies |q| by at most K = N (d + N) + N, and the string
     factors of the restricted swap (s <= 4) by at most K + 4.  A side applies
     at most four operators (power exchange at l = 3: |lhs - rhs| <=

@@ -25,9 +25,10 @@ exactly in Z[b], as Gauss's lemma guarantees for a primitive divisor.
 
 unpack and pack_width are the one Kronecker codec: the packed creation
 product and the packed verify suites compute the ints that elements of
-Z[b] take at b = 2^B, B = pack_width of a proven bound on every
-coefficient, and unpack reads such an int back as balanced base-2^B
-digits, exact while every coefficient is below 2^(B-2).
+Z[b] take at b = 2^B, exact at any B as b -> 2^B is a ring map.  Only the
+answer needs B = pack_width of a proven bound on its coefficients (n! for
+phi_lam, rodrigues._phi), and unpack reads such an int back as balanced
+base-2^B digits, exact while every coefficient is below 2^(B-2).
 """
 
 from __future__ import annotations

@@ -31,26 +31,6 @@ def _creation_steps(parts: tuple[int, ...]) -> list[int]:
     return steps[::-1]
 
 
-def _digit_width(nvars: int, steps: list[int]) -> int:
-    """Bits B per packed digit: every b-coefficient of the product is below
-    2^(B-2) in absolute value (B = 60 for (5,3,2,1)/5, 107 for (6,5,3,2,1)/6).
-
-    Let |p| be the sum of the absolute integer coefficients of p over z- and
-    b-monomials, and d the degree of p.  z_i d/dz_i multiplies |p| by at most
-    d; each of the N-1 divided differences turns a term into at most d terms
-    of coefficient +-1, and the factor b moves b-degrees only.  Hence
-    |(D_i + s b) p| <= (N d + s) |p|, and a step B_k+ (C(N, k) strings with
-    shifts 1..k at input degree d) multiplies |p| by at most
-    C(N, k) * prod_{pos<k} (N d + 1 + pos); |1| = 1, and every coefficient is
-    at most the final |p|.
-    """
-    bound, degree = 1, 0
-    for k in steps:
-        bound *= math.comb(nvars, k) * math.prod(nvars * degree + 1 + pos for pos in range(k))
-        degree += k
-    return pack_width(bound)
-
-
 def _d_string(coords: dict, k: int, start: int, beta: int) -> dict:
     """The nonzero terms {e: int} with e[k:] weakly decreasing of
     (D_1 + start b) ... (D_k + (start+k-1) b) p, from the m-coordinates
@@ -123,9 +103,10 @@ def _packed(nvars: int, steps: list[int], width: int) -> dict:
 
     Each creation step is Z[b]-linear on Z[b][z] (integer derivative factors,
     synthetic division by the monic z_i - z_j, shifts (1+pos) b), so it
-    commutes with b -> 2^width: each int is an m-coordinate in Z[b] at
-    2^width, which unpack reads back for any width >= _digit_width(nvars,
-    steps)."""
+    commutes with the ring map b -> 2^width: each int is exact at any width,
+    an m-coordinate in Z[b] at 2^width, and only the final unpack needs a
+    bound.  unpack reads it back once every b-coefficient is below
+    2^(width-2); for phi_lam, n = sum(steps), n! bounds them (_phi)."""
     coords = {(0,) * nvars: 1}
     for k in steps:
         coords = _creation_step(k, coords, 1 << width)
@@ -135,20 +116,27 @@ def _packed(nvars: int, steps: list[int], width: int) -> dict:
 @functools.cache
 def _phi(ctx: VarContext, parts: tuple[int, ...]) -> MappingProxyType:
     """{mu: coefficient of m_mu} of phi_parts, read-only, because every
-    caller shares the cached value; _packed at the width _digit_width
-    proves, each m-coordinate unpacked once.
+    caller shares the cached value; _packed at the width pack_width(n!),
+    n = sum(steps) = |parts| - N lam_N, each m-coordinate unpacked once.
 
+    Every b-coefficient of phi_lam[mu] is at most n!.  phi_lam shares its
+    coefficients with phi of lam - (lam_N^N), of weight n, so take lam_N = 0.
+    A coefficient lies in N[b] (Knop and Sahi 1997), so it is at most
+    phi_lam[mu] at b = 1, which is c_lam(1) K_lam,mu: monic J_lam at b = 1
+    is the Schur polynomial, and c_lam(1) is the hook product of lam.
+    Kostka numbers only grow as mu goes down in dominance, so K_lam,mu <=
+    K_lam,(1^n) = f^lam, and c_lam(1) f^lam = n! by the hook length formula.
     Step B_k+ adds at most k to the b-degree, so a coefficient has at most
-    |parts| + 1 digits, unique by _digit_width.  The steps of cardinality N
-    are B_N+ = z_1 ... z_N: they add lam_N, the last entry of parts padded
-    to N variables, to mu.
+    n + 1 digits.  The steps of cardinality N are B_N+ = z_1 ... z_N: they
+    add lam_N, the last entry of parts padded to N variables, to mu.
     """
     shift = Partition(parts).pad(ctx.nvars)[-1]
     steps = [k for k in _creation_steps(parts) if k < ctx.nvars]
-    width = _digit_width(ctx.nvars, steps)
+    n = sum(steps)
+    width = pack_width(math.factorial(n))
     coords = _packed(ctx.nvars, steps, width)
     return MappingProxyType(
-        {Partition(x + shift for x in mu): unpack(c, width, sum(steps) + 1) for mu, c in coords.items()}
+        {Partition(x + shift for x in mu): unpack(c, width, n + 1) for mu, c in coords.items()}
     )
 
 

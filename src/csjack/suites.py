@@ -6,9 +6,10 @@ sweep case.  All randomness is seeded, so two runs produce identical output.
 The commutator and annihilation identities are Z[b]-linear and their inputs
 lie in Z[b][z], so those two suites run on plain ints at b = 2^B (Kronecker
 substitution), with B computed at run time from a proved bound,
-commutators._commutator_width or, as for every symmetric D-string,
-rodrigues._digit_width: with every coefficient of lhs - rhs below 2^(B-2),
-the two sides agree at 2^B only when they agree in Z[b].  The
+commutators._commutator_width, or for the annihilation strings the 1-norm
+P of phi_lam, its principal specialization at b = 1, times what the string
+can multiply it by: with every coefficient of lhs - rhs below 2^(B-2), the
+two sides agree at 2^B only when they agree in Z[b].  The
 rodrigues-vs-oracle and orthogonality suites read the cached m-coordinates
 of the integral phi_lam = c_lam J_lam, which lie in Z[b], and check
 equations with no division in them: rows of the Hamiltonian's matrix and of
@@ -26,6 +27,7 @@ in Z[b], load no fractions.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .partitions import Partition, Record, partitions_of
@@ -113,21 +115,27 @@ def suite_annihilation(max_degree: int, max_nvars: int) -> list[CheckResult]:
     rodrigues._packed builds them at 2^B, so no coefficient is decoded and no
     polynomial is built.
 
-    B is rodrigues._digit_width of lam's creation steps and one more step of
-    cardinality N: with |q| as there, that step is one string with shifts
-    1..N, so 2^(B-2) > |phi_lam| prod_{s=1..N} (N |lam| + s).  Each factor
-    D_j + pos b of N_k (pos = 0..k-1, k <= N) multiplies |q| by at most
-    N |lam| + pos + 1, so the image's b-coefficients are below 2^(B-2), and
-    it, or any part of it, is zero at 2^B only when it is zero in Z[b]."""
+    B is pack_width(P prod_{s=1..N} (N n + s)), n = |lam| and P the product
+    over the boxes (i, j) of lam of N - i + j, rows and columns counted from
+    0.  Let |q| be the sum of the absolute integer coefficients of q over z-
+    and b-monomials.  phi_lam has coefficients in N[b] (Knop and Sahi 1997),
+    so |phi_lam| is phi_lam(1^N) at b = 1, its principal specialization P.
+    Each factor D_j + pos b of N_k (pos = 0..k-1, k <= N) multiplies |q| by
+    at most N n + pos + 1 (z_j d/dz_j by n, each of the N - 1 divided
+    differences times z_j by n, the shift by pos), so the image's
+    b-coefficients are below 2^(B-2), and it, or any part of it, is zero at
+    2^B only when it is zero in Z[b]."""
     from . import rodrigues
+    from .fieldring import pack_width
 
     results = []
     for ctx, lam, label in _creation_cases(max_degree, max_nvars):
-        steps = rodrigues._creation_steps(lam)
-        width = rodrigues._digit_width(ctx.nvars, steps + [ctx.nvars])
-        coords = rodrigues._packed(ctx.nvars, steps, width)
+        nvars, n = ctx.nvars, lam.weight
+        norm = math.prod(nvars - i + j for i, row in enumerate(lam) for j in range(row))
+        width = pack_width(norm * math.prod(nvars * n + s for s in range(1, nvars + 1)))
+        coords = rodrigues._packed(nvars, rodrigues._creation_steps(lam), width)
         bad = ""
-        for k in range(len(lam) + 1, ctx.nvars + 1):
+        for k in range(len(lam) + 1, nvars + 1):
             if rodrigues._d_string(coords, k, 0, 1 << width):
                 bad = f"cardinality {k} image is nonzero"
                 break

@@ -1,10 +1,14 @@
 """Predicates and case lists that only the tests need, kept out of the
 package."""
 
+import contextlib
 import math
 from fractions import Fraction
 
-from csjack.fieldring import ZERO, BetaPoly, FieldElement
+import pytest
+
+from csjack import rodrigues
+from csjack.fieldring import ZERO, BetaPoly, FieldElement, pack_width
 from csjack.partitions import partitions_of
 from csjack.polyring import LaurentPoly, divide_by_vardiff
 
@@ -19,6 +23,30 @@ SWEEP = tuple(
 def case_id(case) -> str:
     lam, nvars = case
     return f"{','.join(map(str, lam)) or '0'}/{nvars}"
+
+
+@contextlib.contextmanager
+def packed_widths():
+    """{(nvars, steps): width} of every rodrigues._packed call made in the
+    block, as _phi and the annihilation suite choose the width."""
+    widths, packed = {}, rodrigues._packed
+
+    def recorded(nvars, steps, width):
+        widths[nvars, tuple(steps)] = width
+        return packed(nvars, steps, width)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rodrigues, "_packed", recorded)
+        yield widths
+
+
+def annihilation_width(lam, nvars: int) -> int:
+    """The annihilation suite's width for l(lam) < nvars = N: pack_width of P
+    prod_{s=1..N} (N |lam| + s), P the product over the boxes (i, j) of lam
+    of N - i + j, the 1-norm of phi_lam."""
+    n = sum(lam)
+    norm = math.prod(nvars - i + j for i, row in enumerate(lam) for j in range(row))
+    return pack_width(norm * math.prod(nvars * n + s for s in range(1, nvars + 1)))
 
 
 def poly_is_integral(a: BetaPoly) -> bool:

@@ -14,7 +14,7 @@ which takes every pair on every term.
 import itertools
 
 import pytest
-from criteria_helpers import divided_difference, partial_derivative
+from criteria_helpers import annihilation_width, divided_difference, partial_derivative
 
 pytest.importorskip("hypothesis")
 
@@ -106,9 +106,8 @@ def test_proven_strings_match_every_pair_strings(nvars):
                 got = rodrigues._d_string({e: 1}, k, start, PACKED_BETA)
                 assert got == weakly_decreasing_tails(expected, k)
         for lam in partitions_of(degree, nvars - 1):
-            steps = rodrigues._creation_steps(lam)
-            width = rodrigues._digit_width(nvars, steps + [nvars])
-            coords = rodrigues._packed(nvars, steps, width)
+            width = annihilation_width(lam, nvars)
+            coords = rodrigues._packed(nvars, rodrigues._creation_steps(lam), width)
             # the int phi_lam: each m-coordinate spread over its orbit
             orbits = {e: c for mu, c in coords.items() for e in set(itertools.permutations(mu))}
             packed = LaurentPoly._raw(ctx, orbits)

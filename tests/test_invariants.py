@@ -11,15 +11,21 @@ only slowly.  With phi_lam = b^|lam| times Stanley's J_lam at alpha = 1/b
 * positivity: every coefficient lies in N[b] (Knop and Sahi 1997).
 
 Each invariant also rejects a perturbed phi_lam that the other two accept.
+The packed widths rest on two bounds that follow: every b-coefficient is at
+most n!, n = |lam|, which _phi's width pack_width(n!) covers, no wider than
+the bound once chained over every creation step; and the 1-norm over z- and
+b-monomials is the principal specialization at b = 1, on which the
+annihilation suite's width builds.
 """
 
 import math
 from collections import Counter
 
 import pytest
+from criteria_helpers import packed_widths
 
 from csjack import rodrigues
-from csjack.fieldring import BETA, ONE, ZERO, FieldElement
+from csjack.fieldring import BETA, ONE, ZERO, FieldElement, pack_width
 from csjack.partitions import Partition, partitions_of
 from csjack.polyring import VarContext
 
@@ -69,20 +75,53 @@ def rejected_by(coords, lam: Partition, nvars: int) -> set[str]:
     return {name for name, holds in INVARIANTS.items() if not holds(coords, lam, nvars)}
 
 
-def test_phi_satisfies_every_invariant():
-    assert len(CASES) == 743
-    failed = {
-        (tuple(lam), ctx.nvars): rejected_by(rodrigues._phi(ctx, tuple(lam)), lam, ctx.nvars)
-        for ctx, lam in CASES
+def chain_width(nvars: int, steps: list[int]) -> int:
+    """The width once proven by a chain over every step: B_k+ at input degree
+    d multiplies the 1-norm by at most C(N, k) prod_{pos<k} (N d + 1 + pos)."""
+    bound, degree = 1, 0
+    for k in steps:
+        bound *= math.comb(nvars, k) * math.prod(nvars * degree + 1 + pos for pos in range(k))
+        degree += k
+    return pack_width(bound)
+
+
+def width_faults(coords, lam: Partition, nvars: int, width: int) -> set[str]:
+    """The bounds behind the packed widths that phi_lam, packed at width, breaks."""
+    one_norm = sum(orbit(mu, nvars) * sum(map(abs, c.num)) for mu, c in coords.items())
+    bounds = {
+        "coefficient-bound": all(abs(x) <= math.factorial(lam.weight) for c in coords.values() for x in c.num),
+        "one-norm": one_norm == math.prod(nvars - i + j for i, row in enumerate(lam) for j in range(row)),
+        "chain-bound": width <= chain_width(nvars, rodrigues._creation_steps(lam)),
     }
+    return {name for name, holds in bounds.items() if not holds}
+
+
+@pytest.fixture
+def cold_widths():
+    """{(nvars, steps): width} of the _packed calls of _phi, on a cold cache."""
+    rodrigues._phi.cache_clear()
+    with packed_widths() as widths:
+        yield widths
+
+
+def faults(ctx: VarContext, lam: Partition, widths: dict) -> set[str]:
+    coords = rodrigues._phi(ctx, tuple(lam))
+    width = widths[ctx.nvars, tuple(rodrigues._creation_steps(lam))]
+    return rejected_by(coords, lam, ctx.nvars) | width_faults(coords, lam, ctx.nvars, width)
+
+
+def test_phi_satisfies_every_invariant(cold_widths):
+    assert len(CASES) == 743
+    failed = {(tuple(lam), ctx.nvars): faults(ctx, lam, cold_widths) for ctx, lam in CASES}
     assert not {case: names for case, names in failed.items() if names}
 
 
-def test_largest_case_satisfies_every_invariant():
+def test_largest_case_satisfies_every_invariant(cold_widths):
     """(8,6,4,3,2,1)/7, the creation product's largest pinned build, outside
-    CASES."""
-    lam, nvars = Partition((8, 6, 4, 3, 2, 1)), 7
-    assert not rejected_by(rodrigues._phi(VarContext(nvars), tuple(lam)), lam, nvars)
+    CASES, packed at pack_width(20!) = 82 bits."""
+    lam, ctx = Partition((8, 6, 4, 3, 2, 1)), VarContext(7)
+    assert not faults(ctx, lam, cold_widths)
+    assert list(cold_widths.values()) == [82]
 
 
 def transfer(coords, nvars: int, mu, nu, x):

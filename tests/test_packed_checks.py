@@ -12,7 +12,7 @@ so the two share no code past phi_lam.
 import random
 
 import pytest
-from criteria_helpers import divided_difference, partial_derivative
+from criteria_helpers import annihilation_width, divided_difference, packed_widths, partial_derivative
 
 from csjack import commutators, operators, rodrigues, suites
 from csjack.fieldring import BETA
@@ -110,13 +110,19 @@ def test_commutator_width_covers_every_side(cell, monkeypatch):
 
 @pytest.mark.parametrize("cell", ANNIHILATION_CELLS, ids=map(cell_id, ANNIHILATION_CELLS))
 def test_annihilation_width_covers_every_string_step(cell):
+    """The width the suite packs each phi_lam at, which is P prod_{s=1..N}
+    (N |lam| + s) < 2^(B-2), bounds the 1-norm of every string step."""
     max_degree, max_nvars = cell
+    with packed_widths() as widths:
+        suites.suite_annihilation(*cell)
     for nvars in range(2, max_nvars + 1):
         ctx = VarContext(nvars)
         for degree in range(max_degree + 1):
             for lam in partitions_of(degree, nvars - 1):
                 phi = rodrigues.rodrigues_raw(lam, ctx)
-                limit = 1 << (rodrigues._digit_width(nvars, rodrigues._creation_steps(lam) + [nvars]) - 2)
+                width = widths[nvars, tuple(rodrigues._creation_steps(lam))]
+                assert width == annihilation_width(lam, nvars)
+                limit = 1 << (width - 2)
                 assert norm(phi) < limit
                 for upto in range(len(lam), nvars):
                     q = phi

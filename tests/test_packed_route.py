@@ -8,7 +8,7 @@ operators at the symbolic coupling, written out as criterion 01 does.
 import functools
 
 import pytest
-from criteria_helpers import PINNED, SWEEP, case_id
+from criteria_helpers import PINNED, SWEEP, annihilation_width, case_id, packed_widths
 
 from csjack import fieldring, rodrigues
 from csjack.fieldring import BETA, FieldElement
@@ -45,36 +45,39 @@ def test_packed_product_is_the_symbolic_chain(lam, nvars, cold_cache):
 
 @pytest.mark.parametrize("lam, nvars", WIDE, ids=map(case_id, WIDE))
 def test_digit_width_leaves_two_spare_bits(lam, nvars, cold_cache):
-    width = rodrigues._digit_width(nvars, rodrigues._creation_steps(lam))
-    raw = rodrigues.rodrigues_raw(Partition(lam), VarContext(nvars))
+    with packed_widths() as widths:
+        raw = rodrigues.rodrigues_raw(Partition(lam), VarContext(nvars))
+    (width,) = widths.values()
     for c in raw.terms.values():
         assert c.den == (1,)
         assert all(x.denominator == 1 and abs(x).numerator.bit_length() < width - 1 for x in c.num)
 
 
-def test_documented_widths():
+def test_documented_widths(cold_cache):
+    """_phi packs at pack_width(n!): 28 bits for (5,3,2,1)/5, 51 for (6,5,3,2,1)/6."""
     assert rodrigues._creation_steps((3, 1)) == [1, 1, 2]
-    assert rodrigues._digit_width(5, rodrigues._creation_steps((5, 3, 2, 1))) == 60
-    assert rodrigues._digit_width(6, rodrigues._creation_steps((6, 5, 3, 2, 1))) == 107
+    with packed_widths() as widths:
+        rodrigues._phi(VarContext(5), (5, 3, 2, 1))
+        rodrigues._phi(VarContext(6), (6, 5, 3, 2, 1))
+    assert list(widths.values()) == [28, 51]
 
 
 def test_annihilation_width_unpacks_to_phi():
     """The ints the annihilation suite checks are the printed phi_lam: at
-    the width of lam's steps and one more of cardinality N, _packed unpacks
-    to _phi for every |lam| <= 6 and l(lam) < N <= 5."""
+    its width, _packed unpacks to _phi for every |lam| <= 6 and
+    l(lam) < N <= 5."""
     for nvars in range(1, 6):
         ctx = VarContext(nvars)
         for degree in range(7):
             for lam in partitions_of(degree, nvars - 1):
-                steps = rodrigues._creation_steps(lam)
-                width = rodrigues._digit_width(nvars, steps + [nvars])
-                packed = rodrigues._packed(nvars, steps, width)
+                width = annihilation_width(lam, nvars)
+                packed = rodrigues._packed(nvars, rodrigues._creation_steps(lam), width)
                 unpacked = {Partition(mu): fieldring.unpack(c, width, degree + 1) for mu, c in packed.items()}
                 assert unpacked == dict(rodrigues._phi(ctx, lam)), (lam, nvars)
 
 
 def test_too_small_width_raises(monkeypatch, cold_cache):
-    monkeypatch.setattr(rodrigues, "_digit_width", lambda nvars, steps: 4)
+    monkeypatch.setattr(rodrigues, "pack_width", lambda bound: 4)
     with pytest.raises(OverflowError):
         rodrigues.rodrigues_raw(Partition((5, 3, 2, 1)), VarContext(5))
 

@@ -19,12 +19,13 @@ every distinct head of k parts first.
 """
 
 import itertools
+import math
 
 import pytest
-from criteria_helpers import PINNED, SWEEP, case_id
+from criteria_helpers import PINNED, SWEEP, annihilation_width, case_id
 
 from csjack import operators, oracle, rodrigues
-from csjack.fieldring import BETA, FieldElement
+from csjack.fieldring import BETA, FieldElement, pack_width
 from csjack.operators import apply_B_plus, apply_D_string
 from csjack.partitions import Partition, partitions_of
 from csjack.polyring import LaurentPoly, VarContext
@@ -90,7 +91,7 @@ def test_kernel_follows_the_subset_sum_chain(lam, nvars):
     """Every creation step of phi_lam, at the packed coupling _phi uses."""
     ctx = VarContext(nvars)
     steps = rodrigues._creation_steps(lam)
-    beta = 1 << rodrigues._digit_width(nvars, steps)
+    beta = 1 << pack_width(math.factorial(sum(steps)))
     coords = {(0,) * nvars: 1}
     p = int_poly(ctx, coords)
     for k in steps:
@@ -165,7 +166,7 @@ def test_unfolded_string_matches_the_expanded_string():
             for lam in partitions_of(degree, nvars):
                 padded = lam.pad(nvars)
                 steps = [k for k in rodrigues._creation_steps(lam) if k < nvars]
-                width = rodrigues._digit_width(nvars, steps + [nvars])
+                width = annihilation_width([x - padded[-1] for x in lam], nvars)
                 coords = {
                     tuple(x + padded[-1] for x in mu): c
                     for mu, c in rodrigues._packed(nvars, steps, width).items()
