@@ -20,10 +20,10 @@ each with its dest, converter, default (or REQUIRED) and help text.
 `--flag=value`, a unique prefix of a long flag, the last of a repeated flag
 wins, a negative number (and after a long flag, a negative fraction) as a
 value, and a converter or a choice that rejects its text ends the parse.
-`--help`, for the tool and for each command, is rendered from the same
-table in argparse's layout at 80 columns, so help and parsing cannot drift
-apart.  A request never imports argparse, nor the gettext and locale
-modules that argparse loads.
+`--help`, for the tool and for each command, is the page of an argparse
+parser built from the same table, laid out at 80 columns whatever the
+terminal's width, so help and parsing cannot drift apart.  Only a help
+request imports argparse, and the gettext and locale modules it loads.
 
 A request from the command line (`python -m csjack.cli` or the `csjack`
 script) enters through `run`, which freezes the collector's heap after
@@ -188,7 +188,7 @@ def _show_help(command) -> int:
 
 
 REQUIRED = object()
-HELP = ("help", None, False, "show this help message and exit")
+HELP = ("help", None, False, None)  # argparse writes its help line
 HELP_FLAGS = {"-h": HELP, "--help": HELP}
 
 # command: (help, handler, {flag: (dest, converter, default, help)}, flags
@@ -393,48 +393,27 @@ def parse(argv: list[str]):
 
 
 def _help(command=None) -> str:
-    """--help of the tool, or of one command, in argparse's layout at 80 columns."""
-    flags, exclusive = COMMANDS[command][2:] if command else (HELP_FLAGS, ())
-    usage, rows, group = ["[-h]"], [("  -h, --help", HELP[3])], []
-    for flag, entry in flags.items():
-        if entry is HELP:
-            continue
-        dest, convert, default, text = entry
-        metavar = "{" + ",".join(convert) + "}" if isinstance(convert, tuple) else dest.upper() if convert else ""
-        shown = f"{flag} {metavar}".rstrip()
-        rows.append(("  " + shown, text))
-        if flag in exclusive:
-            group.append(shown)
-            if len(group) == len(exclusive):
-                usage.append(f"[{' | '.join(group)}]")
-        else:
-            usage += shown.split() if default is REQUIRED else [f"[{shown}]"]
-    lines, head, sections = [f"usage: csjack {command}"], [], {"options": rows}
-    if not command:
-        names = "{" + ",".join(COMMANDS) + "}"
-        usage += [names, "..."]
-        lines, head = ["usage: csjack"], ["", "Exact Jack polynomials, operator verification, and model spectra."]
-        commands = [("    " + name, spec[0]) for name, spec in COMMANDS.items()]
-        sections = {"positional arguments": [("  " + names, None)] + commands, **sections}
-    # the usage wraps at 78 columns, continued under the first part
-    indent = " " * (len(lines[0]) + 1)
-    for part in usage:
-        if len(lines[-1]) + 1 + len(part) > 78:
-            lines.append(indent + part)
-        else:
-            lines[-1] += " " + part
-    lines += head
-    position = min(24, 2 + max(len(header) for rows in sections.values() for header, _ in rows))
-    for title, rows in sections.items():
-        lines += ["", f"{title}:"]
-        for header, text in rows:
-            if not text:
-                lines.append(header)
-            elif len(header) <= position - 2:
-                lines.append(f"{header:<{position - 2}}  {text}")
-            else:
-                lines += [header, " " * position + text]
-    return "\n".join(lines) + "\n"
+    """--help of the tool, or of one command: argparse's page of COMMANDS in
+    its 80-column layout, whatever the terminal's width."""
+    import argparse
+
+    def layout(prog):
+        return argparse.HelpFormatter(prog, width=78)
+
+    description = "Exact Jack polynomials, operator verification, and model spectra."
+    tool = argparse.ArgumentParser("csjack", description=description, formatter_class=layout)
+    commands, pages = tool.add_subparsers(), {}
+    for name, (text, _, flags, exclusive) in COMMANDS.items():
+        page = pages[name] = commands.add_parser(name, help=text, formatter_class=layout)
+        group = page.add_mutually_exclusive_group() if exclusive else page
+        for flag, (dest, convert, default, text) in flags.items():
+            if flag in HELP_FLAGS:
+                continue
+            kind = {"choices": convert} if isinstance(convert, tuple) else {} if convert else {"action": "store_true"}
+            (group if flag in exclusive else page).add_argument(
+                flag, dest=dest, required=default is REQUIRED, help=text, **kind
+            )
+    return (pages[command] if command else tool).format_help()
 
 
 def main(argv=None) -> int:

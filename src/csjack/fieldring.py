@@ -395,7 +395,7 @@ class FieldElement:
         num, den = checked_type(obj["num"], (list,), "num"), checked_type(obj["den"], (list,), "den")
         for c in num + den:
             checked_type(c, (str, int), "num or den entry")
-        return cls(poly(num), poly(den))
+        return cls(num, den)
 
     def __str__(self) -> str:
         if len(self.den) == 1:

@@ -31,8 +31,8 @@ from .errors import (
     LaurentInput,
     NotSymmetric,
 )
-from .fieldring import BETA, field
-from .polyring import LaurentPoly, _check_var, divide_by_vardiff
+from .fieldring import BETA
+from .polyring import LaurentPoly, _check_var, _int_or_field, divide_by_vardiff
 
 
 def _check_ordinary(p: LaurentPoly):
@@ -64,9 +64,7 @@ def apply_dunkl(i: int, p: LaurentPoly, beta=BETA) -> LaurentPoly:
     _check_var(p.ctx, i)
     _check_ordinary(p)
     terms = p.terms
-    # the rule of LaurentPoly.scale: an int coupling stays int on int input
-    if type(beta) is not int or type(next(iter(terms.values()), 0)) is not int:
-        beta = field(beta)
+    beta = _int_or_field(beta, terms)
     ii = i - 1
     # the derivative's exponents are distinct, so it fills the dict first
     out = {e[:ii] + (e[ii] - 1,) + e[ii + 1 :]: c * e[ii] for e, c in terms.items() if e[ii]}

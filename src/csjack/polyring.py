@@ -137,10 +137,9 @@ class LaurentPoly:
         return LaurentPoly._raw(self.ctx, out)
 
     def scale(self, c) -> "LaurentPoly":
-        # an int factor of an int polynomial stays int; anything else joins the
-        # field once here and multiplies each distinct coefficient value once
-        if type(c) is not int or type(next(iter(self.terms.values()), 0)) is not int:
-            c = fieldring.field(c)
+        # c joins the field once here, unless it stays int, and multiplies each
+        # distinct coefficient value once
+        c = _int_or_field(c, self.terms)
         if not c:
             return LaurentPoly.zero(self.ctx)
         if type(c) is int:
@@ -302,6 +301,12 @@ def _merge(out: dict, terms) -> dict:
             else:
                 del out[e]
     return out
+
+
+def _int_or_field(c, terms: dict):
+    """c as a factor of the coefficients in terms: an int factor of int
+    coefficients (or of none) stays int; anything else joins the field."""
+    return c if type(c) is int and type(next(iter(terms.values()), 0)) is int else fieldring.field(c)
 
 
 def _exponents(exps) -> tuple:

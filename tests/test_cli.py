@@ -5,9 +5,11 @@ interface."""
 import ast
 import gc
 import hashlib
+import importlib
 import io
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -239,6 +241,15 @@ def test_accepted_argv_prints_as_before(argv, code, digest, capsys, monkeypatch)
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("key", [key for key in ACCEPTED_ARGV if "help" in key])
+def test_help_pages_ignore_the_terminal_width(key, capsys, monkeypatch):
+    """argparse would follow COLUMNS; the pages keep their 80-column layout."""
+    monkeypatch.setenv("COLUMNS", "40")
+    argv, code, digest = ACCEPTED_ARGV[key]
+    assert cli.main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
 # argv the argparse parser rejected with exit 2, except the last, where it
 # stored an attached "--" as [] and the request ended in a traceback
 REJECTED_ARGV = {
@@ -282,6 +293,72 @@ def test_verify_passes():
     lines = r.stdout.strip().splitlines()
     assert all(line.startswith("PASS ") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+SPECTRUM_STATE = r"lam=\(.*\) n=\d+ beta=\d+(/\d+)? q=-?\d+(/\d+)?"
+# one mutant per check of the verify failure path: (suite, module, name, the
+# mutant as a function of the original, {check it fails: pattern of the detail})
+VERIFY_MUTANTS = {
+    "energy-off-by-q": (
+        "spectrum-consistency",
+        "spectrum",
+        "total_energy",
+        lambda energy: lambda lam, params: energy(lam, params) + params.q,
+        {"energy-boost-additivity": SPECTRUM_STATE},
+    ),
+    "momentum-off-by-one": (
+        "spectrum-consistency",
+        "spectrum",
+        "total_momentum",
+        lambda momentum: lambda lam, params: momentum(lam, params) + 1,
+        {"momentum-additivity": SPECTRUM_STATE},
+    ),
+    # reversed, the quasi-momenta keep their squared sum and lose their order
+    "momenta-reversed": (
+        "spectrum-consistency",
+        "spectrum",
+        "quasi_momenta",
+        lambda kappa: lambda lam, params: kappa(lam, params)[::-1],
+        {"exclusion-spacing": SPECTRUM_STATE + " i=1"},
+    ),
+    "ground-off-by-one": (
+        "spectrum-consistency",
+        "spectrum",
+        "ground_energy",
+        lambda ground: lambda params: ground(params) + 1,
+        {"ground-state-energy": r"n=\d+ beta=\d+(/\d+)?"},
+    ),
+    # hatD_k gains z_f(k) with f(1) = 2, else 1: every adjacent swap still
+    # holds, and s_1 or s_2 no longer commutes with a hatD_k outside its pair
+    "hatD-distant": (
+        "commutators",
+        "operators",
+        "apply_hatD",
+        lambda hat_d: lambda i, p, beta: hat_d(i, p, beta) + p.shift_var(2 if i == 1 else 1),
+        {
+            "shifted-family-commute": r"nvars=\d+ i=\d+ j=\d+ p=.+",
+            "shifted-family-swap": r"distant swap: nvars=\d+ i=\d+ k=\d+ p=.+",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("suite, module, name, mutant, failing", VERIFY_MUTANTS.values(), ids=VERIFY_MUTANTS.keys())
+def test_verify_prints_each_failure(suite, module, name, mutant, failing, capsys, monkeypatch):
+    """A broken check prints `FAIL name: detail`, the others still print
+    PASS, the tally counts the failures and the exit code is 3."""
+    target = importlib.import_module(f"csjack.{module}")
+    monkeypatch.setattr(target, name, mutant(getattr(target, name)))
+    assert cli.main(["verify", "--suite", suite, "--max-degree", "3"]) == 3
+    *lines, tally = capsys.readouterr().out.splitlines()
+    names = [line.split()[1].rstrip(":") for line in lines]
+    assert set(failing) <= set(names)
+    for line, check in zip(lines, names):
+        if check in failing:
+            assert re.fullmatch(f"FAIL {check}: {failing[check]}", line), line
+        else:
+            assert line == f"PASS {check}"
+    assert tally == f"{len(lines) - len(failing)}/{len(lines)} checks passed"
 
 
 def test_spectrum_text_frozen():

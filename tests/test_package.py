@@ -4,8 +4,8 @@ verify request only the layers its suite runs, no module imports the
 command line module back, only `convert`, which reads JSON, imports json,
 no `jack` request imports fractions (the field's arithmetic runs in Z[b]),
 only the functions named in FRACTION_IMPORTERS import it, only those in
-TOO_MANY_PARTS_RAISERS raise TooManyParts, no request imports argparse,
-and every cached value is read-only."""
+TOO_MANY_PARTS_RAISERS raise TooManyParts, only a --help request imports
+argparse, and every cached value is read-only."""
 
 import ast
 import importlib
@@ -116,6 +116,27 @@ def test_spectrum_request_loads_no_polynomials():
     )
     assert "csjack.spectrum" in loaded
     assert not {"csjack.fieldring", "csjack.polyring"} & loaded
+
+
+@pytest.mark.parametrize(
+    "argv, help_page",
+    [
+        (["spectrum", "--nparticles", "3", "--beta", "2", "--lambda", "2,1"], False),
+        (["spectrum", "--nparticles", "2", "--beta", "1/2", "--all-degree", "2", "--format", "json"], False),
+        (["convert", "--to", "m", "--input", "{input}"], False),
+        (["convert", "--to", "p", "--input", "{input}", "--nvars", "2"], False),
+        (["-h"], True),
+        (["jack", "--help"], True),
+    ],
+    ids=["spectrum-text", "spectrum-json", "convert-m", "convert-p", "help", "jack-help"],
+)
+def test_only_a_help_page_loads_the_parser(argv, help_page, tmp_path):
+    """argparse lays out --help; no other request imports it."""
+    payload = tmp_path / "z1z2.json"
+    payload.write_text(json.dumps({"nvars": 2, "terms": [{"exp": [1, 1], "coeff": {"num": ["1"], "den": ["1"]}}]}))
+    argv = [token.format(input=payload) for token in argv]
+    loaded = _loaded_after(f"from csjack import cli\nassert cli.main({argv!r}) == 0")
+    assert (PARSER_MODULES <= loaded) if help_page else not (PARSER_MODULES & loaded)
 
 
 @pytest.mark.parametrize(

@@ -75,17 +75,19 @@ def test_spectrum_consistency_draws_within_its_flags(monkeypatch, max_degree, ma
 
 
 def test_check_result_is_a_frozen_record():
-    result = CheckResult("dunkl-commute", True, "", 23)
-    assert result == CheckResult("dunkl-commute", True, "", 23) != CheckResult("dunkl-commute", False, "x", 23)
-    assert hash(result) == hash(CheckResult("dunkl-commute", True, "", 23))
-    assert repr(result) == "CheckResult(name='dunkl-commute', passed=True, detail='', cases=23)"
-    assert CheckResult("x", False) == CheckResult("x", False, "", 0)
+    result = CheckResult("dunkl-commute", "", 23)
+    assert result == CheckResult("dunkl-commute", "", 23) != CheckResult("dunkl-commute", "x", 23)
+    assert hash(result) == hash(CheckResult("dunkl-commute", "", 23))
+    assert repr(result) == "CheckResult(name='dunkl-commute', detail='', cases=23)"
+    assert CheckResult("x") == CheckResult("x", "", 0)
     assert copy.copy(result) == result == pickle.loads(pickle.dumps(result))
     with pytest.raises(AttributeError):
         result.passed = False
     with pytest.raises(AttributeError):
         del result.detail
     assert result.passed is True
+    # a result passes exactly when it carries no failure detail
+    assert CheckResult("x", "lam=(1,) n=2").passed is False
 
 
 def integral_and_monic(lam, ctx):
