@@ -1,10 +1,11 @@
 """`csjack convert`: read a polynomial payload and expand it in a basis.
 
-A payload is a jack result, a LaurentPoly or a basis expansion, as JSON
-from a file or stdin; json serves only to read it, and the command line
-writes the expansion.  Anything that does not decode, such as a coefficient
-string with an exponent that errors.read_rational refuses, raises
-BadPayload, which the command line reports as a domain error.
+A payload is a jack result, a basis expansion or a LaurentPoly, as JSON
+from a file or stdin; json serves only to read it.  A jack result or a basis
+expansion is read as m-coordinates and never becomes a polynomial; only a
+LaurentPoly is checked and scanned by symbases.expand_in_basis.  Anything
+that does not decode, such as a coefficient string with an exponent that
+errors.read_rational refuses, raises BadPayload: a domain error.
 """
 
 from __future__ import annotations
@@ -16,19 +17,18 @@ from . import symbases
 from .errors import AlgebraError
 from .fieldring import FieldElement
 from .partitions import Partition
-from .polyring import LaurentPoly, VarContext, from_m_coordinates
+from .polyring import LaurentPoly, VarContext
 
 
 class BadPayload(AlgebraError):
     pass
 
 
-def _decode_polynomial(obj):
-    """Read a jack result, a LaurentPoly or a basis expansion payload; None
-    when obj is none of them."""
+def _decode(obj):
+    """(ctx, nonzero m-coordinates) of a jack result or basis payload, (ctx,
+    LaurentPoly) of a LaurentPoly payload; None when obj is none of them."""
     if "monomial_expansion" in obj:
-        ctx = VarContext(obj["nvars"])
-        coords = {}
+        ctx, coords = VarContext(obj["nvars"]), {}
         for entry in obj["monomial_expansion"]:
             coeff = entry["coeff"]
             if not isinstance(coeff, dict):  # one rational, at a fixed beta
@@ -37,13 +37,17 @@ def _decode_polynomial(obj):
             if mu in coords:
                 raise ValueError(f"partition {list(mu)} listed twice")
             coords[mu] = FieldElement.from_json(coeff)
-        return from_m_coordinates(coords, ctx)
-    if "terms" in obj:
-        return LaurentPoly.from_json(obj)
-    if "coords" in obj:
+    elif "terms" in obj:
+        poly = LaurentPoly.from_json(obj)
+        return poly.ctx, poly
+    elif "coords" in obj:
         ctx = VarContext(obj["nvars"])
-        return symbases.BasisExpansion.from_json(obj, ctx).reconstruct()
-    return None
+        coords = symbases.BasisExpansion.from_json(obj, ctx).m_coordinates()
+    else:
+        return None
+    for mu in coords:
+        mu.pad(ctx.nvars)  # m_mu needs l(mu) <= N, even at a zero coefficient
+    return ctx, {mu: c for mu, c in coords.items() if c}
 
 
 def convert_payload(args) -> dict:
@@ -54,12 +58,17 @@ def convert_payload(args) -> dict:
                 obj = json.load(fh)
         else:
             obj = json.load(sys.stdin)
-        poly = _decode_polynomial(obj)
+        decoded = _decode(obj)
     # json.load recurses once per nesting level; read_rational overflows on a long exponent
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, RecursionError) as exc:
         raise BadPayload(f"malformed polynomial payload ({type(exc).__name__}: {exc})")
-    if poly is None:
+    if decoded is None:
         raise BadPayload("unrecognized polynomial payload")
-    if args.nvars and args.nvars != poly.ctx.nvars:
-        raise BadPayload(f"input declares {poly.ctx.nvars} variables, flags say {args.nvars}")
-    return {**symbases.expand_in_basis(poly, args.to).to_json(), "nvars": poly.ctx.nvars}
+    ctx, body = decoded
+    if args.nvars and args.nvars != ctx.nvars:
+        raise BadPayload(f"input declares {ctx.nvars} variables, flags say {args.nvars}")
+    if isinstance(body, LaurentPoly):
+        expansion = symbases.expand_in_basis(body, args.to)
+    else:
+        expansion = symbases.expand_m_coordinates(body, ctx, args.to)
+    return {**expansion.to_json(), "nvars": ctx.nvars}

@@ -173,12 +173,6 @@ class LaurentPoly:
     def has_negative_exponents(self) -> bool:
         return any(min(e) < 0 for e in self.terms)
 
-    def total_degree(self) -> int:
-        """Maximum total degree; zero polynomial reports 0."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1

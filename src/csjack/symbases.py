@@ -1,25 +1,18 @@
 """Symmetric polynomial bases, basis conversion, and the two scalar products.
 
-Monomial symmetric functions m_lam, power sums p_lam, conversion of a
-symmetric homogeneous polynomial into either basis, the coupling-weighted
-power-sum pairing, the torus constant-term pairing for integer coupling, and
-Schur polynomials by bialternant division.
+Monomial symmetric functions m_lam, power sums p_lam, expansion in either
+basis, the coupling-weighted power-sum pairing, the torus constant-term
+pairing for integer coupling, and Schur polynomials by bialternant division.
 
-_row is the one reader of a row of a sparse matrix, kept here off the jack
-path.  The power-sum coordinates of every m_rho of one degree come by
-back-substitution in dominance order from the integer transition matrix,
-whose entries are counts of maps between parts (Macdonald I.6), so no power
-sums are multiplied; for degree <= nvars the table does not depend on
-nvars and is cached per degree by power_sum_columns.  A conversion to the p
-basis then sums the columns of its m-coordinates.  The power-sum pairing
-sums its definition term by term; its integral form, _integral_pairing,
-pairs m-coordinates in Z[b] through the Gram matrix of the m_rho, built
-once per degree in Z[b] from the table scaled to ints by the lcm of its
-denominators; the pairing oracle orthogonalizes with, and checks rows of,
-the same matrix.
-The torus pairing reads a cached, read-only table of integer weights, sums
-them per pair of distinct coefficients, and specializes each distinct
-coefficient once.
+Every change of basis runs on m-coordinates (expand_m_coordinates; only
+expand_in_basis scans a polynomial for them).  The power-sum coordinates of
+each m_rho come by back-substitution from the integer transition matrix,
+whose entries count maps between parts (_power_sum_m, Macdonald I.6), so no
+power sums are multiplied; for degree <= nvars the table does not depend on
+nvars and is cached per degree.  The integral power-sum pairing and the
+pairing oracle read the Gram matrix of the m_rho built once per degree from
+the same table; _row is the one reader of a row of a sparse matrix, kept
+here off the jack path.  The torus pairing reads a cached weight table.
 """
 
 from __future__ import annotations
@@ -79,11 +72,14 @@ class BasisExpansion(Record):
         # weight degree, so none is a prefix of another
         return sorted(self.coords.items(), reverse=True)
 
-    def reconstruct(self) -> LaurentPoly:
+    def m_coordinates(self) -> dict[Partition, FieldElement]:
+        """Coordinates on the m_sigma: an m expansion's own, a p expansion's by _power_sum_m."""
         if self.basis == MONOMIAL:
-            return from_m_coordinates(self.coords, self.ctx)
-        terms = (power_sum(lam, self.ctx).scale(c) for lam, c in self.coords.items())
-        return LaurentPoly.sum(self.ctx, terms)
+            return dict(self.coords)
+        coords: dict[Partition, FieldElement] = {}
+        for rho, c in self.coords.items():
+            _merge(coords, ((sigma, c * n) for sigma, n in _power_sum_m(rho, self.ctx.nvars).items()))
+        return coords
 
     def to_json(self) -> dict:
         return {
@@ -111,16 +107,6 @@ class BasisExpansion(Record):
         return cls(basis, degree, ctx, coords)
 
 
-def _require_symmetric_homogeneous(p: LaurentPoly) -> int:
-    if p.has_negative_exponents():
-        raise LaurentInput("basis expansion needs ordinary polynomials")
-    if not p.is_homogeneous():
-        raise NotHomogeneous("input mixes total degrees")
-    if not p.is_symmetric():
-        raise NotSymmetric("input is not symmetric")
-    return p.total_degree()
-
-
 def _row(matrix, mu, coords) -> FieldElement:
     """sum_nu matrix[mu, nu] coords[nu] for a sparse matrix {(mu, nu):
     entry} and a sparse vector {nu: coordinate}."""
@@ -142,20 +128,23 @@ def power_sum_columns(degree: int, ctx: VarContext) -> MappingProxyType:
     return _power_sum_columns(degree)
 
 
-def _slot_maps(parts: tuple[int, ...], slots: tuple[int, ...]) -> int:
-    """Number of maps from parts to slots under which the parts sent to each
-    slot sum to its value, when both sum alike: the coefficient of m_slots in
-    p_parts (Macdonald I.6).  Slots of equal value are counted once and
-    weighted by their number."""
-    if not parts:
-        return 1
-    first, rest = parts[0], parts[1:]
-    total = 0
-    for v in set(slots):
-        if v >= first:
-            s = slots.index(v)
-            total += slots.count(v) * _slot_maps(rest, slots[:s] + (v - first,) + slots[s + 1 :])
-    return total
+def _power_sum_m(rho: Partition, nvars: int) -> dict[Partition, int]:
+    """{sigma: coefficient of m_sigma in p_rho (Macdonald I.6)} over l(sigma)
+    <= nvars: the maps from rho's parts to sigma's that sum to each part.  A
+    local table counts maps into min(nvars, l(rho)) numbered slots per sorted
+    tuple t of slot sums, each standing for slots!/prod m! orders of t."""
+    slots = min(nvars, len(rho))
+    ways = {(0,) * slots: 1}
+    for r in rho:
+        grown: dict[tuple[int, ...], int] = {}
+        for sums, n in ways.items():
+            for v in set(sums):
+                s = sums.index(v)
+                key = tuple(sorted(sums[:s] + (v + r,) + sums[s + 1 :], reverse=True))
+                grown[key] = grown.get(key, 0) + n * sums.count(v)
+        ways = grown
+    orders = math.factorial(slots)
+    return {Partition(t): n * math.prod(math.factorial(t.count(v)) for v in set(t)) // orders for t, n in ways.items()}
 
 
 @functools.cache
@@ -167,35 +156,43 @@ def _power_sum_columns(degree: int) -> MappingProxyType:
     <maps from rho to rho> reads only columns built before it."""
     columns: dict[Partition, tuple] = {}
     for rho in partitions_of(degree, None):
-        coords = {rho: ONE}
+        coords, counts = {rho: ONE}, _power_sum_m(rho, degree)
         for sigma, col in columns.items():
-            count = _slot_maps(rho, sigma)
+            count = counts.get(sigma)
             if count:
                 _merge(coords, ((mu, c * -count) for mu, c in col))
-        diagonal = _slot_maps(rho, rho)
-        columns[rho] = tuple((mu, coords[mu] / diagonal) for mu in sorted(coords, reverse=True))
+        columns[rho] = tuple((mu, coords[mu] / counts[rho]) for mu in sorted(coords, reverse=True))
     return MappingProxyType(columns)
 
 
 def expand_in_basis(p: LaurentPoly, basis: str) -> BasisExpansion:
-    """Coordinates of a homogeneous symmetric polynomial in the m or p basis.
+    """Coordinates of a homogeneous symmetric polynomial in the m or p basis."""
+    if p.has_negative_exponents():
+        raise LaurentInput("basis expansion needs ordinary polynomials")
+    if not p.is_homogeneous():
+        raise NotHomogeneous("input mixes total degrees")
+    if not p.is_symmetric():
+        raise NotSymmetric("input is not symmetric")
+    return expand_m_coordinates(p.m_coordinates(), p.ctx, basis)
 
-    The power-sum route needs degree <= nvars, where the p_mu stay linearly
-    independent; it sums the cached power_sum_columns of p's m-coordinates.
-    """
+
+def expand_m_coordinates(mcoords: dict, ctx: VarContext, basis: str) -> BasisExpansion:
+    """Coordinates in the m or p basis of sum c m_mu over the items (mu, c) of
+    mcoords, nonzero and of one degree (0 when there are none): the m basis
+    copies them; the p basis, which needs degree <= nvars for the p_mu to
+    stay independent, sums their power_sum_columns."""
     if basis not in (MONOMIAL, POWER_SUM):
         raise BasisMismatch(f"unknown basis {basis!r}")
-    n = _require_symmetric_homogeneous(p)
-    if not p.terms:
-        return BasisExpansion(basis, 0, p.ctx, {})
-    mcoords = p.m_coordinates()
+    n = next(iter(mcoords)).weight if mcoords else 0
+    if any(mu.weight != n for mu in mcoords):
+        raise NotHomogeneous("input mixes total degrees")
     if basis == MONOMIAL:
-        return BasisExpansion(MONOMIAL, n, p.ctx, mcoords)
-    columns = power_sum_columns(n, p.ctx)
+        return BasisExpansion(MONOMIAL, n, ctx, dict(mcoords))
+    columns = power_sum_columns(n, ctx)
     coords: dict[Partition, FieldElement] = {}
     for rho, c in mcoords.items():
         _merge(coords, ((mu, c * t) for mu, t in columns[rho]))
-    return BasisExpansion(POWER_SUM, n, p.ctx, coords)
+    return BasisExpansion(POWER_SUM, n, ctx, coords)
 
 
 def scalar_product_p(f: BasisExpansion, g: BasisExpansion) -> FieldElement:

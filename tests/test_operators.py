@@ -57,7 +57,7 @@ def test_D_basic():
     # degree is preserved term by term
     p = z1**3 + z1 * z2
     assert apply_D(1, p).is_homogeneous() is False  # mixes the two degrees
-    assert apply_D(1, z1**3).total_degree() == 3
+    assert {sum(e) for e in apply_D(1, z1**3).terms} == {3}
 
 
 def test_D_string_rightmost_first():

@@ -92,6 +92,13 @@ def test_power_sum():
     assert power_sum(Partition(()), CTX3) == LaurentPoly.one(CTX3)
 
 
+def _polynomial(ex: BasisExpansion) -> LaurentPoly:
+    """The polynomial whose m- or p-coordinates ex holds, multiplied out."""
+    if ex.basis == MONOMIAL:
+        return from_m_coordinates(ex.coords, ex.ctx)
+    return LaurentPoly.sum(ex.ctx, (power_sum(lam, ex.ctx).scale(c) for lam, c in ex.coords.items()))
+
+
 def test_expand_monomial_basis():
     p = monomial_sym(Partition((2,)), CTX2) + monomial_sym(Partition((1, 1)), CTX2).scale(BETA)
     ex = expand_in_basis(p, MONOMIAL)
@@ -99,7 +106,7 @@ def test_expand_monomial_basis():
     assert ex.degree == 2
     assert ex.coords[Partition((2,))] == ONE
     assert ex.coords[Partition((1, 1))] == BETA
-    assert ex.reconstruct() == p
+    assert _polynomial(ex) == p
 
 
 def test_expand_power_sum_basis():
@@ -107,7 +114,7 @@ def test_expand_power_sum_basis():
     ex = expand_in_basis(monomial_sym(Partition((1, 1)), CTX2), POWER_SUM)
     assert ex.coords[Partition((1, 1))] == FieldElement(["1/2"])
     assert ex.coords[Partition((2,))] == FieldElement(["-1/2"])
-    assert ex.reconstruct() == monomial_sym(Partition((1, 1)), CTX2)
+    assert _polynomial(ex) == monomial_sym(Partition((1, 1)), CTX2)
     # p_2 = m_2 both ways
     ex = expand_in_basis(power_sum(Partition((2,)), CTX3), MONOMIAL)
     assert ex.coords == {Partition((2,)): ONE}
@@ -132,7 +139,7 @@ def test_expand_rejects():
 def test_degree_zero_expansion():
     ex = expand_in_basis(LaurentPoly.constant(CTX2, 5), POWER_SUM)
     assert ex.coords == {Partition(()): FieldElement([5])}
-    assert ex.reconstruct() == LaurentPoly.constant(CTX2, 5)
+    assert _polynomial(ex) == LaurentPoly.constant(CTX2, 5)
 
 
 def test_scalar_product_p():
@@ -171,7 +178,7 @@ def test_power_sum_expansion_matches_a_direct_solve():
         for degree in range(nvars + 1):
             for _ in range(3):
                 p = _random_symmetric(rng, degree, ctx)
-                assert expand_in_basis(p, POWER_SUM).reconstruct() == p
+                assert _polynomial(expand_in_basis(p, POWER_SUM)) == p
 
 
 def test_power_sum_table_matches_a_direct_solve_for_every_nvars():
@@ -235,7 +242,7 @@ def test_basis_expansion_json():
     back = BasisExpansion.from_json(obj, CTX2)
     assert back.basis == ex.basis
     assert back.coords == ex.coords
-    assert back.reconstruct() == ex.reconstruct()
+    assert _polynomial(back) == _polynomial(ex)
 
 
 def test_basis_expansion_is_a_frozen_unhashable_record():
